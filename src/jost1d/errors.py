@@ -37,7 +37,7 @@ class AnchorError(NumericsError):
 
 
 class IntegrationError(NumericsError):
-    """The ODE integrator gave up (step underflow or too many steps)."""
+    """The Magnus step halving did not converge (too many rounds or steps)."""
 
 
 class ExceptionalPointError(NumericsError):

@@ -10,14 +10,18 @@ from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
 Numerics.  Piecewise-constant potentials go through the exact transfer
-route in jost1d.transfer.  Everything else is integrated with an
-adaptive embedded Runge-Kutta scheme (DOP853) applied to the
-plane-wave-normalized unknown m(x) = f_+(x) e^{-ikx}, which keeps the
-tracked quantity O(1) near the anchor so the deviation f_+ - e^{ikx}
-survives in floating point even where the potential tail is tiny.  The
-anchor sits at the support edge when the support is compact, otherwise
-at a point where the weighted tail has dropped below tolerance, and the
-achieved tail mass is recorded as error_bound.
+route in jost1d.transfer.  Everything else goes through a 4th-order
+Magnus panel propagator (transfer.magnus_entries): each step samples V
+at its two Gauss points and applies the closed-form exponential of a
+traceless 2x2 matrix, which is exact for the free part of the equation
+at any k.  The mesh starts from the potential's breakpoints, so no step
+crosses a kink, and every step whose one-step and two-half-step maps
+differ by more than its share of tol is halved until none does.  The
+node states come from a prefix product of the step maps taken from the
+anchor; between nodes one partial step from the anchor-side node gives
+(f, f').  The anchor sits at the support edge when the support is
+compact, otherwise at a point where the weighted tail has dropped below
+tolerance, and the achieved tail mass is recorded as error_bound.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     AnchorError,
@@ -34,7 +37,7 @@ from .errors import (
     SpecError,
 )
 from .potential import Potential, piecewise_segments, tails
-from .transfer import PiecewiseJost, plane_pair
+from .transfer import NodalJost, PiecewiseJost, magnus_entries
 
 __all__ = [
     "JostSolution",
@@ -114,7 +117,7 @@ class GreenKernelSample:
 
 
 # ---------------------------------------------------------------------------
-# the adaptive-integrator evaluator
+# the Magnus evaluator
 
 
 def _tail_point(p: Potential, side: str, tol: float) -> float:
@@ -132,127 +135,129 @@ def _tail_point(p: Potential, side: str, tol: float) -> float:
     )
 
 
-class OdeJost:
-    """Jost solution by adaptive integration of the normalized equation.
+def _compose(m, n):
+    """Entry-wise 2x2 products m @ n of (..., 4) arrays (m00, m01, m10, m11)."""
+    return np.stack([
+        m[..., 0] * n[..., 0] + m[..., 1] * n[..., 2],
+        m[..., 0] * n[..., 1] + m[..., 1] * n[..., 3],
+        m[..., 2] * n[..., 0] + m[..., 3] * n[..., 2],
+        m[..., 2] * n[..., 1] + m[..., 3] * n[..., 3],
+    ], axis=-1)
 
-    side "+": m = f_+ e^{-ikx} solves m'' = V m - 2ik m', integrated from
-    the anchor (m = 1, m' = 0) down to the far edge of the support or
-    tail.  side "-" is the mirror image.  Beyond the far edge the
-    solution continues as an explicit combination of plane waves.
+
+class OdeJost(NodalJost):
+    """Jost solution by the 4th-order Magnus panel propagator.
+
+    Steps run from the anchor (f = e^{+-ikx}) to the far edge of the
+    support or tail over a mesh that contains every breakpoint of the
+    potential.  Beyond the far edge the solution continues as an
+    explicit combination of plane waves.
     """
 
-    _RTOL = 1e-12
-    _ATOL = 1e-13
+    _MIN_PANELS = 16  # uniform panels laid over the breakpoints
+    _MAX_ROUNDS = 40  # halving rounds before IntegrationError
+    _MAX_STEPS = 1 << 20
+    _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 
     def __init__(self, p: Potential, k, side, tol=1e-10):
+        if side not in ("+", "-"):
+            raise ValueError(f"side must be '+' or '-', got {side!r}")
         self.k = complex(k)
         self.side = side
         self.p = p
         sup = p.support()
-        if side == "+":
-            if sup is not None:
-                self.anchor, self.far_edge = sup[1], sup[0]
-                self.error_bound = 0.0
-            else:
-                self.anchor = _tail_point(p, "+", tol)
-                self.far_edge = _tail_point(p, "-", tol)
-                self.error_bound = tails(p, self.anchor).tau_plus
-        elif side == "-":
-            if sup is not None:
-                self.anchor, self.far_edge = sup[0], sup[1]
-                self.error_bound = 0.0
-            else:
-                self.anchor = _tail_point(p, "-", tol)
-                self.far_edge = _tail_point(p, "+", tol)
-                self.error_bound = tails(p, self.anchor).tau_minus
+        if sup is not None:
+            self.anchor, self.far_edge = (sup[1], sup[0]) if side == "+" else sup
+            self.error_bound = 0.0
         else:
-            raise ValueError(f"side must be '+' or '-', got {side!r}")
+            self.anchor = _tail_point(p, side, tol)
+            self.far_edge = _tail_point(p, "-" if side == "+" else "+", tol)
+            td = tails(p, self.anchor)
+            self.error_bound = td.tau_plus if side == "+" else td.tau_minus
 
-        k_ = self.k
         sgn = 1.0 if side == "+" else -1.0
+        wave = np.exp(sgn * 1j * self.k * self.anchor)
+        start = np.array([wave, sgn * 1j * self.k * wave])
+        self.nodes, steps = self._mesh(*sorted((self.far_edge, self.anchor)), tol)
+        if side == "+":
+            steps = steps[::-1]
+        # Hillis-Steele scan: after it, steps[j] maps the anchor to node j+1 away
+        shift = 1
+        while shift < len(steps):
+            steps[shift:] = _compose(steps[shift:], steps[:-shift])
+            shift *= 2
+        far = np.stack([steps[:, 0] * start[0] + steps[:, 1] * start[1],
+                        steps[:, 2] * start[0] + steps[:, 3] * start[1]], axis=-1)
+        states = np.concatenate([start[None, :], far])
+        self.states = states[::-1] if side == "+" else states
+        self._finish()
 
-        def rhs(x, y):
-            # normalized equation m'' = V m - (sgn) 2ik m'
-            return np.array([y[1], p(x) * y[0] - sgn * 2j * k_ * y[1]])
+    eval = NodalJost.eval  # bound here too, see PiecewiseJost
 
-        span = abs(self.far_edge - self.anchor)
-        if span == 0.0:
-            self._sol = None
-            self._far_state = (
-                np.exp(sgn * 1j * k_ * self.anchor),
-                sgn * 1j * k_ * np.exp(sgn * 1j * k_ * self.anchor),
+    def _step(self, x0, x1):
+        return np.stack(magnus_entries(self.p, self.k, x0, x1), axis=-1)
+
+    def _mesh(self, lo, hi, tol):
+        """Nodes from lo to hi and the step maps between them, anchor to far.
+
+        A step is accepted once its one-step and two-half-step maps differ
+        by at most tol * |h| / span relative to the map's size (or by the
+        rounding floor); its two-half-step map is kept.
+        """
+        span = hi - lo
+        cuts = [b for b in self.p.breakpoints() if lo < b < hi]
+        edges = np.unique(np.concatenate([np.linspace(lo, hi, self._MIN_PANELS + 1), cuts]))
+        left, right = edges[:-1], edges[1:]
+        done_left, done_maps = [], []
+        toward_far = self.side == "+"  # "+" steps run right to left
+        x0, x1 = (right, left) if toward_far else (left, right)
+        whole = self._step(x0, x1)
+        for _ in range(self._MAX_ROUNDS):
+            mid = 0.5 * (left + right)
+            x0, x1 = (right, left) if toward_far else (left, right)
+            first, second = self._step(x0, mid), self._step(mid, x1)
+            halves = _compose(second, first)
+            size = np.max(np.abs(halves), axis=-1)
+            defect = np.max(np.abs(whole - halves), axis=-1)
+            ok = defect <= np.maximum(tol * (right - left) / span, self._FLOOR) * size
+            done_left.append(left[ok])
+            done_maps.append(halves[ok])
+            if ok.all():
+                break
+            bad = ~ok
+            if 2 * bad.sum() + sum(len(d) for d in done_left) > self._MAX_STEPS:
+                raise IntegrationError(
+                    f"Magnus mesh needs more than {self._MAX_STEPS} steps on [{lo:g}, {hi:g}]"
+                )
+            # the halves of a rejected step are the whole steps of its children
+            left, right, mid = left[bad], right[bad], mid[bad]
+            left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+            lower, upper = (second, first) if toward_far else (first, second)
+            whole = np.concatenate([lower[bad], upper[bad]])
+        else:
+            raise IntegrationError(
+                f"Magnus step halving did not converge in {self._MAX_ROUNDS} rounds "
+                f"on [{lo:g}, {hi:g}] (tol {tol:g})"
             )
-        else:
-            sol = solve_ivp(
-                rhs,
-                (self.anchor, self.far_edge),
-                np.array([1.0 + 0.0j, 0.0 + 0.0j]),
-                method="DOP853",
-                rtol=self._RTOL,
-                atol=self._ATOL,
-                dense_output=True,
-                max_step=span / 16.0,
-            )
-            if not sol.success:
-                raise IntegrationError(f"Jost integration failed: {sol.message}")
-            self._sol = sol.sol
-            m, mp = sol.y[:, -1]
-            phase = np.exp(sgn * 1j * k_ * self.far_edge)
-            self._far_state = (m * phase, (mp + sgn * 1j * k_ * m) * phase)
-        if k_ != 0:
-            self._pair = plane_pair(self._far_state[0], self._far_state[1], k_, self.far_edge)
-        else:
-            b_lin = self._far_state[1]
-            self._pair = (self._far_state[0] - b_lin * self.far_edge, b_lin)
+        left = np.concatenate(done_left)
+        order = np.argsort(left)
+        nodes = np.append(left[order], hi)
+        return nodes, np.concatenate(done_maps)[order]
 
-    def plane_pair(self):
-        return self._pair
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        f = np.empty(x.shape, dtype=complex)
-        fp = np.empty(x.shape, dtype=complex)
-        k_ = self.k
-        sgn = 1.0 if self.side == "+" else -1.0
-        if self.side == "+":
-            anchor_side = x >= self.anchor
-            beyond = x < self.far_edge
-        else:
-            anchor_side = x <= self.anchor
-            beyond = x > self.far_edge
-        wave = np.exp(sgn * 1j * k_ * x[anchor_side])
-        f[anchor_side] = wave
-        fp[anchor_side] = sgn * 1j * k_ * wave
-        if beyond.any():
-            f[beyond], fp[beyond] = self._vacuum(x[beyond])
-        inside = ~(anchor_side | beyond)
-        if inside.any():
-            m, mp = self._sol(x[inside])
-            phase = np.exp(sgn * 1j * k_ * x[inside])
-            f[inside] = m * phase
-            fp[inside] = (mp + sgn * 1j * k_ * m) * phase
-        if scalar:
-            return f[0], fp[0]
-        return f, fp
-
-    def _vacuum(self, x):
-        if self.k == 0:
-            a_lin, b_lin = self._pair
-            return a_lin + b_lin * x, np.full(x.shape, b_lin, dtype=complex)
-        c_plus, c_minus = self._pair
-        up = np.exp(1j * self.k * x)
-        dn = np.exp(-1j * self.k * x)
-        return c_plus * up + c_minus * dn, 1j * self.k * (c_plus * up - c_minus * dn)
+    def _inside(self, x):
+        idx = self._panel(x)
+        node = idx + 1 if self.side == "+" else idx
+        m = magnus_entries(self.p, self.k, self.nodes[node], x)
+        f0, fp0 = self.states[node, 0], self.states[node, 1]
+        return m[0] * f0 + m[1] * fp0, m[2] * f0 + m[3] * fp0
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10, method="auto"):
-    """Pick the exact transfer route or the adaptive integrator.
+    """Pick the exact transfer route or the Magnus route.
 
     method: "auto" (transfer when the potential is piecewise constant),
-    "transfer" (require it), or "ode" (force the integrator; used to test
-    the two routes against each other).
+    "transfer" (require it), or "ode" (force the Magnus route; used to
+    test the two routes against each other).
     """
     k = check_wavenumber(k, allow_zero=True)
     if k == 0 and p.support() is None:
@@ -336,7 +341,11 @@ def wronskian_variation(fplus: JostSolution, fminus: JostSolution) -> float:
 def jost_wronskian(p: Potential, k, tol=1e-10, method="auto") -> complex:
     """W{f_+, f_-}(k) evaluated from freshly built solutions at one point."""
     evp = jost_evaluator(p, k, "+", tol, method)
-    evm = jost_evaluator(p, k, "-", tol, method)
+    return _wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol, method))
+
+
+def _wronskian_at_mid(p: Potential, evp, evm) -> complex:
+    """W{f_+, f_-} at the support midpoint (x = 0 for infinite support)."""
     sup = p.support()
     x_star = 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
     f, fp = evp.eval(x_star)
@@ -368,7 +377,7 @@ def scattering(p: Potential, k, tol=1e-10, method="auto") -> ScatteringData:
         raise ExceptionalPointError(
             f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined"
         )
-    w = jost_wronskian(p, k, tol, method)
+    w = _wronskian_at_mid(p, ev, jost_evaluator(p, k, "-", tol, method))
     gap = abs(a - w / (-2j * k)) / (1.0 + abs(a))
     return ScatteringData(k=k, a=complex(a), b=complex(b), r=complex(b / a),
                           t=complex(1.0 / a), wronskian_gap=float(gap))

@@ -11,9 +11,11 @@ one-sided tails, and the splitting scale that separates a shrinking
 potential core from the surrounding free region.
 
 Quadrature is adaptive Gauss-Kronrod (scipy's QUADPACK) with explicit
-subdivision at every breakpoint of the model, so integrands are smooth
-on each panel.  Improper integrals over infinite tails go through
-QUADPACK's own variable transformation.
+subdivision at every breakpoint of the model and at x = 0 (the kink of
+the weight 1 + |x|), so integrands are smooth on each panel.  Improper
+integrals over infinite tails go through QUADPACK's own variable
+transformation.  A shape with a tails(x, coupling) method (exp_decay)
+gets its one-sided tails in closed form instead.
 """
 
 from __future__ import annotations
@@ -138,6 +140,20 @@ class ExpDecayShape:
 
     def breakpoints(self):
         return (0.0,)
+
+    def tails(self, x, coupling):
+        """TailData of coupling * self at x, in closed form."""
+        a, r = abs(coupling * self.amplitude), self.rate
+        x = float(x)
+
+        def sigma(y):  # int_y^inf e^{-r|t|} dt
+            return math.exp(-r * y) / r if y >= 0 else (2.0 - math.exp(r * y)) / r
+
+        def tau(y):  # int_y^inf (1+|t|) e^{-r|t|} dt
+            g = math.exp(-r * abs(y)) * ((1.0 + abs(y)) / r + 1.0 / r**2)
+            return g if y >= 0 else 2.0 * (1.0 / r + 1.0 / r**2) - g
+
+        return TailData(x, a * sigma(-x), a * sigma(x), a * tau(-x), a * tau(x))
 
 
 @dataclass(frozen=True)
@@ -338,7 +354,8 @@ def truncate(p: Potential, half_width: float) -> Potential:
 
 
 def _panels(p: Potential, lo, hi):
-    cuts = [b for b in p.breakpoints() if lo < b < hi]
+    # x = 0 is a cut too: it is the kink of the weight 1 + |x|
+    cuts = [b for b in (*p.breakpoints(), 0.0) if lo < b < hi]
     edges = [lo] + sorted(set(cuts)) + [hi]
     return list(zip(edges, edges[1:]))
 
@@ -412,6 +429,10 @@ class TailData:
 
 
 def tails(p: Potential, x: float, quad_tol: float = 1e-10) -> TailData:
+    """Tail integrals at x: closed form when the shape has one, else quadrature."""
+    closed = getattr(p.shape, "tails", None)
+    if closed is not None:
+        return closed(x, p.coupling)
     sm, e1 = _integrate(p, lambda t: abs(p(t)), -math.inf, x, quad_tol)
     sp, e2 = _integrate(p, lambda t: abs(p(t)), x, math.inf, quad_tol)
     tm, e3 = _integrate(p, lambda t: (1.0 + abs(t)) * abs(p(t)), -math.inf, x, quad_tol)

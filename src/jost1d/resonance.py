@@ -176,9 +176,11 @@ def d_dot_zero(
 ) -> DZeroDerivative:
     """Finite-difference derivative of the Wronskian at zero energy.
 
-    Differences run along the rays k = i*delta and k = delta(1+i)/sqrt(2),
-    each Richardson-extrapolated down the delta ladder, then averaged.
-    Requires a resonant potential (the Wronskian itself must vanish).
+    Differences (W(delta u) - d0) / (delta u) run along the rays u = i and
+    u = (1+i)/sqrt(2), each Richardson-extrapolated down the delta ladder,
+    then averaged.  Requires a resonant potential; subtracting the
+    report's d0 keeps a residual W(0) (a sweep root leaves up to its
+    root_tol) from being divided by delta.
     """
     if report is None:
         report = resonance_report(p, tol=tol, method=method)
@@ -190,7 +192,8 @@ def d_dot_zero(
     rays = (1j, (1.0 + 1j) / np.sqrt(2.0))
     estimates = []
     for u in rays:
-        quotients = [jost_wronskian(p, d * u, tol, method) / (d * u) for d in deltas]
+        quotients = [(jost_wronskian(p, d * u, tol, method) - report.d0) / (d * u)
+                     for d in deltas]
         estimates.append(_richardson(quotients))
     value = 0.5 * (estimates[0] + estimates[1])
     ray_gap = abs(estimates[0] - estimates[1])

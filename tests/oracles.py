@@ -1,9 +1,9 @@
 """Independent reference computations used to check the library.
 
 Everything here is built from first principles with generic numerics --
-dense linear solves, matrix exponentials, sparse finite differences,
-special functions -- and never calls into the library's own propagation
-or matching code.  Where the library multiplies transfer matrices, the
+dense linear solves, matrix exponentials, adaptive Runge-Kutta, sparse
+finite differences, special functions -- and never calls into the
+library's own propagation or matching code.  Where the library multiplies transfer matrices, the
 oracle solves one global matching system; where the library matches
 plane waves in closed form, the oracle discretizes the differential
 equation.
@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import solve_ivp
 from scipy.special import j0, j1, jn_zeros
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,44 @@ def staircase_scattering_expm(v, left, right, k, n_layers):
 
 
 # ---------------------------------------------------------------------------
+# the right Jost solution by adaptive Runge-Kutta integration
+
+
+def dop853_jost_plus(v, edges, k, xs=()):
+    """f_+ by DOP853 on the plane-wave-normalized unknown, panel by panel.
+
+    m = f e^{-ikx} solves m'' = V m - 2ik m' with m = 1, m' = 0 at the
+    right edge; each panel [edges[i], edges[i+1]] (V smooth inside) is
+    integrated separately from right to left.  Returns (a, b) of
+    f_+ = a e^{ikx} + b e^{-ikx} left of edges[0], and (f, f') at the
+    points xs, which must lie in [edges[0], edges[-1]].
+    """
+    k = complex(k)
+    xs = np.asarray(xs, dtype=float)
+    f = np.empty(xs.shape, dtype=complex)
+    fp = np.empty(xs.shape, dtype=complex)
+
+    def rhs(x, y):
+        return np.array([y[1], float(v(x)) * y[0] - 2j * k * y[1]])
+
+    y = np.array([1.0 + 0.0j, 0.0 + 0.0j])
+    for lo, hi in reversed(list(zip(edges[:-1], edges[1:]))):
+        sol = solve_ivp(rhs, (hi, lo), y, method="DOP853", rtol=1e-12, atol=1e-13,
+                        dense_output=True, max_step=(hi - lo) / 16.0)
+        assert sol.success, sol.message
+        here = (xs >= lo) & (xs <= hi)
+        if here.any():
+            m, mp = sol.sol(xs[here])
+            phase = np.exp(1j * k * xs[here])
+            f[here] = m * phase
+            fp[here] = (mp + 1j * k * m) * phase
+        y = sol.y[:, -1]
+    phase = np.exp(1j * k * edges[0])
+    a, b = plane_coefficients(y[0] * phase, (y[1] + 1j * k * y[0]) * phase, k, edges[0])
+    return complex(a), complex(b), f, fp
+
+
+# ---------------------------------------------------------------------------
 # zero-energy closed forms for one rectangle
 
 
@@ -225,6 +264,25 @@ def exp_tail_tau_plus(x):
 
 
 EXP_TAIL_FM_NORM = 4.0
+
+
+def exp_tails(rate, strength, x):
+    """(sigma_-, sigma_+, tau_-, tau_+) at x for |V| = |strength| e^{-rate |t|}.
+
+    Each one-sided integral is written as the whole-line value minus the
+    opposite side where that side is the short one.
+    """
+    s, r = abs(strength), rate
+
+    def right(y):  # int_y^inf of e^{-r|t|} and of (1+|t|) e^{-r|t|}, y >= 0
+        return s * np.exp(-r * y) / r, s * np.exp(-r * y) * (r * (1.0 + y) + 1.0) / r**2
+
+    whole = (2.0 * s / r, 2.0 * s * (r + 1.0) / r**2)
+    if x >= 0:
+        sp, tp = right(x)
+        return whole[0] - sp, sp, whole[1] - tp, tp
+    sm, tm = right(-x)
+    return sm, whole[0] - sm, tm, whole[1] - tm
 
 
 # ---------------------------------------------------------------------------

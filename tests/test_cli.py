@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.optimize import brentq
+from scipy.special import jn_zeros
 
 import jost1d as j
 from jost1d.cli import main
@@ -206,6 +207,25 @@ def test_resonance_sweep_json(runner, tmp_path):
     assert payload["trivial_root"] == 0.0
     assert len(payload["sweep"]) == 17
     assert len(payload["roots"]) == 1
+
+
+def test_resonance_sweep_exponential_well(runner, tmp_path):
+    # the README's exp well: tail quadrature once failed its absolute
+    # tolerance somewhere along this sweep
+    path = tmp_path / "exp_well.json"
+    path.write_text(json.dumps(
+        {"kind": "exp_decay", "params": {"rate": 1.0, "amplitude": 1.0}, "coupling": -1.4458}
+    ))
+    result = runner.invoke(main, [
+        "resonance", "sweep", "--potential", str(path),
+        "--alpha-min", "0.5", "--alpha-max", "8", "--format", "json",
+    ])
+    assert result.exit_code == 0, result.output
+    roots = [r["alpha"] for r in json.loads(result.output)["roots"]]
+    # zeros of J0 J1 at 2 sqrt(1.4458 alpha)
+    want = [(z / 2.0) ** 2 / 1.4458 for z in (jn_zeros(0, 2)[0], jn_zeros(1, 1)[0],
+                                              jn_zeros(0, 2)[1])]
+    assert roots == pytest.approx(want, abs=1e-4)
 
 
 def test_resonance_sweep_bad_range(runner, barrier_file):

@@ -5,8 +5,10 @@ import pytest
 from scipy.optimize import brentq
 
 import jost1d as j
-from jost1d.errors import ExceptionalPointError, SpecError
-from jost1d.jost import jost_evaluator
+from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
+from jost1d.jost import OdeJost, jost_evaluator
+from jost1d.potential import Potential
+from jost1d.transfer import magnus_entries, propagator_entries
 
 import oracles
 
@@ -89,7 +91,7 @@ def test_random_layer_potentials_vs_matching_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
-# adaptive integration vs the transfer route and the staircase oracle
+# the Magnus route vs the transfer route and the staircase oracle
 
 
 @pytest.mark.parametrize("k", [0.8, 2.0, 1.1 + 0.5j])
@@ -106,6 +108,118 @@ def test_tabulated_scattering_vs_staircase_oracle(bump_table, k):
     sd = j.scattering(bump_table, k)
     assert abs(sd.r - r_o) < 5e-7
     assert abs(sd.t - t_o) < 5e-7
+
+
+# ---------------------------------------------------------------------------
+# the Magnus route vs an adaptive Runge-Kutta oracle, its order, and eval
+
+
+def _oracle_edges(p, ev):
+    inner = [b for b in p.breakpoints() if ev.far_edge < b < ev.anchor]
+    return np.unique(np.concatenate([[ev.far_edge, ev.anchor], inner]))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5 + 0.5j])
+def test_magnus_matches_dop853_oracle_on_bump(bump_table, k):
+    ev = jost_evaluator(bump_table, k, "+")
+    xs = np.linspace(-2.0, 2.0, 37)
+    edges = _oracle_edges(bump_table, ev)
+    a_o, b_o, f_o, fp_o = oracles.dop853_jost_plus(bump_table, edges, k, xs)
+    a, b = ev.plane_pair()
+    f, fp = ev.eval(xs)
+    assert abs(a - a_o) < 1e-10 * abs(a_o)
+    assert abs(b - b_o) < 1e-10 * abs(a_o)
+    assert np.max(np.abs(f - f_o)) < 1e-10 * np.max(np.abs(f_o))
+    assert np.max(np.abs(fp - fp_o)) < 1e-10 * np.max(np.abs(fp_o))
+
+
+@pytest.mark.parametrize("k", [0.7, 1.2 + 0.3j])
+def test_magnus_matches_dop853_oracle_on_exp_decay(k):
+    p = j.exp_decay(rate=1.0, amplitude=-1.5)
+    ev = jost_evaluator(p, k, "+")
+    xs = np.linspace(-6.0, 6.0, 25)
+    a_o, b_o, f_o, fp_o = oracles.dop853_jost_plus(p, _oracle_edges(p, ev), k, xs)
+    a, b = ev.plane_pair()
+    f, fp = ev.eval(xs)
+    assert abs(a - a_o) < 1e-10 * abs(a_o)
+    if k.imag == 0:
+        # at complex k, b e^{-ikx} is smaller than a e^{ikx} at the far
+        # edge by |e^{-2ikx}| (about e^{-19} here): b is ill-conditioned
+        assert abs(b - b_o) < 1e-10 * abs(a_o)
+    assert np.max(np.abs(f - f_o) / np.abs(f_o)) < 1e-10
+    assert np.max(np.abs(fp - fp_o) / np.abs(f_o)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1.5, 0.5 + 0.5j, 4.0])
+def test_magnus_step_is_fourth_order(k):
+    # n uniform steps over a smooth stretch of an exponential well; the
+    # error of the product against 4096 steps falls 16-fold per halving
+    p = j.exp_decay(rate=1.0, amplitude=-2.0)
+
+    def product(n):
+        xs = np.linspace(0.25, 3.25, n + 1)
+        m00, m01, m10, m11 = magnus_entries(p, k, xs[:-1], xs[1:])
+        total = np.eye(2, dtype=complex)
+        for i in range(n):
+            total = np.array([[m00[i], m01[i]], [m10[i], m11[i]]]) @ total
+        return total
+
+    ref = product(4096)
+    errs = [np.max(np.abs(product(n) - ref)) for n in (16, 32, 64)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_magnus_step_reduces_to_layer_propagator():
+    v = lambda x: np.full(np.shape(x), 2.5)
+    k = 1.3 + 0.2j
+    m00, m01, m10, m11 = magnus_entries(v, k, 0.4, -0.9)
+    a, b, c = propagator_entries(2.5 - k * k, -1.3)
+    assert abs(m00 - a) < 1e-14 and abs(m11 - a) < 1e-14
+    assert abs(m01 - b) < 1e-14 and abs(m10 - c) < 1e-14
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("k", [1.0, 2.5 + 0.5j, 0.0])
+def test_magnus_eval_between_nodes_solves_equation(bump_table, side, k):
+    # midpoints of the table's panels, with a 5-point stencil that stays
+    # inside the panel where V is linear
+    ev = jost_evaluator(bump_table, k, side, method="ode")
+    table_x = np.linspace(-2.0, 2.0, 81)
+    mids = 0.5 * (table_x[:-1] + table_x[1:])
+    fn = lambda x: ev.eval(x)[0]
+    scale = np.max(np.abs(fn(mids)))
+    res = oracles.schrodinger_residual(fn, bump_table, k, mids, h=2e-3)
+    assert np.max(np.abs(res)) < 1e-5 * scale
+    _, fp = ev.eval(mids)
+    slope = (fn(mids + 1e-5) - fn(mids - 1e-5)) / 2e-5
+    assert np.max(np.abs(slope - fp)) < 1e-6 * np.max(np.abs(fp))
+
+
+def test_magnus_mesh_keeps_breakpoints(bump_table):
+    ev = jost_evaluator(bump_table, 1.0, "+")
+    assert isinstance(ev, OdeJost)
+    assert np.all(np.isin(np.asarray(bump_table.breakpoints()), ev.nodes))
+
+
+class _UnlistedSpike:
+    """|x - 0.3|^-0.9 on [-1, 1]: integrable, but singular off the breakpoints."""
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= 1.0, np.abs(x - 0.3) ** -0.9, 0.0)
+
+    def support(self):
+        return (-1.0, 1.0)
+
+    def breakpoints(self):
+        return (-1.0, 1.0)
+
+
+def test_magnus_halving_gives_up():
+    # steps next to the singularity never pass the defect test
+    with pytest.raises(IntegrationError):
+        OdeJost(Potential(_UnlistedSpike()), 1.0, "+")
 
 
 def test_exponential_tail_jost_values(exp_tail):

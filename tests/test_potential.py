@@ -178,6 +178,36 @@ def test_tails_exponential(exp_tail):
         assert td_m.tau_minus == pytest.approx(td.tau_plus, rel=1e-9)
 
 
+@pytest.mark.parametrize("rate, amplitude, coupling", [
+    (1.0, 1.0, 1.0), (1.5, -1.0, 1.0), (0.7, 2.0, -1.4458), (3.0, 0.25, 2.0),
+])
+def test_tails_exp_decay_closed_form(rate, amplitude, coupling):
+    p = j.exp_decay(rate=rate, amplitude=amplitude, coupling=coupling)
+    for x in [-7.0, -1.3, -0.2, 0.0, 0.4, 2.0, 9.5]:
+        td = j.tails(p, x)
+        want = oracles.exp_tails(rate, coupling * amplitude, x)
+        got = (td.sigma_minus, td.sigma_plus, td.tau_minus, td.tau_plus)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_tails_exp_decay_agrees_with_quadrature():
+    # a window wide enough to hold all but e^{-60} of the mass goes
+    # through the quadrature path
+    p = j.exp_decay(rate=1.2, amplitude=-0.8, coupling=1.5)
+    wide = j.truncate(p, 50.0)
+    for x in [-2.5, 0.0, 1.7]:
+        td, tq = j.tails(p, x), j.tails(wide, x)
+        assert td.sigma_plus == pytest.approx(tq.sigma_plus, rel=1e-9)
+        assert td.tau_minus == pytest.approx(tq.tau_minus, rel=1e-9)
+
+
+def test_fm_norm_layer_straddling_origin():
+    # the weight 1 + |x| has a kink at 0 inside the layer [-1, 0.3]:
+    # 100 * (1.3 + 1/2 + 0.045) = 184.5
+    assert j.fm_norm(j.square(-1.0, 0.3, -100.0)) == pytest.approx(184.5, rel=1e-10)
+
+
 def test_tails_compact(barrier):
     td = j.tails(barrier, 2.0)
     assert td.sigma_plus == 0.0 or td.sigma_plus < 1e-15

@@ -118,6 +118,18 @@ def test_d_dot_zero_matches_finite_difference_of_oracle(well_theta_minus):
     assert abs(dd.value - fd) < 1e-5
 
 
+def test_d_dot_zero_at_sweep_roots():
+    # a root refined only to root_tol leaves |d0| up to ~1e-8, which the
+    # finite difference must not divide by delta
+    base = j.square(-1.0, 1.0, -1.0)
+    sweep = j.resonant_couplings(base, 0.001, 25.0)
+    assert len(sweep.roots) == 3
+    for root in sweep.roots:
+        p = base.with_coupling(root.alpha)
+        dd = j.d_dot_zero(p, report=j.resonance_report(p))
+        assert dd.theta_formula_gap < 1e-5
+
+
 def test_d_dot_zero_rejects_nonresonant(barrier):
     with pytest.raises(SpecError):
         j.d_dot_zero(barrier)
