@@ -23,7 +23,7 @@ import click
 
 from .errors import NumericsError, SpecError
 from .jost import scattering
-from .limits import classify_limit, convergence_table
+from .limits import convergence_table
 from .potential import load_potential
 from .resonance import d_dot_zero, resonance_report, resonant_couplings
 
@@ -223,9 +223,9 @@ def converge(potential_path, k_text, eps_text, box, n_points, tol, fmt, out):
     p = load_potential(potential_path)
     k = _parse_complex(k_text)
     eps = _parse_eps_list(eps_text)
-    op = classify_limit(p, tol=tol)
-    label = op.kind if op.kind == "dirichlet" else "interface"
     records = convergence_table(p, k, eps, box=box, n=n_points, tol=tol)
+    # the Dirichlet-decoupled limit is the only one that transmits nothing
+    label = "dirichlet" if records[0].limit_t == 0 else "interface"
     header = ["eps", "r_re", "r_im", "t_re", "t_im", "kernel_distance",
               "limit_r", "limit_t", "classification"]
     rows = [

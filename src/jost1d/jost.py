@@ -9,19 +9,24 @@ f_+ = a e^{ikx} + b e^{-ikx} on the far left defines the coefficients
 from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
-Numerics.  Piecewise-constant potentials go through the exact transfer
-route in jost1d.transfer.  Everything else goes through a 4th-order
-Magnus panel propagator (transfer.magnus_entries): each step samples V
-at its two Gauss points and applies the closed-form exponential of a
-traceless 2x2 matrix, which is exact for the free part of the equation
-at any k.  The mesh starts from the potential's breakpoints, so no step
-crosses a kink, and every step whose one-step and two-half-step maps
-differ by more than its share of tol is halved until none does.  The
-node states come from a prefix product of the step maps taken from the
-anchor; between nodes one partial step from the anchor-side node gives
-(f, f').  The anchor sits at the support edge when the support is
-compact, otherwise at a point where the weighted tail has dropped below
-tolerance, and the achieved tail mass is recorded as error_bound.
+Numerics.  One evaluator class serves both sides and both routes.  The
+left solution is the right solution of the reflected potential,
+f_-(x; V) = f_+(-x; V(-.)), so every solution is built as a "+"
+solution in t = +-x from an anchor at its right end.  Piecewise-constant
+potentials take the exact transfer route: the nodes are the layer edges
+and each step is transfer.propagator_entries.  Everything else goes
+through a 4th-order Magnus panel propagator (transfer.magnus_entries):
+each step samples V at its two Gauss points and applies the closed-form
+exponential of a traceless 2x2 matrix, which is exact for the free part
+of the equation at any k.  The mesh starts from the potential's
+breakpoints, so no step crosses a kink, and every step whose one-step
+and two-half-step maps differ by more than its share of tol is halved
+until none does.  On both routes the node states come from a prefix
+product of the step maps taken from the anchor; between nodes one
+partial step from the anchor-side node gives (f, f').  The anchor sits
+at the support edge when the support is compact, otherwise at a point
+where the weighted tail has dropped below tolerance, and the achieved
+tail mass is recorded as error_bound.
 """
 
 from __future__ import annotations
@@ -37,12 +42,11 @@ from .errors import (
     SpecError,
 )
 from .potential import Potential, piecewise_segments, tails
-from .transfer import NodalJost, PiecewiseJost, magnus_entries
+from .transfer import magnus_entries, plane_pair, propagator_entries
 
 __all__ = [
     "JostSolution",
     "ScatteringData",
-    "GreenKernelSample",
     "jost_right",
     "jost_left",
     "jost_evaluator",
@@ -108,29 +112,21 @@ class ScatteringData:
         return abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0)
 
 
-@dataclass(frozen=True)
-class GreenKernelSample:
-    k: complex
-    x: float
-    y: float
-    value: complex
-
-
 # ---------------------------------------------------------------------------
-# the Magnus evaluator
+# the evaluator
 
 
-def _tail_point(p: Potential, side: str, tol: float) -> float:
-    """Smallest dyadic point where the one-sided weighted tail is below tol."""
-    x = 1.0
+def _tail_point(p: Potential, s: float, tol: float):
+    """(t, mass): the smallest dyadic t where the weighted tail beyond x = s*t is below tol."""
+    t = 1.0
     for _ in range(60):
-        td = tails(p, x if side == "+" else -x)
-        mass = td.tau_plus if side == "+" else td.tau_minus
+        td = tails(p, s * t)
+        mass = td.tau_plus if s > 0 else td.tau_minus
         if mass < tol:
-            return x if side == "+" else -x
-        x *= 2.0
+            return t, mass
+        t *= 2.0
     raise AnchorError(
-        f"weighted tail never fell below {tol:g} (achieved {mass:.3g} at |x| = {x:g})",
+        f"weighted tail never fell below {tol:g} (achieved {mass:.3g} at |x| = {t:g})",
         achieved=mass,
     )
 
@@ -145,13 +141,20 @@ def _compose(m, n):
     ], axis=-1)
 
 
-class OdeJost(NodalJost):
-    """Jost solution by the 4th-order Magnus panel propagator.
+class JostEvaluator:
+    """f_+ (side "+") or f_- (side "-") of V, stored as states at nodes.
 
-    Steps run from the anchor (f = e^{+-ikx}) to the far edge of the
-    support or tail over a mesh that contains every breakpoint of the
-    potential.  Beyond the far edge the solution continues as an
-    explicit combination of plane waves.
+    Both sides are built as a "+" solution in t = s x, with s = +1 for
+    f_+ and s = -1 for f_-, because f_-(x; V) = f_+(-x; V(-.)): g solves
+    -g'' + V(s t) g = k^2 g with g = e^{ikt} from the anchor, the right
+    end of the nodes, and f(x) = g(s x), f'(x) = s g'(s x).  With layers
+    (the tiling of potential.piecewise_segments) the nodes are the layer
+    edges and each step is exact; otherwise they are the adaptive Magnus
+    mesh.  The node states come from a prefix product of the step maps
+    taken from the anchor, and between nodes one partial step from the
+    anchor-side node gives (g, g').  nodes and states are in t; anchor
+    and far_edge are in x.  Beyond the far edge the solution is the
+    plane-wave pair of the far state.
     """
 
     _MIN_PANELS = 16  # uniform panels laid over the breakpoints
@@ -159,64 +162,125 @@ class OdeJost(NodalJost):
     _MAX_STEPS = 1 << 20
     _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 
-    def __init__(self, p: Potential, k, side, tol=1e-10):
+    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None):
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
-        self.k = complex(k)
-        self.side = side
+        self.s = s = 1.0 if side == "+" else -1.0
+        self.k = k = complex(k)
         self.p = p
-        sup = p.support()
-        if sup is not None:
-            self.anchor, self.far_edge = (sup[1], sup[0]) if side == "+" else sup
-            self.error_bound = 0.0
+        self.error_bound = 0.0
+        if layers is not None:
+            edges = np.array([layers[0][0], *(seg[1] for seg in layers)] if layers else [0.0])
+            heights = np.array([seg[2] for seg in layers], dtype=float)
+            if s < 0:
+                edges, heights = -edges[::-1], heights[::-1]
+            self.nodes = edges
+            self.mu2 = heights - k * k
+            a, b, c = propagator_entries(self.mu2, edges[:-1] - edges[1:])
+            steps = np.array([a, b, c, a]).T
         else:
-            self.anchor = _tail_point(p, side, tol)
-            self.far_edge = _tail_point(p, "-" if side == "+" else "+", tol)
-            td = tails(p, self.anchor)
-            self.error_bound = td.tau_plus if side == "+" else td.tau_minus
+            self.mu2 = None
+            self._v = p if s > 0 else (lambda t: p(-t))
+            sup = p.support()
+            if sup is not None:
+                lo, hi = sorted((s * sup[0], s * sup[1]))
+            else:
+                hi, self.error_bound = _tail_point(p, s, tol)
+                lo = -_tail_point(p, -s, tol)[0]
+            self.nodes, steps = self._mesh(lo, hi, tol)
+        self.anchor = float(s * self.nodes[-1])
+        self.far_edge = float(s * self.nodes[0])
 
-        sgn = 1.0 if side == "+" else -1.0
-        wave = np.exp(sgn * 1j * self.k * self.anchor)
-        start = np.array([wave, sgn * 1j * self.k * wave])
-        self.nodes, steps = self._mesh(*sorted((self.far_edge, self.anchor)), tol)
-        if side == "+":
-            steps = steps[::-1]
         # Hillis-Steele scan: after it, steps[j] maps the anchor to node j+1 away
+        steps = steps[::-1]
         shift = 1
         while shift < len(steps):
             steps[shift:] = _compose(steps[shift:], steps[:-shift])
             shift *= 2
-        far = np.stack([steps[:, 0] * start[0] + steps[:, 1] * start[1],
-                        steps[:, 2] * start[0] + steps[:, 3] * start[1]], axis=-1)
-        states = np.concatenate([start[None, :], far])
-        self.states = states[::-1] if side == "+" else states
-        self._finish()
+        wave = np.exp(1j * k * self.nodes[-1])
+        start = np.array([wave, 1j * k * wave])
+        far = steps[:, 0::2] * start[0] + steps[:, 1::2] * start[1]
+        self.states = np.concatenate([far[::-1], start[None, :]])
 
-    eval = NodalJost.eval  # bound here too, see PiecewiseJost
+        f0, fp0 = self.states[0]
+        if k != 0:
+            self._pair = plane_pair(f0, fp0, k, self.nodes[0])
+        else:
+            # zero energy: the outside solution is the straight line A + B t
+            self._pair = (f0 - fp0 * self.nodes[0], fp0)
 
-    def _step(self, x0, x1):
-        return np.stack(magnus_entries(self.p, self.k, x0, x1), axis=-1)
+    def plane_pair(self):
+        """(c_plus, c_minus) with f = c_plus e^{ikx} + c_minus e^{-ikx} beyond the far edge.
+
+        For side "+" these are the scattering coefficients (a, b).  Only
+        meaningful for k != 0.
+        """
+        c_plus, c_minus = self._pair
+        return (c_plus, c_minus) if self.s > 0 else (c_minus, c_plus)
+
+    def eval(self, x):
+        """Vectorized (f, f') at arbitrary points."""
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        t = self.s * np.atleast_1d(x)
+        f = np.empty(t.shape, dtype=complex)
+        fp = np.empty(t.shape, dtype=complex)
+        k_ = self.k
+        anchored = t >= self.nodes[-1]
+        beyond = t < self.nodes[0]
+        wave = np.exp(1j * k_ * t[anchored])
+        f[anchored] = wave
+        fp[anchored] = 1j * k_ * wave
+        if beyond.any():
+            f[beyond], fp[beyond] = self._vacuum(t[beyond])
+        inside = ~(anchored | beyond)
+        if inside.any():
+            f[inside], fp[inside] = self._inside(t[inside])
+        fp *= self.s
+        if scalar:
+            return f[0], fp[0]
+        return f, fp
+
+    def _vacuum(self, t):
+        if self.k == 0:
+            a_lin, b_lin = self._pair
+            return a_lin + b_lin * t, np.full(t.shape, b_lin, dtype=complex)
+        c_plus, c_minus = self._pair
+        up = np.exp(1j * self.k * t)
+        dn = np.exp(-1j * self.k * t)
+        return c_plus * up + c_minus * dn, 1j * self.k * (c_plus * up - c_minus * dn)
+
+    def _inside(self, t):
+        # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1])
+        node = np.searchsorted(self.nodes, t, side="right")
+        if self.mu2 is None:
+            m00, m01, m10, m11 = magnus_entries(self._v, self.k, self.nodes[node], t)
+        else:
+            m00, m01, m10 = propagator_entries(self.mu2[node - 1], t - self.nodes[node])
+            m11 = m00
+        f0, fp0 = self.states[node, 0], self.states[node, 1]
+        return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
+
+    def _step(self, t0, t1):
+        return np.stack(magnus_entries(self._v, self.k, t0, t1), axis=-1)
 
     def _mesh(self, lo, hi, tol):
-        """Nodes from lo to hi and the step maps between them, anchor to far.
+        """Nodes from lo to hi and the step maps from each node to the one below.
 
         A step is accepted once its one-step and two-half-step maps differ
         by at most tol * |h| / span relative to the map's size (or by the
         rounding floor); its two-half-step map is kept.
         """
         span = hi - lo
-        cuts = [b for b in self.p.breakpoints() if lo < b < hi]
+        cuts = [self.s * b for b in self.p.breakpoints() if lo < self.s * b < hi]
         edges = np.unique(np.concatenate([np.linspace(lo, hi, self._MIN_PANELS + 1), cuts]))
         left, right = edges[:-1], edges[1:]
         done_left, done_maps = [], []
-        toward_far = self.side == "+"  # "+" steps run right to left
-        x0, x1 = (right, left) if toward_far else (left, right)
-        whole = self._step(x0, x1)
+        whole = self._step(right, left)
         for _ in range(self._MAX_ROUNDS):
             mid = 0.5 * (left + right)
-            x0, x1 = (right, left) if toward_far else (left, right)
-            first, second = self._step(x0, mid), self._step(mid, x1)
-            halves = _compose(second, first)
+            upper, lower = self._step(right, mid), self._step(mid, left)
+            halves = _compose(lower, upper)
             size = np.max(np.abs(halves), axis=-1)
             defect = np.max(np.abs(whole - halves), axis=-1)
             ok = defect <= np.maximum(tol * (right - left) / span, self._FLOOR) * size
@@ -232,7 +296,6 @@ class OdeJost(NodalJost):
             # the halves of a rejected step are the whole steps of its children
             left, right, mid = left[bad], right[bad], mid[bad]
             left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-            lower, upper = (second, first) if toward_far else (first, second)
             whole = np.concatenate([lower[bad], upper[bad]])
         else:
             raise IntegrationError(
@@ -243,13 +306,6 @@ class OdeJost(NodalJost):
         order = np.argsort(left)
         nodes = np.append(left[order], hi)
         return nodes, np.concatenate(done_maps)[order]
-
-    def _inside(self, x):
-        idx = self._panel(x)
-        node = idx + 1 if self.side == "+" else idx
-        m = magnus_entries(self.p, self.k, self.nodes[node], x)
-        f0, fp0 = self.states[node, 0], self.states[node, 1]
-        return m[0] * f0 + m[1] * fp0, m[2] * f0 + m[3] * fp0
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10, method="auto"):
@@ -270,9 +326,7 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10, method="auto"):
     segs = piecewise_segments(p)
     if method == "transfer" and segs is None:
         raise SpecError("transfer method requires a piecewise-constant potential")
-    if segs is not None and method != "ode":
-        return PiecewiseJost(segs, k, side)
-    return OdeJost(p, k, side, tol)
+    return JostEvaluator(p, k, side, tol, segs if method != "ode" else None)
 
 
 def _default_grid(anchor: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .jost import GreenKernelSample, ScatteringData, check_wavenumber
+from .jost import ScatteringData, check_wavenumber
 from .potential import Potential
 from .resonance import resonance_report
 from .scaled import truncated_operator
@@ -33,7 +33,6 @@ __all__ = [
     "interface",
     "classify_limit",
     "limit_scattering",
-    "limit_green_kernel",
     "green_kernel_fn",
     "kernel_distance",
     "convergence_table",
@@ -139,12 +138,6 @@ def green_kernel_fn(op: LimitOperator, k):
         return kernel
 
     raise SpecError(f"unknown limit operator kind {op.kind!r}")
-
-
-def limit_green_kernel(op: LimitOperator, k, x, y) -> GreenKernelSample:
-    """One sample of the limit operator's resolvent kernel."""
-    value = green_kernel_fn(op, k)(float(x), float(y))
-    return GreenKernelSample(k=complex(k), x=float(x), y=float(y), value=complex(value))
 
 
 def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> float:

@@ -364,7 +364,9 @@ def _integrate(p: Potential, fn, lo, hi, quad_tol):
     """Integrate fn(x) over [lo, hi] splitting at model breakpoints.
 
     fn must vanish wherever V does; the hull clip below relies on that.
-    Returns (value, achieved_error_estimate).
+    Returns (value, relative_error): QUADPACK's summed error estimate over
+    max(1, sum of |panel values|), so acceptance scales with the integral
+    and a strong V is not held to an absolute tolerance.
     """
     sup = p.support()
     if sup is not None:
@@ -375,16 +377,18 @@ def _integrate(p: Potential, fn, lo, hi, quad_tol):
     panels = _panels(p, lo, hi)
     budget = quad_tol / max(len(panels), 1)
     total = 0.0
+    size = 0.0
     err = 0.0
     for a, b in panels:
         val, e = quad(fn, a, b, epsabs=budget, epsrel=1e-11, limit=200)
         total += val
+        size += abs(val)
         err += e
-    return total, err
+    return total, err / max(1.0, size)
 
 
 def moments(p: Potential, quad_tol: float = 1e-10):
-    """(m0, m1) = (int V dx, int x V dx)."""
+    """(m0, m1) = (int V dx, int x V dx), each to relative quad_tol."""
     m0, e0 = _integrate(p, lambda x: p(x), -math.inf, math.inf, quad_tol)
     m1, e1 = _integrate(p, lambda x: x * p(x), -math.inf, math.inf, quad_tol)
     if e0 > quad_tol or e1 > quad_tol:
@@ -399,8 +403,8 @@ def fm_norm(p: Potential, quad_tol: float = 1e-10) -> float:
     """The weighted norm int (1+|x|) |V(x)| dx.
 
     Finite for every shape this module builds; returns math.inf when an
-    infinite-support tail refuses to converge below quad_tol, as a flag
-    rather than an exception.
+    infinite-support tail refuses to converge to relative quad_tol, as a
+    flag rather than an exception.
     """
     val, err = _integrate(p, lambda x: (1.0 + abs(x)) * abs(p(x)), -math.inf, math.inf, quad_tol)
     if err > quad_tol:
@@ -429,7 +433,10 @@ class TailData:
 
 
 def tails(p: Potential, x: float, quad_tol: float = 1e-10) -> TailData:
-    """Tail integrals at x: closed form when the shape has one, else quadrature."""
+    """Tail integrals at x: closed form when the shape has one, else quadrature.
+
+    Each quadrature is accepted at relative quad_tol (see _integrate).
+    """
     closed = getattr(p.shape, "tails", None)
     if closed is not None:
         return closed(x, p.coupling)
@@ -466,8 +473,6 @@ class SplittingScale:
 
 
 def _rho(p: Potential, x: float, alpha_weight: float, quad_tol: float) -> float:
-    if p.is_compact():
-        return 1.0 + x * x
     td = tails(p, abs(x), quad_tol)
     td2 = tails(p, -abs(x), quad_tol)
     tau = td.tau_plus + td2.tau_minus
@@ -481,24 +486,28 @@ def splitting_scale(
 ) -> SplittingScale:
     """Solve rho(xi) = 1/eps for the matching radius xi_eps.
 
-    For compact support rho(x) = 1 + x^2.  Otherwise
-    rho(x) = (1+|x|) / tau(x)^alpha_weight with tau the two-sided weighted
-    tail mass, which still diverges and stays monotone for integrable
-    tails.  Root found by bracket doubling plus bisection to 1e-12
-    relative width.
+    For compact support rho(x) = 1 + x^2, so xi_eps = sqrt(1/eps - 1).
+    Otherwise rho(x) = (1+|x|) / tau(x)^alpha_weight with tau the
+    two-sided weighted tail mass, which still diverges and stays monotone
+    for integrable tails; its root is found by bracket doubling plus
+    bisection to 1e-12 relative width.
     """
     if eps <= 0:
         raise SpecError(f"eps must be positive, got {eps}")
     if not 0.0 < alpha_weight < 1.0:
         raise SpecError(f"alpha_weight must lie in (0, 1), got {alpha_weight}")
     target = 1.0 / eps
-    rho0 = _rho(p, 0.0, alpha_weight, quad_tol)
+    compact = p.is_compact()
+    rho0 = 1.0 if compact else _rho(p, 0.0, alpha_weight, quad_tol)
     if rho0 >= target:
         eps0 = 1.0 / rho0
         raise SpecError(
             f"eps = {eps:g} is too large for this potential; the splitting scale "
             f"exists only for eps < {eps0:g}"
         )
+    if compact:
+        xi = math.sqrt(target - 1.0)
+        return SplittingScale(float(eps), xi, eps * xi)
     hi = 1.0
     for _ in range(80):
         if _rho(p, hi, alpha_weight, quad_tol) > target:

@@ -28,16 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExceptionalPointError, NumericsError, SpecError
-from .jost import GreenKernelSample, ScatteringData, check_wavenumber, jost_evaluator
+from .jost import ScatteringData, check_wavenumber, jost_evaluator
 from .potential import Potential, splitting_scale
 
 __all__ = [
     "TruncatedScaledCoefficients",
     "TruncatedScaledOperator",
     "truncated_operator",
-    "truncated_scaled_jost",
-    "truncated_scaled_scattering",
-    "truncated_green_kernel",
 ]
 
 
@@ -135,54 +132,41 @@ class TruncatedScaledOperator:
 
     def f_plus(self, x):
         """Vectorized (f~_+, f~_+') of the windowed operator."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        f = np.empty(x.shape, dtype=complex)
-        fp = np.empty(x.shape, dtype=complex)
-        k, xe, eps = self.k, self.x_eps, self.eps
-        hi = x >= xe
-        lo = x <= -xe
-        mid = ~(hi | lo)
-        wave = np.exp(1j * k * x[hi])
-        f[hi] = wave
-        fp[hi] = 1j * k * wave
-        up = np.exp(1j * k * x[lo])
-        dn = np.exp(-1j * k * x[lo])
-        f[lo] = self.a_plus * up + self.b_plus * dn
-        fp[lo] = 1j * k * (self.a_plus * up - self.b_plus * dn)
-        if mid.any():
-            g_p, dg_p = self._fp.eval(x[mid] / eps)
-            g_m, dg_m = self._fm.eval(x[mid] / eps)
-            f[mid] = self.c_plus * g_p + self.c_minus * g_m
-            fp[mid] = (self.c_plus * dg_p + self.c_minus * dg_m) / eps
-        if scalar:
-            return f[0], fp[0]
-        return f, fp
+        return self._solution(x, 1.0, (self.a_plus, self.b_plus), (self.c_plus, self.c_minus))
 
     def f_minus(self, x):
         """Vectorized (f~_-, f~_-') of the windowed operator."""
+        return self._solution(x, -1.0, (self.a_minus, self.b_minus), (self.d_plus, self.d_minus))
+
+    def _solution(self, x, s, far, inner):
+        """(f, f') of the solution that is e^{iksx} for s x >= x_eps.
+
+        For s x <= -x_eps it is far[0] e^{iksx} + far[1] e^{-iksx}; in the
+        window it is inner[0] f_+(x/eps) + inner[1] f_-(x/eps) of the
+        unsqueezed potential at eps k.
+        """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x).astype(float)
         f = np.empty(x.shape, dtype=complex)
         fp = np.empty(x.shape, dtype=complex)
-        k, xe, eps = self.k, self.x_eps, self.eps
-        lo = x <= -xe
-        hi = x >= xe
-        mid = ~(hi | lo)
-        wave = np.exp(-1j * k * x[lo])
-        f[lo] = wave
-        fp[lo] = -1j * k * wave
-        up = np.exp(1j * k * x[hi])
-        dn = np.exp(-1j * k * x[hi])
-        f[hi] = self.a_minus * dn + self.b_minus * up
-        fp[hi] = 1j * k * (self.b_minus * up - self.a_minus * dn)
+        ks, xe, eps = s * self.k, self.x_eps, self.eps
+        t = s * x
+        anchored = t >= xe
+        beyond = t <= -xe
+        mid = ~(anchored | beyond)
+        wave = np.exp(1j * ks * x[anchored])
+        f[anchored] = wave
+        fp[anchored] = 1j * ks * wave
+        up = np.exp(1j * ks * x[beyond])
+        dn = np.exp(-1j * ks * x[beyond])
+        f[beyond] = far[0] * up + far[1] * dn
+        fp[beyond] = 1j * ks * (far[0] * up - far[1] * dn)
         if mid.any():
             g_p, dg_p = self._fp.eval(x[mid] / eps)
             g_m, dg_m = self._fm.eval(x[mid] / eps)
-            f[mid] = self.d_plus * g_p + self.d_minus * g_m
-            fp[mid] = (self.d_plus * dg_p + self.d_minus * dg_m) / eps
+            f[mid] = inner[0] * g_p + inner[1] * g_m
+            fp[mid] = (inner[0] * dg_p + inner[1] * dg_m) / eps
         if scalar:
             return f[0], fp[0]
         return f, fp
@@ -210,25 +194,3 @@ class TruncatedScaledOperator:
 
 def truncated_operator(p, eps, k, tol=1e-10, alpha_weight=0.5, method="auto"):
     return TruncatedScaledOperator(p, eps, k, tol, alpha_weight, method)
-
-
-def truncated_scaled_jost(
-    p: Potential, eps, k, tol=1e-10, alpha_weight=0.5, method="auto"
-) -> TruncatedScaledCoefficients:
-    """(c+, c-, a+, b+) of the windowed squeezed operator at eps, k."""
-    return TruncatedScaledOperator(p, eps, k, tol, alpha_weight, method).coefficients
-
-
-def truncated_scaled_scattering(
-    p: Potential, eps, k, tol=1e-10, alpha_weight=0.5, method="auto"
-) -> ScatteringData:
-    """Reflection and transmission of the windowed squeezed operator."""
-    return TruncatedScaledOperator(p, eps, k, tol, alpha_weight, method).scattering()
-
-
-def truncated_green_kernel(
-    p: Potential, eps, k, x, y, tol=1e-10, alpha_weight=0.5, method="auto"
-) -> GreenKernelSample:
-    """One sample of the windowed squeezed operator's resolvent kernel."""
-    op = TruncatedScaledOperator(p, eps, k, tol, alpha_weight, method)
-    return GreenKernelSample(k=op.k, x=float(x), y=float(y), value=op.green(x, y))

@@ -123,7 +123,7 @@ def _scattering_trend(p, k, targets):
     r_lim, t_lim = targets
     errs_r, errs_t = [], []
     for eps in EPS_LADDER:
-        sd = j.truncated_scaled_scattering(p, eps, k)
+        sd = j.truncated_operator(p, eps, k).scattering()
         errs_r.append(abs(sd.r - r_lim))
         errs_t.append(abs(sd.t - t_lim))
     return errs_r, errs_t

@@ -266,6 +266,39 @@ def test_converge_json_classification(runner, barrier_file):
     assert payload[0]["limit_r"] == -1.0
 
 
+@pytest.mark.parametrize("well, label", [("barrier_file", "dirichlet"),
+                                         ("resonant_well_file", "interface")])
+def test_converge_classifies_once(runner, request, monkeypatch, well, label):
+    # the CLI takes its label from the table, which classifies the limit once
+    import jost1d.cli as cli
+    import jost1d.limits as limits
+
+    classify = limits.classify_limit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "classify_limit", counted)
+    monkeypatch.setattr(cli, "classify_limit", counted, raising=False)
+    path = request.getfixturevalue(well)
+    result = runner.invoke(main, [
+        "converge", "--potential", path,
+        "--k", "1.0", "--eps", "0.1,0.05", "--box", "4", "--n", "40",
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    p = j.load_potential(path)
+    assert classify(p).kind == label
+    lines = ["eps,r_re,r_im,t_re,t_im,kernel_distance,limit_r,limit_t,classification"]
+    for rec in j.convergence_table(p, 1.0, [0.1, 0.05], box=4.0, n=40):
+        values = [rec.eps, rec.r_eps.real, rec.r_eps.imag, rec.t_eps.real, rec.t_eps.imag,
+                  rec.kernel_distance, rec.limit_r.real, rec.limit_t.real]
+        lines.append(",".join(repr(float(v)) for v in values) + "," + label)
+    assert result.output == "\n".join(lines) + "\n"
+
+
 def test_converge_bad_eps(runner, barrier_file):
     result = runner.invoke(main, [
         "converge", "--potential", barrier_file, "--k", "1.0", "--eps", "0,-1",

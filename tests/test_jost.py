@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
-from jost1d.jost import OdeJost, jost_evaluator
+from jost1d.jost import JostEvaluator, jost_evaluator
 from jost1d.potential import Potential
 from jost1d.transfer import magnus_entries, propagator_entries
 
@@ -197,8 +197,8 @@ def test_magnus_eval_between_nodes_solves_equation(bump_table, side, k):
 
 
 def test_magnus_mesh_keeps_breakpoints(bump_table):
-    ev = jost_evaluator(bump_table, 1.0, "+")
-    assert isinstance(ev, OdeJost)
+    ev = jost_evaluator(bump_table, 1.0, "+", method="ode")
+    assert isinstance(ev, JostEvaluator)
     assert np.all(np.isin(np.asarray(bump_table.breakpoints()), ev.nodes))
 
 
@@ -219,7 +219,7 @@ class _UnlistedSpike:
 def test_magnus_halving_gives_up():
     # steps next to the singularity never pass the defect test
     with pytest.raises(IntegrationError):
-        OdeJost(Potential(_UnlistedSpike()), 1.0, "+")
+        jost_evaluator(Potential(_UnlistedSpike()), 1.0, "+", method="ode")
 
 
 def test_exponential_tail_jost_values(exp_tail):
@@ -314,6 +314,43 @@ def test_reflection_conjugation_symmetry(two_step):
 
 
 # ---------------------------------------------------------------------------
+# the left solution is the right solution of the reflected potential
+
+_TABLE_X = np.linspace(-1.5, 2.0, 15)
+_TABLE_V = np.cos(3.0 * _TABLE_X) * np.exp(-_TABLE_X)
+
+# (V, V(-x) written out by hand)
+_REFLECTED = {
+    "two_step": (j.piecewise_constant([(-1.0, 0.0, -2.0), (0.0, 1.0, 3.0)]),
+                 j.piecewise_constant([(-1.0, 0.0, 3.0), (0.0, 1.0, -2.0)])),
+    "table": (j.tabulated(_TABLE_X, _TABLE_V), j.tabulated(-_TABLE_X[::-1], _TABLE_V[::-1])),
+}
+_ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
+
+
+@pytest.mark.parametrize("name, method", _ROUTES)
+@pytest.mark.parametrize("k", [0.0, 1.3, 1.0 + 0.5j])
+def test_left_solution_is_reflected_right_solution(name, method, k):
+    # f_-(x; V) = f_+(-x; V(-.)), so f_-'(x) = -f_+'(-x)
+    p, reflected = _REFLECTED[name]
+    xs = np.linspace(-3.0, 3.0, 97)
+    f, fp = jost_evaluator(p, k, "-", method=method).eval(xs)
+    g, gp = jost_evaluator(reflected, k, "+", method=method).eval(-xs)
+    assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
+    assert np.max(np.abs(fp + gp)) <= 1e-12 * np.max(np.abs(gp))
+
+
+@pytest.mark.parametrize("name, method", _ROUTES)
+@pytest.mark.parametrize("k", [1.3, 1.0 + 0.5j])
+def test_left_plane_pair_carries_transmission(name, method, k):
+    # on the far right f_- = c_plus e^{ikx} + a e^{-ikx}: 1/a transmits from either side
+    p = _REFLECTED[name][0]
+    a, _ = jost_evaluator(p, k, "+", method=method).plane_pair()
+    c_minus = jost_evaluator(p, k, "-", method=method).plane_pair()[1]
+    assert c_minus == pytest.approx(a, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # bound states are exceptional points of the scattering expansion
 
 
@@ -353,6 +390,14 @@ def test_scaled_scattering_identity_smooth(bump_table):
     squeezed, reference = j.scaled_scattering_identity(bump_table, 0.5, 1.4)
     assert abs(squeezed.r - reference.r) < 1e-8
     assert abs(squeezed.t - reference.t) < 1e-8
+
+
+def test_scaled_scattering_identity_strong_exponential_well():
+    # eps^-2 V(x/eps) has tails of size 1/eps^2; their quadrature is accepted
+    # relative to the integral, so the identity holds at small eps too
+    squeezed, reference = j.scaled_scattering_identity(j.exp_decay(1.0, -1.5), 0.03, 1.0)
+    assert abs(squeezed.r - reference.r) < 5e-12
+    assert abs(squeezed.t - reference.t) < 5e-12
 
 
 def test_scaled_jost_value_identity(barrier):

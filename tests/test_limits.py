@@ -144,13 +144,6 @@ def test_dirichlet_kernel_structure(rng):
         assert kern(x, y) == pytest.approx(expected, rel=1e-12)
 
 
-def test_limit_green_kernel_sample(well_theta_minus):
-    op = j.classify_limit(well_theta_minus)
-    s = j.limit_green_kernel(op, 1j, 0.5, -0.5)
-    kern = j.green_kernel_fn(op, 1j)
-    assert s.value == pytest.approx(complex(kern(0.5, -0.5)), rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # kernel distance
 
@@ -201,7 +194,7 @@ def test_convergence_table_matches_operator(well_theta_minus):
     k = 1.0 + 1.0j
     records = j.convergence_table(well_theta_minus, k, [0.1], box=4.0, n=40)
     rec = records[0]
-    sd = j.truncated_scaled_scattering(well_theta_minus, 0.1, k)
+    sd = j.truncated_operator(well_theta_minus, 0.1, k).scattering()
     assert rec.r_eps == pytest.approx(sd.r, rel=1e-12)
     assert rec.t_eps == pytest.approx(sd.t, rel=1e-12)
     limit_sd = j.limit_scattering(j.classify_limit(well_theta_minus), k)

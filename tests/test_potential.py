@@ -208,6 +208,23 @@ def test_fm_norm_layer_straddling_origin():
     assert j.fm_norm(j.square(-1.0, 0.3, -100.0)) == pytest.approx(184.5, rel=1e-10)
 
 
+def test_fm_norm_strong_exponential_well():
+    # 50 * int (1 + |x|) e^{-|x|} dx = 200; the quadrature error estimate
+    # grows with the integral, so it is accepted relative to it
+    assert j.fm_norm(j.exp_decay(1.0, -50.0)) == pytest.approx(200.0, rel=1e-10)
+
+
+def test_integrals_of_strong_square_well():
+    # V = -1e4 on [-1, 0.3]
+    p = j.square(-1.0, 0.3, -1e4)
+    assert j.fm_norm(p) == pytest.approx(18450.0, rel=1e-10)
+    m0, m1 = j.moments(p)
+    assert m0 == pytest.approx(-13000.0, rel=1e-10)
+    assert m1 == pytest.approx(4550.0, rel=1e-10)
+    # 1e4 * int_0.1^0.3 (1 + x) dx
+    assert j.tails(p, 0.1).tau_plus == pytest.approx(2400.0, rel=1e-10)
+
+
 def test_tails_compact(barrier):
     td = j.tails(barrier, 2.0)
     assert td.sigma_plus == 0.0 or td.sigma_plus < 1e-15

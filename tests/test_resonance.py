@@ -24,6 +24,16 @@ def test_d0_square_closed_form(rng):
         assert rep.d0 == pytest.approx(oracles.square_d0(width, height), rel=1e-10, abs=1e-12)
 
 
+def test_report_of_strong_wells():
+    # the default threshold needs fm_norm, which these wells used to fail
+    rep = j.resonance_report(j.square(-1.0, 0.3, -1e4))
+    assert rep.threshold == pytest.approx(1e-8 * (1.0 + 18450.0), rel=1e-10)
+    assert rep.d0 == pytest.approx(oracles.square_d0(1.3, -1e4), rel=1e-10)
+    rep = j.resonance_report(j.exp_decay(1.0, -50.0))
+    assert rep.threshold == pytest.approx(1e-8 * (1.0 + 200.0), rel=1e-10)
+    assert rep.d0 == pytest.approx(oracles.exp_well_d0(50.0), abs=5e-8)
+
+
 def test_d0_barrier_value(barrier):
     rep = j.resonance_report(barrier)
     assert rep.d0 == pytest.approx(np.sinh(2.0), rel=1e-12)

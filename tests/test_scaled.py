@@ -79,7 +79,7 @@ def test_assembly_matches_direct_solve_exponential(exp_tail):
 def test_window_beyond_compact_support_keeps_everything(barrier):
     # once xi_eps clears the support the truncation does not bite:
     # the interior solution IS the Jost solution, so c+ = 1, c- = 0
-    co = j.truncated_scaled_jost(barrier, 0.01, 1.0)
+    co = j.truncated_operator(barrier, 0.01, 1.0).coefficients
     assert abs(co.c_plus - 1.0) < 1e-12
     assert abs(co.c_minus) < 1e-12
 
@@ -149,13 +149,6 @@ def test_green_kernel_solves_equation_off_diagonal(barrier):
     xs = np.array([-2.0, -1.0, 0.5, 2.5])  # away from y, the window, and kinks
     res = oracles.schrodinger_residual(lambda x: op.green(x, y), w, k, xs, h=1e-5)
     assert np.max(np.abs(res)) < 1e-6
-
-
-def test_green_kernel_sample_helper(barrier):
-    s = j.truncated_green_kernel(barrier, 0.1, 1.0 + 1.0j, 0.5, -0.5)
-    op = j.truncated_operator(barrier, 0.1, 1.0 + 1.0j)
-    assert s.value == pytest.approx(op.green(0.5, -0.5), rel=1e-12)
-    assert s.x == 0.5 and s.y == -0.5
 
 
 # ---------------------------------------------------------------------------
