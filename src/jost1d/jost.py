@@ -32,6 +32,7 @@ tail mass is recorded as error_bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,13 +149,21 @@ class JostEvaluator:
     f_+ and s = -1 for f_-, because f_-(x; V) = f_+(-x; V(-.)): g solves
     -g'' + V(s t) g = k^2 g with g = e^{ikt} from the anchor, the right
     end of the nodes, and f(x) = g(s x), f'(x) = s g'(s x).  With layers
-    (the tiling of potential.piecewise_segments) the nodes are the layer
-    edges and each step is exact; otherwise they are the adaptive Magnus
-    mesh.  The node states come from a prefix product of the step maps
-    taken from the anchor, and between nodes one partial step from the
-    anchor-side node gives (g, g').  nodes and states are in t; anchor
-    and far_edge are in x.  Beyond the far edge the solution is the
-    plane-wave pair of the far state.
+    (edges and heights from _layers) the nodes are the layer edges and
+    each step is exact; otherwise they are the adaptive Magnus mesh.  The
+    node states come from a prefix product of the step maps taken from
+    the anchor, and between nodes one partial step from the anchor-side
+    node gives (g, g').  nodes and states are in t; anchor and far_edge
+    are in x.  Beyond the far edge the solution is the plane-wave pair of
+    the far state.
+
+    The layer route takes a batch: heights of shape (n, L) and/or k of
+    shape (n,) give n solutions on the same edges from one build, and
+    then steps, states, mu2, eval and plane_pair carry a leading axis of
+    length n (batch == (n,)).  k within a batch is either all zero or all
+    nonzero.  Unbatched arrays have no such axis, and k enters every
+    build as an array, so a scalar call computes each row of a batch with
+    the same elementwise operations and gives the same bits.
     """
 
     _MIN_PANELS = 16  # uniform panels laid over the breakpoints
@@ -166,18 +175,24 @@ class JostEvaluator:
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
-        self.k = k = complex(k)
+        ka = np.asarray(k, dtype=complex)
+        self.k = complex(k) if ka.ndim == 0 else ka
+        # k as shape (1,) or (n, 1): it broadcasts against (nodes,) and (n, nodes)
+        self._k = kb = ka.reshape(ka.shape + (1,))
+        ks = kb.ravel().tolist()
+        self._zero = not any(ks)
+        if not (self._zero or all(ks)):
+            raise SpecError("a batch of wavenumbers cannot mix k = 0 with k != 0")
         self.p = p
         self.error_bound = 0.0
         if layers is not None:
-            edges = np.array([layers[0][0], *(seg[1] for seg in layers)] if layers else [0.0])
-            heights = np.array([seg[2] for seg in layers], dtype=float)
+            edges, heights = layers
             if s < 0:
-                edges, heights = -edges[::-1], heights[::-1]
+                edges, heights = -edges[::-1], heights[..., ::-1]
             self.nodes = edges
-            self.mu2 = heights - k * k
+            self.mu2 = heights - kb * kb
             a, b, c = propagator_entries(self.mu2, edges[:-1] - edges[1:])
-            steps = np.array([a, b, c, a]).T
+            steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
         else:
             self.mu2 = None
             self._v = p if s > 0 else (lambda t: p(-t))
@@ -188,26 +203,31 @@ class JostEvaluator:
                 hi, self.error_bound = _tail_point(p, s, tol)
                 lo = -_tail_point(p, -s, tol)[0]
             self.nodes, steps = self._mesh(lo, hi, tol)
+        self.batch = steps.shape[:-2]
         self.anchor = float(s * self.nodes[-1])
         self.far_edge = float(s * self.nodes[0])
 
-        # Hillis-Steele scan: after it, steps[j] maps the anchor to node j+1 away
-        steps = steps[::-1]
+        # Hillis-Steele scan: after it, steps[..., j, :] maps the anchor to node j+1 away
+        steps = steps[..., ::-1, :]
         shift = 1
-        while shift < len(steps):
-            steps[shift:] = _compose(steps[shift:], steps[:-shift])
+        while shift < steps.shape[-2]:
+            steps[..., shift:, :] = _compose(steps[..., shift:, :], steps[..., :-shift, :])
             shift *= 2
-        wave = np.exp(1j * k * self.nodes[-1])
-        start = np.array([wave, 1j * k * wave])
-        far = steps[:, 0::2] * start[0] + steps[:, 1::2] * start[1]
-        self.states = np.concatenate([far[::-1], start[None, :]])
+        wave = np.exp(1j * kb * self.nodes[-1])
+        start = np.concatenate([wave, 1j * kb * wave], axis=-1)[..., None, :]
+        self.states = np.empty(self.batch + (len(self.nodes), 2), dtype=complex)
+        self.states[..., -2::-1, :] = (steps[..., 0::2] * start[..., :1]
+                                       + steps[..., 1::2] * start[..., 1:])
+        self.states[..., -1:, :] = start
 
-        f0, fp0 = self.states[0]
-        if k != 0:
-            self._pair = plane_pair(f0, fp0, k, self.nodes[0])
-        else:
+    @cached_property
+    def _pair(self):
+        # shape (1,) or (n, 1), like self._k
+        f0, fp0 = self.states[..., :1, 0], self.states[..., :1, 1]
+        if self._zero:
             # zero energy: the outside solution is the straight line A + B t
-            self._pair = (f0 - fp0 * self.nodes[0], fp0)
+            return f0 - fp0 * self.nodes[0], fp0
+        return plane_pair(f0, fp0, self._k, self.nodes[0])
 
     def plane_pair(self):
         """(c_plus, c_minus) with f = c_plus e^{ikx} + c_minus e^{-ikx} beyond the far edge.
@@ -215,40 +235,37 @@ class JostEvaluator:
         For side "+" these are the scattering coefficients (a, b).  Only
         meaningful for k != 0.
         """
-        c_plus, c_minus = self._pair
+        c_plus, c_minus = (c.reshape(self.batch)[()] for c in self._pair)
         return (c_plus, c_minus) if self.s > 0 else (c_minus, c_plus)
 
     def eval(self, x):
-        """Vectorized (f, f') at arbitrary points."""
+        """Vectorized (f, f') at arbitrary points, shaped batch + x.shape."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        t = self.s * np.atleast_1d(x)
-        f = np.empty(t.shape, dtype=complex)
-        fp = np.empty(t.shape, dtype=complex)
-        k_ = self.k
+        t = self.s * x.ravel()
+        f = np.empty(self.batch + t.shape, dtype=complex)
+        fp = np.empty(self.batch + t.shape, dtype=complex)
+        kb = self._k
         anchored = t >= self.nodes[-1]
         beyond = t < self.nodes[0]
-        wave = np.exp(1j * k_ * t[anchored])
-        f[anchored] = wave
-        fp[anchored] = 1j * k_ * wave
+        wave = np.exp(1j * kb * t[anchored])
+        f[..., anchored] = wave
+        fp[..., anchored] = 1j * kb * wave
         if beyond.any():
-            f[beyond], fp[beyond] = self._vacuum(t[beyond])
+            f[..., beyond], fp[..., beyond] = self._vacuum(t[beyond])
         inside = ~(anchored | beyond)
         if inside.any():
-            f[inside], fp[inside] = self._inside(t[inside])
+            f[..., inside], fp[..., inside] = self._inside(t[inside])
         fp *= self.s
-        if scalar:
-            return f[0], fp[0]
-        return f, fp
+        out = self.batch + x.shape
+        return f.reshape(out)[()], fp.reshape(out)[()]
 
     def _vacuum(self, t):
-        if self.k == 0:
-            a_lin, b_lin = self._pair
-            return a_lin + b_lin * t, np.full(t.shape, b_lin, dtype=complex)
         c_plus, c_minus = self._pair
-        up = np.exp(1j * self.k * t)
-        dn = np.exp(-1j * self.k * t)
-        return c_plus * up + c_minus * dn, 1j * self.k * (c_plus * up - c_minus * dn)
+        if self._zero:
+            return c_plus + c_minus * t, np.repeat(c_minus, t.size, axis=-1)
+        up = np.exp(1j * self._k * t)
+        dn = np.exp(-1j * self._k * t)
+        return c_plus * up + c_minus * dn, 1j * self._k * (c_plus * up - c_minus * dn)
 
     def _inside(self, t):
         # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1])
@@ -256,9 +273,9 @@ class JostEvaluator:
         if self.mu2 is None:
             m00, m01, m10, m11 = magnus_entries(self._v, self.k, self.nodes[node], t)
         else:
-            m00, m01, m10 = propagator_entries(self.mu2[node - 1], t - self.nodes[node])
+            m00, m01, m10 = propagator_entries(self.mu2[..., node - 1], t - self.nodes[node])
             m11 = m00
-        f0, fp0 = self.states[node, 0], self.states[node, 1]
+        f0, fp0 = self.states[..., node, 0], self.states[..., node, 1]
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
 
     def _step(self, t0, t1):
@@ -321,12 +338,25 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10, method="auto"):
             "k = 0 needs a compactly supported potential; evaluate at k = i*delta "
             "and extrapolate instead"
         )
+    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling, method))
+
+
+def _layers(p: Potential, couplings, method):
+    """(edges, heights) of the transfer route, or None for the Magnus route.
+
+    heights has one row per coupling (a scalar coupling gives a 1-d row):
+    row i holds the layer heights of p's shape at coupling couplings[i],
+    multiplied as couplings[i] * h, the order piecewise_segments uses.
+    """
     if method not in ("auto", "transfer", "ode"):
         raise SpecError(f"unknown method {method!r}")
-    segs = piecewise_segments(p)
+    segs = piecewise_segments(Potential(p.shape))
     if method == "transfer" and segs is None:
         raise SpecError("transfer method requires a piecewise-constant potential")
-    return JostEvaluator(p, k, side, tol, segs if method != "ode" else None)
+    if segs is None or method == "ode":
+        return None
+    edges = np.array([segs[0][0], *(seg[1] for seg in segs)] if segs else [0.0])
+    return edges, np.multiply.outer(couplings, [seg[2] for seg in segs])
 
 
 def _default_grid(anchor: float) -> np.ndarray:
@@ -395,16 +425,37 @@ def wronskian_variation(fplus: JostSolution, fminus: JostSolution) -> float:
 def jost_wronskian(p: Potential, k, tol=1e-10, method="auto") -> complex:
     """W{f_+, f_-}(k) evaluated from freshly built solutions at one point."""
     evp = jost_evaluator(p, k, "+", tol, method)
-    return _wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol, method))
+    return complex(_wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol, method)))
 
 
-def _wronskian_at_mid(p: Potential, evp, evm) -> complex:
+def _wronskians(p: Potential, k, couplings, tol=1e-10, method="auto") -> np.ndarray:
+    """W{f_+, f_-} at each pair of k and coupling (1-d arrays or scalars, broadcast).
+
+    couplings stand in for p.coupling.  On the transfer route all pairs
+    share one batched build per side, and each value is bit for bit what
+    jost_wronskian gives for that pair; the Magnus route builds each pair
+    on its own.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
+    layers = _layers(p, couplings, method)
+    if layers is None:
+        k, couplings = np.broadcast_arrays(k, couplings)
+        return np.array([jost_wronskian(p.with_coupling(c), kk, tol, method)
+                         for kk, c in zip(k.tolist(), couplings.tolist())])
+    for kk in k.tolist():
+        check_wavenumber(kk, allow_zero=True)
+    evp = JostEvaluator(p, k, "+", tol, layers)
+    return _wronskian_at_mid(p, evp, JostEvaluator(p, k, "-", tol, layers))
+
+
+def _wronskian_at_mid(p: Potential, evp, evm):
     """W{f_+, f_-} at the support midpoint (x = 0 for infinite support)."""
     sup = p.support()
     x_star = 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
-    f, fp = evp.eval(x_star)
-    g, gp = evm.eval(x_star)
-    return complex(f * gp - fp * g)
+    f, fp = evp.eval([x_star])
+    g, gp = evm.eval([x_star])
+    return (f * gp - fp * g)[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ functionals the scattering code needs: moments, the weighted norm,
 one-sided tails, and the splitting scale that separates a shrinking
 potential core from the surrounding free region.
 
-Quadrature is adaptive Gauss-Kronrod (scipy's QUADPACK) with explicit
-subdivision at every breakpoint of the model and at x = 0 (the kink of
-the weight 1 + |x|), so integrands are smooth on each panel.  Improper
-integrals over infinite tails go through QUADPACK's own variable
-transformation.  A shape with a tails(x, coupling) method (exp_decay)
-gets its one-sided tails in closed form instead.
+Closed forms come first.  For a piecewise-constant potential the
+moments, the weighted norm and the tails are sums of exact per-layer
+integrals, with each layer split at x = 0 and at the tail point.  A
+shape with a tails(x, coupling) method (exp_decay, and a squeezed shape
+whose base has one) gets its one-sided tails from it.  Everything else
+goes through adaptive Gauss-Kronrod quadrature (scipy's QUADPACK) with
+explicit subdivision at every breakpoint of the model and at x = 0 (the
+kink of the weight 1 + |x|), so integrands are smooth on each panel;
+improper integrals over infinite tails use QUADPACK's own variable
+transformation.
 """
 
 from __future__ import annotations
@@ -175,6 +179,22 @@ class ScaledShape:
 
     def breakpoints(self):
         return tuple(self.eps * b for b in self.base.breakpoints())
+
+    def tails(self, x, coupling):
+        """TailData of coupling * self at x from the base's closed form (None if it has none).
+
+        Substituting t = eps s in the tail integrals gives
+        sigma_eps(x) = sigma(x/eps)/eps and
+        tau_eps(x) = (1/eps - 1) sigma(x/eps) + tau(x/eps), on both sides.
+        """
+        closed = getattr(self.base, "tails", None)
+        if closed is None:
+            return None
+        e = self.eps
+        td = closed(x / e, coupling)
+        return TailData(float(x), td.sigma_minus / e, td.sigma_plus / e,
+                        (1.0 / e - 1.0) * td.sigma_minus + td.tau_minus,
+                        (1.0 / e - 1.0) * td.sigma_plus + td.tau_plus)
 
 
 @dataclass(frozen=True)
@@ -387,8 +407,29 @@ def _integrate(p: Potential, fn, lo, hi, quad_tol):
     return total, err / max(1.0, size)
 
 
+def _layer_pieces(segs, lo=-math.inf, hi=math.inf):
+    """(width, mean of x, mean of |x|, height) of each layer clipped to [lo, hi] and split at 0.
+
+    On a piece that does not cross 0, |x| is linear, so the integral of
+    h * w(x) for w = 1, x, |x| or 1 + |x| is h * width * (mean of w), exactly.
+    """
+    for a, b, h in segs:
+        a, b = max(a, lo), min(b, hi)
+        for a2, b2 in ((a, min(b, 0.0)), (max(a, 0.0), b)):
+            if a2 < b2:
+                yield b2 - a2, 0.5 * (a2 + b2), 0.5 * (abs(a2) + abs(b2)), h
+
+
 def moments(p: Potential, quad_tol: float = 1e-10):
-    """(m0, m1) = (int V dx, int x V dx), each to relative quad_tol."""
+    """(m0, m1) = (int V dx, int x V dx), each to relative quad_tol.
+
+    Sums over layers in closed form for a piecewise-constant potential.
+    """
+    segs = piecewise_segments(p)
+    if segs is not None:
+        pieces = list(_layer_pieces(segs))
+        return (math.fsum(h * w for w, _, _, h in pieces),
+                math.fsum(h * w * m for w, m, _, h in pieces))
     m0, e0 = _integrate(p, lambda x: p(x), -math.inf, math.inf, quad_tol)
     m1, e1 = _integrate(p, lambda x: x * p(x), -math.inf, math.inf, quad_tol)
     if e0 > quad_tol or e1 > quad_tol:
@@ -399,13 +440,24 @@ def moments(p: Potential, quad_tol: float = 1e-10):
     return m0, m1
 
 
+def _weighted_mass(segs, lo=-math.inf, hi=math.inf):
+    """(int |V|, int (1+|x|) |V|) over [lo, hi] for layers segs, in closed form."""
+    pieces = list(_layer_pieces(segs, lo, hi))
+    return (math.fsum(abs(h) * w for w, _, _, h in pieces),
+            math.fsum(abs(h) * w * (1.0 + m) for w, _, m, h in pieces))
+
+
 def fm_norm(p: Potential, quad_tol: float = 1e-10) -> float:
     """The weighted norm int (1+|x|) |V(x)| dx.
 
     Finite for every shape this module builds; returns math.inf when an
     infinite-support tail refuses to converge to relative quad_tol, as a
-    flag rather than an exception.
+    flag rather than an exception.  Closed form for piecewise-constant
+    potentials.
     """
+    segs = piecewise_segments(p)
+    if segs is not None:
+        return _weighted_mass(segs)[1]
     val, err = _integrate(p, lambda x: (1.0 + abs(x)) * abs(p(x)), -math.inf, math.inf, quad_tol)
     if err > quad_tol:
         if p.support() is None:
@@ -435,11 +487,19 @@ class TailData:
 def tails(p: Potential, x: float, quad_tol: float = 1e-10) -> TailData:
     """Tail integrals at x: closed form when the shape has one, else quadrature.
 
-    Each quadrature is accepted at relative quad_tol (see _integrate).
+    Closed forms: a shape's own tails(x, coupling) (exp_decay, and a
+    squeezed shape whose base has one) and sums over layers for a
+    piecewise-constant potential.  Each quadrature is accepted at
+    relative quad_tol (see _integrate).
     """
     closed = getattr(p.shape, "tails", None)
-    if closed is not None:
-        return closed(x, p.coupling)
+    td = closed(x, p.coupling) if closed is not None else None
+    if td is not None:
+        return td
+    segs = piecewise_segments(p)
+    if segs is not None:
+        (sm, tm), (sp, tp) = _weighted_mass(segs, hi=x), _weighted_mass(segs, lo=x)
+        return TailData(float(x), sm, sp, tm, tp)
     sm, e1 = _integrate(p, lambda t: abs(p(t)), -math.inf, x, quad_tol)
     sp, e2 = _integrate(p, lambda t: abs(p(t)), x, math.inf, quad_tol)
     tm, e3 = _integrate(p, lambda t: (1.0 + abs(t)) * abs(p(t)), -math.inf, x, quad_tol)

@@ -12,6 +12,14 @@ For compact support everything at k = 0 is computed directly (the
 outside solutions are constants and straight lines).  Infinite tails
 are handled on the ray k = i*delta with Richardson extrapolation
 delta -> 0, and results are flagged as extrapolated.
+
+A coupling sweep evaluates d0 on its whole grid at once.  For a
+piecewise-constant base the layer heights of every coupling form one
+batch, so each side of the Wronskian is a single evaluator build, and
+the brackets of all sign changes are bisected in lockstep with one
+batched call per round; each value is bit for bit the one-coupling
+result.  Other bases are evaluated one coupling at a time under the
+same driver.  d_dot_zero batches its six wavenumbers the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, RatioInconsistencyError, SpecError
-from .jost import jost_evaluator, jost_wronskian
+from .jost import _wronskians, jost_evaluator, jost_wronskian
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -178,7 +186,8 @@ def d_dot_zero(
 
     Differences (W(delta u) - d0) / (delta u) run along the rays u = i and
     u = (1+i)/sqrt(2), each Richardson-extrapolated down the delta ladder,
-    then averaged.  Requires a resonant potential; subtracting the
+    then averaged; on layers all six W(delta u) come from one batched
+    build per side.  Requires a resonant potential; subtracting the
     report's d0 keeps a residual W(0) (a sweep root leaves up to its
     root_tol) from being divided by delta.
     """
@@ -190,11 +199,11 @@ def d_dot_zero(
             f"exceeds threshold {report.threshold:.3g}"
         )
     rays = (1j, (1.0 + 1j) / np.sqrt(2.0))
-    estimates = []
-    for u in rays:
-        quotients = [(jost_wronskian(p, d * u, tol, method) - report.d0) / (d * u)
-                     for d in deltas]
-        estimates.append(_richardson(quotients))
+    ks = [d * u for u in rays for d in deltas]
+    w = _wronskians(p, ks, p.coupling, tol, method).tolist()
+    quotients = [(wk - report.d0) / k for wk, k in zip(w, ks)]
+    n = len(deltas)
+    estimates = [_richardson(quotients[:n]), _richardson(quotients[n:])]
     value = 0.5 * (estimates[0] + estimates[1])
     ray_gap = abs(estimates[0] - estimates[1])
     expected = -1j * (report.theta + 1.0 / report.theta)
@@ -240,9 +249,11 @@ def resonant_couplings(
 
     Scans d0(alpha) on a uniform grid, brackets sign changes, and refines
     each bracket by bisection until both the bracket width and the
-    residual |d0| fall below root_tol.  A grid too coarse to separate a
-    pair of nearby roots is flagged with a warning based on the local
-    parabolic model of the sweep.
+    residual |d0| fall below root_tol.  The grid is one batched d0 call,
+    and all brackets advance together, one batched call per bisection
+    round; each value equals the one-coupling d0 bit for bit.  A grid too
+    coarse to separate a pair of nearby roots is flagged with a warning
+    based on the local parabolic model of the sweep.
     """
     if not alpha_min < alpha_max:
         raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
@@ -251,15 +262,18 @@ def resonant_couplings(
     if root_tol <= 0:
         raise SpecError(f"root_tol must be positive, got {root_tol}")
 
-    def g(alpha: float) -> float:
-        return _d_zero(base.with_coupling(base.coupling * alpha), tol, method)[0]
+    def g(alphas):  # d0 at each alpha; one build per side for a layered base
+        couplings = base.coupling * np.asarray(alphas)
+        if base.is_compact():
+            return _wronskians(base, 0.0, couplings, tol, method).real
+        return np.array([_d_zero(base.with_coupling(c), tol, method)[0] for c in couplings])
 
     alphas = np.linspace(alpha_min, alpha_max, grid_n)
-    values = np.array([g(a) for a in alphas])
+    values = g(alphas)
 
     trivial = 0.0 if alpha_min <= 0.0 <= alpha_max else None
 
-    roots = []
+    roots, brackets = [], []
     for i in range(grid_n - 1):
         lo_a, hi_a = float(alphas[i]), float(alphas[i + 1])
         g_lo, g_hi = float(values[i]), float(values[i + 1])
@@ -269,28 +283,42 @@ def resonant_couplings(
             roots.append(CouplingRoot(lo_a, (lo_a, lo_a), 0.0))
             continue
         if g_lo * g_hi < 0.0:
-            roots.append(_bisect_root(g, lo_a, hi_a, g_lo, g_hi, root_tol))
+            brackets.append((lo_a, hi_a, g_lo, g_hi))
+    roots = sorted(roots + _bisect_roots(g, brackets, root_tol), key=lambda r: r.bracket[0])
 
     _warn_double_crossings(alphas, values)
 
     return CouplingSweep(alphas, values, tuple(roots), trivial)
 
 
-def _bisect_root(g, lo, hi, g_lo, g_hi, root_tol) -> CouplingRoot:
-    bracket = (lo, hi)
+def _bisect_roots(g, brackets, root_tol) -> list[CouplingRoot]:
+    """Bisect every bracket (lo, hi, g_lo, g_hi) in lockstep, one g call per round.
+
+    Each bracket follows its own rule: it stops once both its width and
+    its smaller end value are below root_tol, once its width reaches
+    rounding, or after 200 rounds.
+    """
+    if not brackets:
+        return []
+    lo, hi, g_lo, g_hi = (np.array(c, dtype=float) for c in zip(*brackets))
+    live = np.arange(len(brackets))
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
         g_mid = g(mid)
-        if g_lo * g_mid <= 0.0:
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-        if hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol:
+        left = g_lo[live] * g_mid <= 0.0
+        hi[live[left]], g_hi[live[left]] = mid[left], g_mid[left]
+        lo[live[~left]], g_lo[live[~left]] = mid[~left], g_mid[~left]
+        width = hi[live] - lo[live]
+        small = np.minimum(np.abs(g_lo[live]), np.abs(g_hi[live]))
+        done = (width < root_tol) & (small < root_tol)
+        done |= width < 1e-15 * np.maximum(1.0, np.abs(hi[live]))
+        live = live[~done]
+        if not len(live):
             break
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    alpha = lo if abs(g_lo) <= abs(g_hi) else hi
-    return CouplingRoot(float(alpha), bracket, float(min(abs(g_lo), abs(g_hi))))
+    return [CouplingRoot(float(a if abs(ga) <= abs(gb) else b), start[:2],
+                         float(min(abs(ga), abs(gb))))
+            for a, b, ga, gb, start in zip(lo.tolist(), hi.tolist(), g_lo.tolist(),
+                                           g_hi.tolist(), brackets)]
 
 
 def _warn_double_crossings(alphas, values):

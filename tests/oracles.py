@@ -6,16 +6,20 @@ finite differences, special functions -- and never calls into the
 library's own propagation or matching code.  Where the library multiplies transfer matrices, the
 oracle solves one global matching system; where the library matches
 plane waves in closed form, the oracle discretizes the differential
-equation.
+equation.  The one exception is scalar_sweep, which reuses the library's
+one-coupling d0 on purpose: it checks how a sweep batches and bisects,
+not the propagation underneath.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.special import j0, j1, jn_zeros
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,74 @@ def exp_tails(rate, strength, x):
         return whole[0] - sp, sp, whole[1] - tp, tp
     sm, tm = right(-x)
     return sm, whole[0] - sm, tm, whole[1] - tm
+
+
+def quad_integrals(v, cuts, lo=-np.inf, hi=np.inf):
+    """(int |v|, int (1+|x|) |v|, int v, int x v) over [lo, hi] by QUADPACK.
+
+    The interval is cut at every point of cuts inside it and at 0 (the
+    kink of |x|), so no panel holds a jump or a kink; each panel is
+    integrated to relative 1e-13 and the panels are summed exactly.
+    """
+    edges = [lo, *sorted({c for c in (*cuts, 0.0) if lo < c < hi}), hi]
+    fns = (lambda x: abs(v(x)), lambda x: (1.0 + abs(x)) * abs(v(x)), v, lambda x: x * v(x))
+    return tuple(
+        math.fsum(quad(fn, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                  for a, b in zip(edges, edges[1:]))
+        for fn in fns
+    )
+
+
+# ---------------------------------------------------------------------------
+# a coupling sweep one coupling at a time
+
+
+def scalar_sweep(base, alpha_min, alpha_max, grid_n=201, root_tol=1e-8, tol=1e-10,
+                 method="auto"):
+    """(alphas, d0_values, roots, trivial_root) of a sweep done point by point.
+
+    This is the sweep as first written: d0 from the library's own
+    one-coupling routine at every grid point, then each sign change
+    bisected on its own.  It checks the batched grid and the lockstep
+    bisection of resonant_couplings, which must reproduce it exactly;
+    roots are (alpha, bracket, residual) tuples.
+    """
+    from jost1d.resonance import _d_zero
+
+    def g(alpha):
+        return _d_zero(base.with_coupling(base.coupling * alpha), tol, method)[0]
+
+    def bisect(lo, hi, g_lo, g_hi):
+        bracket = (lo, hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            g_mid = g(mid)
+            if g_lo * g_mid <= 0.0:
+                hi, g_hi = mid, g_mid
+            else:
+                lo, g_lo = mid, g_mid
+            if hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol:
+                break
+            if hi - lo < 1e-15 * max(1.0, abs(hi)):
+                break
+        alpha = lo if abs(g_lo) <= abs(g_hi) else hi
+        return float(alpha), bracket, float(min(abs(g_lo), abs(g_hi)))
+
+    alphas = np.linspace(alpha_min, alpha_max, grid_n)
+    values = np.array([g(a) for a in alphas])
+    roots = []
+    for i in range(grid_n - 1):
+        lo_a, hi_a = float(alphas[i]), float(alphas[i + 1])
+        g_lo, g_hi = float(values[i]), float(values[i + 1])
+        if lo_a <= 0.0 <= hi_a and (g_lo == 0.0 or g_hi == 0.0):
+            continue
+        if g_lo == 0.0 and lo_a != 0.0:
+            roots.append((lo_a, (lo_a, lo_a), 0.0))
+            continue
+        if g_lo * g_hi < 0.0:
+            roots.append(bisect(lo_a, hi_a, g_lo, g_hi))
+    trivial = 0.0 if alpha_min <= 0.0 <= alpha_max else None
+    return alphas, values, roots, trivial
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
-from jost1d.jost import JostEvaluator, jost_evaluator
+from jost1d.jost import JostEvaluator, _layers, jost_evaluator
 from jost1d.potential import Potential
 from jost1d.transfer import magnus_entries, propagator_entries
 
@@ -360,6 +360,44 @@ def _even_bound_state_kappa(depth, half_width):
 
     q = brentq(g, 1e-9, min(np.sqrt(depth) - 1e-9, np.pi / (2 * half_width) - 1e-9))
     return np.sqrt(depth - q * q)
+
+
+# ---------------------------------------------------------------------------
+# the batch axis of the layer route
+
+
+_GAPPED = j.piecewise_constant([(-1.5, -0.4, -2.0), (-0.1, 0.6, 1.5), (0.9, 1.3, -0.7)])
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("k", [0.0, 1.3, 0.4 + 0.9j])
+def test_coupling_batch_rows_equal_scalar_evaluators(side, k):
+    # every row of a batch over couplings is bit for bit the scalar evaluator
+    couplings = np.array([-2.5, -1.0, 0.0, 0.7, 3.0])
+    xs = np.array([-3.0, -1.5, -0.9, -0.1, 0.0, 0.3, 1.1, 1.3, 4.0])
+    batch = JostEvaluator(_GAPPED, k, side, layers=_layers(_GAPPED, couplings, "auto"))
+    f, fp = batch.eval(xs)
+    assert f.shape == fp.shape == (len(couplings), len(xs))
+    for i, c in enumerate(couplings):
+        ev = jost_evaluator(_GAPPED.with_coupling(c), k, side)
+        g, gp = ev.eval(xs)
+        assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
+        assert f[i, 3] == ev.eval(xs[3])[0]
+        if k != 0:
+            assert all(np.array_equal(b[i], e) for b, e in zip(batch.plane_pair(), ev.plane_pair()))
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_wavenumber_batch_rows_equal_scalar_evaluators(side):
+    ks = np.array([1e-4j, 0.3, 1.0 + 0.5j, 2.0])
+    xs = np.array([-2.0, -0.2, 0.5, 1.2, 3.0])
+    batch = JostEvaluator(_GAPPED, ks, side, layers=_layers(_GAPPED, _GAPPED.coupling, "auto"))
+    f, fp = batch.eval(xs)
+    for i, k in enumerate(ks):
+        g, gp = jost_evaluator(_GAPPED, k, side).eval(xs)
+        assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
+    with pytest.raises(SpecError):
+        JostEvaluator(_GAPPED, [0.0, 1.0], side, layers=_layers(_GAPPED, 1.0, "auto"))
 
 
 def test_bound_state_raises_exceptional_point():

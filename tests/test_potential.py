@@ -225,6 +225,83 @@ def test_integrals_of_strong_square_well():
     assert j.tails(p, 0.1).tau_plus == pytest.approx(2400.0, rel=1e-10)
 
 
+def _layered_cases():
+    """Layered potentials whose integrals have closed forms.
+
+    Five random layers on [-3, 2] with gaps between them; the middle one
+    runs across x = 0, the kink of the weight 1 + |x|.
+    """
+    rng = np.random.default_rng(11)
+    edges = np.concatenate([np.sort(rng.uniform(-3.0, -0.05, 5)),
+                            np.sort(rng.uniform(0.05, 2.0, 5))])
+    p = j.piecewise_constant([(edges[i], edges[i + 1], rng.uniform(-4.0, 4.0))
+                              for i in range(0, 10, 2)], coupling=-1.3)
+    return {
+        "gaps": p,
+        "straddle": j.square(-0.8, 0.45, 2.5, coupling=0.6),
+        "scaled": j.scale(p, 0.07),
+        "truncated": j.truncate(p, 0.9),
+        "scaled_truncated": j.scale(j.truncate(p, 1.7), 0.3),
+    }
+
+
+@pytest.mark.parametrize("name", ["gaps", "straddle", "scaled", "truncated", "scaled_truncated"])
+def test_layer_integrals_match_quadrature(name):
+    p = _layered_cases()[name]
+    assert j.piecewise_segments(p) is not None
+    _, tau, m0, m1 = oracles.quad_integrals(p, p.breakpoints())
+    assert j.fm_norm(p) == pytest.approx(tau, rel=1e-12)
+    got_m0, got_m1 = j.moments(p)
+    assert got_m0 == pytest.approx(m0, rel=1e-12)
+    assert got_m1 == pytest.approx(m1, rel=1e-12, abs=1e-12 * tau)
+    lo, hi = p.support()
+    for x in [lo - 1.0, lo, 0.3 * lo, 0.0, 0.01 * hi, 0.6 * hi, hi, hi + 2.0]:
+        td = j.tails(p, x)
+        left = oracles.quad_integrals(p, p.breakpoints(), hi=x)
+        right = oracles.quad_integrals(p, p.breakpoints(), lo=x)
+        got = (td.sigma_minus, td.sigma_plus, td.tau_minus, td.tau_plus)
+        want = (left[0], right[0], left[1], right[1])
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-15 * tau)
+
+
+def test_layer_integrals_run_no_quadrature(monkeypatch):
+    import jost1d.potential as pot
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad called on a piecewise-constant potential")
+
+    monkeypatch.setattr(pot, "quad", no_quad)
+    rng = np.random.default_rng(5)
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 22))]) - 5.0
+    p = j.piecewise_constant([(edges[i], edges[i + 1], rng.uniform(-2.0, -0.2))
+                              for i in range(22)])
+    assert j.fm_norm(p) > 0.0
+    j.moments(p)
+    j.tails(p, 0.4)
+    j.resonance_report(p)
+
+
+@pytest.mark.parametrize("eps", [0.9, 0.3, 0.05, 0.007])
+def test_squeezed_exp_tails_match_quadrature(eps, monkeypatch):
+    p = j.scale(j.exp_decay(rate=1.3, amplitude=-0.9, coupling=1.7), eps)
+    xs = [-5.0 * eps, -0.4 * eps, 0.0, 0.05 * eps, 2.0 * eps, 9.0 * eps]
+    want = []
+    for x in xs:
+        left = oracles.quad_integrals(p, (), hi=x)
+        right = oracles.quad_integrals(p, (), lo=x)
+        want.append((left[0], right[0], left[1], right[1]))
+    import jost1d.potential as pot
+
+    monkeypatch.setattr(pot, "quad", None)  # the closed form runs no quadrature
+    for x, w in zip(xs, want):
+        td = j.tails(p, x)
+        assert td.x == x
+        got = (td.sigma_minus, td.sigma_plus, td.tau_minus, td.tau_plus)
+        for g, v in zip(got, w):
+            assert g == pytest.approx(v, rel=1e-12)
+
+
 def test_tails_compact(barrier):
     td = j.tails(barrier, 2.0)
     assert td.sigma_plus == 0.0 or td.sigma_plus < 1e-15

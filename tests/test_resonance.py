@@ -200,3 +200,92 @@ def test_sweep_values_match_pointwise_reports():
     for alpha, d0 in zip(sweep.alphas, sweep.d0_values):
         rep = j.resonance_report(base.with_coupling(float(alpha)))
         assert d0 == pytest.approx(rep.d0, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched sweeps against the point-by-point oracle
+
+
+def _random_well(seed, n_layers, gaps=False):
+    """A seeded well of n_layers layers on about [-1, 1] with three resonant couplings in (0, 25].
+
+    int sqrt(-V) dx is scaled to 2.2, which puts the third root of
+    alpha * V near 22.  With gaps, every other layer leaves a gap to its
+    right neighbour.
+    """
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.2, 1.0, n_layers)
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    edges = 2.0 * edges / edges[-1] - 1.0
+    heights = rng.uniform(-1.8, -0.2, n_layers)
+    segs = [(edges[i], edges[i + 1] - (0.3 * widths[i] / widths.sum() if gaps and i % 2 else 0.0),
+             heights[i]) for i in range(n_layers)]
+    depth = sum((hi - lo) * np.sqrt(-h) for lo, hi, h in segs)
+    return j.piecewise_constant([(lo, hi, h * (2.2 / depth) ** 2) for lo, hi, h in segs])
+
+
+def _table_well():
+    x = np.linspace(-2.0, 2.0, 41)
+    return j.tabulated(x, -np.exp(-(x**2)))
+
+
+@pytest.mark.parametrize("base, alpha_min, alpha_max, kwargs", [
+    (j.square(-1.0, 1.0, -1.0), 0.001, 25.0, {}),
+    (_random_well(1, 6), 0.001, 25.0, {}),
+    (_random_well(2, 22, gaps=True), 0.001, 25.0, {}),
+    (j.square(-1.0, 0.5, -2.0, coupling=0.7), 0.001, 30.0, {}),
+    (_random_well(3, 9, gaps=True), -25.0, 25.0, {}),  # the grid holds alpha = 0
+    (_table_well(), 0.5, 12.0, dict(grid_n=21, root_tol=1e-6)),  # Magnus, compact
+    (j.exp_decay(rate=1.0, amplitude=-1.0), 1.2, 1.7, dict(grid_n=11, root_tol=1e-6)),
+], ids=["square", "layers6", "layers22_gaps", "coupling0.7", "straddles0", "table", "exp"])
+def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sweep = j.resonant_couplings(base, alpha_min, alpha_max, **kwargs)
+        alphas, values, roots, trivial = oracles.scalar_sweep(base, alpha_min, alpha_max,
+                                                              **kwargs)
+    assert np.array_equal(sweep.alphas, alphas)
+    assert np.array_equal(sweep.d0_values, values)
+    assert [(r.alpha, r.bracket, r.residual) for r in sweep.roots] == roots
+    assert sweep.trivial_root == trivial
+    assert roots  # every case has a sign change to bisect
+
+
+def test_layered_sweep_builds_two_evaluators_per_round(monkeypatch):
+    # one build per side for the 201-point grid and one per side per
+    # bisection round; halving the grid step 0.125 below root_tol = 1e-8
+    # takes 24 rounds, and the residual test may ask for a few more.  A
+    # point-by-point sweep builds 402 for the grid alone.
+    from jost1d.jost import JostEvaluator
+
+    builds = []
+    init = JostEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JostEvaluator, "__init__", counting)
+    sweep = j.resonant_couplings(_random_well(1, 6), 0.001, 25.0, grid_n=201)
+    assert len(sweep.roots) == 3
+    assert len(builds) <= 2 * (1 + 28)
+
+
+@pytest.mark.parametrize("name", ["well_theta_minus", "well_theta_plus", "layers6_root"])
+def test_d_dot_zero_batch_equals_scalar_wronskians(name, request):
+    from jost1d.jost import _wronskians
+    from jost1d.resonance import _EXTRAPOLATION_DELTAS, _richardson
+
+    if name == "layers6_root":
+        base = _random_well(1, 6)
+        root = j.resonant_couplings(base, 0.001, 25.0).roots[0]
+        p = base.with_coupling(root.alpha)
+    else:
+        p = request.getfixturevalue(name)
+    rep = j.resonance_report(p)
+    rays = (1j, (1.0 + 1j) / np.sqrt(2.0))
+    ks = [d * u for u in rays for d in _EXTRAPOLATION_DELTAS]
+    assert _wronskians(p, ks, p.coupling).tolist() == [j.jost_wronskian(p, k) for k in ks]
+    estimates = [_richardson([(j.jost_wronskian(p, d * u) - rep.d0) / (d * u)
+                              for d in _EXTRAPOLATION_DELTAS]) for u in rays]
+    assert j.d_dot_zero(p, report=rep).value == 0.5 * (estimates[0] + estimates[1])
