@@ -17,17 +17,12 @@ from .errors import (
     SpecError,
 )
 from .jost import (
-    JostSolution,
     ScatteringData,
     check_wavenumber,
     jost_evaluator,
-    jost_left,
-    jost_right,
     jost_wronskian,
     scaled_scattering_identity,
     scattering,
-    wronskian,
-    wronskian_variation,
 )
 from .limits import (
     ConvergenceRecord,
@@ -85,7 +80,6 @@ __all__ = [
     "DZeroDerivative",
     "ExceptionalPointError",
     "IntegrationError",
-    "JostSolution",
     "LimitOperator",
     "NumericsError",
     "Potential",
@@ -108,8 +102,6 @@ __all__ = [
     "green_kernel_fn",
     "interface",
     "jost_evaluator",
-    "jost_left",
-    "jost_right",
     "jost_wronskian",
     "kernel_distance",
     "limit_scattering",
@@ -130,7 +122,5 @@ __all__ = [
     "tails",
     "truncate",
     "truncated_operator",
-    "wronskian",
-    "wronskian_variation",
     "zero",
 ]

@@ -12,9 +12,10 @@ a = W / (-2ik).
 Numerics.  One evaluator class serves both sides and both routes.  The
 left solution is the right solution of the reflected potential,
 f_-(x; V) = f_+(-x; V(-.)), so every solution is built as a "+"
-solution in t = +-x from an anchor at its right end.  Piecewise-constant
-potentials take the exact transfer route: the nodes are the layer edges
-and each step is transfer.propagator_entries.  Everything else goes
+solution in t = +-x from an anchor at its right end.  The potential
+picks the route: when piecewise_segments gives its layers it takes the
+exact transfer route, whose nodes are the layer edges and whose steps
+are transfer.propagator_entries.  Everything else goes
 through a 4th-order Magnus panel propagator (transfer.magnus_entries):
 each step samples V at its two Gauss points and applies the closed-form
 exponential of a traceless 2x2 matrix, which is exact for the free part
@@ -46,14 +47,10 @@ from .potential import Potential, piecewise_segments, tails
 from .transfer import magnus_entries, plane_pair, propagator_entries
 
 __all__ = [
-    "JostSolution",
     "ScatteringData",
-    "jost_right",
-    "jost_left",
+    "check_wavenumber",
     "jost_evaluator",
     "jost_wronskian",
-    "wronskian",
-    "wronskian_variation",
     "scattering",
     "scaled_scattering_identity",
 ]
@@ -66,29 +63,6 @@ def check_wavenumber(k, allow_zero=False):
     if k == 0 and not allow_zero:
         raise SpecError("k = 0 is not allowed here")
     return k
-
-
-# ---------------------------------------------------------------------------
-# sampled solutions
-
-
-@dataclass(frozen=True, eq=False)
-class JostSolution:
-    """Samples of a Jost solution and its x-derivative on a grid.
-
-    anchor is where the plane-wave condition was imposed;  error_bound is
-    the weighted tail mass beyond the anchor (zero for compact support),
-    which controls how far the true solution can drift from the imposed
-    plane wave there.
-    """
-
-    side: str
-    k: complex
-    grid: np.ndarray
-    values: np.ndarray
-    derivatives: np.ndarray
-    anchor: float
-    error_bound: float
 
 
 @dataclass(frozen=True)
@@ -150,7 +124,8 @@ class JostEvaluator:
     -g'' + V(s t) g = k^2 g with g = e^{ikt} from the anchor, the right
     end of the nodes, and f(x) = g(s x), f'(x) = s g'(s x).  With layers
     (edges and heights from _layers) the nodes are the layer edges and
-    each step is exact; otherwise they are the adaptive Magnus mesh.  The
+    each step is exact; otherwise (layers=None, whatever the potential)
+    they are the adaptive Magnus mesh.  The
     node states come from a prefix product of the step maps taken from
     the anchor, and between nodes one partial step from the anchor-side
     node gives (g, g').  nodes and states are in t; anchor and far_edge
@@ -173,7 +148,7 @@ class JostEvaluator:
 
     def __init__(self, p: Potential, k, side, tol=1e-10, layers=None):
         if side not in ("+", "-"):
-            raise ValueError(f"side must be '+' or '-', got {side!r}")
+            raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
         ka = np.asarray(k, dtype=complex)
         self.k = complex(k) if ka.ndim == 0 else ka
@@ -325,12 +300,11 @@ class JostEvaluator:
         return nodes, np.concatenate(done_maps)[order]
 
 
-def jost_evaluator(p: Potential, k, side, tol=1e-10, method="auto"):
-    """Pick the exact transfer route or the Magnus route.
+def jost_evaluator(p: Potential, k, side, tol=1e-10):
+    """The Jost solution f_+ (side "+") or f_- (side "-") of p at k.
 
-    method: "auto" (transfer when the potential is piecewise constant),
-    "transfer" (require it), or "ode" (force the Magnus route; used to
-    test the two routes against each other).
+    The potential picks the route: the exact layer route when
+    piecewise_segments gives its layers, the Magnus route otherwise.
     """
     k = check_wavenumber(k, allow_zero=True)
     if k == 0 and p.support() is None:
@@ -338,97 +312,34 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10, method="auto"):
             "k = 0 needs a compactly supported potential; evaluate at k = i*delta "
             "and extrapolate instead"
         )
-    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling, method))
+    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling))
 
 
-def _layers(p: Potential, couplings, method):
-    """(edges, heights) of the transfer route, or None for the Magnus route.
+def _layers(p: Potential, couplings):
+    """(edges, heights) of the transfer route, or None when p is not piecewise constant.
 
     heights has one row per coupling (a scalar coupling gives a 1-d row):
     row i holds the layer heights of p's shape at coupling couplings[i],
     multiplied as couplings[i] * h, the order piecewise_segments uses.
     """
-    if method not in ("auto", "transfer", "ode"):
-        raise SpecError(f"unknown method {method!r}")
     segs = piecewise_segments(Potential(p.shape))
-    if method == "transfer" and segs is None:
-        raise SpecError("transfer method requires a piecewise-constant potential")
-    if segs is None or method == "ode":
+    if segs is None:
         return None
     edges = np.array([segs[0][0], *(seg[1] for seg in segs)] if segs else [0.0])
     return edges, np.multiply.outer(couplings, [seg[2] for seg in segs])
-
-
-def _default_grid(anchor: float) -> np.ndarray:
-    half = max(5.0, 2.0 * abs(anchor))
-    return np.linspace(-half, half, 2001)
-
-
-def _as_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2:
-        raise SpecError("grid must be a 1-d array with at least two points")
-    if not np.all(np.diff(g) > 0):
-        raise SpecError("grid must be strictly increasing")
-    return g
-
-
-def jost_right(p: Potential, k, grid=None, tol=1e-10, method="auto") -> JostSolution:
-    """Sample f_+(., k) and its derivative on a grid."""
-    ev = jost_evaluator(p, k, "+", tol, method)
-    g = _default_grid(ev.anchor) if grid is None else _as_grid(grid)
-    f, fp = ev.eval(g)
-    return JostSolution("+", ev.k, g, f, fp, ev.anchor, ev.error_bound)
-
-
-def jost_left(p: Potential, k, grid=None, tol=1e-10, method="auto") -> JostSolution:
-    """Sample f_-(., k) and its derivative on a grid."""
-    ev = jost_evaluator(p, k, "-", tol, method)
-    g = _default_grid(ev.anchor) if grid is None else _as_grid(grid)
-    f, fp = ev.eval(g)
-    return JostSolution("-", ev.k, g, f, fp, ev.anchor, ev.error_bound)
 
 
 # ---------------------------------------------------------------------------
 # Wronskians
 
 
-def _wronskian_samples(fplus: JostSolution, fminus: JostSolution):
-    if fplus.side != "+" or fminus.side != "-":
-        raise SpecError("wronskian expects (right solution, left solution)")
-    if fplus.k != fminus.k:
-        raise SpecError(f"wavenumbers differ: {fplus.k} vs {fminus.k}")
-    common, ia, ib = np.intersect1d(fplus.grid, fminus.grid, return_indices=True)
-    if len(common) == 0:
-        raise SpecError("the two solutions share no grid points")
-    w = fplus.values[ia] * fminus.derivatives[ib] - fplus.derivatives[ia] * fminus.values[ib]
-    return common, w
-
-
-def wronskian(fplus: JostSolution, fminus: JostSolution) -> complex:
-    """W{f_+, f_-} at a central common grid point."""
-    _, w = _wronskian_samples(fplus, fminus)
-    return complex(w[len(w) // 2])
-
-
-def wronskian_variation(fplus: JostSolution, fminus: JostSolution) -> float:
-    """Max relative drift of the sampled Wronskian from its central value.
-
-    The exact Wronskian is x-independent, so this measures accumulated
-    integration error.
-    """
-    _, w = _wronskian_samples(fplus, fminus)
-    mid = w[len(w) // 2]
-    return float(np.max(np.abs(w - mid)) / max(abs(mid), 1e-300))
-
-
-def jost_wronskian(p: Potential, k, tol=1e-10, method="auto") -> complex:
+def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
     """W{f_+, f_-}(k) evaluated from freshly built solutions at one point."""
-    evp = jost_evaluator(p, k, "+", tol, method)
-    return complex(_wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol, method)))
+    evp = jost_evaluator(p, k, "+", tol)
+    return complex(_wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol)))
 
 
-def _wronskians(p: Potential, k, couplings, tol=1e-10, method="auto") -> np.ndarray:
+def _wronskians(p: Potential, k, couplings, tol=1e-10) -> np.ndarray:
     """W{f_+, f_-} at each pair of k and coupling (1-d arrays or scalars, broadcast).
 
     couplings stand in for p.coupling.  On the transfer route all pairs
@@ -438,10 +349,10 @@ def _wronskians(p: Potential, k, couplings, tol=1e-10, method="auto") -> np.ndar
     """
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
-    layers = _layers(p, couplings, method)
+    layers = _layers(p, couplings)
     if layers is None:
         k, couplings = np.broadcast_arrays(k, couplings)
-        return np.array([jost_wronskian(p.with_coupling(c), kk, tol, method)
+        return np.array([jost_wronskian(p.with_coupling(c), kk, tol)
                          for kk, c in zip(k.tolist(), couplings.tolist())])
     for kk in k.tolist():
         check_wavenumber(kk, allow_zero=True)
@@ -462,7 +373,7 @@ def _wronskian_at_mid(p: Potential, evp, evm):
 # scattering
 
 
-def scattering(p: Potential, k, tol=1e-10, method="auto") -> ScatteringData:
+def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     """Reflection and transmission coefficients at wavenumber k != 0.
 
     Extracts a and b from (f_+, f_+') at the far (left) edge, where the
@@ -471,7 +382,7 @@ def scattering(p: Potential, k, tol=1e-10, method="auto") -> ScatteringData:
     evaluated as well and its relative defect reported.
     """
     k = check_wavenumber(k, allow_zero=False)
-    ev = jost_evaluator(p, k, "+", tol, method)
+    ev = jost_evaluator(p, k, "+", tol)
     a, b = ev.plane_pair()
     if abs(a) < 1e-12 * (1.0 + abs(b)):
         if k.imag == 0:
@@ -482,13 +393,13 @@ def scattering(p: Potential, k, tol=1e-10, method="auto") -> ScatteringData:
         raise ExceptionalPointError(
             f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined"
         )
-    w = _wronskian_at_mid(p, ev, jost_evaluator(p, k, "-", tol, method))
+    w = _wronskian_at_mid(p, ev, jost_evaluator(p, k, "-", tol))
     gap = abs(a - w / (-2j * k)) / (1.0 + abs(a))
     return ScatteringData(k=k, a=complex(a), b=complex(b), r=complex(b / a),
                           t=complex(1.0 / a), wronskian_gap=float(gap))
 
 
-def scaled_scattering_identity(p: Potential, eps, k, tol=1e-10, method="auto"):
+def scaled_scattering_identity(p: Potential, eps, k, tol=1e-10):
     """Scattering of the squeezed potential vs the original at eps*k.
 
     The two must agree in (r, t) exactly; returned as a pair
@@ -498,6 +409,6 @@ def scaled_scattering_identity(p: Potential, eps, k, tol=1e-10, method="auto"):
 
     if eps <= 0:
         raise SpecError(f"eps must be positive, got {eps}")
-    squeezed = scattering(scale(p, eps), k, tol, method)
-    reference = scattering(p, eps * complex(k), tol, method)
+    squeezed = scattering(scale(p, eps), k, tol)
+    reference = scattering(p, eps * complex(k), tol)
     return squeezed, reference

@@ -59,14 +59,10 @@ def interface(theta: float) -> LimitOperator:
 
 
 def classify_limit(
-    p: Potential,
-    threshold: float | None = None,
-    tol: float = 1e-10,
-    quad_tol: float = 1e-10,
-    method: str = "auto",
+    p: Potential, threshold: float | None = None, tol: float = 1e-10
 ) -> LimitOperator:
     """Map a potential to its small-eps limit operator."""
-    report = resonance_report(p, threshold=threshold, tol=tol, quad_tol=quad_tol, method=method)
+    report = resonance_report(p, threshold=threshold, tol=tol)
     if report.is_resonant:
         return interface(report.theta)
     return dirichlet_decoupled()
@@ -175,7 +171,6 @@ def convergence_table(
     tol: float = 1e-10,
     alpha_weight: float = 0.5,
     threshold: float | None = None,
-    method: str = "auto",
 ) -> list[ConvergenceRecord]:
     """Scattering and kernel-distance trend of the windowed family.
 
@@ -190,12 +185,12 @@ def convergence_table(
         raise SpecError("eps_list is empty")
     if eps_sorted[-1] <= 0:
         raise SpecError("all eps values must be positive")
-    op = classify_limit(p, threshold=threshold, tol=tol, method=method)
+    op = classify_limit(p, threshold=threshold, tol=tol)
     ls = limit_scattering(op, k)
     limit_fn = green_kernel_fn(op, k)
     records = []
     for eps in eps_sorted:
-        tso = truncated_operator(p, eps, k, tol, alpha_weight, method)
+        tso = truncated_operator(p, eps, k, tol, alpha_weight)
         sd = tso.scattering()
         dist = kernel_distance(tso.green, limit_fn, box, n)
         records.append(

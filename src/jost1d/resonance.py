@@ -8,10 +8,12 @@ bounded solution's value at +inf over its value at -inf) is what
 survives of the potential in the small-eps limit, so it is worth
 computing carefully and cross-checking.
 
-For compact support everything at k = 0 is computed directly (the
-outside solutions are constants and straight lines).  Infinite tails
-are handled on the ray k = i*delta with Richardson extrapolation
-delta -> 0, and results are flagged as extrapolated.
+Everything at zero energy comes from one ladder of (f_+, f_-) evaluator
+pairs, built once per report.  For compact support the ladder is the
+single pair at k = 0 (the outside solutions are constants and straight
+lines).  Infinite tails are handled on the ray k = i*delta, one pair per
+delta, with Richardson extrapolation delta -> 0, and results are flagged
+as extrapolated.
 
 A coupling sweep evaluates d0 on its whole grid at once.  For a
 piecewise-constant base the layer heights of every coupling form one
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, RatioInconsistencyError, SpecError
-from .jost import _wronskians, jost_evaluator, jost_wronskian
+from .jost import _wronskian_at_mid, _wronskians, jost_evaluator
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -54,13 +56,21 @@ def _richardson(values, ratio=10.0):
     return out[0]
 
 
-def _d_zero(p: Potential, tol=1e-10, method="auto"):
-    """(d0, extrapolated_flag): the zero-energy Wronskian."""
-    if p.is_compact():
-        w = jost_wronskian(p, 0.0, tol, method)
-        return float(w.real), False
-    samples = [jost_wronskian(p, 1j * d, tol, method) for d in _EXTRAPOLATION_DELTAS]
-    return float(_richardson(samples).real), True
+def _zero_energy_pairs(p: Potential, tol):
+    """(f_+, f_-) evaluator pairs down the zero-energy ladder.
+
+    One pair at k = 0 for compact support, else one at k = i*delta for
+    each delta of _EXTRAPOLATION_DELTAS.  _richardson of a quantity over
+    the pairs is its zero-energy value; over the single k = 0 pair that
+    is the pair's own value.
+    """
+    ks = [0.0] if p.is_compact() else [1j * d for d in _EXTRAPOLATION_DELTAS]
+    return [(jost_evaluator(p, k, "+", tol), jost_evaluator(p, k, "-", tol)) for k in ks]
+
+
+def _d_zero(p: Potential, pairs) -> float:
+    """d0 = W{f_+, f_-}(0) from a ladder of _zero_energy_pairs."""
+    return float(_richardson([complex(_wronskian_at_mid(p, *pair)) for pair in pairs]).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,35 +94,10 @@ class ResonanceReport:
     extrapolated: bool
 
 
-def _zero_energy_pair(p: Potential, grid, tol, method):
-    """Values of (f_+, f_-) at zero energy on the grid, plus f_+ far-field data."""
-    if p.is_compact():
-        evp = jost_evaluator(p, 0.0, "+", tol, method)
-        evm = jost_evaluator(p, 0.0, "-", tol, method)
-        vp = evp.eval(grid)[0]
-        vm = evm.eval(grid)[0]
-        f_far, df_far = evp.eval(evp.far_edge)
-        # below the far edge f_+ is the line A + B x; A is its renormalized value
-        a_far = f_far - df_far * evp.far_edge
-        return vp, vm, complex(a_far)
-    vps, vms, a_fars = [], [], []
-    for d in _EXTRAPOLATION_DELTAS[-2:]:
-        evp = jost_evaluator(p, 1j * d, "+", tol, method)
-        evm = jost_evaluator(p, 1j * d, "-", tol, method)
-        vps.append(evp.eval(grid)[0])
-        vms.append(evm.eval(grid)[0])
-        f_far, df_far = evp.eval(evp.far_edge)
-        a_fars.append(f_far - df_far * evp.far_edge)
-    return _richardson(vps), _richardson(vms), complex(_richardson(a_fars))
-
-
 def resonance_report(
     p: Potential,
     threshold: float | None = None,
     tol: float = 1e-10,
-    quad_tol: float = 1e-10,
-    grid=None,
-    method: str = "auto",
 ) -> ResonanceReport:
     """Decide resonant vs nonresonant at zero energy and extract theta.
 
@@ -123,22 +108,30 @@ def resonance_report(
     raises RatioInconsistencyError.
     """
     if threshold is None:
-        norm = fm_norm(p, quad_tol)
+        norm = fm_norm(p)
         if not np.isfinite(norm):
             raise NumericsError("weighted norm did not converge; pass threshold explicitly")
         threshold = 1e-8 * (1.0 + norm)
-    d0, extrapolated = _d_zero(p, tol, method)
+    pairs = _zero_energy_pairs(p, tol)
+    d0 = _d_zero(p, pairs)
+    extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
 
-    if grid is None:
-        sup = p.support()
-        half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
-        grid = np.linspace(-half, half, 801)
-    else:
-        grid = np.asarray(grid, dtype=float)
-
-    vp, vm, a_far = _zero_energy_pair(p, grid, tol, method)
+    sup = p.support()
+    half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
+    grid = np.linspace(-half, half, 801)
+    # the solutions and f_+'s far-field data come from the last two pairs
+    # (the only pair, for compact support)
+    vp, vm, a_far = [], [], []
+    for evp, evm in pairs[-2:]:
+        vp.append(evp.eval(grid)[0])
+        vm.append(evm.eval(grid)[0])
+        f_far, df_far = evp.eval(evp.far_edge)
+        # below the far edge the zero-energy f_+ is the line A + B x; A is
+        # its renormalized value
+        a_far.append(f_far - df_far * evp.far_edge)
+    vp, vm, a_far = _richardson(vp), _richardson(vm), complex(_richardson(a_far))
     mask = np.abs(vp) > 0.1 * np.max(np.abs(vp))
     ratios = vm[mask] / vp[mask]
     theta_c = np.mean(ratios)
@@ -177,9 +170,7 @@ class DZeroDerivative:
 
 def d_dot_zero(
     p: Potential,
-    deltas=_EXTRAPOLATION_DELTAS,
     tol: float = 1e-10,
-    method: str = "auto",
     report: ResonanceReport | None = None,
 ) -> DZeroDerivative:
     """Finite-difference derivative of the Wronskian at zero energy.
@@ -192,17 +183,17 @@ def d_dot_zero(
     root_tol) from being divided by delta.
     """
     if report is None:
-        report = resonance_report(p, tol=tol, method=method)
+        report = resonance_report(p, tol=tol)
     if not report.is_resonant:
         raise SpecError(
             f"d_dot_zero needs a zero-energy resonance; |d0| = {abs(report.d0):.3g} "
             f"exceeds threshold {report.threshold:.3g}"
         )
     rays = (1j, (1.0 + 1j) / np.sqrt(2.0))
-    ks = [d * u for u in rays for d in deltas]
-    w = _wronskians(p, ks, p.coupling, tol, method).tolist()
+    ks = [d * u for u in rays for d in _EXTRAPOLATION_DELTAS]
+    w = _wronskians(p, ks, p.coupling, tol).tolist()
     quotients = [(wk - report.d0) / k for wk, k in zip(w, ks)]
-    n = len(deltas)
+    n = len(_EXTRAPOLATION_DELTAS)
     estimates = [_richardson(quotients[:n]), _richardson(quotients[n:])]
     value = 0.5 * (estimates[0] + estimates[1])
     ray_gap = abs(estimates[0] - estimates[1])
@@ -243,7 +234,6 @@ def resonant_couplings(
     grid_n: int = 201,
     root_tol: float = 1e-8,
     tol: float = 1e-10,
-    method: str = "auto",
 ) -> CouplingSweep:
     """Locate couplings alpha where alpha*V has a zero-energy resonance.
 
@@ -265,8 +255,9 @@ def resonant_couplings(
     def g(alphas):  # d0 at each alpha; one build per side for a layered base
         couplings = base.coupling * np.asarray(alphas)
         if base.is_compact():
-            return _wronskians(base, 0.0, couplings, tol, method).real
-        return np.array([_d_zero(base.with_coupling(c), tol, method)[0] for c in couplings])
+            return _wronskians(base, 0.0, couplings, tol).real
+        ps = [base.with_coupling(c) for c in couplings]
+        return np.array([_d_zero(q, _zero_energy_pairs(q, tol)) for q in ps])
 
     alphas = np.linspace(alpha_min, alpha_max, grid_n)
     values = g(alphas)

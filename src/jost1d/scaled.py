@@ -53,7 +53,7 @@ class TruncatedScaledOperator:
     Hilbert-Schmidt lattice sums need.
     """
 
-    def __init__(self, p: Potential, eps, k, tol=1e-10, alpha_weight=0.5, method="auto"):
+    def __init__(self, p: Potential, eps, k, tol=1e-10, alpha_weight=0.5):
         k = check_wavenumber(k, allow_zero=False)
         if eps <= 0:
             raise SpecError(f"eps must be positive, got {eps}")
@@ -65,8 +65,8 @@ class TruncatedScaledOperator:
         self.x_eps = ss.x_eps
 
         kk = eps * k  # wavenumber seen by the unsqueezed potential
-        self._fp = jost_evaluator(p, kk, "+", tol, method)
-        self._fm = jost_evaluator(p, kk, "-", tol, method)
+        self._fp = jost_evaluator(p, kk, "+", tol)
+        self._fm = jost_evaluator(p, kk, "-", tol)
 
         xi = self.xi_eps
         fp_hi, dfp_hi = self._fp.eval(xi)
@@ -192,5 +192,5 @@ class TruncatedScaledOperator:
         )
 
 
-def truncated_operator(p, eps, k, tol=1e-10, alpha_weight=0.5, method="auto"):
-    return TruncatedScaledOperator(p, eps, k, tol, alpha_weight, method)
+def truncated_operator(p, eps, k, tol=1e-10, alpha_weight=0.5):
+    return TruncatedScaledOperator(p, eps, k, tol, alpha_weight)

@@ -6,9 +6,11 @@ finite differences, special functions -- and never calls into the
 library's own propagation or matching code.  Where the library multiplies transfer matrices, the
 oracle solves one global matching system; where the library matches
 plane waves in closed form, the oracle discretizes the differential
-equation.  The one exception is scalar_sweep, which reuses the library's
-one-coupling d0 on purpose: it checks how a sweep batches and bisects,
-not the propagation underneath.
+equation.  The exceptions are d_zero, zero_energy_report and
+scalar_sweep, which build on the library's public jost_evaluator and
+jost_wronskian on purpose: they are the zero-energy code as first
+written, one fresh build per quantity, and check how the library
+batches, bisects and reuses evaluators, not the propagation underneath.
 """
 
 from __future__ import annotations
@@ -306,23 +308,72 @@ def quad_integrals(v, cuts, lo=-np.inf, hi=np.inf):
 
 
 # ---------------------------------------------------------------------------
+# zero-energy quantities one build at a time
+
+_DELTAS = (1e-4, 1e-5, 1e-6)  # the k = i*delta ladder of the library's extrapolation
+
+
+def d_zero(p, tol=1e-10):
+    """(d0, extrapolated): W{f_+, f_-}(0) from freshly built Wronskians.
+
+    k = 0 for compact support; otherwise the Richardson value of
+    W(i*delta) over _DELTAS.
+    """
+    from jost1d.jost import jost_wronskian
+    from jost1d.resonance import _richardson
+
+    if p.is_compact():
+        return float(jost_wronskian(p, 0.0, tol).real), False
+    samples = [complex(jost_wronskian(p, 1j * d, tol)) for d in _DELTAS]
+    return float(_richardson(samples).real), True
+
+
+def zero_energy_report(p, tol=1e-10):
+    """(d0, extrapolated, theta, theta_far_field, halfbound_values) of a resonant p.
+
+    d0 comes from d_zero; the zero-energy solutions are then built again
+    (at k = 0, or at the last two deltas and extrapolated) on the
+    report's grid, theta is their mean ratio where |f_+| is not small,
+    and theta_far_field is 1/A for the line A + B x that f_+ follows
+    below its far edge.
+    """
+    from jost1d.jost import jost_evaluator
+    from jost1d.resonance import _richardson
+
+    d0, extrapolated = d_zero(p, tol)
+    sup = p.support()
+    half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
+    grid = np.linspace(-half, half, 801)
+    vps, vms, a_fars = [], [], []
+    for k in ([1j * d for d in _DELTAS[-2:]] if extrapolated else [0.0]):
+        evp = jost_evaluator(p, k, "+", tol)
+        evm = jost_evaluator(p, k, "-", tol)
+        vps.append(evp.eval(grid)[0])
+        vms.append(evm.eval(grid)[0])
+        f_far, df_far = evp.eval(evp.far_edge)
+        a_fars.append(f_far - df_far * evp.far_edge)
+    vp, vm, a_far = _richardson(vps), _richardson(vms), complex(_richardson(a_fars))
+    mask = np.abs(vp) > 0.1 * np.max(np.abs(vp))
+    theta = float(np.mean(vm[mask] / vp[mask]).real)
+    return d0, extrapolated, theta, float((1.0 / a_far).real), vp.real
+
+
+# ---------------------------------------------------------------------------
 # a coupling sweep one coupling at a time
 
 
-def scalar_sweep(base, alpha_min, alpha_max, grid_n=201, root_tol=1e-8, tol=1e-10,
-                 method="auto"):
+def scalar_sweep(base, alpha_min, alpha_max, grid_n=201, root_tol=1e-8, tol=1e-10):
     """(alphas, d0_values, roots, trivial_root) of a sweep done point by point.
 
-    This is the sweep as first written: d0 from the library's own
-    one-coupling routine at every grid point, then each sign change
-    bisected on its own.  It checks the batched grid and the lockstep
-    bisection of resonant_couplings, which must reproduce it exactly;
-    roots are (alpha, bracket, residual) tuples.
+    This is the sweep as first written: d0 from d_zero at every grid
+    point, then each sign change bisected on its own.  It checks the
+    batched grid and the lockstep bisection of resonant_couplings, which
+    must reproduce it exactly; roots are (alpha, bracket, residual)
+    tuples.
     """
-    from jost1d.resonance import _d_zero
 
     def g(alpha):
-        return _d_zero(base.with_coupling(base.coupling * alpha), tol, method)[0]
+        return d_zero(base.with_coupling(base.coupling * alpha), tol)[0]
 
     def bisect(lo, hi, g_lo, g_hi):
         bracket = (lo, hi)

@@ -103,6 +103,62 @@ def test_loose_threshold_caught_by_ratio_guard(barrier):
 
 
 # ---------------------------------------------------------------------------
+# one ladder of zero-energy evaluators per report
+
+
+@pytest.fixture(scope="module")
+def exp_resonant_well():
+    """The first resonant coupling of the exponential well, as a sweep finds it."""
+    base = j.exp_decay(1.0, -1.0)
+    return base.with_coupling(j.resonant_couplings(base, 0.5, 2.0).roots[0].alpha)
+
+
+def _counting_builds(monkeypatch):
+    from jost1d.jost import JostEvaluator
+
+    builds = []
+    init = JostEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JostEvaluator, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("name", ["well_theta_minus", "well_theta_plus", "exp_resonant_well"])
+def test_report_equals_one_build_per_quantity_oracle(name, request):
+    p = request.getfixturevalue(name)
+    threshold = 1e-3 if name == "exp_resonant_well" else None
+    rep = j.resonance_report(p, threshold=threshold)
+    d0, extrapolated, theta, theta_far, halfbound = oracles.zero_energy_report(p)
+    assert rep.is_resonant
+    assert (rep.d0, rep.extrapolated, rep.theta, rep.theta_far_field) == (
+        d0, extrapolated, theta, theta_far)
+    assert np.array_equal(rep.halfbound_values, halfbound)
+
+
+def test_nonresonant_report_equals_oracle(barrier):
+    rep = j.resonance_report(barrier)
+    assert not rep.is_resonant
+    assert (rep.d0, rep.extrapolated) == oracles.d_zero(barrier)
+    assert rep.theta is rep.theta_far_field is rep.halfbound_values is None
+
+
+@pytest.mark.parametrize("name, threshold, expected", [
+    ("well_theta_minus", None, 2),  # one pair at k = 0
+    ("exp_resonant_well", 1e-3, 6),  # one pair per delta of the ladder
+])
+def test_resonant_report_builds_each_evaluator_once(name, threshold, expected, request,
+                                                    monkeypatch):
+    p = request.getfixturevalue(name)
+    builds = _counting_builds(monkeypatch)
+    assert j.resonance_report(p, threshold=threshold).is_resonant
+    assert len(builds) == expected
+
+
+# ---------------------------------------------------------------------------
 # the derivative of the Wronskian at zero energy
 
 
@@ -256,16 +312,7 @@ def test_layered_sweep_builds_two_evaluators_per_round(monkeypatch):
     # bisection round; halving the grid step 0.125 below root_tol = 1e-8
     # takes 24 rounds, and the residual test may ask for a few more.  A
     # point-by-point sweep builds 402 for the grid alone.
-    from jost1d.jost import JostEvaluator
-
-    builds = []
-    init = JostEvaluator.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(JostEvaluator, "__init__", counting)
+    builds = _counting_builds(monkeypatch)
     sweep = j.resonant_couplings(_random_well(1, 6), 0.001, 25.0, grid_n=201)
     assert len(sweep.roots) == 3
     assert len(builds) <= 2 * (1 + 28)
