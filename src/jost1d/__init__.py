@@ -12,7 +12,6 @@ from .errors import (
     ExceptionalPointError,
     IntegrationError,
     NumericsError,
-    QuadratureError,
     RatioInconsistencyError,
     SpecError,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "LimitOperator",
     "NumericsError",
     "Potential",
-    "QuadratureError",
     "RatioInconsistencyError",
     "ResonanceReport",
     "ScatteringData",

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Two broad families: bad input (a malformed potential description, a
-wavenumber in the lower half plane) and numerical trouble (quadrature
-that will not converge, a tail that never drops below tolerance).  The
-command line tool maps the first family to exit code 2 and the second
-to exit code 3.
+wavenumber in the lower half plane) and numerical trouble (a tail that
+never drops below tolerance, a Magnus mesh that will not converge, an
+exceptional point of the scattering data).  The command line tool maps
+the first family to exit code 2 and the second to exit code 3.
 """
 
 
@@ -14,18 +14,6 @@ class SpecError(ValueError):
 
 class NumericsError(RuntimeError):
     """A computation could not reach its requested accuracy."""
-
-
-class QuadratureError(NumericsError):
-    """Adaptive quadrature failed to converge.
-
-    Carries the achieved absolute error estimate so the caller can decide
-    whether the partial result is still usable.
-    """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 class AnchorError(NumericsError):

@@ -10,16 +10,14 @@ functionals the scattering code needs: moments, the weighted norm,
 one-sided tails, and the splitting scale that separates a shrinking
 potential core from the surrounding free region.
 
-Closed forms come first.  For a piecewise-constant potential the
-moments, the weighted norm and the tails are sums of exact per-layer
-integrals, with each layer split at x = 0 and at the tail point.  A
-shape with a tails(x, coupling) method (exp_decay, and a squeezed shape
-whose base has one) gets its one-sided tails from it.  Everything else
-goes through adaptive Gauss-Kronrod quadrature (scipy's QUADPACK) with
-explicit subdivision at every breakpoint of the model and at x = 0 (the
-kink of the weight 1 + |x|), so integrands are smooth on each panel;
-improper integrals over infinite tails use QUADPACK's own variable
-transformation.
+Every integral is closed form.  Each shape gives its own integrals of
+V, x V, |V| and (1+|x|) |V| over any interval [lo, hi]: exact per-layer
+sums for piecewise-constant shapes (each layer clipped to [lo, hi] and
+split at x = 0, the kink of 1 + |x|), elementary antiderivatives for
+exp_decay, and for tables a 2-point Gauss-Legendre rule on the panels
+between nodes, sign changes and 0, where |V| and x are linear, so every
+integrand is at most quadratic and the rule is exact.  Squeezing and
+truncation map the integrals of their base.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import QuadratureError, SpecError
+from .errors import SpecError
 
 __all__ = [
     "Potential",
@@ -59,8 +56,47 @@ __all__ = [
 # shapes
 
 
+class _Shape:
+    """What every shape shares: layers, layer sums, and composable squeezing and truncation."""
+
+    def layers(self):
+        """(left, right, height) layers when the shape is piecewise constant, else None."""
+        return None
+
+    def integrals(self, lo, hi, coupling):
+        """(int V, int x V, int |V|, int (1+|x|) |V|) over [lo, hi] of coupling * self.
+
+        Exact sums over layers; every shape without layers overrides it.
+        """
+        return _layer_integrals(self.layers(), lo, hi, coupling)
+
+    def scaled(self, eps):
+        return ScaledShape(self, eps)
+
+    def truncated(self, half_width):
+        return TruncatedShape(self, half_width)
+
+
+def _layer_integrals(layers, lo, hi, coupling):
+    """integrals() of layers clipped to [lo, hi] and split at 0, summed exactly.
+
+    On a piece that does not cross 0, |x| is linear, so the integral of
+    h * w(x) for w = 1, x, |x| or 1 + |x| is h * width * (mean of w).
+    """
+    pieces = []
+    for a, b, h in layers:
+        a, b, h = max(a, lo), min(b, hi), coupling * h
+        for a2, b2 in ((a, min(b, 0.0)), (max(a, 0.0), b)):
+            if a2 < b2:
+                pieces.append((b2 - a2, 0.5 * (a2 + b2), 0.5 * (abs(a2) + abs(b2)), h))
+    return (math.fsum(h * w for w, _, _, h in pieces),
+            math.fsum(h * w * m for w, m, _, h in pieces),
+            math.fsum(abs(h) * w for w, _, _, h in pieces),
+            math.fsum(abs(h) * w * (1.0 + m) for w, _, m, h in pieces))
+
+
 @dataclass(frozen=True)
-class SquareShape:
+class SquareShape(_Shape):
     left: float
     right: float
     height: float
@@ -75,9 +111,12 @@ class SquareShape:
     def breakpoints(self):
         return (self.left, self.right)
 
+    def layers(self):
+        return [(self.left, self.right, self.height)]
+
 
 @dataclass(frozen=True)
-class PiecewiseShape:
+class PiecewiseShape(_Shape):
     """Disjoint constant segments (left, right, height); zero elsewhere."""
 
     segments: tuple[tuple[float, float, float], ...]
@@ -101,9 +140,15 @@ class PiecewiseShape:
             pts.extend((lo, hi))
         return tuple(sorted(set(pts)))
 
+    def layers(self):
+        return list(self.segments)
+
+
+_GAUSS = 1.0 / math.sqrt(3.0)  # 2-point Gauss-Legendre nodes on [-1, 1] are -+ this
+
 
 @dataclass(frozen=True)
-class TableShape:
+class TableShape(_Shape):
     """Samples connected by straight lines; zero outside the sampled hull."""
 
     x: tuple[float, ...]
@@ -127,9 +172,26 @@ class TableShape:
             pts.append(float(xv[i] + t * (xv[i + 1] - xv[i])))
         return tuple(sorted(set(pts)))
 
+    def integrals(self, lo, hi, coupling):
+        """2-point Gauss-Legendre on the panels between breakpoints and 0.
+
+        On each panel V, |V| and x are linear (no node, sign change or 0
+        inside it), so V, x V, |V| and (1+|x|) |V| are at most quadratic
+        and the rule, exact for cubics, gives their integrals exactly.
+        """
+        lo, hi = max(lo, self.x[0]), min(hi, self.x[-1])
+        if not lo < hi:
+            return 0.0, 0.0, 0.0, 0.0
+        edges = np.array([lo, *sorted({b for b in (*self.breakpoints(), 0.0) if lo < b < hi}), hi])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        x = np.concatenate([mid - _GAUSS * half, mid + _GAUSS * half])
+        w = np.concatenate([half, half])
+        v = coupling * self.value(x)
+        return tuple(math.fsum(w * f) for f in (v, x * v, np.abs(v), (1.0 + np.abs(x)) * np.abs(v)))
+
 
 @dataclass(frozen=True)
-class ExpDecayShape:
+class ExpDecayShape(_Shape):
     """amplitude * exp(-rate * |x|); the only built-in with infinite support."""
 
     rate: float = 1.0
@@ -145,23 +207,36 @@ class ExpDecayShape:
     def breakpoints(self):
         return (0.0,)
 
-    def tails(self, x, coupling):
-        """TailData of coupling * self at x, in closed form."""
-        a, r = abs(coupling * self.amplitude), self.rate
-        x = float(x)
+    def integrals(self, lo, hi, coupling):
+        """Differences of F(y) = int_y^inf (1, t, 1 + |t|) e^{-rate |t|} dt.
 
-        def sigma(y):  # int_y^inf e^{-r|t|} dt
-            return math.exp(-r * y) / r if y >= 0 else (2.0 - math.exp(r * y)) / r
+        V is even, so [-inf, hi] is read as [-hi, inf] with x V negated:
+        a small left tail is then F(-hi) itself, not the difference of two
+        nearly equal numbers F(-inf) - F(hi).
+        """
+        odd = 1.0
+        if lo == -math.inf and hi != math.inf:
+            lo, hi, odd = -hi, math.inf, -1.0
+        a = coupling * self.amplitude
+        (s0, m0, t0), (s1, m1, t1) = self._antiderivative(lo), self._antiderivative(hi)
+        return a * (s0 - s1), odd * a * (m0 - m1), abs(a) * (s0 - s1), abs(a) * (t0 - t1)
 
-        def tau(y):  # int_y^inf (1+|t|) e^{-r|t|} dt
-            g = math.exp(-r * abs(y)) * ((1.0 + abs(y)) / r + 1.0 / r**2)
-            return g if y >= 0 else 2.0 * (1.0 / r + 1.0 / r**2) - g
-
-        return TailData(x, a * sigma(-x), a * sigma(x), a * tau(-x), a * tau(x))
+    def _antiderivative(self, y):
+        """F(y); t e^{-r|t|} is odd, so its part of F is even in y."""
+        if y == math.inf:
+            return 0.0, 0.0, 0.0
+        r = self.rate
+        whole = 2.0 * (1.0 / r + 1.0 / r**2)  # int (1 + |t|) e^{-r|t|} over the line
+        if y == -math.inf:
+            return 2.0 / r, 0.0, whole
+        e = math.exp(-r * abs(y))
+        g = e * ((1.0 + abs(y)) / r + 1.0 / r**2)
+        m = e * (abs(y) / r + 1.0 / r**2)
+        return (e / r, m, g) if y >= 0 else ((2.0 - e) / r, m, whole - g)
 
 
 @dataclass(frozen=True)
-class ScaledShape:
+class ScaledShape(_Shape):
     """eps^-2 * base(x / eps)."""
 
     base: object
@@ -180,25 +255,33 @@ class ScaledShape:
     def breakpoints(self):
         return tuple(self.eps * b for b in self.base.breakpoints())
 
-    def tails(self, x, coupling):
-        """TailData of coupling * self at x from the base's closed form (None if it has none).
-
-        Substituting t = eps s in the tail integrals gives
-        sigma_eps(x) = sigma(x/eps)/eps and
-        tau_eps(x) = (1/eps - 1) sigma(x/eps) + tau(x/eps), on both sides.
-        """
-        closed = getattr(self.base, "tails", None)
-        if closed is None:
+    def layers(self):
+        inner = self.base.layers()
+        if inner is None:
             return None
         e = self.eps
-        td = closed(x / e, coupling)
-        return TailData(float(x), td.sigma_minus / e, td.sigma_plus / e,
-                        (1.0 / e - 1.0) * td.sigma_minus + td.tau_minus,
-                        (1.0 / e - 1.0) * td.sigma_plus + td.tau_plus)
+        return [(e * lo, e * hi, h / e**2) for lo, hi, h in inner]
+
+    def integrals(self, lo, hi, coupling):
+        """Layer sums when the base has layers, else the base's integrals mapped.
+
+        Substituting x = eps s gives the integrals of V over [lo/eps, hi/eps]:
+        int V and int |V| divide by eps, int x V is unchanged, and
+        int (1+|x|) |V| becomes (1/eps - 1) int |V| + int (1+|s|) |V|.
+        """
+        layers = self.layers()
+        if layers is not None:
+            return _layer_integrals(layers, lo, hi, coupling)
+        e = self.eps
+        m0, m1, s, t = self.base.integrals(lo / e, hi / e, coupling)
+        return m0 / e, m1, s / e, (1.0 / e - 1.0) * s + t
+
+    def scaled(self, eps):
+        return ScaledShape(self.base, self.eps * eps)
 
 
 @dataclass(frozen=True)
-class TruncatedShape:
+class TruncatedShape(_Shape):
     """base(x) restricted to the window |x| <= half_width."""
 
     base: object
@@ -221,6 +304,24 @@ class TruncatedShape:
         pts.extend((-w, w))
         return tuple(sorted(set(pts)))
 
+    def layers(self):
+        inner = self.base.layers()
+        if inner is None:
+            return None
+        w = self.half_width
+        return [(max(lo, -w), min(hi, w), h) for lo, hi, h in inner if max(lo, -w) < min(hi, w)]
+
+    def integrals(self, lo, hi, coupling):
+        """The base's integrals over [lo, hi] clipped to the window."""
+        w = self.half_width
+        lo, hi = max(lo, -w), min(hi, w)
+        if not lo < hi:
+            return 0.0, 0.0, 0.0, 0.0
+        return self.base.integrals(lo, hi, coupling)
+
+    def truncated(self, half_width):
+        return TruncatedShape(self.base, min(self.half_width, half_width))
+
 
 # ---------------------------------------------------------------------------
 # the user-facing wrapper
@@ -228,7 +329,12 @@ class TruncatedShape:
 
 @dataclass(frozen=True)
 class Potential:
-    """A shape together with a real coupling multiplier."""
+    """A shape together with a real coupling multiplier.
+
+    A shape needs value, support and breakpoints to be solved; moments,
+    fm_norm and tails also need its integrals, which every built-in shape
+    has.
+    """
 
     shape: object
     coupling: float = 1.0
@@ -301,7 +407,8 @@ def piecewise_segments(p: Potential):
     between declared segments come back as explicit zero-height layers,
     so the result always tiles an interval.
     """
-    segs = _raw_segments(p.shape)
+    layers = getattr(p.shape, "layers", None)  # a shape without the method has no layers
+    segs = layers() if layers is not None else None
     if segs is None:
         return None
     segs = [(lo, hi, p.coupling * h) for lo, hi, h in segs]
@@ -316,31 +423,6 @@ def piecewise_segments(p: Potential):
     return out
 
 
-def _raw_segments(shape):
-    if isinstance(shape, SquareShape):
-        return [(shape.left, shape.right, shape.height)]
-    if isinstance(shape, PiecewiseShape):
-        return list(shape.segments)
-    if isinstance(shape, ScaledShape):
-        inner = _raw_segments(shape.base)
-        if inner is None:
-            return None
-        e = shape.eps
-        return [(e * lo, e * hi, h / e**2) for lo, hi, h in inner]
-    if isinstance(shape, TruncatedShape):
-        inner = _raw_segments(shape.base)
-        if inner is None:
-            return None
-        w = shape.half_width
-        out = []
-        for lo, hi, h in inner:
-            lo2, hi2 = max(lo, -w), min(hi, w)
-            if lo2 < hi2:
-                out.append((lo2, hi2, h))
-        return out
-    return None
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -353,120 +435,29 @@ def scale(p: Potential, eps: float) -> Potential:
     """
     if eps <= 0:
         raise SpecError(f"scale factor must be positive, got {eps}")
-    shape = p.shape
-    if isinstance(shape, ScaledShape):
-        return replace(p, shape=ScaledShape(shape.base, shape.eps * eps))
-    return replace(p, shape=ScaledShape(shape, float(eps)))
+    return replace(p, shape=p.shape.scaled(float(eps)))
 
 
 def truncate(p: Potential, half_width: float) -> Potential:
     """Restrict V to the window [-half_width, half_width]."""
     if half_width <= 0:
         raise SpecError(f"truncation half-width must be positive, got {half_width}")
-    shape = p.shape
-    if isinstance(shape, TruncatedShape):
-        return replace(p, shape=TruncatedShape(shape.base, min(shape.half_width, float(half_width))))
-    return replace(p, shape=TruncatedShape(shape, float(half_width)))
+    return replace(p, shape=p.shape.truncated(float(half_width)))
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
+# integrals
 
 
-def _panels(p: Potential, lo, hi):
-    # x = 0 is a cut too: it is the kink of the weight 1 + |x|
-    cuts = [b for b in (*p.breakpoints(), 0.0) if lo < b < hi]
-    edges = [lo] + sorted(set(cuts)) + [hi]
-    return list(zip(edges, edges[1:]))
-
-
-def _integrate(p: Potential, fn, lo, hi, quad_tol):
-    """Integrate fn(x) over [lo, hi] splitting at model breakpoints.
-
-    fn must vanish wherever V does; the hull clip below relies on that.
-    Returns (value, relative_error): QUADPACK's summed error estimate over
-    max(1, sum of |panel values|), so acceptance scales with the integral
-    and a strong V is not held to an absolute tolerance.
-    """
-    sup = p.support()
-    if sup is not None:
-        lo = max(lo, sup[0])
-        hi = min(hi, sup[1])
-        if not lo < hi:
-            return 0.0, 0.0
-    panels = _panels(p, lo, hi)
-    budget = quad_tol / max(len(panels), 1)
-    total = 0.0
-    size = 0.0
-    err = 0.0
-    for a, b in panels:
-        val, e = quad(fn, a, b, epsabs=budget, epsrel=1e-11, limit=200)
-        total += val
-        size += abs(val)
-        err += e
-    return total, err / max(1.0, size)
-
-
-def _layer_pieces(segs, lo=-math.inf, hi=math.inf):
-    """(width, mean of x, mean of |x|, height) of each layer clipped to [lo, hi] and split at 0.
-
-    On a piece that does not cross 0, |x| is linear, so the integral of
-    h * w(x) for w = 1, x, |x| or 1 + |x| is h * width * (mean of w), exactly.
-    """
-    for a, b, h in segs:
-        a, b = max(a, lo), min(b, hi)
-        for a2, b2 in ((a, min(b, 0.0)), (max(a, 0.0), b)):
-            if a2 < b2:
-                yield b2 - a2, 0.5 * (a2 + b2), 0.5 * (abs(a2) + abs(b2)), h
-
-
-def moments(p: Potential, quad_tol: float = 1e-10):
-    """(m0, m1) = (int V dx, int x V dx), each to relative quad_tol.
-
-    Sums over layers in closed form for a piecewise-constant potential.
-    """
-    segs = piecewise_segments(p)
-    if segs is not None:
-        pieces = list(_layer_pieces(segs))
-        return (math.fsum(h * w for w, _, _, h in pieces),
-                math.fsum(h * w * m for w, m, _, h in pieces))
-    m0, e0 = _integrate(p, lambda x: p(x), -math.inf, math.inf, quad_tol)
-    m1, e1 = _integrate(p, lambda x: x * p(x), -math.inf, math.inf, quad_tol)
-    if e0 > quad_tol or e1 > quad_tol:
-        raise QuadratureError(
-            f"moment quadrature did not reach {quad_tol:g} (achieved {max(e0, e1):.3g})",
-            achieved=max(e0, e1),
-        )
+def moments(p: Potential):
+    """(m0, m1) = (int V dx, int x V dx), in closed form."""
+    m0, m1, _, _ = p.shape.integrals(-math.inf, math.inf, p.coupling)
     return m0, m1
 
 
-def _weighted_mass(segs, lo=-math.inf, hi=math.inf):
-    """(int |V|, int (1+|x|) |V|) over [lo, hi] for layers segs, in closed form."""
-    pieces = list(_layer_pieces(segs, lo, hi))
-    return (math.fsum(abs(h) * w for w, _, _, h in pieces),
-            math.fsum(abs(h) * w * (1.0 + m) for w, _, m, h in pieces))
-
-
-def fm_norm(p: Potential, quad_tol: float = 1e-10) -> float:
-    """The weighted norm int (1+|x|) |V(x)| dx.
-
-    Finite for every shape this module builds; returns math.inf when an
-    infinite-support tail refuses to converge to relative quad_tol, as a
-    flag rather than an exception.  Closed form for piecewise-constant
-    potentials.
-    """
-    segs = piecewise_segments(p)
-    if segs is not None:
-        return _weighted_mass(segs)[1]
-    val, err = _integrate(p, lambda x: (1.0 + abs(x)) * abs(p(x)), -math.inf, math.inf, quad_tol)
-    if err > quad_tol:
-        if p.support() is None:
-            return math.inf
-        raise QuadratureError(
-            f"weighted-norm quadrature did not reach {quad_tol:g} (achieved {err:.3g})",
-            achieved=err,
-        )
-    return val
+def fm_norm(p: Potential) -> float:
+    """The weighted norm int (1+|x|) |V(x)| dx, in closed form."""
+    return p.shape.integrals(-math.inf, math.inf, p.coupling)[3]
 
 
 @dataclass(frozen=True)
@@ -484,31 +475,10 @@ class TailData:
     tau_plus: float
 
 
-def tails(p: Potential, x: float, quad_tol: float = 1e-10) -> TailData:
-    """Tail integrals at x: closed form when the shape has one, else quadrature.
-
-    Closed forms: a shape's own tails(x, coupling) (exp_decay, and a
-    squeezed shape whose base has one) and sums over layers for a
-    piecewise-constant potential.  Each quadrature is accepted at
-    relative quad_tol (see _integrate).
-    """
-    closed = getattr(p.shape, "tails", None)
-    td = closed(x, p.coupling) if closed is not None else None
-    if td is not None:
-        return td
-    segs = piecewise_segments(p)
-    if segs is not None:
-        (sm, tm), (sp, tp) = _weighted_mass(segs, hi=x), _weighted_mass(segs, lo=x)
-        return TailData(float(x), sm, sp, tm, tp)
-    sm, e1 = _integrate(p, lambda t: abs(p(t)), -math.inf, x, quad_tol)
-    sp, e2 = _integrate(p, lambda t: abs(p(t)), x, math.inf, quad_tol)
-    tm, e3 = _integrate(p, lambda t: (1.0 + abs(t)) * abs(p(t)), -math.inf, x, quad_tol)
-    tp, e4 = _integrate(p, lambda t: (1.0 + abs(t)) * abs(p(t)), x, math.inf, quad_tol)
-    worst = max(e1, e2, e3, e4)
-    if worst > quad_tol:
-        raise QuadratureError(
-            f"tail quadrature did not reach {quad_tol:g} (achieved {worst:.3g})", achieved=worst
-        )
+def tails(p: Potential, x: float) -> TailData:
+    """Tail integrals of |V| and (1+|t|) |V| on each side of x, in closed form."""
+    _, _, sm, tm = p.shape.integrals(-math.inf, x, p.coupling)
+    _, _, sp, tp = p.shape.integrals(x, math.inf, p.coupling)
     return TailData(float(x), sm, sp, tm, tp)
 
 
@@ -532,18 +502,16 @@ class SplittingScale:
     x_eps: float
 
 
-def _rho(p: Potential, x: float, alpha_weight: float, quad_tol: float) -> float:
-    td = tails(p, abs(x), quad_tol)
-    td2 = tails(p, -abs(x), quad_tol)
+def _rho(p: Potential, x: float, alpha_weight: float) -> float:
+    td = tails(p, abs(x))
+    td2 = tails(p, -abs(x))
     tau = td.tau_plus + td2.tau_minus
     if tau <= 0.0:
         return math.inf
     return (1.0 + abs(x)) / tau**alpha_weight
 
 
-def splitting_scale(
-    p: Potential, eps: float, alpha_weight: float = 0.5, quad_tol: float = 1e-10
-) -> SplittingScale:
+def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> SplittingScale:
     """Solve rho(xi) = 1/eps for the matching radius xi_eps.
 
     For compact support rho(x) = 1 + x^2, so xi_eps = sqrt(1/eps - 1).
@@ -558,7 +526,7 @@ def splitting_scale(
         raise SpecError(f"alpha_weight must lie in (0, 1), got {alpha_weight}")
     target = 1.0 / eps
     compact = p.is_compact()
-    rho0 = 1.0 if compact else _rho(p, 0.0, alpha_weight, quad_tol)
+    rho0 = 1.0 if compact else _rho(p, 0.0, alpha_weight)
     if rho0 >= target:
         eps0 = 1.0 / rho0
         raise SpecError(
@@ -570,7 +538,7 @@ def splitting_scale(
         return SplittingScale(float(eps), xi, eps * xi)
     hi = 1.0
     for _ in range(80):
-        if _rho(p, hi, alpha_weight, quad_tol) > target:
+        if _rho(p, hi, alpha_weight) > target:
             break
         hi *= 2.0
     else:
@@ -578,7 +546,7 @@ def splitting_scale(
     lo = 0.0
     while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if _rho(p, mid, alpha_weight, quad_tol) > target:
+        if _rho(p, mid, alpha_weight) > target:
             hi = mid
         else:
             lo = mid
@@ -586,9 +554,7 @@ def splitting_scale(
     return SplittingScale(float(eps), xi, eps * xi)
 
 
-def tail_weight_norm(
-    p: Potential, eps: float, alpha_weight: float = 0.5, quad_tol: float = 1e-10
-) -> float:
+def tail_weight_norm(p: Potential, eps: float, alpha_weight: float = 0.5) -> float:
     """eps^-1 * int_{|s| > xi_eps} |V(s)| ds.
 
     This is the squared norm of the off-window part of the squeezed
@@ -596,9 +562,9 @@ def tail_weight_norm(
     window construction to be consistent.  Identically zero once xi_eps
     clears a compact support.
     """
-    ss = splitting_scale(p, eps, alpha_weight, quad_tol)
-    td = tails(p, ss.xi_eps, quad_tol)
-    td2 = tails(p, -ss.xi_eps, quad_tol)
+    ss = splitting_scale(p, eps, alpha_weight)
+    td = tails(p, ss.xi_eps)
+    td2 = tails(p, -ss.xi_eps)
     return (td.sigma_plus + td2.sigma_minus) / eps
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, RatioInconsistencyError, SpecError
+from .errors import RatioInconsistencyError, SpecError
 from .jost import _wronskian_at_mid, _wronskians, jost_evaluator
 from .potential import Potential, fm_norm
 
@@ -108,10 +108,7 @@ def resonance_report(
     raises RatioInconsistencyError.
     """
     if threshold is None:
-        norm = fm_norm(p)
-        if not np.isfinite(norm):
-            raise NumericsError("weighted norm did not converge; pass threshold explicitly")
-        threshold = 1e-8 * (1.0 + norm)
+        threshold = 1e-8 * (1.0 + fm_norm(p))
     pairs = _zero_energy_pairs(p, tol)
     d0 = _d_zero(p, pairs)
     extrapolated = not p.is_compact()

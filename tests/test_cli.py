@@ -210,8 +210,8 @@ def test_resonance_sweep_json(runner, tmp_path):
 
 
 def test_resonance_sweep_exponential_well(runner, tmp_path):
-    # the README's exp well: tail quadrature once failed its absolute
-    # tolerance somewhere along this sweep
+    # the README's exp well: a sweep over couplings on an infinite tail,
+    # whose anchors and report thresholds read the closed-form integrals
     path = tmp_path / "exp_well.json"
     path.write_text(json.dumps(
         {"kind": "exp_decay", "params": {"rate": 1.0, "amplitude": 1.0}, "coupling": -1.4458}

@@ -425,8 +425,8 @@ def test_scaled_scattering_identity_smooth(bump_table):
 
 
 def test_scaled_scattering_identity_strong_exponential_well():
-    # eps^-2 V(x/eps) has tails of size 1/eps^2; their quadrature is accepted
-    # relative to the integral, so the identity holds at small eps too
+    # eps^-2 V(x/eps) has tails of size 1/eps^2; their closed form carries
+    # no absolute tolerance, so the identity holds at small eps too
     squeezed, reference = j.scaled_scattering_identity(j.exp_decay(1.0, -1.5), 0.03, 1.0)
     assert abs(squeezed.r - reference.r) < 5e-12
     assert abs(squeezed.t - reference.t) < 5e-12

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,8 +196,8 @@ def test_tails_exp_decay_closed_form(rate, amplitude, coupling):
 
 
 def test_tails_exp_decay_agrees_with_quadrature():
-    # a window wide enough to hold all but e^{-60} of the mass goes
-    # through the quadrature path
+    # a window wide enough to hold all but e^{-60} of the mass: its tails
+    # are differences of the closed form at the window edges
     p = j.exp_decay(rate=1.2, amplitude=-0.8, coupling=1.5)
     wide = j.truncate(p, 50.0)
     for x in [-2.5, 0.0, 1.7]:
@@ -245,10 +249,26 @@ def _layered_cases():
     }
 
 
-@pytest.mark.parametrize("name", ["gaps", "straddle", "scaled", "truncated", "scaled_truncated"])
-def test_layer_integrals_match_quadrature(name):
-    p = _layered_cases()[name]
-    assert j.piecewise_segments(p) is not None
+def _unlayered_cases():
+    """Compact potentials without layers whose integrals have closed forms.
+
+    A signed 40-node table whose support straddles x = 0, and windows of
+    exp_decay, plain and squeezed.
+    """
+    rng = np.random.default_rng(23)
+    table = j.tabulated(np.sort(rng.uniform(-2.3, 1.7, 40)), rng.uniform(-3.0, 3.0, 40),
+                        coupling=0.8)
+    e = j.exp_decay(rate=1.3, amplitude=-0.9, coupling=1.7)
+    return {
+        "table": table,
+        "scaled_table": j.scale(table, 0.2),
+        "truncated_table": j.truncate(table, 1.1),
+        "truncated_exp": j.truncate(e, 2.5),
+        "scaled_truncated_exp": j.truncate(j.scale(e, 0.1), 0.35),
+    }
+
+
+def _assert_integrals_match_quadrature(p):
     _, tau, m0, m1 = oracles.quad_integrals(p, p.breakpoints())
     assert j.fm_norm(p) == pytest.approx(tau, rel=1e-12)
     got_m0, got_m1 = j.moments(p)
@@ -265,13 +285,22 @@ def test_layer_integrals_match_quadrature(name):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-15 * tau)
 
 
-def test_layer_integrals_run_no_quadrature(monkeypatch):
-    import jost1d.potential as pot
+@pytest.mark.parametrize("name", ["gaps", "straddle", "scaled", "truncated", "scaled_truncated"])
+def test_layer_integrals_match_quadrature(name):
+    p = _layered_cases()[name]
+    assert j.piecewise_segments(p) is not None
+    _assert_integrals_match_quadrature(p)
 
-    def no_quad(*args, **kwargs):
-        raise AssertionError("quad called on a piecewise-constant potential")
 
-    monkeypatch.setattr(pot, "quad", no_quad)
+@pytest.mark.parametrize("name", ["table", "scaled_table", "truncated_table", "truncated_exp",
+                                  "scaled_truncated_exp"])
+def test_unlayered_integrals_match_quadrature(name):
+    p = _unlayered_cases()[name]
+    assert j.piecewise_segments(p) is None
+    _assert_integrals_match_quadrature(p)
+
+
+def test_layer_integrals_run_no_quadrature():
     rng = np.random.default_rng(5)
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 22))]) - 5.0
     p = j.piecewise_constant([(edges[i], edges[i + 1], rng.uniform(-2.0, -0.2))
@@ -282,8 +311,18 @@ def test_layer_integrals_run_no_quadrature(monkeypatch):
     j.resonance_report(p)
 
 
+def test_import_loads_no_scipy():
+    # every integral is closed form, so the package and its CLI need no scipy
+    code = "import sys, jost1d, jost1d.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(j.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("eps", [0.9, 0.3, 0.05, 0.007])
-def test_squeezed_exp_tails_match_quadrature(eps, monkeypatch):
+def test_squeezed_exp_tails_match_quadrature(eps):
     p = j.scale(j.exp_decay(rate=1.3, amplitude=-0.9, coupling=1.7), eps)
     xs = [-5.0 * eps, -0.4 * eps, 0.0, 0.05 * eps, 2.0 * eps, 9.0 * eps]
     want = []
@@ -291,9 +330,6 @@ def test_squeezed_exp_tails_match_quadrature(eps, monkeypatch):
         left = oracles.quad_integrals(p, (), hi=x)
         right = oracles.quad_integrals(p, (), lo=x)
         want.append((left[0], right[0], left[1], right[1]))
-    import jost1d.potential as pot
-
-    monkeypatch.setattr(pot, "quad", None)  # the closed form runs no quadrature
     for x, w in zip(xs, want):
         td = j.tails(p, x)
         assert td.x == x
