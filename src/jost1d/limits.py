@@ -12,6 +12,16 @@ perturbation at the origin:
 Both have closed-form resolvent kernels built from plane waves, given
 here together with a sampled Hilbert-Schmidt distance between kernels
 and a per-eps convergence table.  theta = 1 reproduces the free line.
+
+The table samples both kernels on the same n x n lattice as
+kernel_distance, but fills it from 1-D data: the windowed kernel and the
+interface kernel are u(max(x, y)) v(min(x, y)) / W, so each needs u and
+v only at the n abscissae, gathered by the max/min index of every
+lattice pair.  The limit lattice is built once per table (the Dirichlet
+kernel, which is not of that form, by one call on the meshgrid) and
+each eps evaluates its two windowed solutions at n points.  Every entry
+goes through the same elementwise arithmetic as the callable path, so
+the distances are bit-identical to kernel_distance on the same kernels.
 """
 
 from __future__ import annotations
@@ -108,32 +118,53 @@ def green_kernel_fn(op: LimitOperator, k):
         return kernel
 
     if op.kind == "interface":
-        th = op.theta
-        a_co = 0.5 * (th + 1.0 / th)
-        b_co = 0.5 * (1.0 / th - th)
-        d_co = 0.5 * (th - 1.0 / th)
-        w = -1j * k * (th + 1.0 / th)
 
         def kernel(x, y):
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
-            hi = np.maximum(x, y)
-            lo = np.minimum(x, y)
-            u_plus = np.where(
-                hi >= 0,
-                np.exp(1j * k * hi),
-                a_co * np.exp(1j * k * hi) + b_co * np.exp(-1j * k * hi),
-            )
-            u_minus = np.where(
-                lo <= 0,
-                np.exp(-1j * k * lo),
-                a_co * np.exp(-1j * k * lo) + d_co * np.exp(1j * k * lo),
-            )
+            u_plus, u_minus, w = _interface_solutions(op.theta, k, np.maximum(x, y),
+                                                      np.minimum(x, y))
             return u_plus * u_minus / w
 
         return kernel
 
     raise SpecError(f"unknown limit operator kind {op.kind!r}")
+
+
+def _interface_solutions(theta, k, hi, lo):
+    """(u_+(hi), u_-(lo), W) of the interface limit with ratio theta.
+
+    u_+ is e^{ikx} for x >= 0 and u_- is e^{-ikx} for x <= 0; across the
+    origin each continues by the interface conditions.  W is their
+    Wronskian, so the kernel is u_+(max) u_-(min) / W.
+    """
+    a_co = 0.5 * (theta + 1.0 / theta)
+    b_co = 0.5 * (1.0 / theta - theta)
+    d_co = 0.5 * (theta - 1.0 / theta)
+    w = -1j * k * (theta + 1.0 / theta)
+    u_plus = np.where(
+        hi >= 0,
+        np.exp(1j * k * hi),
+        a_co * np.exp(1j * k * hi) + b_co * np.exp(-1j * k * hi),
+    )
+    u_minus = np.where(
+        lo <= 0,
+        np.exp(-1j * k * lo),
+        a_co * np.exp(-1j * k * lo) + d_co * np.exp(1j * k * lo),
+    )
+    return u_plus, u_minus, w
+
+
+def _limit_lattice(op: LimitOperator, k, xs, hi, lo):
+    """The limit kernel on the lattice xs x xs, laid out as np.meshgrid(xs, xs).
+
+    hi and lo index max and min of each lattice pair into xs, so the
+    interface kernel needs its two solutions at the n abscissae only.
+    """
+    if op.kind == "interface":
+        u_plus, u_minus, w = _interface_solutions(op.theta, k, xs, xs)
+        return u_plus[hi] * u_minus[lo] / w
+    return green_kernel_fn(op, k)(*np.meshgrid(xs, xs))
 
 
 def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> float:
@@ -142,13 +173,25 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
     Both arguments are vectorized (x, y) -> complex callables.  The sum
     runs over an n x n lattice on [-box, box]^2 and is normalized by
     box^2/n^2, a fixed surrogate for the continuum norm; it is meant for
-    trend comparison, not certified error bounds.
+    trend comparison, not certified error bounds.  Both callables are
+    evaluated at all n^2 lattice points.  convergence_table sums the same
+    lattice but fills it from each kernel's 1-D solutions at the n
+    abscissae, with bit-identical results.
     """
+    xs = _abscissae(box, n)
+    xg, yg = np.meshgrid(xs, xs)
+    return _hs_distance(np.asarray(kernel_a(xg, yg)) - np.asarray(kernel_b(xg, yg)), box, n)
+
+
+def _abscissae(box, n):
+    """The n lattice abscissae on [-box, box], shared by both lattice axes."""
     if box <= 0 or n < 2:
         raise SpecError("kernel_distance needs box > 0 and n >= 2")
-    xs = np.linspace(-box, box, n)
-    xg, yg = np.meshgrid(xs, xs)
-    diff = np.asarray(kernel_a(xg, yg)) - np.asarray(kernel_b(xg, yg))
+    return np.linspace(-box, box, n)
+
+
+def _hs_distance(diff, box, n):
+    """The normalized Hilbert-Schmidt sum of a kernel difference on the lattice."""
     return float(np.sqrt(box * box / (n * n) * np.sum(np.abs(diff) ** 2)))
 
 
@@ -177,8 +220,11 @@ def convergence_table(
     eps values are processed in decreasing order; each row carries the
     windowed operator's (r, t), its sampled Hilbert-Schmidt distance to
     the classified limit kernel, and the limit's (r, t) for reference.
+    The distance equals kernel_distance(tso.green, green_kernel_fn(op, k),
+    box, n) bit for bit.
     """
     k = check_wavenumber(k, allow_zero=False)
+    xs = _abscissae(box, n)
     eps_sorted = sorted({float(e) for e in np.atleast_1d(np.asarray(eps_list, dtype=float))},
                         reverse=True)
     if not eps_sorted:
@@ -187,12 +233,17 @@ def convergence_table(
         raise SpecError("all eps values must be positive")
     op = classify_limit(p, threshold=threshold, tol=tol)
     ls = limit_scattering(op, k)
-    limit_fn = green_kernel_fn(op, k)
+    # index of max and min of every lattice pair: xs is increasing, so
+    # max(xs[i], xs[j]) = xs[max(i, j)]
+    col, row = np.meshgrid(np.arange(n), np.arange(n))
+    hi, lo = np.maximum(col, row), np.minimum(col, row)
+    limit = _limit_lattice(op, k, xs, hi, lo)
     records = []
     for eps in eps_sorted:
         tso = truncated_operator(p, eps, k, tol, alpha_weight)
         sd = tso.scattering()
-        dist = kernel_distance(tso.green, limit_fn, box, n)
+        windowed = tso.f_plus(xs)[0][hi] * tso.f_minus(xs)[0][lo] / tso.d_tilde
+        dist = _hs_distance(windowed - limit, box, n)
         records.append(
             ConvergenceRecord(
                 eps=eps, r_eps=sd.r, t_eps=sd.t,

@@ -212,14 +212,41 @@ class ExpDecayShape(_Shape):
 
         V is even, so [-inf, hi] is read as [-hi, inf] with x V negated:
         a small left tail is then F(-hi) itself, not the difference of two
-        nearly equal numbers F(-inf) - F(hi).
+        nearly equal numbers F(-inf) - F(hi).  A finite window is split
+        at 0, its left part folded onto the right half line the same way,
+        and each part summed by _window, which does not cancel when the
+        window is narrow.
         """
+        a = coupling * self.amplitude
+        if math.isfinite(lo) and math.isfinite(hi):
+            s_r, m_r, t_r = self._window(max(lo, 0.0), max(hi, 0.0))
+            s_l, m_l, t_l = self._window(max(-hi, 0.0), max(-lo, 0.0))
+            return a * (s_r + s_l), a * (m_r - m_l), abs(a) * (s_r + s_l), abs(a) * (t_r + t_l)
         odd = 1.0
         if lo == -math.inf and hi != math.inf:
             lo, hi, odd = -hi, math.inf, -1.0
-        a = coupling * self.amplitude
         (s0, m0, t0), (s1, m1, t1) = self._antiderivative(lo), self._antiderivative(hi)
         return a * (s0 - s1), odd * a * (m0 - m1), abs(a) * (s0 - s1), abs(a) * (t0 - t1)
+
+    def _window(self, a, b):
+        """int_a^b (1, t, 1 + t) e^{-rate t} dt for 0 <= a <= b.
+
+        With x = rate (b - a), int e^{-rt} = e^{-ra} (-expm1(-x)) / r and
+        int t e^{-rt} = a int e^{-rt} + e^{-ra} g(x) / r^2, where
+        g(x) = 1 - (1 + x) e^{-x} >= 0.  Both terms are nonnegative, and
+        for x < 1/2, where 1 - (1 + x) e^{-x} would cancel, g is summed
+        as e^{-x} times the positive series sum_{n >= 2} x^n / n!.
+        """
+        r = self.rate
+        x = r * (b - a)
+        e = math.exp(-r * a)
+        s = -e * math.expm1(-x) / r
+        if x < 0.5:
+            g = math.exp(-x) * math.fsum(x**n / math.factorial(n) for n in range(2, 20))
+        else:
+            g = -math.expm1(-x) - x * math.exp(-x)
+        m = a * s + e * g / (r * r)
+        return s, m, s + m
 
     def _antiderivative(self, y):
         """F(y); t e^{-r|t|} is odd, so its part of F is even in y."""

@@ -304,3 +304,14 @@ def test_converge_bad_eps(runner, barrier_file):
         "converge", "--potential", barrier_file, "--k", "1.0", "--eps", "0,-1",
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "1"), ("--box", "0")])
+def test_converge_bad_lattice(runner, barrier_file, flag, value):
+    result = runner.invoke(main, [
+        "converge", "--potential", barrier_file, "--k", "1.0", "--eps", "0.1", flag, value,
+    ])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output

@@ -207,3 +207,65 @@ def test_convergence_table_validation(barrier):
         j.convergence_table(barrier, 1.0, [])
     with pytest.raises(SpecError):
         j.convergence_table(barrier, 1.0, [0.1, -0.2])
+
+
+@pytest.mark.parametrize("box, n", [(0.0, 40), (-1.0, 40), (4.0, 1)])
+def test_convergence_table_rejects_lattice_before_work(barrier, monkeypatch, box, n):
+    import jost1d.limits as limits
+
+    calls = []
+    monkeypatch.setattr(limits, "classify_limit", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SpecError, match=r"kernel_distance needs box > 0 and n >= 2"):
+        j.convergence_table(barrier, 1.0, [0.1], box=box, n=n)
+    assert calls == []
+
+
+# the resonant exp well is classified interface only above the default threshold
+_RESONANT_EXP = (j.exp_decay(1.0, -1.0, 1.4457964873313904), 1e-3)
+
+
+@pytest.mark.parametrize("name", ["barrier", "well_theta_minus", "exp_tail", "bump_table",
+                                  "exp_resonant_well"])
+@pytest.mark.parametrize("box, n", [(4.0, 40), (3.0, 31), (0.5, 21)])
+def test_table_distance_equals_kernel_distance(request, name, box, n):
+    # Dirichlet and interface limits, layer and Magnus routes; odd n puts
+    # x = 0 on the lattice, and box 0.5 puts lattice points inside the
+    # window |x| < x_eps
+    p, threshold = (_RESONANT_EXP if name == "exp_resonant_well"
+                    else (request.getfixturevalue(name), None))
+    k = 1.0 + 1.0j
+    limit_fn = j.green_kernel_fn(j.classify_limit(p, threshold=threshold), k)
+    for eps in (0.2, 0.1):
+        (rec,) = j.convergence_table(p, k, [eps], box, n, threshold=threshold)
+        tso = j.truncated_operator(p, eps, k)
+        assert rec.kernel_distance == j.kernel_distance(tso.green, limit_fn, box, n)
+        assert np.count_nonzero(np.abs(np.linspace(-box, box, n)) < tso.x_eps) >= 2
+
+
+@pytest.mark.parametrize("name", ["barrier", "well_theta_minus"])
+def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
+    import jost1d.limits as limits
+    from jost1d.scaled import TruncatedScaledOperator
+
+    points = {"f_plus": [], "f_minus": []}
+    for attr, log in points.items():
+        solution = getattr(TruncatedScaledOperator, attr)
+
+        def counted(self, x, _solution=solution, _log=log):
+            _log.append(np.size(x))
+            return _solution(self, x)
+
+        monkeypatch.setattr(TruncatedScaledOperator, attr, counted)
+    lattices = []
+    build = limits._limit_lattice
+
+    def counted_lattice(*args):
+        lattices.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(limits, "_limit_lattice", counted_lattice)
+    eps, n = [0.2, 0.1, 0.05], 40
+    j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
+    for log in points.values():
+        assert sum(log) <= n * len(eps)
+    assert len(lattices) == 1

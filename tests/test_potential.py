@@ -300,6 +300,12 @@ def test_unlayered_integrals_match_quadrature(name):
     _assert_integrals_match_quadrature(p)
 
 
+@pytest.mark.parametrize("width", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+def test_narrow_exp_window_integrals_match_quadrature(width):
+    # a narrow window must not lose digits to cancellation
+    _assert_integrals_match_quadrature(j.truncate(j.exp_decay(1.3, -0.9, 1.7), width))
+
+
 def test_layer_integrals_run_no_quadrature():
     rng = np.random.default_rng(5)
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 22))]) - 5.0
