@@ -27,7 +27,7 @@ product of the step maps taken from the anchor; between nodes one
 partial step from the anchor-side node gives (f, f').  The anchor sits
 at the support edge when the support is compact, otherwise at a point
 where the weighted tail has dropped below tolerance, and the achieved
-tail mass is recorded as error_bound.
+tail mass is recorded as error_bound; this holds at k = 0 as well.
 """
 
 from __future__ import annotations
@@ -91,12 +91,18 @@ class ScatteringData:
 # the evaluator
 
 
-def _tail_point(p: Potential, s: float, tol: float):
-    """(t, mass): the smallest dyadic t where the weighted tail beyond x = s*t is below tol."""
+def _tail_point(p: Potential, s: float, tol: float, second=False):
+    """(t, mass): the smallest dyadic t where the weighted tail beyond x = s*t is below tol.
+
+    With second, mass adds the second-moment tail int |t| (1 + |t|) |V|,
+    which bounds the cut for a solution growing like t.
+    """
     t = 1.0
     for _ in range(60):
         td = tails(p, s * t)
         mass = td.tau_plus if s > 0 else td.tau_minus
+        if second:
+            mass += p.shape.second_tail(s * t, p.coupling)
         if mass < tol:
             return t, mass
         t *= 2.0
@@ -139,6 +145,12 @@ class JostEvaluator:
     nonzero.  Unbatched arrays have no such axis, and k enters every
     build as an array, so a scalar call computes each row of a batch with
     the same elementwise operations and gives the same bits.
+
+    _dot (k = 0 only) adds the k-derivative of the solution, the
+    zero-energy solution equal to i t from the anchor on: batch gains a
+    leading axis of length 2, row 0 the solution and row 1 its
+    derivative, both from the same scan.  On infinite support its anchor
+    also bounds the second-moment tail, which error_bound then includes.
     """
 
     _MIN_PANELS = 16  # uniform panels laid over the breakpoints
@@ -146,7 +158,7 @@ class JostEvaluator:
     _MAX_STEPS = 1 << 20
     _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 
-    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None):
+    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None, _dot=False):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
@@ -175,10 +187,11 @@ class JostEvaluator:
             if sup is not None:
                 lo, hi = sorted((s * sup[0], s * sup[1]))
             else:
-                hi, self.error_bound = _tail_point(p, s, tol)
-                lo = -_tail_point(p, -s, tol)[0]
+                hi, self.error_bound = _tail_point(p, s, tol, _dot)
+                lo = -_tail_point(p, -s, tol, _dot)[0]
             self.nodes, steps = self._mesh(lo, hi, tol)
         self.batch = steps.shape[:-2]
+        self._dot = _dot
         self.anchor = float(s * self.nodes[-1])
         self.far_edge = float(s * self.nodes[0])
 
@@ -190,6 +203,11 @@ class JostEvaluator:
             shift *= 2
         wave = np.exp(1j * kb * self.nodes[-1])
         start = np.concatenate([wave, 1j * kb * wave], axis=-1)[..., None, :]
+        if _dot:
+            # row 1 is df/dk at k = 0, equal to i t from the anchor on
+            start = np.stack([start, np.broadcast_to(1j * np.array([self.nodes[-1], 1.0]),
+                                                     start.shape)])
+            self.batch = (2,) + self.batch
         self.states = np.empty(self.batch + (len(self.nodes), 2), dtype=complex)
         self.states[..., -2::-1, :] = (steps[..., 0::2] * start[..., :1]
                                        + steps[..., 1::2] * start[..., 1:])
@@ -225,6 +243,8 @@ class JostEvaluator:
         wave = np.exp(1j * kb * t[anchored])
         f[..., anchored] = wave
         fp[..., anchored] = 1j * kb * wave
+        if self._dot:
+            f[1][..., anchored], fp[1][..., anchored] = 1j * t[anchored], 1j
         if beyond.any():
             f[..., beyond], fp[..., beyond] = self._vacuum(t[beyond])
         inside = ~(anchored | beyond)
@@ -305,13 +325,10 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
 
     The potential picks the route: the exact layer route when
     piecewise_segments gives its layers, the Magnus route otherwise.
+    On infinite support k = 0 anchors at the same tail point as k != 0:
+    |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     """
     k = check_wavenumber(k, allow_zero=True)
-    if k == 0 and p.support() is None:
-        raise SpecError(
-            "k = 0 needs a compactly supported potential; evaluate at k = i*delta "
-            "and extrapolate instead"
-        )
     return JostEvaluator(p, k, side, tol, _layers(p, p.coupling))
 
 
@@ -339,31 +356,29 @@ def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
     return complex(_wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol)))
 
 
-def _wronskians(p: Potential, k, couplings, tol=1e-10) -> np.ndarray:
-    """W{f_+, f_-} at each pair of k and coupling (1-d arrays or scalars, broadcast).
+def _zero_energy_wronskians(p: Potential, couplings, tol=1e-10) -> np.ndarray:
+    """W{f_+, f_-} at k = 0 for each of couplings (a 1-d array), standing in for p.coupling.
 
-    couplings stand in for p.coupling.  On the transfer route all pairs
-    share one batched build per side, and each value is bit for bit what
-    jost_wronskian gives for that pair; the Magnus route builds each pair
-    on its own.
+    On the transfer route all couplings share one batched build per
+    side, and each value is bit for bit what jost_wronskian gives for
+    that coupling; the Magnus route builds each coupling on its own.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
     layers = _layers(p, couplings)
     if layers is None:
-        k, couplings = np.broadcast_arrays(k, couplings)
-        return np.array([jost_wronskian(p.with_coupling(c), kk, tol)
-                         for kk, c in zip(k.tolist(), couplings.tolist())])
-    for kk in k.tolist():
-        check_wavenumber(kk, allow_zero=True)
-    evp = JostEvaluator(p, k, "+", tol, layers)
-    return _wronskian_at_mid(p, evp, JostEvaluator(p, k, "-", tol, layers))
+        return np.array([jost_wronskian(p.with_coupling(c), 0.0, tol) for c in couplings.tolist()])
+    evp = JostEvaluator(p, 0.0, "+", tol, layers)
+    return _wronskian_at_mid(p, evp, JostEvaluator(p, 0.0, "-", tol, layers))
+
+
+def _midpoint(p: Potential) -> float:
+    """The support midpoint, or x = 0 for infinite support."""
+    sup = p.support()
+    return 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
 
 
 def _wronskian_at_mid(p: Potential, evp, evm):
-    """W{f_+, f_-} at the support midpoint (x = 0 for infinite support)."""
-    sup = p.support()
-    x_star = 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
+    """W{f_+, f_-} at _midpoint(p)."""
+    x_star = _midpoint(p)
     f, fp = evp.eval([x_star])
     g, gp = evm.eval([x_star])
     return (f * gp - fp * g)[..., 0]

@@ -248,6 +248,12 @@ class ExpDecayShape(_Shape):
         m = a * s + e * g / (r * r)
         return s, m, s + m
 
+    def second_tail(self, y, coupling):
+        """int |t| (1 + |t|) |V| over |t| >= |y|, on one side (V is even)."""
+        r, y = self.rate, abs(y)
+        poly = (y * y + y) / r + (2.0 * y + 1.0) / r**2 + 2.0 / r**3
+        return abs(coupling * self.amplitude) * math.exp(-r * y) * poly
+
     def _antiderivative(self, y):
         """F(y); t e^{-r|t|} is odd, so its part of F is even in y."""
         if y == math.inf:
@@ -302,6 +308,10 @@ class ScaledShape(_Shape):
         e = self.eps
         m0, m1, s, t = self.base.integrals(lo / e, hi / e, coupling)
         return m0 / e, m1, s / e, (1.0 / e - 1.0) * s + t
+
+    def second_tail(self, y, coupling):
+        """A bound: x = eps s turns the tail into int |s| (1 + eps |s|) |V| of the base."""
+        return max(1.0, self.eps) * self.base.second_tail(y / self.eps, coupling)
 
     def scaled(self, eps):
         return ScaledShape(self.base, self.eps * eps)
@@ -360,7 +370,7 @@ class Potential:
 
     A shape needs value, support and breakpoints to be solved; moments,
     fm_norm and tails also need its integrals, which every built-in shape
-    has.
+    has, and d_dot_zero on infinite support its second_tail.
     """
 
     shape: object

@@ -8,12 +8,14 @@ bounded solution's value at +inf over its value at -inf) is what
 survives of the potential in the small-eps limit, so it is worth
 computing carefully and cross-checking.
 
-Everything at zero energy comes from one ladder of (f_+, f_-) evaluator
-pairs, built once per report.  For compact support the ladder is the
-single pair at k = 0 (the outside solutions are constants and straight
-lines).  Infinite tails are handled on the ray k = i*delta, one pair per
-delta, with Richardson extrapolation delta -> 0, and results are flagged
-as extrapolated.
+Everything at zero energy comes from one (f_+, f_-) evaluator pair at
+k = 0, built once per report.  Outside the support, or beyond the cut
+tails, the solutions are constants and straight lines.  Infinite tails
+are cut where their weighted mass falls below tol, as at any k; the
+results are then flagged as extrapolated and the cut mass is the
+evaluators' error_bound.  The derivative of the Wronskian at k = 0 is
+exact as well: D'(0) = W{h_+, f_-} + W{f_+, h_-} with h = df/dk, from
+one build per side that carries each solution and its k-derivative.
 
 A coupling sweep evaluates d0 on its whole grid at once.  For a
 piecewise-constant base the layer heights of every coupling form one
@@ -21,7 +23,7 @@ batch, so each side of the Wronskian is a single evaluator build, and
 the brackets of all sign changes are bisected in lockstep with one
 batched call per round; each value is bit for bit the one-coupling
 result.  Other bases are evaluated one coupling at a time under the
-same driver.  d_dot_zero batches its six wavenumbers the same way.
+same driver.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import _wronskian_at_mid, _wronskians, jost_evaluator
+from .jost import (JostEvaluator, _layers, _midpoint, _wronskian_at_mid,
+                   _zero_energy_wronskians, jost_evaluator)
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -45,34 +48,6 @@ __all__ = [
     "resonant_couplings",
 ]
 
-_EXTRAPOLATION_DELTAS = (1e-4, 1e-5, 1e-6)
-
-
-def _richardson(values, ratio=10.0):
-    """Eliminate the leading O(delta) error from a sequence along a delta ladder."""
-    out = list(values)
-    while len(out) > 1:
-        out = [(ratio * b - a) / (ratio - 1.0) for a, b in zip(out, out[1:])]
-    return out[0]
-
-
-def _zero_energy_pairs(p: Potential, tol):
-    """(f_+, f_-) evaluator pairs down the zero-energy ladder.
-
-    One pair at k = 0 for compact support, else one at k = i*delta for
-    each delta of _EXTRAPOLATION_DELTAS.  _richardson of a quantity over
-    the pairs is its zero-energy value; over the single k = 0 pair that
-    is the pair's own value.
-    """
-    ks = [0.0] if p.is_compact() else [1j * d for d in _EXTRAPOLATION_DELTAS]
-    return [(jost_evaluator(p, k, "+", tol), jost_evaluator(p, k, "-", tol)) for k in ks]
-
-
-def _d_zero(p: Potential, pairs) -> float:
-    """d0 = W{f_+, f_-}(0) from a ladder of _zero_energy_pairs."""
-    return float(_richardson([complex(_wronskian_at_mid(p, *pair)) for pair in pairs]).real)
-
-
 @dataclass(frozen=True, eq=False)
 class ResonanceReport:
     """Zero-energy diagnosis of a potential.
@@ -81,7 +56,9 @@ class ResonanceReport:
     resonant); theta_far_field is the same number computed a second way,
     from the renormalized value of f_+ on the far left, as a consistency
     handle.  halfbound_grid/halfbound_values sample the bounded solution
-    normalized to 1 at +inf.
+    normalized to 1 at +inf.  extrapolated means the solutions were
+    anchored at a cut tail (infinite support); the cut mass is their
+    error_bound.
     """
 
     d0: float
@@ -109,8 +86,8 @@ def resonance_report(
     """
     if threshold is None:
         threshold = 1e-8 * (1.0 + fm_norm(p))
-    pairs = _zero_energy_pairs(p, tol)
-    d0 = _d_zero(p, pairs)
+    evp, evm = jost_evaluator(p, 0.0, "+", tol), jost_evaluator(p, 0.0, "-", tol)
+    d0 = float(_wronskian_at_mid(p, evp, evm).real)
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
@@ -118,17 +95,11 @@ def resonance_report(
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
     grid = np.linspace(-half, half, 801)
-    # the solutions and f_+'s far-field data come from the last two pairs
-    # (the only pair, for compact support)
-    vp, vm, a_far = [], [], []
-    for evp, evm in pairs[-2:]:
-        vp.append(evp.eval(grid)[0])
-        vm.append(evm.eval(grid)[0])
-        f_far, df_far = evp.eval(evp.far_edge)
-        # below the far edge the zero-energy f_+ is the line A + B x; A is
-        # its renormalized value
-        a_far.append(f_far - df_far * evp.far_edge)
-    vp, vm, a_far = _richardson(vp), _richardson(vm), complex(_richardson(a_far))
+    vp, vm = evp.eval(grid)[0], evm.eval(grid)[0]
+    f_far, df_far = evp.eval(evp.far_edge)
+    # below the far edge the zero-energy f_+ is the line A + B x; A is its
+    # renormalized value
+    a_far = complex(f_far - df_far * evp.far_edge)
     mask = np.abs(vp) > 0.1 * np.max(np.abs(vp))
     ratios = vm[mask] / vp[mask]
     theta_c = np.mean(ratios)
@@ -155,9 +126,11 @@ class DZeroDerivative:
     """d/dk of the Wronskian at k = 0 for a resonant potential.
 
     For a resonance with far-field ratio theta the exact value is
-    -i (theta + 1/theta); theta_formula_gap is the distance of the
-    finite-difference estimate from that identity, and ray_gap the
-    disagreement between the two approach directions.
+    -i (theta + 1/theta); theta_formula_gap is the distance of value from
+    that identity.  ray_gap is a second estimate of the integration
+    error: the Wronskian is constant in x, and ray_gap is the gap between
+    value, taken at the support midpoint (x = 0 for infinite support),
+    and the same Wronskian taken halfway from there to f_+'s anchor.
     """
 
     value: complex
@@ -170,14 +143,14 @@ def d_dot_zero(
     tol: float = 1e-10,
     report: ResonanceReport | None = None,
 ) -> DZeroDerivative:
-    """Finite-difference derivative of the Wronskian at zero energy.
+    """Exact derivative D'(0) of the Wronskian at zero energy.
 
-    Differences (W(delta u) - d0) / (delta u) run along the rays u = i and
-    u = (1+i)/sqrt(2), each Richardson-extrapolated down the delta ladder,
-    then averaged; on layers all six W(delta u) come from one batched
-    build per side.  Requires a resonant potential; subtracting the
-    report's d0 keeps a residual W(0) (a sweep root leaves up to its
-    root_tol) from being divided by delta.
+    D'(0) = W{h_+, f_-} + W{f_+, h_-}, where h_+ = df_+/dk at k = 0 is
+    the zero-energy solution equal to i x beyond f_+'s anchor (h_- is
+    -i x beyond f_-'s).  One build per side carries f and h through the
+    same step maps; on infinite support its anchor also cuts the
+    second-moment tail int |x| (1 + |x|) |V|.  No difference quotient is
+    taken.  Requires a resonant potential, whose report gives theta.
     """
     if report is None:
         report = resonance_report(p, tol=tol)
@@ -186,16 +159,15 @@ def d_dot_zero(
             f"d_dot_zero needs a zero-energy resonance; |d0| = {abs(report.d0):.3g} "
             f"exceeds threshold {report.threshold:.3g}"
         )
-    rays = (1j, (1.0 + 1j) / np.sqrt(2.0))
-    ks = [d * u for u in rays for d in _EXTRAPOLATION_DELTAS]
-    w = _wronskians(p, ks, p.coupling, tol).tolist()
-    quotients = [(wk - report.d0) / k for wk, k in zip(w, ks)]
-    n = len(_EXTRAPOLATION_DELTAS)
-    estimates = [_richardson(quotients[:n]), _richardson(quotients[n:])]
-    value = 0.5 * (estimates[0] + estimates[1])
-    ray_gap = abs(estimates[0] - estimates[1])
+    layers = _layers(p, p.coupling)
+    evp, evm = (JostEvaluator(p, 0.0, side, tol, layers, _dot=True) for side in "+-")
+    x_star = _midpoint(p)
+    xs = [x_star, 0.5 * (x_star + evp.anchor)]
+    (f, f_k), (f_x, f_kx) = evp.eval(xs)  # rows: f_+ and its k-derivative
+    (g, g_k), (g_x, g_kx) = evm.eval(xs)
+    w = f_k * g_x - f_kx * g + f * g_kx - f_x * g_k
     expected = -1j * (report.theta + 1.0 / report.theta)
-    return DZeroDerivative(complex(value), float(ray_gap), float(abs(value - expected)))
+    return DZeroDerivative(complex(w[0]), float(abs(w[0] - w[1])), float(abs(w[0] - expected)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +222,7 @@ def resonant_couplings(
         raise SpecError(f"root_tol must be positive, got {root_tol}")
 
     def g(alphas):  # d0 at each alpha; one build per side for a layered base
-        couplings = base.coupling * np.asarray(alphas)
-        if base.is_compact():
-            return _wronskians(base, 0.0, couplings, tol).real
-        ps = [base.with_coupling(c) for c in couplings]
-        return np.array([_d_zero(q, _zero_energy_pairs(q, tol)) for q in ps])
+        return _zero_energy_wronskians(base, base.coupling * np.asarray(alphas), tol).real
 
     alphas = np.linspace(alpha_min, alpha_max, grid_n)
     values = g(alphas)

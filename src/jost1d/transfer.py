@@ -41,12 +41,15 @@ def _cosh_sinhc(z2):
     """(cosh z, sinh(z)/z) from z^2; both are even in z, so no branch matters."""
     z2 = np.asarray(z2, dtype=complex)
     small = np.abs(z2) < 1e-10
-    a_series = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
-    s_series = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    z = np.sqrt(np.where(small, 1.0, z2))
+    series = small.any()  # most calls have no small entry and skip the series
+    z = np.sqrt(np.where(small, 1.0, z2) if series else z2)
     with np.errstate(over="ignore", invalid="ignore"):
         a_full = np.cosh(z)
         s_full = np.sinh(z) / z
+    if not series:
+        return a_full, s_full
+    a_series = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
+    s_series = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
     return np.where(small, a_series, a_full), np.where(small, s_series, s_full)
 
 

@@ -310,49 +310,36 @@ def quad_integrals(v, cuts, lo=-np.inf, hi=np.inf):
 # ---------------------------------------------------------------------------
 # zero-energy quantities one build at a time
 
-_DELTAS = (1e-4, 1e-5, 1e-6)  # the k = i*delta ladder of the library's extrapolation
-
-
 def d_zero(p, tol=1e-10):
-    """(d0, extrapolated): W{f_+, f_-}(0) from freshly built Wronskians.
+    """(d0, extrapolated): W{f_+, f_-}(0) from freshly built solutions at k = 0.
 
-    k = 0 for compact support; otherwise the Richardson value of
-    W(i*delta) over _DELTAS.
+    extrapolated is True when the support is infinite, so the solutions
+    were anchored at a cut tail.
     """
     from jost1d.jost import jost_wronskian
-    from jost1d.resonance import _richardson
 
-    if p.is_compact():
-        return float(jost_wronskian(p, 0.0, tol).real), False
-    samples = [complex(jost_wronskian(p, 1j * d, tol)) for d in _DELTAS]
-    return float(_richardson(samples).real), True
+    return float(jost_wronskian(p, 0.0, tol).real), not p.is_compact()
 
 
 def zero_energy_report(p, tol=1e-10):
     """(d0, extrapolated, theta, theta_far_field, halfbound_values) of a resonant p.
 
-    d0 comes from d_zero; the zero-energy solutions are then built again
-    (at k = 0, or at the last two deltas and extrapolated) on the
-    report's grid, theta is their mean ratio where |f_+| is not small,
-    and theta_far_field is 1/A for the line A + B x that f_+ follows
-    below its far edge.
+    d0 comes from d_zero; the k = 0 solutions are then built again on
+    the report's grid, theta is their mean ratio where |f_+| is not
+    small, and theta_far_field is 1/A for the line A + B x that f_+
+    follows below its far edge.
     """
     from jost1d.jost import jost_evaluator
-    from jost1d.resonance import _richardson
 
     d0, extrapolated = d_zero(p, tol)
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
     grid = np.linspace(-half, half, 801)
-    vps, vms, a_fars = [], [], []
-    for k in ([1j * d for d in _DELTAS[-2:]] if extrapolated else [0.0]):
-        evp = jost_evaluator(p, k, "+", tol)
-        evm = jost_evaluator(p, k, "-", tol)
-        vps.append(evp.eval(grid)[0])
-        vms.append(evm.eval(grid)[0])
-        f_far, df_far = evp.eval(evp.far_edge)
-        a_fars.append(f_far - df_far * evp.far_edge)
-    vp, vm, a_far = _richardson(vps), _richardson(vms), complex(_richardson(a_fars))
+    evp = jost_evaluator(p, 0.0, "+", tol)
+    vp = evp.eval(grid)[0]
+    vm = jost_evaluator(p, 0.0, "-", tol).eval(grid)[0]
+    f_far, df_far = evp.eval(evp.far_edge)
+    a_far = complex(f_far - df_far * evp.far_edge)
     mask = np.abs(vp) > 0.1 * np.max(np.abs(vp))
     theta = float(np.mean(vm[mask] / vp[mask]).real)
     return d0, extrapolated, theta, float((1.0 / a_far).real), vp.real

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import j0
 
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
@@ -253,9 +254,15 @@ def test_zero_energy_square_closed_form(rng):
         assert np.allclose(fp, fp_o, atol=1e-10)
 
 
-def test_zero_energy_needs_compact_support(exp_tail):
-    with pytest.raises(SpecError):
-        jost_evaluator(exp_tail, 0.0, "+")
+def test_zero_energy_exponential_tail_bessel():
+    # for V = -A e^{-|x|}, s = 2 sqrt(A) e^{-x/2} turns -y'' + V y = 0 on
+    # x >= 0 into Bessel's equation of order 0, and f_+(x, 0) = J0(s)
+    xs = np.linspace(0.0, 12.0, 49)
+    for strength in [0.7, 1.4458, 3.0]:
+        ev = jost_evaluator(j.exp_decay(1.0, 1.0, -strength), 0.0, "+")
+        f, _ = ev.eval(xs)
+        assert np.max(np.abs(f - j0(2.0 * np.sqrt(strength) * np.exp(-xs / 2.0)))) < 1e-10
+        assert 0.0 < ev.error_bound <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jost1d as j
 from jost1d.errors import SpecError
@@ -43,7 +45,7 @@ def test_d0_barrier_value(barrier):
 
 
 def test_d0_exponential_tail_bessel():
-    # non-compact support exercises the small-k extrapolation route
+    # non-compact support: the k = 0 solutions are anchored at a cut tail
     for alpha in [0.5, 1.0, 2.5]:
         p = j.exp_decay(rate=1.0, amplitude=-1.0).with_coupling(alpha)
         rep = j.resonance_report(p)
@@ -103,7 +105,7 @@ def test_loose_threshold_caught_by_ratio_guard(barrier):
 
 
 # ---------------------------------------------------------------------------
-# one ladder of zero-energy evaluators per report
+# one pair of zero-energy evaluators per report
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,12 @@ def exp_resonant_well():
     """The first resonant coupling of the exponential well, as a sweep finds it."""
     base = j.exp_decay(1.0, -1.0)
     return base.with_coupling(j.resonant_couplings(base, 0.5, 2.0).roots[0].alpha)
+
+
+@pytest.fixture(scope="module")
+def exp_bessel_well():
+    """The exponential well at its first resonant coupling, the zero of J0(2 sqrt(alpha))."""
+    return j.exp_decay(1.0, -1.0).with_coupling(oracles.exp_well_resonances(1)[0][0])
 
 
 def _counting_builds(monkeypatch):
@@ -137,6 +145,8 @@ def test_report_equals_one_build_per_quantity_oracle(name, request):
     assert (rep.d0, rep.extrapolated, rep.theta, rep.theta_far_field) == (
         d0, extrapolated, theta, theta_far)
     assert np.array_equal(rep.halfbound_values, halfbound)
+    if name == "exp_resonant_well":
+        assert abs(rep.d0 - oracles.exp_well_d0(p.coupling)) < 1e-11
 
 
 def test_nonresonant_report_equals_oracle(barrier):
@@ -148,7 +158,7 @@ def test_nonresonant_report_equals_oracle(barrier):
 
 @pytest.mark.parametrize("name, threshold, expected", [
     ("well_theta_minus", None, 2),  # one pair at k = 0
-    ("exp_resonant_well", 1e-3, 6),  # one pair per delta of the ladder
+    ("exp_resonant_well", 1e-3, 2),  # one pair at k = 0, anchored at the cut tails
 ])
 def test_resonant_report_builds_each_evaluator_once(name, threshold, expected, request,
                                                     monkeypatch):
@@ -270,10 +280,14 @@ def _random_well(seed, n_layers, gaps=False):
     right neighbour.
     """
     rng = np.random.default_rng(seed)
-    widths = rng.uniform(0.2, 1.0, n_layers)
+    return _scaled_well(rng.uniform(0.2, 1.0, n_layers), rng.uniform(-1.8, -0.2, n_layers), gaps)
+
+
+def _scaled_well(widths, heights, gaps=False):
+    """The well of _random_well with the given relative layer widths and negative heights."""
+    n_layers = len(widths)
     edges = np.concatenate([[0.0], np.cumsum(widths)])
     edges = 2.0 * edges / edges[-1] - 1.0
-    heights = rng.uniform(-1.8, -0.2, n_layers)
     segs = [(edges[i], edges[i + 1] - (0.3 * widths[i] / widths.sum() if gaps and i % 2 else 0.0),
              heights[i]) for i in range(n_layers)]
     depth = sum((hi - lo) * np.sqrt(-h) for lo, hi, h in segs)
@@ -305,6 +319,9 @@ def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
     assert [(r.alpha, r.bracket, r.residual) for r in sweep.roots] == roots
     assert sweep.trivial_root == trivial
     assert roots  # every case has a sign change to bisect
+    if not base.is_compact():
+        bessel = oracles.exp_well_d0(-base.coupling * base.shape.amplitude * sweep.alphas)
+        assert np.max(np.abs(sweep.d0_values - bessel)) < 1e-11
 
 
 def test_layered_sweep_builds_two_evaluators_per_round(monkeypatch):
@@ -318,11 +335,15 @@ def test_layered_sweep_builds_two_evaluators_per_round(monkeypatch):
     assert len(builds) <= 2 * (1 + 28)
 
 
-@pytest.mark.parametrize("name", ["well_theta_minus", "well_theta_plus", "layers6_root"])
-def test_d_dot_zero_batch_equals_scalar_wronskians(name, request):
-    from jost1d.jost import _wronskians
-    from jost1d.resonance import _EXTRAPOLATION_DELTAS, _richardson
-
+@pytest.mark.parametrize("name, theta, tol", [
+    pytest.param("well_theta_minus", -1.0, 1e-12, id="well_theta_minus"),
+    pytest.param("well_theta_plus", 1.0, 1e-12, id="well_theta_plus"),
+    pytest.param("exp_bessel_well", -1.0, 1e-9, id="exp_bessel_well"),
+    # sweep roots, left up to root_tol off the resonance: criterion 05
+    pytest.param("layers6_root", None, 1e-5, id="layers6_root"),
+    pytest.param("exp_resonant_well", None, 1e-5, id="exp_resonant_well"),
+])
+def test_d_dot_zero_matches_theta_identity(name, theta, tol, request, monkeypatch):
     if name == "layers6_root":
         base = _random_well(1, 6)
         root = j.resonant_couplings(base, 0.001, 25.0).roots[0]
@@ -330,9 +351,26 @@ def test_d_dot_zero_batch_equals_scalar_wronskians(name, request):
     else:
         p = request.getfixturevalue(name)
     rep = j.resonance_report(p)
-    rays = (1j, (1.0 + 1j) / np.sqrt(2.0))
-    ks = [d * u for u in rays for d in _EXTRAPOLATION_DELTAS]
-    assert _wronskians(p, ks, p.coupling).tolist() == [j.jost_wronskian(p, k) for k in ks]
-    estimates = [_richardson([(j.jost_wronskian(p, d * u) - rep.d0) / (d * u)
-                              for d in _EXTRAPOLATION_DELTAS]) for u in rays]
-    assert j.d_dot_zero(p, report=rep).value == 0.5 * (estimates[0] + estimates[1])
+    builds = _counting_builds(monkeypatch)
+    dd = j.d_dot_zero(p, report=rep)
+    assert len(builds) <= 2  # one build per side carries f and df/dk
+    assert dd.theta_formula_gap < tol
+    if theta is not None:  # an exact resonance: D'(0) = -i (theta + 1/theta) = -2i theta
+        assert abs(dd.value + 2j * theta) < tol
+    assert dd.ray_gap < tol
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(st.floats(0.2, 1.0), st.floats(-1.8, -0.2)),
+                       min_size=2, max_size=8),
+       gaps=st.booleans())
+def test_d_dot_zero_identity_at_sweep_roots_of_random_wells(layers, gaps):
+    # criterion 05's bound: a sweep root sits up to root_tol off the resonance
+    widths, heights = (np.array(c) for c in zip(*layers))
+    base = _scaled_well(widths, heights, gaps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sweep = j.resonant_couplings(base, 0.001, 25.0)
+    assert sweep.roots
+    for root in sweep.roots:
+        assert j.d_dot_zero(base.with_coupling(root.alpha)).theta_formula_gap < 1e-5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jost1d.transfer import plane_pair, propagator_entries
+from jost1d.transfer import _cosh_sinhc, plane_pair, propagator_entries
 
 
 def _expm_entries(mu2, w):
@@ -45,6 +45,20 @@ def test_propagator_tiny_argument_series_branch():
         assert a == pytest.approx(1.0 + mu2 / 2.0, abs=1e-16)
         assert b == pytest.approx(1.0 + mu2 / 6.0, abs=1e-16)
         assert c == pytest.approx(mu2 * (1.0 + mu2 / 6.0), abs=1e-16)
+
+
+def test_cosh_sinhc_mixed_batch_equals_scalar_calls():
+    # a batch holding one small z^2 takes the series-blending branch, a
+    # scalar large z^2 the direct one; every row must agree to the bit
+    z2 = np.array([0.0, 1e-14, -1e-12 + 1e-13j, 1e-10, 2.5 - 1.0j, -9.0, 400.0, 1e4 + 3j])
+    def bits(c):
+        c = complex(c)
+        return c.real.hex(), c.imag.hex()
+
+    a, s = _cosh_sinhc(z2)
+    for row, z in enumerate(z2):
+        a1, s1 = _cosh_sinhc(z)
+        assert (bits(a[row]), bits(s[row])) == (bits(a1), bits(s1))
 
 
 def test_propagator_determinant_one(rng):
