@@ -20,7 +20,6 @@ from .jost import (
     check_wavenumber,
     jost_evaluator,
     jost_wronskian,
-    scaled_scattering_identity,
     scattering,
 )
 from .limits import (
@@ -63,11 +62,7 @@ from .resonance import (
     resonance_report,
     resonant_couplings,
 )
-from .scaled import (
-    TruncatedScaledCoefficients,
-    TruncatedScaledOperator,
-    truncated_operator,
-)
+from .scaled import TruncatedScaledOperator, truncated_operator
 
 __version__ = "0.1.0"
 
@@ -88,7 +83,6 @@ __all__ = [
     "SpecError",
     "SplittingScale",
     "TailData",
-    "TruncatedScaledCoefficients",
     "TruncatedScaledOperator",
     "check_wavenumber",
     "classify_limit",
@@ -111,7 +105,6 @@ __all__ = [
     "resonance_report",
     "resonant_couplings",
     "scale",
-    "scaled_scattering_identity",
     "scattering",
     "splitting_scale",
     "square",

@@ -22,12 +22,23 @@ exponential of a traceless 2x2 matrix, which is exact for the free part
 of the equation at any k.  The mesh starts from the potential's
 breakpoints, so no step crosses a kink, and every step whose one-step
 and two-half-step maps differ by more than its share of tol is halved
-until none does.  On both routes the node states come from a prefix
-product of the step maps taken from the anchor; between nodes one
-partial step from the anchor-side node gives (f, f').  The anchor sits
-at the support edge when the support is compact, otherwise at a point
-where the weighted tail has dropped below tolerance, and the achieved
-tail mass is recorded as error_bound; this holds at k = 0 as well.
+until none does.  An accepted step keeps its two-half-step map with the
+Richardson correction: the Gauss-point step is time-symmetric, so its
+local error is odd in h, and M_2 + (M_2 - M_1)/15 cancels the h^5 term.
+On both routes the node states come from a prefix product of the step
+maps taken from the anchor; between nodes one partial step from the
+anchor-side node gives (f, f').  The anchor sits at the support edge
+when the support is compact, otherwise at a point where the weighted
+tail has dropped below tolerance, and the achieved tail mass is
+recorded as error_bound; this holds at k = 0 as well.
+
+Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
+at (x, k) are those of V at (x/eps, eps k), and its plane-wave
+coefficients are V's at eps k.  jost_evaluator therefore builds V at
+eps k on V's own nodes, by whichever route V picks, and only eval maps
+back; the mesh never resolves the squeezed scale, and error_bound is
+V's.  A window cut from a squeezed potential is the squeezed window of
+V, so the windowed operator of the scaled module is solved this way.
 """
 
 from __future__ import annotations
@@ -52,7 +63,6 @@ __all__ = [
     "jost_evaluator",
     "jost_wronskian",
     "scattering",
-    "scaled_scattering_identity",
 ]
 
 
@@ -151,6 +161,12 @@ class JostEvaluator:
     leading axis of length 2, row 0 the solution and row 1 its
     derivative, both from the same scan.  On infinite support its anchor
     also bounds the second-moment tail, which error_bound then includes.
+
+    _eps (set by jost_evaluator for a squeezed potential, kept as eps) is
+    the dilation: p and k are then the unsqueezed base and eps k, and
+    everything above belongs to that base problem, except that eval takes
+    x and gives f'(x) = s g'(s x / eps) / eps and anchor and far_edge are
+    in x.
     """
 
     _MIN_PANELS = 16  # uniform panels laid over the breakpoints
@@ -158,7 +174,7 @@ class JostEvaluator:
     _MAX_STEPS = 1 << 20
     _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 
-    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None, _dot=False):
+    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None, _dot=False, _eps=1.0):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
@@ -192,8 +208,9 @@ class JostEvaluator:
             self.nodes, steps = self._mesh(lo, hi, tol)
         self.batch = steps.shape[:-2]
         self._dot = _dot
-        self.anchor = float(s * self.nodes[-1])
-        self.far_edge = float(s * self.nodes[0])
+        self.eps = _eps
+        self.anchor = float(s * _eps * self.nodes[-1])
+        self.far_edge = float(s * _eps * self.nodes[0])
 
         # Hillis-Steele scan: after it, steps[..., j, :] maps the anchor to node j+1 away
         steps = steps[..., ::-1, :]
@@ -234,7 +251,7 @@ class JostEvaluator:
     def eval(self, x):
         """Vectorized (f, f') at arbitrary points, shaped batch + x.shape."""
         x = np.asarray(x, dtype=float)
-        t = self.s * x.ravel()
+        t = self.s * x.ravel() / self.eps
         f = np.empty(self.batch + t.shape, dtype=complex)
         fp = np.empty(self.batch + t.shape, dtype=complex)
         kb = self._k
@@ -250,7 +267,7 @@ class JostEvaluator:
         inside = ~(anchored | beyond)
         if inside.any():
             f[..., inside], fp[..., inside] = self._inside(t[inside])
-        fp *= self.s
+        fp *= self.s / self.eps
         out = self.batch + x.shape
         return f.reshape(out)[()], fp.reshape(out)[()]
 
@@ -281,7 +298,7 @@ class JostEvaluator:
 
         A step is accepted once its one-step and two-half-step maps differ
         by at most tol * |h| / span relative to the map's size (or by the
-        rounding floor); its two-half-step map is kept.
+        rounding floor); its two-half-step map is kept, Richardson-corrected.
         """
         span = hi - lo
         cuts = [self.s * b for b in self.p.breakpoints() if lo < self.s * b < hi]
@@ -297,7 +314,7 @@ class JostEvaluator:
             defect = np.max(np.abs(whole - halves), axis=-1)
             ok = defect <= np.maximum(tol * (right - left) / span, self._FLOOR) * size
             done_left.append(left[ok])
-            done_maps.append(halves[ok])
+            done_maps.append(halves[ok] + (halves[ok] - whole[ok]) / 15.0)
             if ok.all():
                 break
             bad = ~ok
@@ -327,9 +344,14 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     piecewise_segments gives its layers, the Magnus route otherwise.
     On infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
+    A squeezed p is built as its base at eps k (see Dilation above).
     """
     k = check_wavenumber(k, allow_zero=True)
-    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling))
+    dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
+    base, eps = dilation() if dilation is not None else (p.shape, 1.0)
+    if eps != 1.0:
+        p, k = Potential(base, p.coupling), eps * k
+    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling), _eps=eps)
 
 
 def _layers(p: Potential, couplings):
@@ -398,7 +420,12 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     """
     k = check_wavenumber(k, allow_zero=False)
     ev = jost_evaluator(p, k, "+", tol)
-    a, b = ev.plane_pair()
+    return _scattering_from(k, ev, _wronskian_at_mid(p, ev, jost_evaluator(p, k, "-", tol)))
+
+
+def _scattering_from(k, evp, w) -> ScatteringData:
+    """Scattering data from the plane pair of f_+ (evp), checked against W{f_+, f_-} = w."""
+    a, b = evp.plane_pair()
     if abs(a) < 1e-12 * (1.0 + abs(b)):
         if k.imag == 0:
             raise ExceptionalPointError(
@@ -408,22 +435,7 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
         raise ExceptionalPointError(
             f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined"
         )
-    w = _wronskian_at_mid(p, ev, jost_evaluator(p, k, "-", tol))
     gap = abs(a - w / (-2j * k)) / (1.0 + abs(a))
     return ScatteringData(k=k, a=complex(a), b=complex(b), r=complex(b / a),
                           t=complex(1.0 / a), wronskian_gap=float(gap))
 
-
-def scaled_scattering_identity(p: Potential, eps, k, tol=1e-10):
-    """Scattering of the squeezed potential vs the original at eps*k.
-
-    The two must agree in (r, t) exactly; returned as a pair
-    (squeezed, reference) for the caller to compare.
-    """
-    from .potential import scale
-
-    if eps <= 0:
-        raise SpecError(f"eps must be positive, got {eps}")
-    squeezed = scattering(scale(p, eps), k, tol)
-    reference = scattering(p, eps * complex(k), tol)
-    return squeezed, reference

@@ -76,6 +76,10 @@ class _Shape:
     def truncated(self, half_width):
         return TruncatedShape(self, half_width)
 
+    def dilation(self):
+        """(base, eps) with self = eps^-2 base(x / eps); eps = 1 unless squeezed."""
+        return self, 1.0
+
 
 def _layer_integrals(layers, lo, hi, coupling):
     """integrals() of layers clipped to [lo, hi] and split at 0, summed exactly.
@@ -316,6 +320,13 @@ class ScaledShape(_Shape):
     def scaled(self, eps):
         return ScaledShape(self.base, self.eps * eps)
 
+    def truncated(self, half_width):
+        # the window |x| <= w of the squeezed shape is |s| <= w / eps of its base
+        return ScaledShape(self.base.truncated(half_width / self.eps), self.eps)
+
+    def dilation(self):
+        return self.base, self.eps
+
 
 @dataclass(frozen=True)
 class TruncatedShape(_Shape):
@@ -525,13 +536,13 @@ def tails(p: Potential, x: float) -> TailData:
 
 @dataclass(frozen=True)
 class SplittingScale:
-    """Matching radius for the squeezed potential at a given eps.
+    """Window radius for the squeezed potential at a given eps.
 
     xi_eps solves rho(xi) = 1/eps on the unscaled axis; x_eps = eps*xi_eps
     is the corresponding window half-width after squeezing.  The window
     shrinks (x_eps -> 0) while growing on the unscaled axis (xi_eps -> inf),
-    which is what lets plane-wave matching and the unscaled Jost solutions
-    meet in the middle.
+    so the windowed potential contracts to a point while keeping ever
+    more of V.
     """
 
     eps: float
@@ -549,7 +560,7 @@ def _rho(p: Potential, x: float, alpha_weight: float) -> float:
 
 
 def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> SplittingScale:
-    """Solve rho(xi) = 1/eps for the matching radius xi_eps.
+    """Solve rho(xi) = 1/eps for the window radius xi_eps.
 
     For compact support rho(x) = 1 + x^2, so xi_eps = sqrt(1/eps - 1).
     Otherwise rho(x) = (1+|x|) / tau(x)^alpha_weight with tau the

@@ -2,7 +2,7 @@
 
 Everything here is built from first principles with generic numerics --
 dense linear solves, matrix exponentials, adaptive Runge-Kutta, sparse
-finite differences, special functions -- and never calls into the
+finite differences, special functions, mpmath -- and never calls into the
 library's own propagation or matching code.  Where the library multiplies transfer matrices, the
 oracle solves one global matching system; where the library matches
 plane waves in closed form, the oracle discretizes the differential
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -171,6 +172,77 @@ def dop853_jost_plus(v, edges, k, xs=()):
     phase = np.exp(1j * k * edges[0])
     a, b = plane_coefficients(y[0] * phase, (y[1] + 1j * k * y[0]) * phase, k, edges[0])
     return complex(a), complex(b), f, fp
+
+
+def dop853_jost(v, edges, k, xs, side="+"):
+    """(f, f') of f_+ (side "+") or f_- at any xs: dop853_jost_plus, then plane waves.
+
+    f_- is f_+ of v(-x) read at -x.  Inside [edges[0], edges[-1]] the
+    values come from the DOP853 panels; right of them (for f_+) the
+    solution is e^{ikx}, and left of them a e^{ikx} + b e^{-ikx}.
+    """
+    s = 1.0 if side == "+" else -1.0
+    k = complex(k)
+    e = np.sort(s * np.asarray(edges, dtype=float))
+    t = s * np.asarray(xs, dtype=float)
+    inside = (t >= e[0]) & (t <= e[-1])
+    a, b, f_in, fp_in = dop853_jost_plus(v if s > 0 else (lambda x: v(-x)), e, k, t[inside])
+    up, dn = np.exp(1j * k * t), np.exp(-1j * k * t)
+    f, fp = a * up + b * dn, 1j * k * (a * up - b * dn)
+    right = t > e[-1]
+    f[right], fp[right] = up[right], 1j * k * up[right]
+    f[inside], fp[inside] = f_in, fp_in
+    return f, s * fp
+
+
+# ---------------------------------------------------------------------------
+# a windowed exponential potential in closed form (mpmath)
+
+
+def exp_window_scattering(rate, strength, half_width, k, dps=40):
+    """(r, t) of V = strength e^{-rate |x|} cut to |x| <= half_width (None: the whole line).
+
+    On x >= 0 the equation -y'' + V y = k^2 y has the solutions
+    u_+-(x) = e^{+-ikx} 0F1(; 1 -+ 2ik/rate; strength e^{-rate x} / rate^2),
+    Bessel functions J_{-+2ik/rate}(2 sqrt(-strength) e^{-rate x/2} / rate)
+    up to constants (the series of 0F1 solves the recursion of the
+    coefficients of e^{(+-ik - m rate) x} directly); on x <= 0 they are
+    u_+-(-x).  f_+ is e^{ikx} beyond the window, is matched to u_+-
+    at +half_width and carried across x = 0 to u_+-(-x), and its
+    plane-wave coefficients are read at -half_width, or for the whole
+    line from u_+(-x) -> e^{-ikx} and u_-(-x) -> e^{ikx}.  Every step
+    runs in mpmath at dps digits.
+    """
+    with mpmath.workdps(dps):
+        r, k = mpmath.mpf(rate), mpmath.mpc(k)
+        c, ik = mpmath.mpf(strength) / r**2, 1j * k
+
+        def u(x, sign):  # (u, u') of u_+ (sign 1) or u_- (sign -1) at x >= 0
+            b, w, e = 1 - sign * 2j * k / r, c * mpmath.exp(-r * x), mpmath.exp(sign * ik * x)
+            f = e * mpmath.hyp0f1(b, w)
+            return f, sign * ik * f - r * w * e * mpmath.hyp0f1(b + 1, w) / b
+
+        def solve(col1, col2, rhs):  # (c1, c2) with c1 col1 + c2 col2 = rhs
+            det = col1[0] * col2[1] - col2[0] * col1[1]
+            return ((rhs[0] * col2[1] - col2[0] * rhs[1]) / det,
+                    (col1[0] * rhs[1] - col1[1] * rhs[0]) / det)
+
+        if half_width is None:
+            c1, c2 = 1, 0
+        else:
+            h = mpmath.mpf(half_width)
+            edge1, edge2 = u(h, 1), u(h, -1)
+            c1, c2 = solve(edge1, edge2, (mpmath.exp(ik * h), ik * mpmath.exp(ik * h)))
+        (z1, z1p), (z2, z2p) = u(0, 1), u(0, -1)
+        d1, d2 = solve((z1, -z1p), (z2, -z2p), (c1 * z1 + c2 * z2, c1 * z1p + c2 * z2p))
+        if half_width is None:
+            a, b = d2, d1
+        else:
+            f = d1 * edge1[0] + d2 * edge2[0]
+            fp = -(d1 * edge1[1] + d2 * edge2[1])
+            a = (ik * f + fp) * mpmath.exp(ik * h) / (2 * ik)
+            b = (ik * f - fp) * mpmath.exp(-ik * h) / (2 * ik)
+        return complex(b / a), complex(1 / a)
 
 
 # ---------------------------------------------------------------------------

@@ -417,26 +417,55 @@ def test_bound_state_raises_exceptional_point():
 # dilation identity
 
 
+def _same_scattering(squeezed, reference):
+    return (squeezed.a, squeezed.b, squeezed.r, squeezed.t) == (
+        reference.a, reference.b, reference.r, reference.t)
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.1])
 def test_scaled_scattering_identity_layers(two_step, eps):
     for k in [0.9, 2.2]:
-        squeezed, reference = j.scaled_scattering_identity(two_step, eps, k)
-        assert abs(squeezed.r - reference.r) < 1e-10
-        assert abs(squeezed.t - reference.t) < 1e-10
+        squeezed = j.scattering(j.scale(two_step, eps), k)
+        assert _same_scattering(squeezed, j.scattering(two_step, eps * k))
+        segs = [(eps * lo, eps * hi, h / eps**2) for lo, hi, h in two_step.shape.segments]
+        r, t = oracles.layer_matching_scattering(segs, k)
+        assert abs(squeezed.r - r) < 1e-10
+        assert abs(squeezed.t - t) < 1e-10
 
 
 def test_scaled_scattering_identity_smooth(bump_table):
-    squeezed, reference = j.scaled_scattering_identity(bump_table, 0.5, 1.4)
-    assert abs(squeezed.r - reference.r) < 1e-8
-    assert abs(squeezed.t - reference.t) < 1e-8
+    eps, k = 0.5, 1.4
+    squeezed = j.scattering(j.scale(bump_table, eps), k)
+    assert _same_scattering(squeezed, j.scattering(bump_table, eps * k))
+    x, v = np.array(bump_table.shape.x), np.array(bump_table.shape.v)
+    a, b, _, _ = oracles.dop853_jost_plus(
+        lambda y: np.interp(y / eps, x, v, left=0.0, right=0.0) / eps**2, eps * x, k)
+    assert abs(squeezed.r - b / a) < 1e-8
+    assert abs(squeezed.t - 1.0 / a) < 1e-8
 
 
 def test_scaled_scattering_identity_strong_exponential_well():
-    # eps^-2 V(x/eps) has tails of size 1/eps^2; their closed form carries
-    # no absolute tolerance, so the identity holds at small eps too
-    squeezed, reference = j.scaled_scattering_identity(j.exp_decay(1.0, -1.5), 0.03, 1.0)
-    assert abs(squeezed.r - reference.r) < 5e-12
-    assert abs(squeezed.t - reference.t) < 5e-12
+    # eps^-2 V(x/eps) has tails of size 1/eps^2; the dilation solves V at
+    # eps k, and the mpmath closed form solves the squeezed well itself
+    eps, k = 0.03, 1.0
+    p = j.exp_decay(1.0, -1.5)
+    squeezed = j.scattering(j.scale(p, eps), k)
+    assert _same_scattering(squeezed, j.scattering(p, eps * k))
+    r, t = oracles.exp_window_scattering(1.0 / eps, -1.5 / eps**2, None, k)
+    assert abs(squeezed.r - r) < 5e-12
+    assert abs(squeezed.t - t) < 5e-12
+
+
+@pytest.mark.parametrize("name", ["two_step", "bump_table", "exp_tail"])
+@pytest.mark.parametrize("k", [1.0, 0.7 + 0.4j])
+def test_scaled_plane_pair_is_the_dilated_base(request, name, k):
+    # a squeezed potential is built as its base at eps k, so the plane-wave
+    # coefficients are the base's bit for bit, on either route
+    p = request.getfixturevalue(name)
+    for eps in (0.5, 1e-3):
+        for side in "+-":
+            got = jost_evaluator(j.scale(p, eps), k, side).plane_pair()
+            assert got == jost_evaluator(p, eps * k, side).plane_pair()
 
 
 def test_scaled_jost_value_identity(barrier):

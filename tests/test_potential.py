@@ -120,6 +120,16 @@ def test_scale_composes(barrier):
     assert np.allclose(once(x), direct(x))
 
 
+def test_window_of_squeezed_is_squeezed_window(exp_tail):
+    # truncating a squeezed potential squeezes a truncated base, so the
+    # Jost evaluator sees a dilation either way
+    eps, w = 0.1, 0.35
+    windowed = j.truncate(j.scale(exp_tail, eps), w)
+    assert windowed == j.scale(j.truncate(exp_tail, w / eps), eps)
+    x = np.linspace(-0.5, 0.5, 41)
+    assert np.allclose(windowed(x), np.where(np.abs(x) <= w, exp_tail(x / eps) / eps**2, 0.0))
+
+
 def test_scale_moment_identities(rng):
     # int V_eps = eps^-1 int V and the weighted norm contracts accordingly
     for _ in range(5):
