@@ -54,7 +54,7 @@ from .errors import (
     IntegrationError,
     SpecError,
 )
-from .potential import Potential, piecewise_segments, tails
+from .potential import Potential, piecewise_segments
 from .transfer import magnus_entries, plane_pair, propagator_entries
 
 __all__ = [
@@ -109,8 +109,8 @@ def _tail_point(p: Potential, s: float, tol: float, second=False):
     """
     t = 1.0
     for _ in range(60):
-        td = tails(p, s * t)
-        mass = td.tau_plus if s > 0 else td.tau_minus
+        lo, hi = (s * t, np.inf) if s > 0 else (-np.inf, s * t)
+        mass = p.shape.integrals(lo, hi, p.coupling)[3]
         if second:
             mass += p.shape.second_tail(s * t, p.coupling)
         if mass < tol:
@@ -165,8 +165,8 @@ class JostEvaluator:
     _eps (set by jost_evaluator for a squeezed potential, kept as eps) is
     the dilation: p and k are then the unsqueezed base and eps k, and
     everything above belongs to that base problem, except that eval takes
-    x and gives f'(x) = s g'(s x / eps) / eps and anchor and far_edge are
-    in x.
+    x and gives f'(x) = s g'(s x / eps) / eps, with the k-derivative row
+    multiplied by eps, and anchor and far_edge are in x.
     """
 
     _MIN_PANELS = 16  # uniform panels laid over the breakpoints
@@ -268,6 +268,9 @@ class JostEvaluator:
         if inside.any():
             f[..., inside], fp[..., inside] = self._inside(t[inside])
         fp *= self.s / self.eps
+        if self._dot and self.eps != 1.0:
+            f[1] *= self.eps
+            fp[1] *= self.eps
         out = self.batch + x.shape
         return f.reshape(out)[()], fp.reshape(out)[()]
 
@@ -301,8 +304,12 @@ class JostEvaluator:
         rounding floor); its two-half-step map is kept, Richardson-corrected.
         """
         span = hi - lo
-        cuts = [self.s * b for b in self.p.breakpoints() if lo < self.s * b < hi]
-        edges = np.unique(np.concatenate([np.linspace(lo, hi, self._MIN_PANELS + 1), cuts]))
+        cuts = np.array([self.s * b for b in self.p.breakpoints() if lo < self.s * b < hi])
+        uniform = np.linspace(lo, hi, self._MIN_PANELS + 1)
+        # an inner uniform point next to a breakpoint would leave a sliver panel
+        near = np.abs(np.subtract.outer(uniform, cuts)).min(axis=1, initial=np.inf) <= 1e-12 * span
+        near[[0, -1]] = False
+        edges = np.unique(np.concatenate([uniform[~near], cuts]))
         left, right = edges[:-1], edges[1:]
         done_left, done_maps = [], []
         whole = self._step(right, left)
@@ -337,7 +344,7 @@ class JostEvaluator:
         return nodes, np.concatenate(done_maps)[order]
 
 
-def jost_evaluator(p: Potential, k, side, tol=1e-10):
+def jost_evaluator(p: Potential, k, side, tol=1e-10, _dot=False):
     """The Jost solution f_+ (side "+") or f_- (side "-") of p at k.
 
     The potential picks the route: the exact layer route when
@@ -345,13 +352,16 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     On infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     A squeezed p is built as its base at eps k (see Dilation above).
+    _dot adds the k-derivative at k = 0 (see JostEvaluator).
     """
     k = check_wavenumber(k, allow_zero=True)
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
+    if base is not p.shape:
+        p = Potential(base, p.coupling)
     if eps != 1.0:
-        p, k = Potential(base, p.coupling), eps * k
-    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling), _eps=eps)
+        k = eps * k
+    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling), _dot, eps)
 
 
 def _layers(p: Potential, couplings):

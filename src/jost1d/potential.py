@@ -2,13 +2,17 @@
 
 A potential here is a real function V on the line with finite weighted
 norm  int (1+|x|) |V(x)| dx  (the natural class for Jost theory).  The
-module provides a few concrete shapes (square wells and barriers,
-piecewise-constant profiles, tabulated samples with linear
-interpolation, exponentially decaying tails), exact rescaling
-x -> eps^-2 V(x/eps), truncation to a window, and the integral
+module provides a few concrete shapes (piecewise-constant profiles, of
+which a square well or barrier is the one-layer case, tabulated samples
+with linear interpolation, exponentially decaying tails), exact
+rescaling x -> eps^-2 V(x/eps), truncation to a window, and the integral
 functionals the scattering code needs: moments, the weighted norm,
 one-sided tails, and the splitting scale that separates a shrinking
 potential core from the surrounding free region.
+
+Squeezing and truncation build one shape, eps^-2 V(x/eps) cut to
+|x/eps| <= w around an unscaled base V, so every chain of scale and
+truncate lands on that one form.
 
 Every integral is closed form.  Each shape gives its own integrals of
 V, x V, |V| and (1+|x|) |V| over any interval [lo, hi]: exact per-layer
@@ -16,8 +20,8 @@ sums for piecewise-constant shapes (each layer clipped to [lo, hi] and
 split at x = 0, the kink of 1 + |x|), elementary antiderivatives for
 exp_decay, and for tables a 2-point Gauss-Legendre rule on the panels
 between nodes, sign changes and 0, where |V| and x are linear, so every
-integrand is at most quadratic and the rule is exact.  Squeezing and
-truncation map the integrals of their base.
+integrand is at most quadratic and the rule is exact.  A squeezed
+window maps the integrals of its base over the window.
 """
 
 from __future__ import annotations
@@ -57,66 +61,21 @@ __all__ = [
 
 
 class _Shape:
-    """What every shape shares: layers, layer sums, and composable squeezing and truncation."""
+    """What every shape shares: layers, and composable squeezing and truncation."""
 
     def layers(self):
         """(left, right, height) layers when the shape is piecewise constant, else None."""
         return None
 
-    def integrals(self, lo, hi, coupling):
-        """(int V, int x V, int |V|, int (1+|x|) |V|) over [lo, hi] of coupling * self.
-
-        Exact sums over layers; every shape without layers overrides it.
-        """
-        return _layer_integrals(self.layers(), lo, hi, coupling)
-
     def scaled(self, eps):
         return ScaledShape(self, eps)
 
     def truncated(self, half_width):
-        return TruncatedShape(self, half_width)
+        return ScaledShape(self, 1.0, half_width)
 
     def dilation(self):
         """(base, eps) with self = eps^-2 base(x / eps); eps = 1 unless squeezed."""
         return self, 1.0
-
-
-def _layer_integrals(layers, lo, hi, coupling):
-    """integrals() of layers clipped to [lo, hi] and split at 0, summed exactly.
-
-    On a piece that does not cross 0, |x| is linear, so the integral of
-    h * w(x) for w = 1, x, |x| or 1 + |x| is h * width * (mean of w).
-    """
-    pieces = []
-    for a, b, h in layers:
-        a, b, h = max(a, lo), min(b, hi), coupling * h
-        for a2, b2 in ((a, min(b, 0.0)), (max(a, 0.0), b)):
-            if a2 < b2:
-                pieces.append((b2 - a2, 0.5 * (a2 + b2), 0.5 * (abs(a2) + abs(b2)), h))
-    return (math.fsum(h * w for w, _, _, h in pieces),
-            math.fsum(h * w * m for w, m, _, h in pieces),
-            math.fsum(abs(h) * w for w, _, _, h in pieces),
-            math.fsum(abs(h) * w * (1.0 + m) for w, _, m, h in pieces))
-
-
-@dataclass(frozen=True)
-class SquareShape(_Shape):
-    left: float
-    right: float
-    height: float
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.left) & (x <= self.right), self.height, 0.0)
-
-    def support(self):
-        return (self.left, self.right)
-
-    def breakpoints(self):
-        return (self.left, self.right)
-
-    def layers(self):
-        return [(self.left, self.right, self.height)]
 
 
 @dataclass(frozen=True)
@@ -146,6 +105,24 @@ class PiecewiseShape(_Shape):
 
     def layers(self):
         return list(self.segments)
+
+    def integrals(self, lo, hi, coupling):
+        """(int V, int x V, int |V|, int (1+|x|) |V|) over [lo, hi] of coupling * self.
+
+        Each layer is clipped to [lo, hi] and split at 0.  On a piece that
+        does not cross 0, |x| is linear, so the integral of h * w(x) for
+        w = 1, x, |x| or 1 + |x| is h * width * (mean of w); the sums are exact.
+        """
+        pieces = []
+        for a, b, h in self.segments:
+            a, b, h = max(a, lo), min(b, hi), coupling * h
+            for a2, b2 in ((a, min(b, 0.0)), (max(a, 0.0), b)):
+                if a2 < b2:
+                    pieces.append((b2 - a2, 0.5 * (a2 + b2), 0.5 * (abs(a2) + abs(b2)), h))
+        return (math.fsum(h * w for w, _, _, h in pieces),
+                math.fsum(h * w * m for w, m, _, h in pieces),
+                math.fsum(abs(h) * w for w, _, _, h in pieces),
+                math.fsum(abs(h) * w * (1.0 + m) for w, _, m, h in pieces))
 
 
 _GAUSS = 1.0 / math.sqrt(3.0)  # 2-point Gauss-Legendre nodes on [-1, 1] are -+ this
@@ -274,101 +251,65 @@ class ExpDecayShape(_Shape):
 
 @dataclass(frozen=True)
 class ScaledShape(_Shape):
-    """eps^-2 * base(x / eps)."""
+    """eps^-2 * base(x / eps) where |x / eps| <= half_width, zero elsewhere.
+
+    Squeezing and truncation both build this one form around an unscaled
+    base: squeezing multiplies eps, and the window |x| <= w of the
+    squeezed shape is |s| <= w / eps on the base's axis, so the form is
+    canonical whatever order the transforms come in.
+    """
 
     base: object
     eps: float
+    half_width: float = math.inf
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.base.value(x / self.eps) / self.eps**2
-
-    def support(self):
-        s = self.base.support()
-        if s is None:
-            return None
-        return (self.eps * s[0], self.eps * s[1])
-
-    def breakpoints(self):
-        return tuple(self.eps * b for b in self.base.breakpoints())
-
-    def layers(self):
-        inner = self.base.layers()
-        if inner is None:
-            return None
-        e = self.eps
-        return [(e * lo, e * hi, h / e**2) for lo, hi, h in inner]
-
-    def integrals(self, lo, hi, coupling):
-        """Layer sums when the base has layers, else the base's integrals mapped.
-
-        Substituting x = eps s gives the integrals of V over [lo/eps, hi/eps]:
-        int V and int |V| divide by eps, int x V is unchanged, and
-        int (1+|x|) |V| becomes (1/eps - 1) int |V| + int (1+|s|) |V|.
-        """
-        layers = self.layers()
-        if layers is not None:
-            return _layer_integrals(layers, lo, hi, coupling)
-        e = self.eps
-        m0, m1, s, t = self.base.integrals(lo / e, hi / e, coupling)
-        return m0 / e, m1, s / e, (1.0 / e - 1.0) * s + t
-
-    def second_tail(self, y, coupling):
-        """A bound: x = eps s turns the tail into int |s| (1 + eps |s|) |V| of the base."""
-        return max(1.0, self.eps) * self.base.second_tail(y / self.eps, coupling)
-
-    def scaled(self, eps):
-        return ScaledShape(self.base, self.eps * eps)
-
-    def truncated(self, half_width):
-        # the window |x| <= w of the squeezed shape is |s| <= w / eps of its base
-        return ScaledShape(self.base.truncated(half_width / self.eps), self.eps)
-
-    def dilation(self):
-        return self.base, self.eps
-
-
-@dataclass(frozen=True)
-class TruncatedShape(_Shape):
-    """base(x) restricted to the window |x| <= half_width."""
-
-    base: object
-    half_width: float
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= self.half_width, self.base.value(x), 0.0)
+        s = np.asarray(x, dtype=float) / self.eps
+        return np.where(np.abs(s) <= self.half_width, self.base.value(s), 0.0) / self.eps**2
 
     def support(self):
         w = self.half_width
-        s = self.base.support()
-        if s is None:
-            return (-w, w)
-        return (max(s[0], -w), min(s[1], w))
-
-    def breakpoints(self):
-        w = self.half_width
-        pts = [b for b in self.base.breakpoints() if -w <= b <= w]
-        pts.extend((-w, w))
-        return tuple(sorted(set(pts)))
-
-    def layers(self):
-        inner = self.base.layers()
-        if inner is None:
-            return None
-        w = self.half_width
-        return [(max(lo, -w), min(hi, w), h) for lo, hi, h in inner if max(lo, -w) < min(hi, w)]
-
-    def integrals(self, lo, hi, coupling):
-        """The base's integrals over [lo, hi] clipped to the window."""
-        w = self.half_width
+        lo, hi = self.base.support() or (-math.inf, math.inf)
         lo, hi = max(lo, -w), min(hi, w)
+        return None if hi == math.inf else (self.eps * lo, self.eps * hi)
+
+    def breakpoints(self):
+        w = self.half_width
+        pts = {b for b in self.base.breakpoints() if -w <= b <= w}
+        if w < math.inf:
+            pts |= {-w, w}
+        return tuple(self.eps * b for b in sorted(pts))
+
+    def layers(self):
+        inner = self.base.layers()
+        if inner is None:
+            return None
+        e, w = self.eps, self.half_width
+        return [(e * max(lo, -w), e * min(hi, w), h / e**2)
+                for lo, hi, h in inner if max(lo, -w) < min(hi, w)]
+
+    def integrals(self, lo, hi, coupling):
+        """The base's integrals over [lo/eps, hi/eps] clipped to the window, mapped.
+
+        Substituting x = eps s, int V and int |V| divide by eps, int x V is
+        unchanged, and int (1+|x|) |V| becomes (1/eps - 1) int |V| + int (1+|s|) |V|.
+        """
+        e, w = self.eps, self.half_width
+        lo, hi = max(lo / e, -w), min(hi / e, w)
         if not lo < hi:
             return 0.0, 0.0, 0.0, 0.0
-        return self.base.integrals(lo, hi, coupling)
+        m0, m1, s, t = self.base.integrals(lo, hi, coupling)
+        return m0 / e, m1, s / e, (1.0 / e - 1.0) * s + t
+
+    def scaled(self, eps):
+        return replace(self, eps=self.eps * eps)
 
     def truncated(self, half_width):
-        return TruncatedShape(self.base, min(self.half_width, half_width))
+        return replace(self, half_width=min(self.half_width, half_width / self.eps))
+
+    def dilation(self):
+        window = self.base if self.half_width == math.inf else replace(self, eps=1.0)
+        return window, self.eps
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +352,7 @@ def square(left, right, height, coupling=1.0):
     """Square well (height < 0) or barrier (height > 0) on [left, right]."""
     if not left < right:
         raise SpecError(f"square potential needs left < right, got [{left}, {right}]")
-    return Potential(SquareShape(float(left), float(right), float(height)), float(coupling))
+    return Potential(PiecewiseShape(((float(left), float(right), float(height)),)), float(coupling))
 
 
 def piecewise_constant(segments, coupling=1.0):
@@ -551,9 +492,8 @@ class SplittingScale:
 
 
 def _rho(p: Potential, x: float, alpha_weight: float) -> float:
-    td = tails(p, abs(x))
-    td2 = tails(p, -abs(x))
-    tau = td.tau_plus + td2.tau_minus
+    x = abs(x)
+    tau = p.shape.integrals(x, math.inf, p.coupling)[3] + p.shape.integrals(-math.inf, -x, p.coupling)[3]
     if tau <= 0.0:
         return math.inf
     return (1.0 + abs(x)) / tau**alpha_weight
@@ -610,10 +550,9 @@ def tail_weight_norm(p: Potential, eps: float, alpha_weight: float = 0.5) -> flo
     window construction to be consistent.  Identically zero once xi_eps
     clears a compact support.
     """
-    ss = splitting_scale(p, eps, alpha_weight)
-    td = tails(p, ss.xi_eps)
-    td2 = tails(p, -ss.xi_eps)
-    return (td.sigma_plus + td2.sigma_minus) / eps
+    xi = splitting_scale(p, eps, alpha_weight).xi_eps
+    return (p.shape.integrals(xi, math.inf, p.coupling)[2]
+            + p.shape.integrals(-math.inf, -xi, p.coupling)[2]) / eps
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import (JostEvaluator, _layers, _midpoint, _wronskian_at_mid,
-                   _zero_energy_wronskians, jost_evaluator)
+from .jost import _midpoint, _wronskian_at_mid, _zero_energy_wronskians, jost_evaluator
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -159,8 +158,7 @@ def d_dot_zero(
             f"d_dot_zero needs a zero-energy resonance; |d0| = {abs(report.d0):.3g} "
             f"exceeds threshold {report.threshold:.3g}"
         )
-    layers = _layers(p, p.coupling)
-    evp, evm = (JostEvaluator(p, 0.0, side, tol, layers, _dot=True) for side in "+-")
+    evp, evm = (jost_evaluator(p, 0.0, side, tol, _dot=True) for side in "+-")
     x_star = _midpoint(p)
     xs = [x_star, 0.5 * (x_star + evp.anchor)]
     (f, f_k), (f_x, f_kx) = evp.eval(xs)  # rows: f_+ and its k-derivative

@@ -206,6 +206,16 @@ def test_magnus_mesh_keeps_breakpoints(bump_table):
     assert np.all(np.isin(np.asarray(bump_table.breakpoints()), ev.nodes))
 
 
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_magnus_mesh_has_no_sliver_panels(side):
+    # on this grid some nodes of V(-x) sit one ulp from a uniform point of the mesh
+    x = np.linspace(-2.3, 1.7, 33)
+    p = j.tabulated(x, -1.5 * np.cos(x) ** 2)
+    ev = jost_evaluator(p, 0.7, side)
+    assert np.all(np.isin(x if side == "+" else -x, ev.nodes))  # nodes are in t = s x
+    assert np.diff(ev.nodes).min() > 1e-12
+
+
 class _UnlistedSpike:
     """|x - 0.3|^-0.9 on [-1, 1]: integrable, but singular off the breakpoints."""
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jost1d as j
 from jost1d.errors import SpecError
@@ -141,6 +143,12 @@ def test_scale_moment_identities(rng):
         m0, _ = j.moments(p)
         m0s, _ = j.moments(j.scale(p, eps))
         assert m0s == pytest.approx(m0 / eps, rel=1e-9)
+    # infinite support: c a e^{-r|x|} is even, so m1 = 0 exactly, and m0 = 2 c a / r
+    e = j.exp_decay(1.3, -0.9, 1.7)
+    for p, eps in [(e, 1.0), (j.scale(e, 0.05), 0.05)]:
+        m0, m1 = j.moments(p)
+        assert m1 == 0.0
+        assert m0 == pytest.approx(2.0 * 1.7 * -0.9 / 1.3 / eps, rel=1e-14)
 
 
 def test_truncate_window(barrier):
@@ -314,6 +322,35 @@ def test_unlayered_integrals_match_quadrature(name):
 def test_narrow_exp_window_integrals_match_quadrature(width):
     # a narrow window must not lose digits to cancellation
     _assert_integrals_match_quadrature(j.truncate(j.exp_decay(1.3, -0.9, 1.7), width))
+
+
+_CHAIN_BASES = {
+    "layers": _layered_cases()["gaps"],
+    "table": _unlayered_cases()["table"],
+    "exp_decay": j.exp_decay(rate=1.3, amplitude=-0.9, coupling=1.7),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_CHAIN_BASES)),
+       chain=st.lists(st.tuples(st.booleans(), st.floats(0.05, 3.0)), min_size=1, max_size=4),
+       s=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=16))
+def test_transform_chains_reach_canonical_form(name, chain, s):
+    # any chain of scale and truncate is one squeeze by E of one window
+    # |x| <= W of the base, where W divides each half-width by the squeeze before it
+    base = p = _CHAIN_BASES[name]
+    big_e, big_w = 1.0, math.inf
+    for squeeze, a in chain:
+        if squeeze:
+            p, big_e = j.scale(p, a), big_e * a
+        else:
+            p, big_w = j.truncate(p, a), min(big_w, a / big_e)
+    assert p == j.scale(j.truncate(base, big_w) if big_w < math.inf else base, big_e)
+    x = big_e * np.array(s)
+    want = np.where(np.abs(x / big_e) <= big_w, base(x / big_e) / big_e**2, 0.0)
+    assert np.allclose(p(x), want, rtol=1e-14, atol=0.0)
+    if p.is_compact():
+        _assert_integrals_match_quadrature(p)
 
 
 def test_layer_integrals_run_no_quadrature():

@@ -360,6 +360,16 @@ def test_d_dot_zero_matches_theta_identity(name, theta, tol, request, monkeypatc
     assert dd.ray_gap < tol
 
 
+@pytest.mark.parametrize("name", ["well_theta_minus", "exp_resonant_well"])
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+def test_d_dot_zero_unchanged_by_squeezing(name, eps, request):
+    # W_eps(k) = W(eps k) / eps, so D'(0) of eps^-2 V(x/eps) is that of V
+    p = request.getfixturevalue(name)
+    rep = j.resonance_report(p, threshold=1e-3)
+    squeezed = j.d_dot_zero(j.scale(p, eps), report=rep).value
+    assert abs(squeezed - j.d_dot_zero(p, report=rep).value) < 1e-12
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(layers=st.lists(st.tuples(st.floats(0.2, 1.0), st.floats(-1.8, -0.2)),
                        min_size=2, max_size=8),
