@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import sys
+from contextlib import nullcontext
 
 import click
 
@@ -92,21 +93,12 @@ def _write_csv(sections, stream):
 
 
 def _emit(sections, json_payload, fmt, out):
-    if out is None:
-        stream = sys.stdout
-        close = False
-    else:
-        stream = open(out, "w", newline="")
-        close = True
-    try:
+    with nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as stream:
         if fmt == "json":
             json.dump(json_payload, stream, indent=2)
             stream.write("\n")
         else:
             _write_csv(sections, stream)
-    finally:
-        if close:
-            stream.close()
 
 
 @click.group()

@@ -10,27 +10,25 @@ from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
 Numerics.  One evaluator class serves both sides and both routes.  The
-left solution is the right solution of the reflected potential,
-f_-(x; V) = f_+(-x; V(-.)), so every solution is built as a "+"
-solution in t = +-x from an anchor at its right end.  The potential
-picks the route: when piecewise_segments gives its layers it takes the
-exact transfer route, whose nodes are the layer edges and whose steps
-are transfer.propagator_entries.  Everything else goes
-through a 4th-order Magnus panel propagator (transfer.magnus_entries):
-each step samples V at its two Gauss points and applies the closed-form
-exponential of a traceless 2x2 matrix, which is exact for the free part
-of the equation at any k.  The mesh starts from the potential's
-breakpoints, so no step crosses a kink, and every step whose one-step
-and two-half-step maps differ by more than its share of tol is halved
-until none does.  An accepted step keeps its two-half-step map with the
-Richardson correction: the Gauss-point step is time-symmetric, so its
-local error is odd in h, and M_2 + (M_2 - M_1)/15 cancels the h^5 term.
-On both routes the node states come from a prefix product of the step
-maps taken from the anchor; between nodes one partial step from the
+potential picks the route: the exact layer route when piecewise_segments
+gives its layers (nodes at the layer edges, steps from
+transfer.propagator_entries), and otherwise a 4th-order Magnus panel
+propagator (transfer.magnus_entries), whose step samples V at two Gauss
+points and is exact for the free equation at any k.  The Magnus mesh
+starts from the potential's breakpoints, so no step crosses a kink, and
+halves every step whose one-step and two-half-step maps differ by more
+than its share of tol.  An accepted step keeps its two-half-step map
+with the Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point
+step is time-symmetric, so its local error is odd in h.  One mesh
+serves both sides: nodes and step maps are built once in x, and f_-,
+the right solution f_+(-x; V(-.)) of the reflected potential, reads
+f_+'s maps mirrored (see JostEvaluator), so a pair costs one mesh and
+two prefix scans.  Node states are a prefix product of the step maps
+from the anchor, and between nodes one partial step from the
 anchor-side node gives (f, f').  The anchor sits at the support edge
-when the support is compact, otherwise at a point where the weighted
-tail has dropped below tolerance, and the achieved tail mass is
-recorded as error_bound; this holds at k = 0 as well.
+when the support is compact, otherwise where the weighted tail has
+dropped below tol, and the cut tail mass is error_bound; this holds at
+k = 0 as well.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
@@ -135,18 +133,19 @@ def _compose(m, n):
 class JostEvaluator:
     """f_+ (side "+") or f_- (side "-") of V, stored as states at nodes.
 
-    Both sides are built as a "+" solution in t = s x, with s = +1 for
-    f_+ and s = -1 for f_-, because f_-(x; V) = f_+(-x; V(-.)): g solves
-    -g'' + V(s t) g = k^2 g with g = e^{ikt} from the anchor, the right
-    end of the nodes, and f(x) = g(s x), f'(x) = s g'(s x).  With layers
-    (edges and heights from _layers) the nodes are the layer edges and
-    each step is exact; otherwise (layers=None, whatever the potential)
-    they are the adaptive Magnus mesh.  The
-    node states come from a prefix product of the step maps taken from
-    the anchor, and between nodes one partial step from the anchor-side
-    node gives (g, g').  nodes and states are in t; anchor and far_edge
-    are in x.  Beyond the far edge the solution is the plane-wave pair of
-    the far state.
+    Both sides are "+" solutions in t = s x, s = +1 for f_+ and -1 for
+    f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
+    anchor, the right end of the nodes, and f(x) = g(s x), f'(x) =
+    s g'(s x).  nodes and states are in t; anchor and far_edge are in x.
+    Beyond the far edge the solution is the plane-wave pair of the far
+    state.  The step maps come from _x_maps (or _maps, when a pair shares
+    them): layer steps with layers (from _layers), else the Magnus mesh.
+    f_- reads them mirrored.  t = -x reverses the nodes and the maps, and
+    f_-'s Gauss-Magnus step over a panel is f_+'s with the two Gauss
+    points traded, which swaps m00 and m11 (a layer step has m00 = m11).
+    The swap M -> J M^T J reverses products, so it carries the composed
+    halves and the Richardson-corrected maps over exactly.  Each side
+    scans its own copy of the maps.
 
     The layer route takes a batch: heights of shape (n, L) and/or k of
     shape (n,) give n solutions on the same edges from one build, and
@@ -169,12 +168,8 @@ class JostEvaluator:
     multiplied by eps, and anchor and far_edge are in x.
     """
 
-    _MIN_PANELS = 16  # uniform panels laid over the breakpoints
-    _MAX_ROUNDS = 40  # halving rounds before IntegrationError
-    _MAX_STEPS = 1 << 20
-    _FLOOR = 1e-14  # relative step defect that rounding alone can produce
-
-    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None, _dot=False, _eps=1.0):
+    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None, _dot=False, _eps=1.0,
+                 _maps=None):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
@@ -187,33 +182,22 @@ class JostEvaluator:
         if not (self._zero or all(ks)):
             raise SpecError("a batch of wavenumbers cannot mix k = 0 with k != 0")
         self.p = p
-        self.error_bound = 0.0
-        if layers is not None:
-            edges, heights = layers
-            if s < 0:
-                edges, heights = -edges[::-1], heights[..., ::-1]
-            self.nodes = edges
-            self.mu2 = heights - kb * kb
-            a, b, c = propagator_entries(self.mu2, edges[:-1] - edges[1:])
-            steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
+        self._v = p if s > 0 else (lambda t: p(-t))
+        nodes, steps, mu2, tails = _maps or _x_maps(p, self.k, tol, layers, _dot)
+        if s > 0:
+            self.nodes, self.mu2, self.error_bound = nodes, mu2, tails[1]
+            steps = steps[..., ::-1, :].copy()  # anchor first; the scan below writes into it
         else:
-            self.mu2 = None
-            self._v = p if s > 0 else (lambda t: p(-t))
-            sup = p.support()
-            if sup is not None:
-                lo, hi = sorted((s * sup[0], s * sup[1]))
-            else:
-                hi, self.error_bound = _tail_point(p, s, tol, _dot)
-                lo = -_tail_point(p, -s, tol, _dot)[0]
-            self.nodes, steps = self._mesh(lo, hi, tol)
-        self.batch = steps.shape[:-2]
-        self._dot = _dot
-        self.eps = _eps
+            # t = -x reverses the nodes and the maps, and the scan reads them
+            # anchor first, so they stay in x order; the mirror is a new array
+            self.nodes, self.error_bound = -nodes[::-1], tails[0]
+            self.mu2 = None if mu2 is None else mu2[..., ::-1]
+            steps = steps[..., [3, 1, 2, 0]]
+        self.batch, self._dot, self.eps = steps.shape[:-2], _dot, _eps
         self.anchor = float(s * _eps * self.nodes[-1])
         self.far_edge = float(s * _eps * self.nodes[0])
 
         # Hillis-Steele scan: after it, steps[..., j, :] maps the anchor to node j+1 away
-        steps = steps[..., ::-1, :]
         shift = 1
         while shift < steps.shape[-2]:
             steps[..., shift:, :] = _compose(steps[..., shift:, :], steps[..., :-shift, :])
@@ -252,8 +236,7 @@ class JostEvaluator:
         """Vectorized (f, f') at arbitrary points, shaped batch + x.shape."""
         x = np.asarray(x, dtype=float)
         t = self.s * x.ravel() / self.eps
-        f = np.empty(self.batch + t.shape, dtype=complex)
-        fp = np.empty(self.batch + t.shape, dtype=complex)
+        f, fp = np.empty((2,) + self.batch + t.shape, dtype=complex)
         kb = self._k
         anchored = t >= self.nodes[-1]
         beyond = t < self.nodes[0]
@@ -293,55 +276,79 @@ class JostEvaluator:
         f0, fp0 = self.states[..., node, 0], self.states[..., node, 1]
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
 
-    def _step(self, t0, t1):
-        return np.stack(magnus_entries(self._v, self.k, t0, t1), axis=-1)
 
-    def _mesh(self, lo, hi, tol):
-        """Nodes from lo to hi and the step maps from each node to the one below.
+_MIN_PANELS = 16  # uniform panels laid over the breakpoints
+_MAX_ROUNDS = 40  # halving rounds before IntegrationError
+_MAX_STEPS = 1 << 20
+_FLOOR = 1e-14  # relative step defect that rounding alone can produce
 
-        A step is accepted once its one-step and two-half-step maps differ
-        by at most tol * |h| / span relative to the map's size (or by the
-        rounding floor); its two-half-step map is kept, Richardson-corrected.
-        """
-        span = hi - lo
-        cuts = np.array([self.s * b for b in self.p.breakpoints() if lo < self.s * b < hi])
-        uniform = np.linspace(lo, hi, self._MIN_PANELS + 1)
-        # an inner uniform point next to a breakpoint would leave a sliver panel
-        near = np.abs(np.subtract.outer(uniform, cuts)).min(axis=1, initial=np.inf) <= 1e-12 * span
-        near[[0, -1]] = False
-        edges = np.unique(np.concatenate([uniform[~near], cuts]))
-        left, right = edges[:-1], edges[1:]
-        done_left, done_maps = [], []
-        whole = self._step(right, left)
-        for _ in range(self._MAX_ROUNDS):
-            mid = 0.5 * (left + right)
-            upper, lower = self._step(right, mid), self._step(mid, left)
-            halves = _compose(lower, upper)
-            size = np.max(np.abs(halves), axis=-1)
-            defect = np.max(np.abs(whole - halves), axis=-1)
-            ok = defect <= np.maximum(tol * (right - left) / span, self._FLOOR) * size
-            done_left.append(left[ok])
-            done_maps.append(halves[ok] + (halves[ok] - whole[ok]) / 15.0)
-            if ok.all():
-                break
-            bad = ~ok
-            if 2 * bad.sum() + sum(len(d) for d in done_left) > self._MAX_STEPS:
-                raise IntegrationError(
-                    f"Magnus mesh needs more than {self._MAX_STEPS} steps on [{lo:g}, {hi:g}]"
-                )
-            # the halves of a rejected step are the whole steps of its children
-            left, right, mid = left[bad], right[bad], mid[bad]
-            left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-            whole = np.concatenate([lower[bad], upper[bad]])
-        else:
+
+def _x_maps(p: Potential, k, tol, layers, second):
+    """(nodes, steps, mu2, tails) in x, oriented as f_+ reads them.
+
+    steps[..., j, :] maps (f, f') at node j+1 to node j; tails are the
+    masses cut left and right of the end nodes (with second, plus the
+    second-moment tails).  layers give exact steps and mu2 = h - k^2.
+    Otherwise mu2 is None and a Magnus step is accepted once its one-step
+    and two-half-step maps differ by at most tol * |h| / span relative to
+    its size (or by the rounding floor), keeping the two-half-step map,
+    Richardson-corrected.
+    """
+    if layers is not None:
+        edges, heights = layers
+        kb = np.asarray(k, dtype=complex)[..., None]
+        mu2 = heights - kb * kb
+        a, b, c = propagator_entries(mu2, edges[:-1] - edges[1:])
+        steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
+        return edges, steps, mu2, (0.0, 0.0)
+    sup = p.support()
+    if sup is not None:
+        (lo, hi), tails = sup, (0.0, 0.0)
+    else:
+        (hi, mass_r), (lo, mass_l) = (_tail_point(p, s, tol, second) for s in (1.0, -1.0))
+        lo, tails = -lo, (mass_l, mass_r)
+
+    def step(x0, x1):
+        return np.stack(magnus_entries(p, k, x0, x1), axis=-1)
+
+    span = hi - lo
+    cuts = np.array([b for b in p.breakpoints() if lo < b < hi])
+    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
+    # an inner uniform point next to a breakpoint would leave a sliver panel
+    near = np.abs(np.subtract.outer(uniform, cuts)).min(axis=1, initial=np.inf) <= 1e-12 * span
+    near[[0, -1]] = False
+    edges = np.unique(np.concatenate([uniform[~near], cuts]))
+    left, right = edges[:-1], edges[1:]
+    done_left, done_maps = [], []
+    whole = step(right, left)
+    for _ in range(_MAX_ROUNDS):
+        mid = 0.5 * (left + right)
+        upper, lower = step(right, mid), step(mid, left)
+        halves = _compose(lower, upper)
+        size = np.max(np.abs(halves), axis=-1)
+        defect = np.max(np.abs(whole - halves), axis=-1)
+        ok = defect <= np.maximum(tol * (right - left) / span, _FLOOR) * size
+        done_left.append(left[ok])
+        done_maps.append(halves[ok] + (halves[ok] - whole[ok]) / 15.0)
+        if ok.all():
+            break
+        bad = ~ok
+        if 2 * bad.sum() + sum(len(d) for d in done_left) > _MAX_STEPS:
             raise IntegrationError(
-                f"Magnus step halving did not converge in {self._MAX_ROUNDS} rounds "
-                f"on [{lo:g}, {hi:g}] (tol {tol:g})"
+                f"Magnus mesh needs more than {_MAX_STEPS} steps on [{lo:g}, {hi:g}]"
             )
-        left = np.concatenate(done_left)
-        order = np.argsort(left)
-        nodes = np.append(left[order], hi)
-        return nodes, np.concatenate(done_maps)[order]
+        # the halves of a rejected step are the whole steps of its children
+        left, right, mid = left[bad], right[bad], mid[bad]
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+        whole = np.concatenate([lower[bad], upper[bad]])
+    else:
+        raise IntegrationError(
+            f"Magnus step halving did not converge in {_MAX_ROUNDS} rounds "
+            f"on [{lo:g}, {hi:g}] (tol {tol:g})"
+        )
+    left = np.concatenate(done_left)
+    order = np.argsort(left)
+    return np.append(left[order], hi), np.concatenate(done_maps)[order], None, tails
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10, _dot=False):
@@ -354,6 +361,11 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10, _dot=False):
     A squeezed p is built as its base at eps k (see Dilation above).
     _dot adds the k-derivative at k = 0 (see JostEvaluator).
     """
+    return _jost_pair(p, k, tol, _dot, (side,))[0]
+
+
+def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-"):
+    """Evaluators of p at k for sides, (f_+, f_-) by default, reading one set of x-maps."""
     k = check_wavenumber(k, allow_zero=True)
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
@@ -361,7 +373,9 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10, _dot=False):
         p = Potential(base, p.coupling)
     if eps != 1.0:
         k = eps * k
-    return JostEvaluator(p, k, side, tol, _layers(p, p.coupling), _dot, eps)
+    layers = _layers(p, p.coupling)
+    maps = _x_maps(p, k, tol, layers, _dot) if len(sides) > 1 else None
+    return tuple(JostEvaluator(p, k, side, tol, layers, _dot, eps, maps) for side in sides)
 
 
 def _layers(p: Potential, couplings):
@@ -384,22 +398,23 @@ def _layers(p: Potential, couplings):
 
 def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
     """W{f_+, f_-}(k) evaluated from freshly built solutions at one point."""
-    evp = jost_evaluator(p, k, "+", tol)
-    return complex(_wronskian_at_mid(p, evp, jost_evaluator(p, k, "-", tol)))
+    return complex(_wronskian_at_mid(p, *_jost_pair(p, k, tol)))
 
 
 def _zero_energy_wronskians(p: Potential, couplings, tol=1e-10) -> np.ndarray:
     """W{f_+, f_-} at k = 0 for each of couplings (a 1-d array), standing in for p.coupling.
 
-    On the transfer route all couplings share one batched build per
-    side, and each value is bit for bit what jost_wronskian gives for
-    that coupling; the Magnus route builds each coupling on its own.
+    On the transfer route all couplings share one batched set of step
+    maps, and each value is bit for bit what jost_wronskian gives for
+    that coupling; the Magnus route builds one mesh per coupling, and
+    both sides read it.
     """
     layers = _layers(p, couplings)
     if layers is None:
         return np.array([jost_wronskian(p.with_coupling(c), 0.0, tol) for c in couplings.tolist()])
-    evp = JostEvaluator(p, 0.0, "+", tol, layers)
-    return _wronskian_at_mid(p, evp, JostEvaluator(p, 0.0, "-", tol, layers))
+    maps = _x_maps(p, 0.0, tol, layers, False)
+    return _wronskian_at_mid(p, *(JostEvaluator(p, 0.0, side, tol, layers, _maps=maps)
+                                  for side in "+-"))
 
 
 def _midpoint(p: Potential) -> float:
@@ -429,8 +444,8 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     evaluated as well and its relative defect reported.
     """
     k = check_wavenumber(k, allow_zero=False)
-    ev = jost_evaluator(p, k, "+", tol)
-    return _scattering_from(k, ev, _wronskian_at_mid(p, ev, jost_evaluator(p, k, "-", tol)))
+    evp, evm = _jost_pair(p, k, tol)
+    return _scattering_from(k, evp, _wronskian_at_mid(p, evp, evm))
 
 
 def _scattering_from(k, evp, w) -> ScatteringData:

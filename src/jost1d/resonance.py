@@ -9,11 +9,11 @@ survives of the potential in the small-eps limit, so it is worth
 computing carefully and cross-checking.
 
 Everything at zero energy comes from one (f_+, f_-) evaluator pair at
-k = 0, built once per report.  Outside the support, or beyond the cut
-tails, the solutions are constants and straight lines.  Infinite tails
-are cut where their weighted mass falls below tol, as at any k; the
-results are then flagged as extrapolated and the cut mass is the
-evaluators' error_bound.  The derivative of the Wronskian at k = 0 is
+k = 0 on one mesh, built once per report.  Outside the support, or
+beyond the cut tails, the solutions are constants and straight lines.
+Infinite tails are cut where their weighted mass falls below tol, as at
+any k; the results are then flagged as extrapolated and the cut mass is
+the evaluators' error_bound.  The derivative of the Wronskian at k = 0 is
 exact as well: D'(0) = W{h_+, f_-} + W{f_+, h_-} with h = df/dk, from
 one build per side that carries each solution and its k-derivative.
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import _midpoint, _wronskian_at_mid, _zero_energy_wronskians, jost_evaluator
+from .jost import _jost_pair, _midpoint, _wronskian_at_mid, _zero_energy_wronskians
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -85,7 +85,7 @@ def resonance_report(
     """
     if threshold is None:
         threshold = 1e-8 * (1.0 + fm_norm(p))
-    evp, evm = jost_evaluator(p, 0.0, "+", tol), jost_evaluator(p, 0.0, "-", tol)
+    evp, evm = _jost_pair(p, 0.0, tol)
     d0 = float(_wronskian_at_mid(p, evp, evm).real)
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
@@ -158,7 +158,7 @@ def d_dot_zero(
             f"d_dot_zero needs a zero-energy resonance; |d0| = {abs(report.d0):.3g} "
             f"exceeds threshold {report.threshold:.3g}"
         )
-    evp, evm = (jost_evaluator(p, 0.0, side, tol, _dot=True) for side in "+-")
+    evp, evm = _jost_pair(p, 0.0, tol, _dot=True)
     x_star = _midpoint(p)
     xs = [x_star, 0.5 * (x_star + evp.anchor)]
     (f, f_k), (f_x, f_kx) = evp.eval(xs)  # rows: f_+ and its k-derivative

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jost import ScatteringData, _scattering_from, check_wavenumber, jost_evaluator
+from .jost import ScatteringData, _jost_pair, _scattering_from, check_wavenumber
 from .potential import Potential, scale, splitting_scale, truncate
 
 __all__ = [
@@ -44,8 +44,7 @@ class TruncatedScaledOperator:
         ss = splitting_scale(p, eps, alpha_weight)
         self.p, self.eps, self.xi_eps, self.x_eps = p, ss.eps, ss.xi_eps, ss.x_eps
         self.window = scale(truncate(p, ss.xi_eps), ss.eps)
-        self.plus = jost_evaluator(self.window, k, "+", tol)
-        self.minus = jost_evaluator(self.window, k, "-", tol)
+        self.plus, self.minus = _jost_pair(self.window, k, tol)
         # W at the window's right edge, where both solutions are plane waves:
         # it is -2ik a of f_-, so the Wronskian gap checks reciprocity a_+ = a_-
         (f, fp), (g, gp) = self.plus.eval(self.x_eps), self.minus.eval(self.x_eps)
@@ -62,16 +61,9 @@ class TruncatedScaledOperator:
 
     def green(self, x, y):
         """Resolvent kernel f~_+(max(x,y)) f~_-(min(x,y)) / W, vectorized."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        scalar = x.ndim == 0 and y.ndim == 0
-        xb, yb = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-        upper = np.maximum(xb, yb)
-        lower = np.minimum(xb, yb)
-        val = self.f_plus(upper)[0] * self.f_minus(lower)[0] / self.d_tilde
-        if scalar:
-            return complex(val[0])
-        return val
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        val = self.f_plus(np.maximum(x, y))[0] * self.f_minus(np.minimum(x, y))[0] / self.d_tilde
+        return complex(val) if val.ndim == 0 else val
 
     def scattering(self) -> ScatteringData:
         return self._scattering

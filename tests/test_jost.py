@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0
 
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
-from jost1d.jost import JostEvaluator, _layers, jost_evaluator
+from jost1d.jost import JostEvaluator, _jost_pair, _layers, jost_evaluator
 from jost1d.potential import Potential
 from jost1d.transfer import magnus_entries, propagator_entries
 
@@ -279,14 +281,17 @@ def test_zero_energy_exponential_tail_bessel():
 # Wronskians
 
 
-def test_wronskian_constant_across_grid(two_step):
+def test_wronskian_constant_across_grid(two_step, bump_table):
+    # on the Magnus route f_- reads f_+'s step maps mirrored, so the smooth
+    # potentials check that the mirrored maps solve the reflected equation
     k = 1.3 + 0.2j
     xs = np.linspace(-4.0, 4.0, 101)
-    f, fp = jost_evaluator(two_step, k, "+").eval(xs)
-    g, gp = jost_evaluator(two_step, k, "-").eval(xs)
-    w = f * gp - fp * g
-    mid = w[len(w) // 2]
-    assert np.max(np.abs(w - mid)) / abs(mid) < 1e-10
+    for p in (two_step, bump_table, j.exp_decay(1.0, 1.0, -1.4458)):
+        f, fp = jost_evaluator(p, k, "+").eval(xs)
+        g, gp = jost_evaluator(p, k, "-").eval(xs)
+        w = f * gp - fp * g
+        mid = w[len(w) // 2]
+        assert np.max(np.abs(w - mid)) / abs(mid) < 1e-10
 
 
 def test_wronskian_matches_scattering(barrier):
@@ -295,6 +300,50 @@ def test_wronskian_matches_scattering(barrier):
     w = j.jost_wronskian(barrier, k)
     assert abs(w - (-2j * k) * sd.a) < 1e-10
     assert sd.wronskian_gap < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one mesh per pair: f_- reads the step maps of f_+, mirrored
+
+_SHARED_MESH = {
+    "exp_well": j.exp_decay(1.0, -1.0, 1.4458),
+    "squeezed_window": j.scale(j.truncate(j.exp_decay(1.0, -1.0, 1.4458), 6.0), 0.05),
+}
+
+
+def _hex(a):
+    a = np.asarray(a)
+    return [float.hex(v) for v in np.concatenate([a.real.ravel(), a.imag.ravel()]).tolist()]
+
+
+@pytest.mark.parametrize("name", ["bump_table", "exp_well", "squeezed_window"])
+@pytest.mark.parametrize("k", [0.0, 1.3, 1.0 + 0.5j])
+def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
+    p = _SHARED_MESH[name] if name in _SHARED_MESH else request.getfixturevalue(name)
+    pair = _jost_pair(p, k)
+    for side, ev in zip("+-", pair):
+        lone = jost_evaluator(p, k, side)
+        assert _hex(ev.nodes) == _hex(lone.nodes)
+        assert _hex(ev.states) == _hex(lone.states)
+        assert ev.error_bound == lone.error_bound
+    evp, evm = pair
+    assert _hex(evm.nodes) == _hex(-evp.nodes[::-1])
+
+
+def test_scattering_samples_the_potential_once_per_pair(bump_table, monkeypatch):
+    points = []
+    call = Potential.__call__
+
+    def counting(self, x):
+        points.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(Potential, "__call__", counting)
+    jost_evaluator(bump_table, 1.3, "+")
+    one_build = sum(points)
+    points.clear()
+    j.scattering(bump_table, 1.3)
+    assert sum(points) <= 1.1 * one_build
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +365,58 @@ def test_reflection_conjugation_symmetry(two_step):
     sd_m = j.scattering(two_step, -k + 0.0j)
     assert abs(sd_m.a - np.conj(sd.a)) < 1e-10
     assert abs(sd_m.b - np.conj(sd.b)) < 1e-10
+
+
+@st.composite
+def _tables(draw):
+    """A table of 5 to 60 nodes with steps 0.02-0.15 and values in [-4, 4], around x = 0."""
+    n = draw(st.integers(5, 60))
+    widths = draw(st.lists(st.floats(0.02, 0.15), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    x = np.concatenate([[0.0], np.cumsum(widths)])
+    return j.tabulated(x - 0.5 * x[-1] + draw(st.floats(-1.0, 1.0)), values)
+
+
+_EXP_WELLS = st.builds(lambda rate, size, sign: j.exp_decay(rate, sign * size),
+                       st.floats(0.5, 2.0), st.floats(0.3, 3.0), st.sampled_from([-1.0, 1.0]))
+
+
+def _reflected(p):
+    x, v = p.shape.x, p.shape.v
+    return j.tabulated([-t for t in reversed(x)], list(reversed(v)))
+
+
+def _real_scattering_symmetries(p, k):
+    sd = j.scattering(p, k)
+    assert sd.unitarity_defect() < 1e-10
+    assert abs(j.scattering(p, -k + 0.0j).r - np.conj(sd.r)) < 1e-10
+    return sd
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(p=_tables(), k=st.floats(0.2, 4.0))
+def test_table_unitarity_reciprocity_conjugation(p, k):
+    sd = _real_scattering_symmetries(p, k)
+    assert abs(sd.t - j.scattering(_reflected(p), k).t) < 1e-10
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(p=_EXP_WELLS, k=st.floats(0.2, 4.0))
+def test_exp_well_unitarity_reciprocity_conjugation(p, k):
+    # V is even, so reciprocity is read off f_-: its e^{-ikx} coefficient
+    # on the far right is the a of f_+
+    sd = _real_scattering_symmetries(p, k)
+    assert abs(sd.t - 1.0 / jost_evaluator(p, k, "-").plane_pair()[1]) < 1e-10
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(p=_tables(), k_re=st.floats(0.2, 3.0), k_im=st.floats(0.0, 0.5))
+def test_table_wronskian_constant_at_complex_k(p, k_re, k_im):
+    xs = np.linspace(-4.0, 4.0, 101)
+    f, fp, g, gp = (y for ev in _jost_pair(p, complex(k_re, k_im)) for y in ev.eval(xs))
+    w = f * gp - fp * g
+    mid = w[len(w) // 2]
+    assert np.max(np.abs(w - mid)) / abs(mid) < 1e-10
 
 
 # ---------------------------------------------------------------------------
