@@ -25,6 +25,7 @@ from .jost import (
 from .limits import (
     ConvergenceRecord,
     LimitOperator,
+    TruncatedScaledOperator,
     classify_limit,
     convergence_table,
     dirichlet_decoupled,
@@ -32,6 +33,7 @@ from .limits import (
     interface,
     kernel_distance,
     limit_scattering,
+    truncated_operator,
 )
 from .potential import (
     Potential,
@@ -62,7 +64,6 @@ from .resonance import (
     resonance_report,
     resonant_couplings,
 )
-from .scaled import TruncatedScaledOperator, truncated_operator
 
 __version__ = "0.1.0"
 

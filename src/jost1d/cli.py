@@ -65,7 +65,7 @@ def _parse_eps_list(text: str) -> list[float]:
         raise SpecError(f"cannot parse eps list {text!r}") from None
     if not eps:
         raise SpecError("eps list is empty")
-    if min(eps) <= 0:
+    if not all(e > 0 for e in eps):
         raise SpecError("eps values must be positive")
     return eps
 

@@ -36,7 +36,7 @@ coefficients are V's at eps k.  jost_evaluator therefore builds V at
 eps k on V's own nodes, by whichever route V picks, and only eval maps
 back; the mesh never resolves the squeezed scale, and error_bound is
 V's.  A window cut from a squeezed potential is the squeezed window of
-V, so the windowed operator of the scaled module is solved this way.
+V, so the windowed operator of the limits module is solved this way.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ __all__ = [
 
 def check_wavenumber(k, allow_zero=False):
     k = complex(k)
+    if not np.isfinite(k):
+        raise SpecError(f"wavenumber must be finite, got {k}")
     if k.imag < 0:
         raise SpecError(f"wavenumber must satisfy Im k >= 0, got {k}")
     if k == 0 and not allow_zero:

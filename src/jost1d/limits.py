@@ -1,42 +1,63 @@
-"""Limit operators of the squeezed family and convergence diagnostics.
+"""The windowed squeezed operator, its limit operators, and their kernels.
 
-As eps -> 0 the windowed squeezed operator converges in norm-resolvent
-sense to one of two self-adjoint operators on the line with a point
-perturbation at the origin:
+For a potential V and small eps > 0 the operator of interest is
+
+    -d^2/dx^2 + eps^-2 V(x/eps) restricted to the window |x| <= x_eps,
+
+with the window half-width x_eps = eps * xi_eps chosen by the splitting
+scale so that the window both shrinks to a point and, after unsqueezing,
+swallows ever more of V.  That operator is -d^2/dx^2 plus the potential
+scale(truncate(V, xi_eps), eps), so its Jost solutions f~_+- are that
+potential's, and jost_evaluator builds them by dilation: f~_+ at (x, k)
+is f_+ of V cut to |s| <= xi_eps at (x/eps, eps k), solved on the
+unsqueezed axis at the small wavenumber eps k, and its error_bound is
+that of the cut V (zero: the cut is compact).  Whether a = W/(-2ik)
+blows up like 1/eps (generic case) or stays bounded (zero-energy
+resonance) decides the limiting operator.
+
+As eps -> 0 the windowed operator converges in norm-resolvent sense to
+one of two self-adjoint operators on the line with a point perturbation
+at the origin:
 
 * no zero-energy resonance: the two half lines decouple, with a
   Dirichlet condition on each side of the origin;
 * a resonance with far-field ratio theta: the interface conditions
   y(0+) = theta y(0-), theta y'(0+) = y'(0-).
 
-Both have closed-form resolvent kernels built from plane waves, given
-here together with a sampled Hilbert-Schmidt distance between kernels
-and a per-eps convergence table.  theta = 1 reproduces the free line.
+theta = 1 reproduces the free line.
 
-The table samples both kernels on the same n x n lattice as
-kernel_distance, but fills it from 1-D data: the windowed kernel and the
-interface kernel are u(max(x, y)) v(min(x, y)) / W, so each needs u and
-v only at the n abscissae, gathered by the max/min index of every
-lattice pair.  The limit lattice is built once per table (the Dirichlet
-kernel, which is not of that form, by one call on the meshgrid) and
-each eps evaluates its two windowed solutions at n points.  Every entry
-goes through the same elementwise arithmetic as the callable path, so
-the distances are bit-identical to kernel_distance on the same kernels.
+Every resolvent kernel here is one Kernel, u(max(x, y)) v(min(x, y)) / w
+with w = W{u, v}: f~_+ and f~_- for the window, the two plane-wave
+solutions glued by theta for the interface.  The Dirichlet kernel has
+that form on each half line: u = e^{ikx}, v = sin kx on x > 0 and
+u = -sin kx, v = e^{-ikx} on x < 0, each pair with W = k.  Across the
+origin that product would couple the half lines, so its Kernel sets
+split, which zeroes pairs on opposite sides of 0; at x = 0 the sines
+vanish, so it is exactly 0 there, like the image-charge form.
+
+kernel_distance samples the Hilbert-Schmidt distance of two kernels on
+an n x n lattice, and the convergence table reports it per eps, filling
+the same lattice through Kernel.lattice: the limit's once per table,
+the window's from its two solutions at n points per eps, bit for bit
+what Kernel.__call__ gives on the meshgrid.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecError
-from .jost import ScatteringData, check_wavenumber
-from .potential import Potential
+from .jost import ScatteringData, _jost_pair, _scattering_from, check_wavenumber
+from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import resonance_report
-from .scaled import truncated_operator
 
 __all__ = [
+    "Kernel",
+    "TruncatedScaledOperator",
+    "truncated_operator",
     "LimitOperator",
     "ConvergenceRecord",
     "dirichlet_decoupled",
@@ -47,6 +68,74 @@ __all__ = [
     "kernel_distance",
     "convergence_table",
 ]
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The resolvent kernel u(max(x, y)) v(min(x, y)) / w.
+
+    u and v map an array of points to solution values; w is W{u, v}.
+    With split the kernel is zero for x and y on opposite sides of 0.
+    """
+
+    u: Callable
+    v: Callable
+    w: complex
+    split: bool = False
+
+    def __call__(self, x, y):
+        """G(x, y), vectorized over broadcast x and y."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        hi, lo = np.maximum(x, y), np.minimum(x, y)
+        return self._join(self.u(hi), self.v(lo), hi, lo)[()]
+
+    def lattice(self, xs):
+        """G on the lattice xs x xs, laid out as np.meshgrid(xs, xs).
+
+        xs increases, so max(xs[i], xs[j]) = xs[max(i, j)]: u and v are
+        evaluated at the n abscissae and gathered by index.
+        """
+        xs = np.asarray(xs, dtype=float)
+        i = np.arange(len(xs))
+        hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
+        return self._join(self.u(xs)[hi], self.v(xs)[lo], xs[hi], xs[lo])
+
+    def _join(self, u, v, hi, lo):
+        g = u * v / self.w
+        return np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g
+
+
+class TruncatedScaledOperator:
+    """Jost solutions and resolvent kernel of the windowed squeezed operator.
+
+    plus and minus are the Jost evaluators of the window potential
+    scale(truncate(p, xi_eps), eps), built once: evaluating either
+    solution or the kernel green afterwards is vectorized and cheap,
+    which is what the Hilbert-Schmidt lattice sums need.  green.w is
+    their Wronskian.
+    """
+
+    def __init__(self, p: Potential, eps, k, tol=1e-10, alpha_weight=0.5):
+        k = check_wavenumber(k, allow_zero=False)
+        ss = splitting_scale(p, eps, alpha_weight)
+        self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
+        plus, minus = self.plus, self.minus = _jost_pair(scale(truncate(p, ss.xi_eps), ss.eps),
+                                                         k, tol)
+        # W at the window's right edge, where both solutions are plane waves:
+        # it is -2ik a of f_-, so the Wronskian gap checks reciprocity a_+ = a_-
+        (f, fp), (g, gp) = plus.eval(self.x_eps), minus.eval(self.x_eps)
+        # u and v close over the evaluators, not self: a cycle through self
+        # would keep their arrays alive until the cyclic collector runs
+        self.green = Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0],
+                            complex(f * gp - fp * g))
+        self._scattering = _scattering_from(k, plus, self.green.w)
+
+    def scattering(self) -> ScatteringData:
+        return self._scattering
+
+
+def truncated_operator(p, eps, k, tol=1e-10, alpha_weight=0.5):
+    return TruncatedScaledOperator(p, eps, k, tol, alpha_weight)
 
 
 @dataclass(frozen=True)
@@ -96,75 +185,36 @@ def limit_scattering(op: LimitOperator, k) -> ScatteringData:
     raise SpecError(f"unknown limit operator kind {op.kind!r}")
 
 
-def green_kernel_fn(op: LimitOperator, k):
-    """Vectorized (x, y) -> G(x, y; k) for a limit operator.
+def green_kernel_fn(op: LimitOperator, k) -> Kernel:
+    """The resolvent kernel of a limit operator at k.
 
-    Dirichlet-decoupled: the image-charge kernel on each half line,
-    zero across the origin.  Interface(theta): built from the two
-    plane-wave solutions that satisfy the interface conditions; their
-    Wronskian is -ik(theta + 1/theta) on both sides.
+    Dirichlet-decoupled: on each half line the solution outgoing at
+    infinity over the one vanishing at the origin, zero across it (see
+    the module docstring).  Interface(theta): u is e^{ikx} for x >= 0
+    and v is e^{-ikx} for x <= 0; across the origin each continues by
+    the interface conditions, and W is -ik(theta + 1/theta).
     """
     k = check_wavenumber(k, allow_zero=False)
     if op.kind == "dirichlet":
-
-        def kernel(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            same_side = np.sign(x) * np.sign(y) > 0
-            direct = np.exp(1j * k * np.abs(x - y))
-            image = np.exp(1j * k * (np.abs(x) + np.abs(y)))
-            return np.where(same_side, (direct - image) / (-2j * k), 0.0)
-
-        return kernel
-
+        return Kernel(
+            lambda x: np.where(x > 0, np.exp(1j * k * x), -np.sin(k * x)),
+            lambda x: np.where(x >= 0, np.sin(k * x), np.exp(-1j * k * x)),
+            k,
+            split=True,
+        )
     if op.kind == "interface":
-
-        def kernel(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            u_plus, u_minus, w = _interface_solutions(op.theta, k, np.maximum(x, y),
-                                                      np.minimum(x, y))
-            return u_plus * u_minus / w
-
-        return kernel
-
+        theta = op.theta
+        a_co = 0.5 * (theta + 1.0 / theta)
+        b_co = 0.5 * (1.0 / theta - theta)
+        d_co = 0.5 * (theta - 1.0 / theta)
+        return Kernel(
+            lambda x: np.where(x >= 0, np.exp(1j * k * x),
+                               a_co * np.exp(1j * k * x) + b_co * np.exp(-1j * k * x)),
+            lambda x: np.where(x <= 0, np.exp(-1j * k * x),
+                               a_co * np.exp(-1j * k * x) + d_co * np.exp(1j * k * x)),
+            -1j * k * (theta + 1.0 / theta),
+        )
     raise SpecError(f"unknown limit operator kind {op.kind!r}")
-
-
-def _interface_solutions(theta, k, hi, lo):
-    """(u_+(hi), u_-(lo), W) of the interface limit with ratio theta.
-
-    u_+ is e^{ikx} for x >= 0 and u_- is e^{-ikx} for x <= 0; across the
-    origin each continues by the interface conditions.  W is their
-    Wronskian, so the kernel is u_+(max) u_-(min) / W.
-    """
-    a_co = 0.5 * (theta + 1.0 / theta)
-    b_co = 0.5 * (1.0 / theta - theta)
-    d_co = 0.5 * (theta - 1.0 / theta)
-    w = -1j * k * (theta + 1.0 / theta)
-    u_plus = np.where(
-        hi >= 0,
-        np.exp(1j * k * hi),
-        a_co * np.exp(1j * k * hi) + b_co * np.exp(-1j * k * hi),
-    )
-    u_minus = np.where(
-        lo <= 0,
-        np.exp(-1j * k * lo),
-        a_co * np.exp(-1j * k * lo) + d_co * np.exp(1j * k * lo),
-    )
-    return u_plus, u_minus, w
-
-
-def _limit_lattice(op: LimitOperator, k, xs, hi, lo):
-    """The limit kernel on the lattice xs x xs, laid out as np.meshgrid(xs, xs).
-
-    hi and lo index max and min of each lattice pair into xs, so the
-    interface kernel needs its two solutions at the n abscissae only.
-    """
-    if op.kind == "interface":
-        u_plus, u_minus, w = _interface_solutions(op.theta, k, xs, xs)
-        return u_plus[hi] * u_minus[lo] / w
-    return green_kernel_fn(op, k)(*np.meshgrid(xs, xs))
 
 
 def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> float:
@@ -174,9 +224,9 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
     runs over an n x n lattice on [-box, box]^2 and is normalized by
     box^2/n^2, a fixed surrogate for the continuum norm; it is meant for
     trend comparison, not certified error bounds.  Both callables are
-    evaluated at all n^2 lattice points.  convergence_table sums the same
-    lattice but fills it from each kernel's 1-D solutions at the n
-    abscissae, with bit-identical results.
+    evaluated at all n^2 lattice points; a Kernel is one.
+    convergence_table sums the same lattice through Kernel.lattice, with
+    bit-identical results.
     """
     xs = _abscissae(box, n)
     xg, yg = np.meshgrid(xs, xs)
@@ -185,7 +235,7 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
 
 def _abscissae(box, n):
     """The n lattice abscissae on [-box, box], shared by both lattice axes."""
-    if box <= 0 or n < 2:
+    if not 0 < box < np.inf or n < 2:
         raise SpecError("kernel_distance needs box > 0 and n >= 2")
     return np.linspace(-box, box, n)
 
@@ -229,21 +279,16 @@ def convergence_table(
                         reverse=True)
     if not eps_sorted:
         raise SpecError("eps_list is empty")
-    if eps_sorted[-1] <= 0:
+    if not all(e > 0 for e in eps_sorted):  # NaN fails this too
         raise SpecError("all eps values must be positive")
     op = classify_limit(p, threshold=threshold, tol=tol)
     ls = limit_scattering(op, k)
-    # index of max and min of every lattice pair: xs is increasing, so
-    # max(xs[i], xs[j]) = xs[max(i, j)]
-    col, row = np.meshgrid(np.arange(n), np.arange(n))
-    hi, lo = np.maximum(col, row), np.minimum(col, row)
-    limit = _limit_lattice(op, k, xs, hi, lo)
+    limit = green_kernel_fn(op, k).lattice(xs)
     records = []
     for eps in eps_sorted:
         tso = truncated_operator(p, eps, k, tol, alpha_weight)
         sd = tso.scattering()
-        windowed = tso.f_plus(xs)[0][hi] * tso.f_minus(xs)[0][lo] / tso.d_tilde
-        dist = _hs_distance(windowed - limit, box, n)
+        dist = _hs_distance(tso.green.lattice(xs) - limit, box, n)
         records.append(
             ConvergenceRecord(
                 eps=eps, r_eps=sd.r, t_eps=sd.t,

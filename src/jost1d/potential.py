@@ -422,14 +422,14 @@ def scale(p: Potential, eps: float) -> Potential:
     Composes exactly: scale(scale(p, e1), e2) is the same object tree as
     scale(p, e1*e2), so repeated rescaling never accumulates error.
     """
-    if eps <= 0:
-        raise SpecError(f"scale factor must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise SpecError(f"scale factor must be positive and finite, got {eps}")
     return replace(p, shape=p.shape.scaled(float(eps)))
 
 
 def truncate(p: Potential, half_width: float) -> Potential:
     """Restrict V to the window [-half_width, half_width]."""
-    if half_width <= 0:
+    if not half_width > 0:  # NaN fails this too; an infinite window keeps all of V
         raise SpecError(f"truncation half-width must be positive, got {half_width}")
     return replace(p, shape=p.shape.truncated(float(half_width)))
 
@@ -508,7 +508,7 @@ def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> Spli
     for integrable tails; its root is found by bracket doubling plus
     bisection to 1e-12 relative width.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails this too
         raise SpecError(f"eps must be positive, got {eps}")
     if not 0.0 < alpha_weight < 1.0:
         raise SpecError(f"alpha_weight must lie in (0, 1), got {alpha_weight}")

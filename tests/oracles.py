@@ -582,6 +582,19 @@ def fd_split_line_kernel(k, sources, theta=None, half_width=20.0, h=1e-3):
     return kernel
 
 
+def dirichlet_image_kernel(k, x, y):
+    """Resolvent kernel of the Dirichlet-decoupled half lines in image-charge form.
+
+    (e^{ik|x-y|} - e^{ik(|x|+|y|)}) / (-2ik) for x, y strictly on the same
+    side of the origin, and 0 otherwise (across it, or on it).
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    same_side = np.sign(x) * np.sign(y) > 0
+    direct = np.exp(1j * k * np.abs(x - y))
+    image = np.exp(1j * k * (np.abs(x) + np.abs(y)))
+    return np.where(same_side, (direct - image) / (-2j * k), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference residual of the stationary equation
 

@@ -306,6 +306,23 @@ def test_converge_bad_eps(runner, barrier_file):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["scatter", "--k", "nan"],
+    ["scatter", "--k", "inf"],
+    ["scatter", "--k", "1,nan"],
+    ["converge", "--k", "1.0", "--eps", "nan"],
+    ["converge", "--k", "1.0", "--eps", "0.1,nan"],
+    ["converge", "--k", "nan", "--eps", "0.1"],
+    ["converge", "--k", "1.0", "--eps", "0.1", "--box", "nan"],
+], ids=lambda args: " ".join(args))
+def test_non_finite_arguments_exit_2(runner, barrier_file, args):
+    result = runner.invoke(main, [args[0], "--potential", barrier_file, *args[1:]])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("flag, value", [("--n", "1"), ("--box", "0")])
 def test_converge_bad_lattice(runner, barrier_file, flag, value):
     result = runner.invoke(main, [

@@ -31,6 +31,14 @@ def test_wavenumber_validation():
     assert j.check_wavenumber(2.0) == 2.0 + 0.0j
 
 
+@pytest.mark.parametrize("k", [float("nan"), float("inf"), -float("inf"),
+                               complex(1.0, float("nan")), complex(1.0, float("inf"))])
+def test_wavenumber_rejects_non_finite(k):
+    # NaN fails every ordering test, so each check must be written to reject it
+    with pytest.raises(SpecError, match="finite"):
+        j.check_wavenumber(k, allow_zero=True)
+
+
 # ---------------------------------------------------------------------------
 # the free line
 

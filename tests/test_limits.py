@@ -133,15 +133,25 @@ def test_dirichlet_kernel_structure(rng):
     # decoupled: zero across the origin
     assert kern(-1.0, 2.0) == 0.0
     assert kern(3.0, -0.5) == 0.0
-    # Dirichlet: vanishes at the boundary point
+    # Dirichlet: vanishes at the boundary point, and exactly on it
     assert abs(kern(1e-12, 2.0)) < 1e-10
-    # same-side values match the image-charge closed form
-    for _ in range(10):
-        x, y = rng.uniform(0.1, 5.0, 2)
-        expected = (
-            np.exp(1j * k * abs(x - y)) - np.exp(1j * k * (x + y))
-        ) / (-2j * k)
-        assert kern(x, y) == pytest.approx(expected, rel=1e-12)
+    assert kern(0.0, 2.0) == 0.0 and kern(-1.5, 0.0) == 0.0 and kern(0.0, 0.0) == 0.0
+    # both half lines match the image-charge closed form
+    for lo, hi in ((0.1, 5.0), (-5.0, -0.1)):
+        for _ in range(10):
+            x, y = rng.uniform(lo, hi, 2)
+            assert kern(x, y) == pytest.approx(oracles.dirichlet_image_kernel(k, x, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("box, n", [(4.0, 41), (3.0, 31), (10.0, 200)])
+def test_dirichlet_lattice_matches_image_form(box, n):
+    # odd n puts x = 0 on the lattice, where the kernel is exactly zero
+    k = 0.7 + 0.4j
+    xs = np.linspace(-box, box, n)
+    got = j.green_kernel_fn(j.dirichlet_decoupled(), k).lattice(xs)
+    expect = oracles.dirichlet_image_kernel(k, *np.meshgrid(xs, xs))
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
+    assert np.array_equal(got == 0, expect == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +219,20 @@ def test_convergence_table_validation(barrier):
         j.convergence_table(barrier, 1.0, [0.1, -0.2])
 
 
-@pytest.mark.parametrize("box, n", [(0.0, 40), (-1.0, 40), (4.0, 1)])
+@pytest.mark.parametrize("k, eps_list", [(1.0, [0.1, float("nan")]), (1.0, [float("nan")]),
+                                        (float("nan"), [0.1]), (complex(1.0, float("inf")), [0.1])])
+def test_convergence_table_rejects_non_finite_before_work(barrier, monkeypatch, k, eps_list):
+    import jost1d.limits as limits
+
+    calls = []
+    monkeypatch.setattr(limits, "classify_limit", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SpecError):
+        j.convergence_table(barrier, k, eps_list)
+    assert calls == []
+
+
+@pytest.mark.parametrize("box, n", [(0.0, 40), (-1.0, 40), (4.0, 1), (float("nan"), 40),
+                                   (float("inf"), 40)])
 def test_convergence_table_rejects_lattice_before_work(barrier, monkeypatch, box, n):
     import jost1d.limits as limits
 
@@ -244,28 +267,44 @@ def test_table_distance_equals_kernel_distance(request, name, box, n):
 
 @pytest.mark.parametrize("name", ["barrier", "well_theta_minus"])
 def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
+    import dataclasses
+
     import jost1d.limits as limits
-    from jost1d.scaled import TruncatedScaledOperator
 
-    points = {"f_plus": [], "f_minus": []}
-    for attr, log in points.items():
-        solution = getattr(TruncatedScaledOperator, attr)
+    points = {"u": [], "v": []}
 
-        def counted(self, x, _solution=solution, _log=log):
-            _log.append(np.size(x))
-            return _solution(self, x)
+    def counted(solution, log):
+        def wrapper(x):
+            log.append(np.size(x))
+            return solution(x)
 
-        monkeypatch.setattr(TruncatedScaledOperator, attr, counted)
-    lattices = []
-    build = limits._limit_lattice
+        return wrapper
 
-    def counted_lattice(*args):
-        lattices.append(args)
-        return build(*args)
+    build = limits.truncated_operator
 
-    monkeypatch.setattr(limits, "_limit_lattice", counted_lattice)
+    def counted_window(*args):
+        tso = build(*args)
+        tso.green = dataclasses.replace(tso.green, u=counted(tso.green.u, points["u"]),
+                                        v=counted(tso.green.v, points["v"]))
+        return tso
+
+    monkeypatch.setattr(limits, "truncated_operator", counted_window)
+    limit_kernels, lattices = [], []
+    limit_kernel, lattice = limits.green_kernel_fn, limits.Kernel.lattice
+
+    def counted_limit(*args):
+        limit_kernels.append(args)
+        return limit_kernel(*args)
+
+    def counted_lattice(self, xs):
+        lattices.append(self)
+        return lattice(self, xs)
+
+    monkeypatch.setattr(limits, "green_kernel_fn", counted_limit)
+    monkeypatch.setattr(limits.Kernel, "lattice", counted_lattice)
     eps, n = [0.2, 0.1, 0.05], 40
     j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
     for log in points.values():
-        assert sum(log) <= n * len(eps)
-    assert len(lattices) == 1
+        assert len(log) == len(eps) and sum(log) <= n * len(eps)
+    assert len(limit_kernels) == 1
+    assert len(lattices) == 1 + len(eps)

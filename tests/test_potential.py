@@ -449,6 +449,19 @@ def test_tail_weight_norm_vanishes(exp_tail):
     assert vals[-1] < 0.02
 
 
+def test_transforms_reject_nan(exp_tail):
+    nan = float("nan")
+    for transform in (j.scale, j.truncate, j.splitting_scale):
+        with pytest.raises(SpecError):
+            transform(exp_tail, nan)
+    with pytest.raises(SpecError):
+        j.scale(exp_tail, math.inf)
+    # an infinite window keeps all of V
+    whole = j.truncate(exp_tail, math.inf)
+    assert whole.support() is None
+    assert j.scattering(whole, 1.0).r == j.scattering(exp_tail, 1.0).r
+
+
 def test_tail_weight_norm_zero_for_compact(barrier):
     # once the window passes the support edge nothing is cut off
     assert j.tail_weight_norm(barrier, 0.01) == 0.0

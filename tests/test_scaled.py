@@ -6,6 +6,9 @@ route would hold by construction.  Its solutions and scattering data are
 checked instead against oracles that work on the squeezed axis itself:
 one global layer-matching solve, DOP853, and a closed form of the
 windowed exponential well in mpmath.
+
+The symmetry and jump tests of the resolvent kernel also cover the
+interface and Dirichlet limit kernels, which share its Kernel type.
 """
 
 import numpy as np
@@ -43,7 +46,7 @@ def test_assembly_matches_direct_solve_layers(barrier, eps, k):
     segs = _window_layers(barrier, op)
     xs = np.linspace(-3.0, 3.0, 201)
     vals_direct, ders_direct = oracles.dop853_jost(*_one_layer(segs), k, xs)
-    vals_op, ders_op = op.f_plus(xs)
+    vals_op, ders_op = op.plus.eval(xs)
     assert np.allclose(vals_op, vals_direct, rtol=1e-10, atol=1e-10)
     assert np.allclose(ders_op, ders_direct, rtol=1e-10, atol=1e-10)
 
@@ -59,7 +62,7 @@ def test_assembly_matches_direct_solve_left_side(well_theta_minus):
     segs = _window_layers(well_theta_minus, op)
     xs = np.linspace(-2.0, 2.0, 101)
     vals_direct, _ = oracles.dop853_jost(*_one_layer(segs), k, xs, "-")
-    assert np.allclose(op.f_minus(xs)[0], vals_direct, rtol=1e-10, atol=1e-10)
+    assert np.allclose(op.minus.eval(xs)[0], vals_direct, rtol=1e-10, atol=1e-10)
 
 
 def test_assembly_matches_direct_solve_smooth(bump_table):
@@ -158,7 +161,7 @@ def test_window_beyond_compact_support_keeps_everything(barrier):
     op = j.truncated_operator(barrier, 0.01, 1.0)
     ev = jost_evaluator(j.scale(barrier, 0.01), 1.0, "+")
     xs = np.linspace(-3.0, 3.0, 201)
-    for got, expect in zip(op.f_plus(xs), ev.eval(xs)):
+    for got, expect in zip(op.plus.eval(xs), ev.eval(xs)):
         assert np.array_equal(got, expect)
 
 
@@ -172,8 +175,8 @@ def test_continuity_at_matching_points(two_step):
     op = j.truncated_operator(two_step, eps, k)
     x_eps = op.x_eps
     for edge in (-x_eps, x_eps):
-        left, dleft = op.f_plus(edge - 1e-9)
-        right, dright = op.f_plus(edge + 1e-9)
+        left, dleft = op.plus.eval(edge - 1e-9)
+        right, dright = op.plus.eval(edge + 1e-9)
         assert abs(left - right) < 1e-6 * max(1.0, abs(left))
         assert abs(dleft - dright) < 1e-4 * max(1.0, abs(dleft))
 
@@ -184,8 +187,8 @@ def test_solution_solves_equation_inside_window(barrier):
     w = j.truncate(j.scale(barrier, eps), op.x_eps)
     # stay inside one constant layer of the squeezed potential
     xs = np.linspace(-0.05, 0.05, 7)
-    res = oracles.schrodinger_residual(lambda x: op.f_plus(x)[0], w, k, xs, h=1e-5)
-    ref = np.max(np.abs(op.f_plus(xs)[0])) / eps**2
+    res = oracles.schrodinger_residual(lambda x: op.plus.eval(x)[0], w, k, xs, h=1e-5)
+    ref = np.max(np.abs(op.plus.eval(xs)[0])) / eps**2
     assert np.max(np.abs(res)) < 1e-6 * ref
 
 
@@ -194,29 +197,39 @@ def test_plane_waves_outside_window(barrier):
     op = j.truncated_operator(barrier, eps, k)
     sd = op.scattering()
     xs = np.linspace(op.x_eps * 1.5, 4.0, 9)
-    assert np.allclose(op.f_plus(xs)[0], np.exp(1j * k * xs), rtol=1e-12)
+    assert np.allclose(op.plus.eval(xs)[0], np.exp(1j * k * xs), rtol=1e-12)
     left = np.linspace(-4.0, -op.x_eps * 1.5, 9)
     expect = sd.a * np.exp(1j * k * left) + sd.b * np.exp(-1j * k * left)
-    assert np.allclose(op.f_plus(left)[0], expect, rtol=1e-12)
+    assert np.allclose(op.plus.eval(left)[0], expect, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # the resolvent kernel
 
 
-def test_green_kernel_symmetry(well_theta_minus, rng):
-    op = j.truncated_operator(well_theta_minus, 0.05, 1.0 + 1.0j)
+# the window, a limit kernel of each kind, and the potential each window squeezes
+_KERNELS = {
+    "window": lambda p, k: j.truncated_operator(p, 0.05, k).green,
+    "interface": lambda p, k: j.green_kernel_fn(j.interface(-2.0), k),
+    "dirichlet": lambda p, k: j.green_kernel_fn(j.dirichlet_decoupled(), k),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KERNELS))
+def test_green_kernel_symmetry(well_theta_minus, rng, kind):
+    green = _KERNELS[kind](well_theta_minus, 1.0 + 1.0j)
     for _ in range(10):
         x, y = rng.uniform(-3, 3, 2)
-        assert op.green(x, y) == pytest.approx(op.green(y, x), rel=1e-12)
+        assert green(x, y) == pytest.approx(green(y, x), rel=1e-12)
 
 
-def test_green_kernel_jump_condition(barrier):
+@pytest.mark.parametrize("kind", list(_KERNELS))
+def test_green_kernel_jump_condition(barrier, kind):
     # the derivative of G(., y) jumps by -1 across x = y
-    op = j.truncated_operator(barrier, 0.05, 1.0 + 0.5j)
+    green = _KERNELS[kind](barrier, 1.0 + 0.5j)
     y, h = 0.7, 1e-6
-    slope_right = (op.green(y + 2 * h, y) - op.green(y + h, y)) / h
-    slope_left = (op.green(y - h, y) - op.green(y - 2 * h, y)) / h
+    slope_right = (green(y + 2 * h, y) - green(y + h, y)) / h
+    slope_left = (green(y - h, y) - green(y - 2 * h, y)) / h
     assert abs((slope_right - slope_left) - (-1.0)) < 1e-4
 
 
