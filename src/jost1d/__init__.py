@@ -44,7 +44,6 @@ from .potential import (
     load_potential,
     moments,
     piecewise_constant,
-    piecewise_segments,
     potential_from_dict,
     scale,
     splitting_scale,
@@ -101,7 +100,6 @@ __all__ = [
     "load_potential",
     "moments",
     "piecewise_constant",
-    "piecewise_segments",
     "potential_from_dict",
     "resonance_report",
     "resonant_couplings",

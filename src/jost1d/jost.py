@@ -9,30 +9,30 @@ f_+ = a e^{ikx} + b e^{-ikx} on the far left defines the coefficients
 from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
-Numerics.  One evaluator class serves both sides and both routes.  The
-potential picks the route: the exact layer route when piecewise_segments
-gives its layers (nodes at the layer edges, steps from
-transfer.propagator_entries), and otherwise a 4th-order Magnus panel
-propagator (transfer.magnus_entries), whose step samples V at two Gauss
-points and is exact for the free equation at any k.  The Magnus mesh
-starts from the potential's breakpoints, so no step crosses a kink, and
-halves every step whose one-step and two-half-step maps differ by more
-than its share of tol.  An accepted step keeps its two-half-step map
-with the Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point
-step is time-symmetric, so its local error is odd in h.  One mesh
-serves both sides: nodes and step maps are built once in x, and f_-,
-the right solution f_+(-x; V(-.)) of the reflected potential, reads
-f_+'s maps mirrored (see JostEvaluator), so a pair costs one mesh and
-two prefix scans.  Node states are a prefix product of the step maps
-from the anchor, and between nodes one partial step from the
-anchor-side node gives (f, f').  The anchor sits at the support edge
-when the support is compact, otherwise where the weighted tail has
-dropped below tol, and the cut tail mass is error_bound; this holds at
-k = 0 as well.
+Numerics.  One evaluator class serves both sides and both routes, and
+one builder, _jost_pair, makes every evaluator.  The potential picks the
+route: the exact layer route when its shape tiles into layers (nodes at
+the layer edges, steps from transfer.propagator_entries), and otherwise
+a 4th-order Magnus panel propagator (transfer.magnus_entries), whose
+step samples V at two Gauss points and is exact for the free equation at
+any k.  The Magnus mesh starts from the potential's breakpoints, so no
+step crosses a kink, and halves every step whose one-step and
+two-half-step maps differ by more than its share of tol.  An accepted
+step keeps its two-half-step map with the Richardson correction
+M_2 + (M_2 - M_1)/15: the Gauss-point step is time-symmetric, so its
+local error is odd in h.  One mesh serves both sides: nodes and step
+maps are built once in x, and f_-, the right solution f_+(-x; V(-.)) of
+the reflected potential, reads f_+'s maps mirrored (see JostEvaluator),
+so a pair costs one mesh and two prefix scans.  Node states are a prefix
+product of the step maps from the anchor, and between nodes one partial
+step from the anchor-side node gives (f, f').  The anchor sits at the
+support edge when the support is compact, otherwise where the weighted
+tail has dropped below tol, and the cut tail mass is error_bound; this
+holds at k = 0 as well.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
-coefficients are V's at eps k.  jost_evaluator therefore builds V at
+coefficients are V's at eps k.  _jost_pair therefore builds V at
 eps k on V's own nodes, by whichever route V picks, and only eval maps
 back; the mesh never resolves the squeezed scale, and error_bound is
 V's.  A window cut from a squeezed potential is the squeezed window of
@@ -52,7 +52,7 @@ from .errors import (
     IntegrationError,
     SpecError,
 )
-from .potential import Potential, piecewise_segments
+from .potential import Potential
 from .transfer import magnus_entries, plane_pair, propagator_entries
 
 __all__ = [
@@ -140,14 +140,15 @@ class JostEvaluator:
     anchor, the right end of the nodes, and f(x) = g(s x), f'(x) =
     s g'(s x).  nodes and states are in t; anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
-    state.  The step maps come from _x_maps (or _maps, when a pair shares
-    them): layer steps with layers (from _layers), else the Magnus mesh.
-    f_- reads them mirrored.  t = -x reverses the nodes and the maps, and
-    f_-'s Gauss-Magnus step over a panel is f_+'s with the two Gauss
-    points traded, which swaps m00 and m11 (a layer step has m00 = m11).
-    The swap M -> J M^T J reverses products, so it carries the composed
-    halves and the Richardson-corrected maps over exactly.  Each side
-    scans its own copy of the maps.
+    state.  maps are the (nodes, steps, mu2, tails) of _x_maps, which
+    _jost_pair builds once in x for both sides: layer steps when the
+    shape has layers, else the Magnus mesh.  f_- reads them mirrored.
+    t = -x reverses the nodes and the maps, and f_-'s Gauss-Magnus step
+    over a panel is f_+'s with the two Gauss points traded, which swaps
+    m00 and m11 (a layer step has m00 = m11).  The swap M -> J M^T J
+    reverses products, so it carries the composed halves and the
+    Richardson-corrected maps over exactly.  Each side scans its own
+    copy of the maps.
 
     The layer route takes a batch: heights of shape (n, L) and/or k of
     shape (n,) give n solutions on the same edges from one build, and
@@ -160,18 +161,18 @@ class JostEvaluator:
     _dot (k = 0 only) adds the k-derivative of the solution, the
     zero-energy solution equal to i t from the anchor on: batch gains a
     leading axis of length 2, row 0 the solution and row 1 its
-    derivative, both from the same scan.  On infinite support its anchor
-    also bounds the second-moment tail, which error_bound then includes.
+    derivative, both from the same scan.  On infinite support the maps'
+    anchor then also bounds the second-moment tail, which error_bound
+    includes.
 
-    _eps (set by jost_evaluator for a squeezed potential, kept as eps) is
-    the dilation: p and k are then the unsqueezed base and eps k, and
-    everything above belongs to that base problem, except that eval takes
-    x and gives f'(x) = s g'(s x / eps) / eps, with the k-derivative row
+    _eps (set by _jost_pair for a squeezed potential, kept as eps) is the
+    dilation: p, k and maps then belong to the unsqueezed base at eps k,
+    and everything above is that base problem, except that eval takes x
+    and gives f'(x) = s g'(s x / eps) / eps, with the k-derivative row
     multiplied by eps, and anchor and far_edge are in x.
     """
 
-    def __init__(self, p: Potential, k, side, tol=1e-10, layers=None, _dot=False, _eps=1.0,
-                 _maps=None):
+    def __init__(self, p: Potential, k, side, maps, _dot=False, _eps=1.0):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
@@ -185,7 +186,7 @@ class JostEvaluator:
             raise SpecError("a batch of wavenumbers cannot mix k = 0 with k != 0")
         self.p = p
         self._v = p if s > 0 else (lambda t: p(-t))
-        nodes, steps, mu2, tails = _maps or _x_maps(p, self.k, tol, layers, _dot)
+        nodes, steps, mu2, tails = maps
         if s > 0:
             self.nodes, self.mu2, self.error_bound = nodes, mu2, tails[1]
             steps = steps[..., ::-1, :].copy()  # anchor first; the scan below writes into it
@@ -353,21 +354,22 @@ def _x_maps(p: Potential, k, tol, layers, second):
     return np.append(left[order], hi), np.concatenate(done_maps)[order], None, tails
 
 
-def jost_evaluator(p: Potential, k, side, tol=1e-10, _dot=False):
+def jost_evaluator(p: Potential, k, side, tol=1e-10):
     """The Jost solution f_+ (side "+") or f_- (side "-") of p at k.
 
-    The potential picks the route: the exact layer route when
-    piecewise_segments gives its layers, the Magnus route otherwise.
-    On infinite support k = 0 anchors at the same tail point as k != 0:
+    The route is the layer one when p's shape has layers, else Magnus.  On
+    infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
-    A squeezed p is built as its base at eps k (see Dilation above).
-    _dot adds the k-derivative at k = 0 (see JostEvaluator).
     """
-    return _jost_pair(p, k, tol, _dot, (side,))[0]
+    return _jost_pair(p, k, tol, sides=(side,))[0]
 
 
-def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-"):
-    """Evaluators of p at k for sides, (f_+, f_-) by default, reading one set of x-maps."""
+def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-", couplings=None):
+    """Evaluators of p at k for sides, (f_+, f_-) by default, scanning one set of x-maps.
+
+    _dot adds the k-derivative at k = 0 (see JostEvaluator); couplings, a 1-d
+    array standing in for p.coupling, batches the layer route (not the Magnus one).
+    """
     k = check_wavenumber(k, allow_zero=True)
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
@@ -375,19 +377,14 @@ def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-"):
         p = Potential(base, p.coupling)
     if eps != 1.0:
         k = eps * k
-    layers = _layers(p, p.coupling)
-    maps = _x_maps(p, k, tol, layers, _dot) if len(sides) > 1 else None
-    return tuple(JostEvaluator(p, k, side, tol, layers, _dot, eps, maps) for side in sides)
+    layers = _layers(p.shape, p.coupling if couplings is None else couplings)
+    maps = _x_maps(p, k, tol, layers, _dot)
+    return tuple(JostEvaluator(p, k, side, maps, _dot, eps) for side in sides)
 
 
-def _layers(p: Potential, couplings):
-    """(edges, heights) of the transfer route, or None when p is not piecewise constant.
-
-    heights has one row per coupling (a scalar coupling gives a 1-d row):
-    row i holds the layer heights of p's shape at coupling couplings[i],
-    multiplied as couplings[i] * h, the order piecewise_segments uses.
-    """
-    segs = piecewise_segments(Potential(p.shape))
+def _layers(shape, couplings):
+    """(edges, heights) of the layer route, heights[i] = couplings[i] * h; None without layers."""
+    segs = shape.layers() if hasattr(shape, "layers") else None
     if segs is None:
         return None
     edges = np.array([segs[0][0], *(seg[1] for seg in segs)] if segs else [0.0])
@@ -406,17 +403,12 @@ def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
 def _zero_energy_wronskians(p: Potential, couplings, tol=1e-10) -> np.ndarray:
     """W{f_+, f_-} at k = 0 for each of couplings (a 1-d array), standing in for p.coupling.
 
-    On the transfer route all couplings share one batched set of step
-    maps, and each value is bit for bit what jost_wronskian gives for
-    that coupling; the Magnus route builds one mesh per coupling, and
-    both sides read it.
+    The layer route batches all couplings in one _jost_pair, bit for bit what
+    jost_wronskian gives per coupling; the Magnus route builds one pair per coupling.
     """
-    layers = _layers(p, couplings)
-    if layers is None:
+    if _layers(p.shape, 1.0) is None:
         return np.array([jost_wronskian(p.with_coupling(c), 0.0, tol) for c in couplings.tolist()])
-    maps = _x_maps(p, 0.0, tol, layers, False)
-    return _wronskian_at_mid(p, *(JostEvaluator(p, 0.0, side, tol, layers, _maps=maps)
-                                  for side in "+-"))
+    return _wronskian_at_mid(p, *_jost_pair(p, 0.0, tol, couplings=couplings))
 
 
 def _midpoint(p: Potential) -> float:
@@ -425,12 +417,15 @@ def _midpoint(p: Potential) -> float:
     return 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
 
 
+def _wronskian_at(evp, evm, x):
+    """W{f_+, f_-} at the points x, shaped like evp.eval(x)."""
+    (f, fp), (g, gp) = evp.eval(x), evm.eval(x)
+    return f * gp - fp * g
+
+
 def _wronskian_at_mid(p: Potential, evp, evm):
-    """W{f_+, f_-} at _midpoint(p)."""
-    x_star = _midpoint(p)
-    f, fp = evp.eval([x_star])
-    g, gp = evm.eval([x_star])
-    return (f * gp - fp * g)[..., 0]
+    """W{f_+, f_-} at _midpoint(p), one value per batch row."""
+    return _wronskian_at(evp, evm, [_midpoint(p)])[..., 0]
 
 
 # ---------------------------------------------------------------------------

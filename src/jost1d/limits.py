@@ -46,11 +46,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpecError
-from .jost import ScatteringData, _jost_pair, _scattering_from, check_wavenumber
+from .jost import ScatteringData, _jost_pair, _scattering_from, _wronskian_at, check_wavenumber
 from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import resonance_report
 
@@ -87,7 +88,7 @@ class Kernel:
         """G(x, y), vectorized over broadcast x and y."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         hi, lo = np.maximum(x, y), np.minimum(x, y)
-        return self._join(self.u(hi), self.v(lo), hi, lo)[()]
+        return self._join(self.u(hi), self.v(lo), lambda: (hi > 0) & (lo < 0))[()]
 
     def lattice(self, xs):
         """G on the lattice xs x xs, laid out as np.meshgrid(xs, xs).
@@ -96,13 +97,22 @@ class Kernel:
         evaluated at the n abscissae and gathered by index.
         """
         xs = np.asarray(xs, dtype=float)
-        i = np.arange(len(xs))
-        hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
-        return self._join(self.u(xs)[hi], self.v(xs)[lo], xs[hi], xs[lo])
+        hi, lo = _max_min_index(len(xs))
+        return self._join(self.u(xs)[hi], self.v(xs)[lo], lambda: (xs[hi] > 0) & (xs[lo] < 0))
 
-    def _join(self, u, v, hi, lo):
+    def _join(self, u, v, straddles):
+        # straddles() masks the pairs on opposite sides of 0; only split reads it
         g = u * v / self.w
-        return np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g
+        return np.where(straddles(), 0.0, g) if self.split else g
+
+
+@lru_cache(maxsize=8)
+def _max_min_index(n):
+    """max(i, j) and min(i, j) on the n x n index lattice, built once per n and shared read-only."""
+    i = np.arange(n)
+    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
 
 
 class TruncatedScaledOperator:
@@ -115,27 +125,26 @@ class TruncatedScaledOperator:
     their Wronskian.
     """
 
-    def __init__(self, p: Potential, eps, k, tol=1e-10, alpha_weight=0.5):
+    def __init__(self, p: Potential, eps, k, tol=1e-10):
         k = check_wavenumber(k, allow_zero=False)
-        ss = splitting_scale(p, eps, alpha_weight)
+        ss = splitting_scale(p, eps)
         self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
         plus, minus = self.plus, self.minus = _jost_pair(scale(truncate(p, ss.xi_eps), ss.eps),
                                                          k, tol)
         # W at the window's right edge, where both solutions are plane waves:
-        # it is -2ik a of f_-, so the Wronskian gap checks reciprocity a_+ = a_-
-        (f, fp), (g, gp) = plus.eval(self.x_eps), minus.eval(self.x_eps)
+        # it is -2ik a of f_-, so the Wronskian gap checks reciprocity a_+ = a_-.
         # u and v close over the evaluators, not self: a cycle through self
         # would keep their arrays alive until the cyclic collector runs
         self.green = Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0],
-                            complex(f * gp - fp * g))
+                            complex(_wronskian_at(plus, minus, self.x_eps)))
         self._scattering = _scattering_from(k, plus, self.green.w)
 
     def scattering(self) -> ScatteringData:
         return self._scattering
 
 
-def truncated_operator(p, eps, k, tol=1e-10, alpha_weight=0.5):
-    return TruncatedScaledOperator(p, eps, k, tol, alpha_weight)
+def truncated_operator(p, eps, k, tol=1e-10):
+    return TruncatedScaledOperator(p, eps, k, tol)
 
 
 @dataclass(frozen=True)
@@ -262,7 +271,6 @@ def convergence_table(
     box: float = 10.0,
     n: int = 200,
     tol: float = 1e-10,
-    alpha_weight: float = 0.5,
     threshold: float | None = None,
 ) -> list[ConvergenceRecord]:
     """Scattering and kernel-distance trend of the windowed family.
@@ -286,7 +294,7 @@ def convergence_table(
     limit = green_kernel_fn(op, k).lattice(xs)
     records = []
     for eps in eps_sorted:
-        tso = truncated_operator(p, eps, k, tol, alpha_weight)
+        tso = truncated_operator(p, eps, k, tol)
         sd = tso.scattering()
         dist = _hs_distance(tso.green.lattice(xs) - limit, box, n)
         records.append(

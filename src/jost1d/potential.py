@@ -52,7 +52,6 @@ __all__ = [
     "scale",
     "truncate",
     "tail_weight_norm",
-    "piecewise_segments",
 ]
 
 
@@ -64,7 +63,10 @@ class _Shape:
     """What every shape shares: layers, and composable squeezing and truncation."""
 
     def layers(self):
-        """(left, right, height) layers when the shape is piecewise constant, else None."""
+        """Contiguous (left, right, height) layers, left to right, or None if not piecewise constant.
+
+        A gap between segments is a zero-height layer; heights leave out the coupling.
+        """
         return None
 
     def scaled(self, eps):
@@ -104,7 +106,9 @@ class PiecewiseShape(_Shape):
         return tuple(sorted(set(pts)))
 
     def layers(self):
-        return list(self.segments)
+        segs = sorted(self.segments)
+        gaps = [(hi, lo, 0.0) for (_, hi, _), (lo, _, _) in zip(segs, segs[1:]) if lo > hi]
+        return sorted(segs + gaps)
 
     def integrals(self, lo, hi, coupling):
         """(int V, int x V, int |V|, int (1+|x|) |V|) over [lo, hi] of coupling * self.
@@ -271,7 +275,8 @@ class ScaledShape(_Shape):
         w = self.half_width
         lo, hi = self.base.support() or (-math.inf, math.inf)
         lo, hi = max(lo, -w), min(hi, w)
-        return None if hi == math.inf else (self.eps * lo, self.eps * hi)
+        # a window that holds none of V leaves a point, not an inverted interval
+        return None if hi == math.inf else (self.eps * lo, self.eps * max(lo, hi))
 
     def breakpoints(self):
         w = self.half_width
@@ -348,68 +353,54 @@ class Potential:
         return replace(self, coupling=float(coupling))
 
 
+def _finite(kind, *values):
+    """values as floats; SpecError if any is NaN or infinite (json reads both)."""
+    out = [float(t) for t in values]
+    if not all(map(math.isfinite, out)):
+        raise SpecError(f"{kind} potential parameters and coupling must be finite")
+    return out
+
+
 def square(left, right, height, coupling=1.0):
     """Square well (height < 0) or barrier (height > 0) on [left, right]."""
+    left, right, height, coupling = _finite("square", left, right, height, coupling)
     if not left < right:
         raise SpecError(f"square potential needs left < right, got [{left}, {right}]")
-    return Potential(PiecewiseShape(((float(left), float(right), float(height)),)), float(coupling))
+    return Potential(PiecewiseShape(((left, right, height),)), coupling)
 
 
 def piecewise_constant(segments, coupling=1.0):
-    segs = sorted((float(lo), float(hi), float(h)) for lo, hi, h in segments)
+    segs = sorted(tuple(_finite("piecewise", lo, hi, h)) for lo, hi, h in segments)
     for lo, hi, _ in segs:
         if not lo < hi:
             raise SpecError(f"piecewise segment needs left < right, got [{lo}, {hi}]")
     for (_, hi, _), (lo2, _, _) in zip(segs, segs[1:]):
         if lo2 < hi:
             raise SpecError(f"piecewise segments overlap near x = {lo2}")
-    return Potential(PiecewiseShape(tuple(segs)), float(coupling))
+    return Potential(PiecewiseShape(tuple(segs)), *_finite("piecewise", coupling))
 
 
 def tabulated(x, v, coupling=1.0):
-    x = tuple(float(t) for t in x)
-    v = tuple(float(t) for t in v)
+    x, v = tuple(_finite("tabulated", *x)), tuple(_finite("tabulated", *v))
     if len(x) != len(v):
         raise SpecError("tabulated potential needs matching x and v lengths")
     if len(x) < 2:
         raise SpecError("tabulated potential needs at least two samples")
     if any(b <= a for a, b in zip(x, x[1:])):
         raise SpecError("tabulated grid must be strictly increasing")
-    return Potential(TableShape(x, v), float(coupling))
+    return Potential(TableShape(x, v), *_finite("tabulated", coupling))
 
 
 def exp_decay(rate=1.0, amplitude=1.0, coupling=1.0):
+    rate, amplitude, coupling = _finite("exp_decay", rate, amplitude, coupling)
     if rate <= 0:
         raise SpecError(f"exp_decay rate must be positive, got {rate}")
-    return Potential(ExpDecayShape(float(rate), float(amplitude)), float(coupling))
+    return Potential(ExpDecayShape(rate, amplitude), coupling)
 
 
 def zero():
     """The free line, V = 0."""
     return Potential(PiecewiseShape(()))
-
-
-def piecewise_segments(p: Potential):
-    """Contiguous (left, right, height) layers with coupling folded in.
-
-    Returns None when the potential is not piecewise constant.  Gaps
-    between declared segments come back as explicit zero-height layers,
-    so the result always tiles an interval.
-    """
-    layers = getattr(p.shape, "layers", None)  # a shape without the method has no layers
-    segs = layers() if layers is not None else None
-    if segs is None:
-        return None
-    segs = [(lo, hi, p.coupling * h) for lo, hi, h in segs]
-    if not segs:
-        return []
-    segs.sort()
-    out = []
-    for lo, hi, h in segs:
-        if out and lo > out[-1][1]:
-            out.append((out[-1][1], lo, 0.0))
-        out.append((lo, hi, h))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,30 +482,28 @@ class SplittingScale:
     x_eps: float
 
 
-def _rho(p: Potential, x: float, alpha_weight: float) -> float:
+def _rho(p: Potential, x: float) -> float:
     x = abs(x)
     tau = p.shape.integrals(x, math.inf, p.coupling)[3] + p.shape.integrals(-math.inf, -x, p.coupling)[3]
     if tau <= 0.0:
         return math.inf
-    return (1.0 + abs(x)) / tau**alpha_weight
+    return (1.0 + abs(x)) / tau**0.5
 
 
-def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> SplittingScale:
+def splitting_scale(p: Potential, eps: float) -> SplittingScale:
     """Solve rho(xi) = 1/eps for the window radius xi_eps.
 
     For compact support rho(x) = 1 + x^2, so xi_eps = sqrt(1/eps - 1).
-    Otherwise rho(x) = (1+|x|) / tau(x)^alpha_weight with tau the
-    two-sided weighted tail mass, which still diverges and stays monotone
-    for integrable tails; its root is found by bracket doubling plus
-    bisection to 1e-12 relative width.
+    Otherwise rho(x) = (1+|x|) / tau(x)^(1/2) with tau the two-sided
+    weighted tail mass; any fixed exponent in (0, 1) keeps rho divergent
+    and monotone for integrable tails, and this one is 1/2.  Its root is
+    found by bracket doubling plus bisection to 1e-12 relative width.
     """
     if not eps > 0:  # NaN fails this too
         raise SpecError(f"eps must be positive, got {eps}")
-    if not 0.0 < alpha_weight < 1.0:
-        raise SpecError(f"alpha_weight must lie in (0, 1), got {alpha_weight}")
     target = 1.0 / eps
     compact = p.is_compact()
-    rho0 = 1.0 if compact else _rho(p, 0.0, alpha_weight)
+    rho0 = 1.0 if compact else _rho(p, 0.0)
     if rho0 >= target:
         eps0 = 1.0 / rho0
         raise SpecError(
@@ -526,7 +515,7 @@ def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> Spli
         return SplittingScale(float(eps), xi, eps * xi)
     hi = 1.0
     for _ in range(80):
-        if _rho(p, hi, alpha_weight) > target:
+        if _rho(p, hi) > target:
             break
         hi *= 2.0
     else:
@@ -534,7 +523,7 @@ def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> Spli
     lo = 0.0
     while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if _rho(p, mid, alpha_weight) > target:
+        if _rho(p, mid) > target:
             hi = mid
         else:
             lo = mid
@@ -542,15 +531,15 @@ def splitting_scale(p: Potential, eps: float, alpha_weight: float = 0.5) -> Spli
     return SplittingScale(float(eps), xi, eps * xi)
 
 
-def tail_weight_norm(p: Potential, eps: float, alpha_weight: float = 0.5) -> float:
-    """eps^-1 * int_{|s| > xi_eps} |V(s)| ds.
+def tail_weight_norm(p: Potential, eps: float) -> float:
+    """eps^-1 * int_{|s| > xi_eps} |V(s)| ds, with xi_eps from splitting_scale.
 
     This is the squared norm of the off-window part of the squeezed
     potential seen as a perturbation; it must vanish as eps -> 0 for the
     window construction to be consistent.  Identically zero once xi_eps
     clears a compact support.
     """
-    xi = splitting_scale(p, eps, alpha_weight).xi_eps
+    xi = splitting_scale(p, eps).xi_eps
     return (p.shape.integrals(xi, math.inf, p.coupling)[2]
             + p.shape.integrals(-math.inf, -xi, p.coupling)[2]) / eps
 

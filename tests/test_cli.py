@@ -323,6 +323,26 @@ def test_non_finite_arguments_exit_2(runner, barrier_file, args):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("spec", [
+    '{"kind": "square", "params": {"left": -1, "right": 1, "height": NaN}}',
+    '{"kind": "square", "params": {"left": -1, "right": 1, "height": 1}, "coupling": Infinity}',
+    '{"kind": "piecewise", "params": [{"left": -Infinity, "right": 0, "height": -1}]}',
+    '{"kind": "table", "params": {"x": [-1, 0, 1], "v": [0, NaN, 0]}}',
+    '{"kind": "exp_decay", "params": {"rate": NaN}}',
+    '{"kind": "exp_decay", "params": {"amplitude": -Infinity}}',
+], ids=["square height", "coupling", "piecewise edge", "table value", "exp rate",
+        "exp amplitude"])
+def test_non_finite_potential_file_exits_2(runner, tmp_path, spec):
+    # json reads NaN and Infinity, so a potential file can carry them
+    path = tmp_path / "potential.json"
+    path.write_text(spec)
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:") and "finite" in result.stderr
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("flag, value", [("--n", "1"), ("--box", "0")])
 def test_converge_bad_lattice(runner, barrier_file, flag, value):
     result = runner.invoke(main, [

@@ -11,7 +11,7 @@ from scipy.special import j0
 
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
-from jost1d.jost import JostEvaluator, _jost_pair, _layers, jost_evaluator
+from jost1d.jost import JostEvaluator, _jost_pair, _layers, _x_maps, jost_evaluator
 from jost1d.potential import Potential
 from jost1d.transfer import magnus_entries, propagator_entries
 
@@ -65,6 +65,22 @@ def test_free_scattering_and_wronskian(k):
     assert abs(j.jost_wronskian(p, k) - (-2j * k)) < 1e-10
 
 
+@pytest.mark.parametrize("p", [
+    j.truncate(j.tabulated([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]), 0.5),
+    j.scale(j.truncate(j.tabulated([-3.0, -2.0, -1.0], [0.0, -1.0, 0.0]), 0.5), 0.1),
+    j.truncate(j.piecewise_constant([(1.0, 2.0, 1.0), (2.5, 3.0, -1.0)]), 0.5),
+], ids=["table right", "scaled table left", "layers"])
+@pytest.mark.parametrize("k", [1.3, 1.0 + 1j])
+def test_window_missing_the_support_is_the_free_line(p, k):
+    # the window holds none of V, so the support collapses to a point, not an inverted interval
+    lo, hi = p.support()
+    assert lo == hi
+    sd = j.scattering(p, k)
+    assert abs(sd.r) < 1e-14 and abs(sd.t - 1.0) < 1e-14
+    xs = np.linspace(-3.0, 3.0, 13)
+    assert np.allclose(jost_evaluator(p, k, "-").eval(xs)[0], np.exp(-1j * k * xs), rtol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # piecewise-constant potentials vs the global matching oracle
 
@@ -110,8 +126,8 @@ def test_random_layer_potentials_vs_matching_oracle(rng):
 @pytest.mark.parametrize("k", [0.8, 2.0, 1.1 + 0.5j])
 def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
-    # without layers the evaluator takes the Magnus route
-    a, b = JostEvaluator(two_step, k, "+").plane_pair()
+    # maps built without layers take the Magnus route
+    a, b = JostEvaluator(two_step, k, "+", _x_maps(two_step, k, 1e-10, None, False)).plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
 
@@ -444,8 +460,8 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 
 
 def _route_evaluator(p, k, side, route):
-    layers = _layers(p, p.coupling) if route == "transfer" else None
-    return JostEvaluator(p, k, side, layers=layers)
+    layers = _layers(p.shape, p.coupling) if route == "transfer" else None
+    return JostEvaluator(p, k, side, _x_maps(p, k, 1e-10, layers, False))
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)
@@ -495,7 +511,7 @@ def test_coupling_batch_rows_equal_scalar_evaluators(side, k):
     # every row of a batch over couplings is bit for bit the scalar evaluator
     couplings = np.array([-2.5, -1.0, 0.0, 0.7, 3.0])
     xs = np.array([-3.0, -1.5, -0.9, -0.1, 0.0, 0.3, 1.1, 1.3, 4.0])
-    batch = JostEvaluator(_GAPPED, k, side, layers=_layers(_GAPPED, couplings))
+    (batch,) = _jost_pair(_GAPPED, k, sides=side, couplings=couplings)
     f, fp = batch.eval(xs)
     assert f.shape == fp.shape == (len(couplings), len(xs))
     for i, c in enumerate(couplings):
@@ -511,13 +527,14 @@ def test_coupling_batch_rows_equal_scalar_evaluators(side, k):
 def test_wavenumber_batch_rows_equal_scalar_evaluators(side):
     ks = np.array([1e-4j, 0.3, 1.0 + 0.5j, 2.0])
     xs = np.array([-2.0, -0.2, 0.5, 1.2, 3.0])
-    batch = JostEvaluator(_GAPPED, ks, side, layers=_layers(_GAPPED, _GAPPED.coupling))
+    layers = _layers(_GAPPED.shape, _GAPPED.coupling)
+    batch = JostEvaluator(_GAPPED, ks, side, _x_maps(_GAPPED, ks, 1e-10, layers, False))
     f, fp = batch.eval(xs)
     for i, k in enumerate(ks):
         g, gp = jost_evaluator(_GAPPED, k, side).eval(xs)
         assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
     with pytest.raises(SpecError):
-        JostEvaluator(_GAPPED, [0.0, 1.0], side, layers=_layers(_GAPPED, 1.0))
+        JostEvaluator(_GAPPED, [0.0, 1.0], side, _x_maps(_GAPPED, [0.0, 1.0], 1e-10, layers, False))
 
 
 def test_bound_state_raises_exceptional_point():
@@ -621,7 +638,7 @@ def test_side_validation(barrier):
     with pytest.raises(SpecError):
         jost_evaluator(barrier, 1.0, "x")
     with pytest.raises(SpecError):
-        JostEvaluator(barrier, 1.0, "x")
+        JostEvaluator(barrier, 1.0, "x", None)  # side is checked before the maps are read
 
 
 def test_reexports_are_in_module_all():

@@ -48,11 +48,34 @@ def test_piecewise_rejects_overlap():
         j.piecewise_constant([(-1.0, 0.5, 1.0), (0.0, 1.0, 2.0)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: j.square(-1.0, 1.0, math.nan),
+    lambda: j.square(-math.inf, 1.0, 1.0),
+    lambda: j.square(-1.0, 1.0, 1.0, coupling=math.inf),
+    lambda: j.piecewise_constant([(-1.0, 0.0, 1.0), (0.0, math.inf, 2.0)]),
+    lambda: j.piecewise_constant([(-1.0, 0.0, 1.0)], coupling=math.nan),
+    lambda: j.tabulated([-1.0, 0.0, math.inf], [0.0, 1.0, 0.0]),
+    lambda: j.tabulated([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0]),
+    lambda: j.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], coupling=-math.inf),
+    lambda: j.exp_decay(rate=math.inf),
+    lambda: j.exp_decay(rate=math.nan),
+    lambda: j.exp_decay(amplitude=math.nan),
+    lambda: j.exp_decay(coupling=math.inf),
+    lambda: j.potential_from_dict({"kind": "square", "coupling": math.nan,
+                                   "params": {"left": -1.0, "right": 1.0, "height": 1.0}}),
+], ids=["square height", "square edge", "square coupling", "piecewise edge",
+        "piecewise coupling", "table node", "table value", "table coupling", "exp rate inf",
+        "exp rate nan", "exp amplitude", "exp coupling", "dict coupling"])
+def test_constructors_reject_non_finite(build):
+    with pytest.raises(SpecError, match="finite"):
+        build()
+
+
 def test_piecewise_allows_gaps():
     p = j.piecewise_constant([(-2.0, -1.0, 1.0), (1.0, 2.0, -1.0)])
     assert p(0.0) == 0.0
     assert p(-1.5) == 1.0
-    segs = j.piecewise_segments(p)
+    segs = p.shape.layers()
     # the tiling must be contiguous and cover the gap with a zero layer
     assert segs is not None
     lefts = [s[0] for s in segs]
@@ -306,7 +329,7 @@ def _assert_integrals_match_quadrature(p):
 @pytest.mark.parametrize("name", ["gaps", "straddle", "scaled", "truncated", "scaled_truncated"])
 def test_layer_integrals_match_quadrature(name):
     p = _layered_cases()[name]
-    assert j.piecewise_segments(p) is not None
+    assert p.shape.layers() is not None
     _assert_integrals_match_quadrature(p)
 
 
@@ -314,7 +337,7 @@ def test_layer_integrals_match_quadrature(name):
                                   "scaled_truncated_exp"])
 def test_unlayered_integrals_match_quadrature(name):
     p = _unlayered_cases()[name]
-    assert j.piecewise_segments(p) is None
+    assert p.shape.layers() is None
     _assert_integrals_match_quadrature(p)
 
 
@@ -322,6 +345,32 @@ def test_unlayered_integrals_match_quadrature(name):
 def test_narrow_exp_window_integrals_match_quadrature(width):
     # a narrow window must not lose digits to cancellation
     _assert_integrals_match_quadrature(j.truncate(j.exp_decay(1.3, -0.9, 1.7), width))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       chain=st.lists(st.tuples(st.booleans(), st.floats(0.05, 3.0)), max_size=4))
+def test_layers_tile_the_support_under_transforms(seed, chain):
+    # random gapped layers, squeezed and cut in any order: the tiling is
+    # contiguous, spans the support, and gives coupling * height = V at each midpoint
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    edges = np.sort(rng.uniform(-3.0, 3.0, 2 * n))
+    heights = rng.uniform(0.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
+    p = j.piecewise_constant([(edges[2 * i], edges[2 * i + 1], heights[i]) for i in range(n)],
+                             coupling=rng.uniform(-2.0, 2.0))
+    for squeeze, a in chain:
+        p = j.scale(p, a) if squeeze else j.truncate(p, a)
+    layers = p.shape.layers()
+    lo, hi = p.support()
+    if not layers:  # the window holds no segment
+        assert not lo < hi
+        return
+    assert all(left < right for left, right, _ in layers)
+    assert all(right == left for (_, right, _), (left, _, _) in zip(layers, layers[1:]))
+    assert (layers[0][0], layers[-1][1]) == (lo, hi)
+    mids = np.array([0.5 * (left + right) for left, right, _ in layers])
+    assert p(mids).tolist() == [p.coupling * h for _, _, h in layers]
 
 
 _CHAIN_BASES = {
@@ -426,7 +475,7 @@ def test_splitting_scale_rejects_large_eps(barrier):
 def test_splitting_scale_exponential_solves_weight_equation(exp_tail):
     alpha = 0.5
     for eps in [0.1, 0.01]:
-        ss = j.splitting_scale(exp_tail, eps, alpha_weight=alpha)
+        ss = j.splitting_scale(exp_tail, eps)
         # two-sided weighted tail mass beyond the matching radius
         tau = j.tails(exp_tail, ss.xi_eps).tau_plus + j.tails(exp_tail, -ss.xi_eps).tau_minus
         rho = (1.0 + abs(ss.xi_eps)) / tau**alpha
@@ -465,13 +514,6 @@ def test_transforms_reject_nan(exp_tail):
 def test_tail_weight_norm_zero_for_compact(barrier):
     # once the window passes the support edge nothing is cut off
     assert j.tail_weight_norm(barrier, 0.01) == 0.0
-
-
-def test_alpha_weight_validation(exp_tail):
-    with pytest.raises(SpecError):
-        j.splitting_scale(exp_tail, 0.1, alpha_weight=0.0)
-    with pytest.raises(SpecError):
-        j.splitting_scale(exp_tail, 0.1, alpha_weight=1.0)
 
 
 # ---------------------------------------------------------------------------
