@@ -36,17 +36,18 @@ split, which zeroes pairs on opposite sides of 0; at x = 0 the sines
 vanish, so it is exactly 0 there, like the image-charge form.
 
 kernel_distance samples the Hilbert-Schmidt distance of two kernels on
-an n x n lattice, and the convergence table reports it per eps, filling
-the same lattice through Kernel.lattice: the limit's once per table,
-the window's from its two solutions at n points per eps, bit for bit
-what Kernel.__call__ gives on the meshgrid.
+an n x n lattice, and the convergence table reports it per eps.  For
+two Kernels the lattice sum never forms the lattice: G is symmetric and
+G[i, j] = a_i b_j for j <= i, so the sum of |G_A - G_B|^2 is the
+diagonal plus twice a lower triangle that three prefix sums of length n
+give (_hs_sum).  The table evaluates the limit's u and v once and each
+window's once per eps, at the n abscissae.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,31 +89,8 @@ class Kernel:
         """G(x, y), vectorized over broadcast x and y."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         hi, lo = np.maximum(x, y), np.minimum(x, y)
-        return self._join(self.u(hi), self.v(lo), lambda: (hi > 0) & (lo < 0))[()]
-
-    def lattice(self, xs):
-        """G on the lattice xs x xs, laid out as np.meshgrid(xs, xs).
-
-        xs increases, so max(xs[i], xs[j]) = xs[max(i, j)]: u and v are
-        evaluated at the n abscissae and gathered by index.
-        """
-        xs = np.asarray(xs, dtype=float)
-        hi, lo = _max_min_index(len(xs))
-        return self._join(self.u(xs)[hi], self.v(xs)[lo], lambda: (xs[hi] > 0) & (xs[lo] < 0))
-
-    def _join(self, u, v, straddles):
-        # straddles() masks the pairs on opposite sides of 0; only split reads it
-        g = u * v / self.w
-        return np.where(straddles(), 0.0, g) if self.split else g
-
-
-@lru_cache(maxsize=8)
-def _max_min_index(n):
-    """max(i, j) and min(i, j) on the n x n index lattice, built once per n and shared read-only."""
-    i = np.arange(n)
-    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
-    hi.flags.writeable = lo.flags.writeable = False
-    return hi, lo
+        g = self.u(hi) * self.v(lo) / self.w
+        return (np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g)[()]
 
 
 class TruncatedScaledOperator:
@@ -232,14 +210,18 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
     Both arguments are vectorized (x, y) -> complex callables.  The sum
     runs over an n x n lattice on [-box, box]^2 and is normalized by
     box^2/n^2, a fixed surrogate for the continuum norm; it is meant for
-    trend comparison, not certified error bounds.  Both callables are
-    evaluated at all n^2 lattice points; a Kernel is one.
-    convergence_table sums the same lattice through Kernel.lattice, with
-    bit-identical results.
+    trend comparison, not certified error bounds.  Plain callables are
+    evaluated at all n^2 lattice points.  Two Kernels are evaluated at
+    the n abscissae only and summed in O(n) by _hs_sum, the sum
+    convergence_table reports, so its distances equal this one's.
     """
     xs = _abscissae(box, n)
-    xg, yg = np.meshgrid(xs, xs)
-    return _hs_distance(np.asarray(kernel_a(xg, yg)) - np.asarray(kernel_b(xg, yg)), box, n)
+    if isinstance(kernel_a, Kernel) and isinstance(kernel_b, Kernel):
+        total = _hs_sum(_lattice_factors(kernel_a, xs), _lattice_factors(kernel_b, xs), xs)
+    else:
+        xg, yg = np.meshgrid(xs, xs)
+        total = np.sum(np.abs(np.asarray(kernel_a(xg, yg)) - np.asarray(kernel_b(xg, yg))) ** 2)
+    return _hs_distance(total, box, n)
 
 
 def _abscissae(box, n):
@@ -249,9 +231,58 @@ def _abscissae(box, n):
     return np.linspace(-box, box, n)
 
 
-def _hs_distance(diff, box, n):
-    """The normalized Hilbert-Schmidt sum of a kernel difference on the lattice."""
-    return float(np.sqrt(box * box / (n * n) * np.sum(np.abs(diff) ** 2)))
+def _hs_distance(total, box, n):
+    """The normalized Hilbert-Schmidt distance from the lattice sum of |G_A - G_B|^2."""
+    return float(np.sqrt(box * box / (n * n) * total))
+
+
+def _lattice_factors(kernel, xs):
+    """Two factorings of a Kernel on the increasing abscissae xs.
+
+    For j <= i, G(xs[i], xs[j]) = a_i b_j with (a, b) = (u/w, v) on rows
+    x_i <= 0 and (u, v/w) on rows x_i > 0.  Putting w on the factor of
+    the far side makes two Jost-normalized kernels agree factor by
+    factor, so the differences _hs_sum takes are as small as the
+    distance and lose no digits to cancellation.  A split kernel's v/w is
+    0 at x < 0: those are the pairs across the origin.
+    """
+    u, v, w = kernel.u(xs), kernel.v(xs), kernel.w
+    v_w = np.where(xs < 0, 0.0, v / w) if kernel.split else v / w
+    return (u / w, v), (u, v_w)
+
+
+def _hs_sum(factors_a, factors_b, xs):
+    """Sum of |G_A - G_B|^2 over the lattice xs x xs, in O(n) time and memory.
+
+    factors_a and factors_b are _lattice_factors of the two kernels.  G
+    is symmetric, so the sum is the diagonal plus twice the strict lower
+    triangle; rows x_i <= 0 read the first factoring, rows x_i > 0 the
+    second.  Clamped at 0, which rounding could otherwise undercut.
+    """
+    neg, pos = (_row_sums(*fa, *fb) for fa, fb in zip(factors_a, factors_b))
+    m = np.searchsorted(xs, 0.0, side="right")
+    return max(float(np.sum(neg[:m]) + np.sum(pos[m:])), 0.0)
+
+
+def _row_sums(a_a, b_a, a_b, b_b):
+    """|d_ii|^2 + 2 sum_{j<i} |d_ij|^2 per row i, for d_ij = a_a[i] b_a[j] - a_b[i] b_b[j].
+
+    With alpha = a_a - a_b and beta = b_a - b_b, d_ij = alpha_i b_a[j] +
+    a_b[i] beta_j, so the sum over j < i needs only the prefix sums of
+    |b_a|^2, |beta|^2 and b_a conj(beta).
+    """
+    alpha, beta = a_a - a_b, b_a - b_b
+    lower = (np.abs(alpha) ** 2 * _before(np.abs(b_a) ** 2)
+             + np.abs(a_b) ** 2 * _before(np.abs(beta) ** 2)
+             + 2.0 * (alpha * np.conj(a_b) * _before(b_a * np.conj(beta))).real)
+    return np.abs(alpha * b_a + a_b * beta) ** 2 + 2.0 * lower
+
+
+def _before(z):
+    """The exclusive prefix sums sum_{j<i} z_j."""
+    out = np.zeros_like(z)
+    np.cumsum(z[:-1], out=out[1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,8 +309,10 @@ def convergence_table(
     eps values are processed in decreasing order; each row carries the
     windowed operator's (r, t), its sampled Hilbert-Schmidt distance to
     the classified limit kernel, and the limit's (r, t) for reference.
-    The distance equals kernel_distance(tso.green, green_kernel_fn(op, k),
-    box, n) bit for bit.
+    The limit's u and v are evaluated once per table and each window's
+    once per eps, at the n abscissae, and _hs_sum adds the lattice in
+    O(n); the distance equals kernel_distance(tso.green,
+    green_kernel_fn(op, k), box, n) bit for bit.
     """
     k = check_wavenumber(k, allow_zero=False)
     xs = _abscissae(box, n)
@@ -291,12 +324,12 @@ def convergence_table(
         raise SpecError("all eps values must be positive")
     op = classify_limit(p, threshold=threshold, tol=tol)
     ls = limit_scattering(op, k)
-    limit = green_kernel_fn(op, k).lattice(xs)
+    limit = _lattice_factors(green_kernel_fn(op, k), xs)
     records = []
     for eps in eps_sorted:
         tso = truncated_operator(p, eps, k, tol)
         sd = tso.scattering()
-        dist = _hs_distance(tso.green.lattice(xs) - limit, box, n)
+        dist = _hs_distance(_hs_sum(_lattice_factors(tso.green, xs), limit, xs), box, n)
         records.append(
             ConvergenceRecord(
                 eps=eps, r_eps=sd.r, t_eps=sd.t,

@@ -354,8 +354,11 @@ class Potential:
 
 
 def _finite(kind, *values):
-    """values as floats; SpecError if any is NaN or infinite (json reads both)."""
-    out = [float(t) for t in values]
+    """values as floats; SpecError if any is not a number, NaN or infinite (json reads both)."""
+    try:
+        out = [float(t) for t in values]
+    except ValueError as exc:  # a string; potential_from_dict wraps TypeError (None, a list)
+        raise SpecError(f"{kind} potential parameters must be numbers: {exc}") from None
     if not all(map(math.isfinite, out)):
         raise SpecError(f"{kind} potential parameters and coupling must be finite")
     return out

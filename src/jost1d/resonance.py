@@ -28,6 +28,7 @@ same driver.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -214,6 +215,8 @@ def resonant_couplings(
     """
     if not alpha_min < alpha_max:
         raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
+    if not math.isfinite(float(alpha_max) - float(alpha_min)):  # an infinite end or span
+        raise SpecError(f"sweep range must be finite, got [{alpha_min}, {alpha_max}]")
     if grid_n < 2:
         raise SpecError(f"grid_n must be at least 2, got {grid_n}")
     if root_tol <= 0:

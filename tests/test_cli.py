@@ -236,6 +236,17 @@ def test_resonance_sweep_bad_range(runner, barrier_file):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("lo, hi", [("0.5", "inf"), ("-inf", "1.0"), ("-1e308", "1e308")])
+def test_resonance_sweep_infinite_range_exits_2(runner, barrier_file, lo, hi):
+    result = runner.invoke(main, [
+        "resonance", "sweep", "--potential", barrier_file,
+        "--alpha-min", lo, "--alpha-max", hi, "--grid", "5",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "finite" in result.stderr
+    assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 
@@ -340,6 +351,16 @@ def test_non_finite_potential_file_exits_2(runner, tmp_path, spec):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error:") and "finite" in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_string_parameter_in_potential_file_exits_2(runner, tmp_path):
+    path = tmp_path / "potential.json"
+    path.write_text('{"kind": "square", "params": {"left": "a", "right": 1, "height": 1}}')
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:") and "must be numbers" in result.stderr
     assert "Traceback" not in result.output
 
 

@@ -1,10 +1,15 @@
 """Limit operators: classification, scattering data, and Green kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jost1d as j
 from jost1d.errors import SpecError
+from jost1d.limits import Kernel
 
 import oracles
 
@@ -148,7 +153,7 @@ def test_dirichlet_lattice_matches_image_form(box, n):
     # odd n puts x = 0 on the lattice, where the kernel is exactly zero
     k = 0.7 + 0.4j
     xs = np.linspace(-box, box, n)
-    got = j.green_kernel_fn(j.dirichlet_decoupled(), k).lattice(xs)
+    got = j.green_kernel_fn(j.dirichlet_decoupled(), k)(*np.meshgrid(xs, xs))
     expect = oracles.dirichlet_image_kernel(k, *np.meshgrid(xs, xs))
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
     assert np.array_equal(got == 0, expect == 0)
@@ -289,22 +294,89 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
         return tso
 
     monkeypatch.setattr(limits, "truncated_operator", counted_window)
-    limit_kernels, lattices = [], []
-    limit_kernel, lattice = limits.green_kernel_fn, limits.Kernel.lattice
+    limit_kernels, limit_points, sums = [], {"u": [], "v": []}, []
+    limit_kernel, hs_sum = limits.green_kernel_fn, limits._hs_sum
 
     def counted_limit(*args):
         limit_kernels.append(args)
-        return limit_kernel(*args)
+        kern = limit_kernel(*args)
+        return dataclasses.replace(kern, u=counted(kern.u, limit_points["u"]),
+                                   v=counted(kern.v, limit_points["v"]))
 
-    def counted_lattice(self, xs):
-        lattices.append(self)
-        return lattice(self, xs)
+    def counted_sum(*args):
+        sums.append(args)
+        return hs_sum(*args)
 
     monkeypatch.setattr(limits, "green_kernel_fn", counted_limit)
-    monkeypatch.setattr(limits.Kernel, "lattice", counted_lattice)
+    monkeypatch.setattr(limits, "_hs_sum", counted_sum)
     eps, n = [0.2, 0.1, 0.05], 40
     j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
     for log in points.values():
         assert len(log) == len(eps) and sum(log) <= n * len(eps)
     assert len(limit_kernels) == 1
-    assert len(lattices) == 1 + len(eps)
+    assert limit_points == {"u": [n], "v": [n]}
+    assert len(sums) == len(eps)
+
+
+def _on_meshgrid(kern):
+    """kern as a plain callable, so kernel_distance sums its full n x n lattice."""
+    return lambda x, y: kern(x, y)
+
+
+@pytest.mark.parametrize("name", ["barrier", "shallow_well", "well_theta_minus",
+                                  "well_theta_plus", "two_step", "exp_tail",
+                                  "exp_resonant_well"])
+def test_table_distance_matches_meshgrid_sum(request, name):
+    # the O(n) sum against the n^2 lattice of the same two kernels, over
+    # Dirichlet and interface limits, complex and real k, odd and even n,
+    # and eps down to 1e-4, where a generic window's a is of order 1e4
+    p, threshold = (_RESONANT_EXP if name == "exp_resonant_well"
+                    else (request.getfixturevalue(name), None))
+    eps = [0.2, 0.05, 0.01, 1e-3, 1e-4]
+    for k in (1.0 + 1.0j, 0.7 + 0.4j, 1.0):
+        limit = _on_meshgrid(j.green_kernel_fn(j.classify_limit(p, threshold=threshold), k))
+        windows = [_on_meshgrid(j.truncated_operator(p, e, k).green) for e in eps]
+        for box, n in ((10.0, 200), (4.0, 41), (3.0, 31), (0.5, 21)):
+            rows = j.convergence_table(p, k, eps, box, n, threshold=threshold)
+            for rec, window in zip(rows, windows):
+                want = j.kernel_distance(window, limit, box, n)
+                assert rec.kernel_distance == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _random_kernel(rng, split):
+    """A Kernel whose u, v mix plane waves of complex wavenumber with a polynomial."""
+    cu, cv = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    ku, kv = rng.uniform(0.2, 2.0, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
+
+    def solution(c, kk):
+        return lambda x: c[0] * np.exp(1j * kk * x) + c[1] * np.exp(-1j * kk * x) + c[2] + c[3] * x
+
+    w = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    return Kernel(solution(cu, ku), solution(cv, kv), w, split)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), split_a=st.booleans(), split_b=st.booleans(),
+       n=st.integers(2, 61), box=st.floats(0.1, 10.0), delta=st.floats(1e-3, 1.0))
+def test_hs_sum_matches_meshgrid_on_random_kernels(seed, split_a, split_b, n, box, delta):
+    # B is A plus delta times an unrelated kernel's factors, with w moved by
+    # delta too, so the distance spans three decades below |G|
+    rng = np.random.default_rng(seed)
+    a, other = _random_kernel(rng, split_a), _random_kernel(rng, False)
+    b = Kernel(lambda x: a.u(x) + delta * other.u(x), lambda x: a.v(x) + delta * other.v(x),
+                 a.w * (1.0 + delta * other.w), split_b)
+    got = j.kernel_distance(a, b, box, n)
+    assert got >= 0.0
+    assert got == pytest.approx(j.kernel_distance(_on_meshgrid(a), _on_meshgrid(b), box, n),
+                                rel=1e-12, abs=0.0)
+
+
+def test_table_memory_is_linear_in_n(barrier):
+    # an n x n complex lattice at n = 2001 is 64 MB; the O(n) sum needs well under 1 MB
+    tracemalloc.start()
+    try:
+        j.convergence_table(barrier, 1.0 + 1.0j, [0.1, 0.05], n=2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -580,6 +580,8 @@ def test_load_coupling_applies(tmp_path):
         {"left": 0.0, "right": 1.0, "height": 1.0},
     ]},
     {"kind": "square"},
+    {"kind": "square", "params": {"left": "a", "right": 1.0, "height": 1.0}},
+    {"kind": "exp_decay", "params": {"rate": "fast"}},
 ])
 def test_malformed_descriptions_rejected(tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Zero-energy resonance detection, far-field ratios, and coupling sweeps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -258,6 +259,10 @@ def test_sweep_validation():
         j.resonant_couplings(base, 0.0, 1.0, grid_n=1)
     with pytest.raises(SpecError):
         j.resonant_couplings(base, 0.0, 1.0, root_tol=0.0)
+    # an infinite end, or a span that overflows, leaves the grid no finite step
+    for lo, hi in ((0.5, math.inf), (-math.inf, 1.0), (-1e308, 1e308)):
+        with pytest.raises(SpecError, match="finite"):
+            j.resonant_couplings(base, lo, hi, grid_n=5)
 
 
 def test_sweep_values_match_pointwise_reports():
