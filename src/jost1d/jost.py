@@ -10,12 +10,12 @@ from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
 Numerics.  One evaluator class serves both sides and both routes, and
-one builder, _jost_pair, makes every evaluator.  The potential picks the
-route: the exact layer route when its shape tiles into layers (nodes at
-the layer edges, steps from transfer.propagator_entries), and otherwise
-a 4th-order Magnus panel propagator (transfer.magnus_entries), whose
-step samples V at two Gauss points and is exact for the free equation at
-any k.  The Magnus mesh starts from the potential's breakpoints, so no
+one builder, _jost_maps, makes the step maps that every evaluator and
+every Wronskian reads.  The potential picks the route: the exact layer
+route when its shape tiles into layers (nodes at the layer edges, steps
+from transfer.propagator_entries), and otherwise a 4th-order Magnus
+panel propagator (transfer.magnus_entries), whose step samples V at two
+Gauss points and is exact for the free equation at any k.  The Magnus mesh starts from the potential's breakpoints, so no
 step crosses a kink, and halves every step whose one-step and
 two-half-step maps differ by more than its share of tol.  An accepted
 step keeps its two-half-step map with the Richardson correction
@@ -23,19 +23,23 @@ M_2 + (M_2 - M_1)/15: the Gauss-point step is time-symmetric, so its
 local error is odd in h.  One mesh serves both sides: nodes and step
 maps are built once in x, and f_-, the right solution f_+(-x; V(-.)) of
 the reflected potential, reads f_+'s maps mirrored (see JostEvaluator),
-so a pair costs one mesh and two prefix scans.  Node states are a prefix
-product of the step maps from the anchor, and between nodes one partial
-step from the anchor-side node gives (f, f').  The anchor sits at the
-support edge when the support is compact, otherwise where the weighted
-tail has dropped below tol, and the cut tail mass is error_bound; this
-holds at k = 0 as well.
+so an evaluator pair costs one mesh and two prefix scans.  Node states
+are a prefix product of the step maps from the anchor, and between nodes
+one partial step from the anchor-side node gives (f, f').  The Wronskian
+alone needs no evaluator: the whole product of the step maps, taken in
+pairwise rounds (O(N) products, against O(N log N) for a scan), carries
+f_+ from its anchor to f_-'s, where W is read off (see _maps_wronskian);
+jost_wronskian, every d0 and the coupling sweeps take this path.  The
+anchor sits at the support edge when the support is compact, otherwise
+where the weighted tail has dropped below tol, and the cut tail mass is
+error_bound; this holds at k = 0 as well.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
-coefficients are V's at eps k.  _jost_pair therefore builds V at
-eps k on V's own nodes, by whichever route V picks, and only eval maps
-back; the mesh never resolves the squeezed scale, and error_bound is
-V's.  A window cut from a squeezed potential is the squeezed window of
+coefficients are V's at eps k.  _jost_maps therefore builds V at
+eps k on V's own nodes, by whichever route V picks, and only eval and
+the Wronskian (divided by eps) map back; the mesh never resolves the
+squeezed scale, and error_bound is V's.  A window cut from a squeezed potential is the squeezed window of
 V, so the windowed operator of the limits module is solved this way.
 """
 
@@ -141,7 +145,7 @@ class JostEvaluator:
     s g'(s x).  nodes and states are in t; anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
     state.  maps are the (nodes, steps, mu2, tails) of _x_maps, which
-    _jost_pair builds once in x for both sides: layer steps when the
+    _jost_maps builds once in x for both sides: layer steps when the
     shape has layers, else the Magnus mesh.  f_- reads them mirrored.
     t = -x reverses the nodes and the maps, and f_-'s Gauss-Magnus step
     over a panel is f_+'s with the two Gauss points traded, which swaps
@@ -165,7 +169,7 @@ class JostEvaluator:
     anchor then also bounds the second-moment tail, which error_bound
     includes.
 
-    _eps (set by _jost_pair for a squeezed potential, kept as eps) is the
+    _eps (set by _jost_maps for a squeezed potential, kept as eps) is the
     dilation: p, k and maps then belong to the unsqueezed base at eps k,
     and everything above is that base problem, except that eval takes x
     and gives f'(x) = s g'(s x / eps) / eps, with the k-derivative row
@@ -370,6 +374,11 @@ def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-", couplings=Non
     _dot adds the k-derivative at k = 0 (see JostEvaluator); couplings, a 1-d
     array standing in for p.coupling, batches the layer route (not the Magnus one).
     """
+    return _evaluators(*_jost_maps(p, k, tol, _dot, couplings), _dot, sides)
+
+
+def _jost_maps(p: Potential, k, tol=1e-10, _dot=False, couplings=None):
+    """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k (see _jost_pair)."""
     k = check_wavenumber(k, allow_zero=True)
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
@@ -378,7 +387,11 @@ def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-", couplings=Non
     if eps != 1.0:
         k = eps * k
     layers = _layers(p.shape, p.coupling if couplings is None else couplings)
-    maps = _x_maps(p, k, tol, layers, _dot)
+    return p, k, _x_maps(p, k, tol, layers, _dot), eps
+
+
+def _evaluators(p, k, maps, eps, _dot=False, sides="+-"):
+    """The evaluators for sides, scanning maps from _jost_maps."""
     return tuple(JostEvaluator(p, k, side, maps, _dot, eps) for side in sides)
 
 
@@ -396,19 +409,56 @@ def _layers(shape, couplings):
 
 
 def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
-    """W{f_+, f_-}(k) evaluated from freshly built solutions at one point."""
-    return complex(_wronskian_at_mid(p, *_jost_pair(p, k, tol)))
+    """W{f_+, f_-}(k) from the product of the step maps, with no evaluator built."""
+    return complex(_maps_wronskian(*_jost_maps(p, k, tol)))
 
 
 def _zero_energy_wronskians(p: Potential, couplings, tol=1e-10) -> np.ndarray:
     """W{f_+, f_-} at k = 0 for each of couplings (a 1-d array), standing in for p.coupling.
 
-    The layer route batches all couplings in one _jost_pair, bit for bit what
-    jost_wronskian gives per coupling; the Magnus route builds one pair per coupling.
+    The layer route batches all couplings in one map set and one product, bit
+    for bit what jost_wronskian gives per coupling; the Magnus route builds one
+    map set per coupling.
     """
     if _layers(p.shape, 1.0) is None:
         return np.array([jost_wronskian(p.with_coupling(c), 0.0, tol) for c in couplings.tolist()])
-    return _wronskian_at_mid(p, *_jost_pair(p, 0.0, tol, couplings=couplings))
+    return _maps_wronskian(*_jost_maps(p, 0.0, tol, couplings=couplings))
+
+
+def _product(steps):
+    """steps[..., 0, :] @ steps[..., 1, :] @ ... along axis -2, in pairwise rounds.
+
+    Each round composes neighbours and carries an odd last map over, so
+    ceil(log2 N) rounds take N - 1 products in all.  No maps give the identity.
+    """
+    if not steps.shape[-2]:
+        return np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0], dtype=steps.dtype),
+                               steps.shape[:-2] + (4,))
+    while steps.shape[-2] > 1:
+        n = steps.shape[-2]
+        paired = _compose(steps[..., 0:n - 1:2, :], steps[..., 1::2, :])
+        steps = np.concatenate([paired, steps[..., n - 1:, :]], axis=-2) if n % 2 else paired
+    return steps[..., 0, :]
+
+
+def _maps_wronskian(p, k, maps, eps):
+    """W{f_+, f_-} from the tuple of _jost_maps (p unused), one value per batch row.
+
+    The product P of the steps carries f_+ = (1, ik) e^{ik hi} from its
+    anchor hi = nodes[-1] to lo = nodes[0], where f_- = (1, -ik) e^{-ik lo},
+    so W = -e^{ik (hi - lo)} (ik (P00 + P11) - k^2 P01 + P10), which is
+    -P10 at k = 0.  The dilation divides the base's W at eps k by eps.  A
+    row whose product overflowed gives nan, even where P10 stayed finite.
+    """
+    nodes, steps = maps[:2]
+    product = _product(steps)
+    m00, m01, m10, m11 = np.moveaxis(product, -1, 0)
+    if k == 0:
+        w = -m10
+    else:
+        ik = 1j * k
+        w = -np.exp(ik * (nodes[-1] - nodes[0])) * (ik * (m00 + m11) - k * k * m01 + m10)
+    return np.where(np.isfinite(product).all(axis=-1), w / eps, np.nan)
 
 
 def _midpoint(p: Potential) -> float:

@@ -8,8 +8,9 @@ bounded solution's value at +inf over its value at -inf) is what
 survives of the potential in the small-eps limit, so it is worth
 computing carefully and cross-checking.
 
-Everything at zero energy comes from one (f_+, f_-) evaluator pair at
-k = 0 on one mesh, built once per report.  Outside the support, or
+Everything at zero energy comes from one set of step maps at k = 0,
+built once per report: d0 is their product, and only a resonant report
+scans them into an (f_+, f_-) evaluator pair.  Outside the support, or
 beyond the cut tails, the solutions are constants and straight lines.
 Infinite tails are cut where their weighted mass falls below tol, as at
 any k; the results are then flagged as extrapolated and the cut mass is
@@ -17,13 +18,14 @@ the evaluators' error_bound.  The derivative of the Wronskian at k = 0 is
 exact as well: D'(0) = W{h_+, f_-} + W{f_+, h_-} with h = df/dk, from
 one build per side that carries each solution and its k-derivative.
 
-A coupling sweep evaluates d0 on its whole grid at once.  For a
-piecewise-constant base the layer heights of every coupling form one
-batch, so each side of the Wronskian is a single evaluator build, and
-the brackets of all sign changes are bisected in lockstep with one
+A coupling sweep evaluates d0 on its whole grid at once and builds no
+evaluator.  For a piecewise-constant base the layer heights of every
+coupling form one batch, so the grid is one map set and one product,
+and the brackets of all sign changes are bisected in lockstep with one
 batched call per round; each value is bit for bit the one-coupling
 result.  Other bases are evaluated one coupling at a time under the
-same driver.
+same driver.  A d0 that is not finite, or whose product overflowed,
+stops the sweep with SpecError.
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import _jost_pair, _midpoint, _wronskian_at_mid, _zero_energy_wronskians
+from .jost import (
+    _evaluators,
+    _jost_maps,
+    _jost_pair,
+    _maps_wronskian,
+    _midpoint,
+    _zero_energy_wronskians,
+)
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -86,11 +95,12 @@ def resonance_report(
     """
     if threshold is None:
         threshold = 1e-8 * (1.0 + fm_norm(p))
-    evp, evm = _jost_pair(p, 0.0, tol)
-    d0 = float(_wronskian_at_mid(p, evp, evm).real)
+    built = _jost_maps(p, 0.0, tol)
+    d0 = float(_maps_wronskian(*built).real)
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
+    evp, evm = _evaluators(*built)
 
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
@@ -211,7 +221,8 @@ def resonant_couplings(
     and all brackets advance together, one batched call per bisection
     round; each value equals the one-coupling d0 bit for bit.  A grid too
     coarse to separate a pair of nearby roots is flagged with a warning
-    based on the local parabolic model of the sweep.
+    based on the local parabolic model of the sweep.  A d0 that overflows,
+    on the grid or in a bisection, raises SpecError.
     """
     if not alpha_min < alpha_max:
         raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
@@ -222,8 +233,14 @@ def resonant_couplings(
     if root_tol <= 0:
         raise SpecError(f"root_tol must be positive, got {root_tol}")
 
-    def g(alphas):  # d0 at each alpha; one build per side for a layered base
-        return _zero_energy_wronskians(base, base.coupling * np.asarray(alphas), tol).real
+    def g(alphas):  # d0 at each alpha; one map set for a layered base
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _zero_energy_wronskians(base, base.coupling * np.asarray(alphas), tol).real
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise SpecError(f"d0 is not finite at alpha = {float(np.asarray(alphas)[bad][0])}: the "
+                            "propagator overflows there; narrow the sweep range")
+        return values
 
     alphas = np.linspace(alpha_min, alpha_max, grid_n)
     values = g(alphas)

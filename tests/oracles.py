@@ -8,9 +8,11 @@ oracle solves one global matching system; where the library matches
 plane waves in closed form, the oracle discretizes the differential
 equation.  The exceptions are d_zero, zero_energy_report and
 scalar_sweep, which build on the library's public jost_evaluator and
-jost_wronskian on purpose: they are the zero-energy code as first
-written, one fresh build per quantity, and check how the library
-batches, bisects and reuses evaluators, not the propagation underneath.
+jost_wronskian on purpose: they are the zero-energy code one coupling
+and one quantity at a time (jost_wronskian multiplies one map set,
+jost_evaluator builds one evaluator), and check how the library
+batches, bisects and reuses its maps, not the propagation underneath;
+layer_matching_d0 checks that propagation in mpmath.
 """
 
 from __future__ import annotations
@@ -295,6 +297,36 @@ def square_zero_energy_fplus(left, right, height, x):
     f = np.where(x >= right, 1.0, np.where(x >= left, inner(x), val_l + slope_l * (x - left)))
     fp = np.where(x >= right, 0.0, np.where(x >= left, dinner(x), slope_l * np.ones_like(x)))
     return f, fp
+
+
+def layer_matching_d0(segments, dps=40):
+    """W{f_+, f_-}(0) for constant layers (left, right, height) by matching in mpmath.
+
+    f_+ = 1 right of the last layer.  Walking left, it is carried across
+    each layer by cosh/sinh (height > 0), cos/sin (height < 0) or a line
+    (height 0) of the local wavenumber, and across each gap between
+    layers by a line.  Left of the first layer f_- = 1, so the Wronskian
+    f_+ f_-' - f_+' f_- is -f_+' there.
+    """
+    with mpmath.workdps(dps):
+        f, fp = mpmath.mpf(1), mpmath.mpf(0)
+        x = mpmath.mpf(segments[-1][1])
+        for left, right, height in reversed(segments):
+            left, right, h = mpmath.mpf(left), mpmath.mpf(right), mpmath.mpf(height)
+            f += fp * (right - x)  # the gap [right, x] is free
+            w = right - left
+            if h > 0:
+                s = mpmath.sqrt(h)
+                f, fp = (f * mpmath.cosh(s * w) - fp * mpmath.sinh(s * w) / s,
+                         -f * s * mpmath.sinh(s * w) + fp * mpmath.cosh(s * w))
+            elif h < 0:
+                s = mpmath.sqrt(-h)
+                f, fp = (f * mpmath.cos(s * w) - fp * mpmath.sin(s * w) / s,
+                         f * s * mpmath.sin(s * w) + fp * mpmath.cos(s * w))
+            else:
+                f -= fp * w
+            x = left
+        return float(-fp)
 
 
 # ---------------------------------------------------------------------------

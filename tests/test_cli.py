@@ -247,6 +247,21 @@ def test_resonance_sweep_infinite_range_exits_2(runner, barrier_file, lo, hi):
     assert result.stdout == ""
 
 
+def test_resonance_sweep_overflowing_range_exits_2(runner, tmp_path):
+    # the range is finite, but alpha * V overflows the propagator at its top
+    path = tmp_path / "well.json"
+    path.write_text(json.dumps(
+        {"kind": "square", "params": {"left": -1.0, "right": 1.0, "height": -1.0}}
+    ))
+    result = runner.invoke(main, [
+        "resonance", "sweep", "--potential", str(path),
+        "--alpha-min", "0.5", "--alpha-max", "1e308", "--grid", "5",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "not finite" in result.stderr
+    assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 

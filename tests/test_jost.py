@@ -11,7 +11,14 @@ from scipy.special import j0
 
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
-from jost1d.jost import JostEvaluator, _jost_pair, _layers, _x_maps, jost_evaluator
+from jost1d.jost import (
+    JostEvaluator,
+    _jost_pair,
+    _layers,
+    _wronskian_at_mid,
+    _x_maps,
+    jost_evaluator,
+)
 from jost1d.potential import Potential
 from jost1d.transfer import magnus_entries, propagator_entries
 
@@ -324,6 +331,36 @@ def test_wronskian_matches_scattering(barrier):
     w = j.jost_wronskian(barrier, k)
     assert abs(w - (-2j * k) * sd.a) < 1e-10
     assert sd.wronskian_gap < 1e-10
+
+
+@pytest.mark.parametrize("name", ["barrier", "shallow_well", "well_theta_minus", "well_theta_plus",
+                                  "two_step", "bump_table", "exp_tail", "scaled_table"])
+@pytest.mark.parametrize("k", [0.0, 0.7, 1.0 + 1.0j, 0.5 + 2.0j])
+def test_wronskian_product_matches_evaluator_pair(request, name, k):
+    # jost_wronskian multiplies the step maps out and builds no evaluator;
+    # the pair scans the same maps and meets at the midpoint.  The floor of 1
+    # serves the resonant wells, whose W(0) vanishes.
+    if name == "scaled_table":
+        x = np.linspace(-2.0, 2.0, 41)
+        p = j.scale(j.tabulated(x, -np.exp(-(x**2))), 0.01)
+    else:
+        p = request.getfixturevalue(name)
+    want = complex(_wronskian_at_mid(p, *_jost_pair(p, k)))
+    assert abs(j.jost_wronskian(p, k) - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("name", ["two_step", "bump_table", "exp_tail"])
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("k", [0.0, 1.0, 1.0 + 1.0j])
+def test_wronskian_dilation(request, name, eps, k):
+    # W of eps^-2 V(x/eps) at k is W of V at eps k over eps, and so is d0
+    p = request.getfixturevalue(name)
+    squeezed = j.scale(p, eps)
+    want = j.jost_wronskian(p, eps * k) / eps
+    assert abs(j.jost_wronskian(squeezed, k) - want) <= 1e-13 * abs(want)
+    if k == 0.0:
+        d0 = j.resonance_report(p).d0 / eps
+        assert abs(j.resonance_report(squeezed).d0 - d0) <= 1e-13 * abs(d0)
 
 
 # ---------------------------------------------------------------------------

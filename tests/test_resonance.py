@@ -136,6 +136,20 @@ def _counting_builds(monkeypatch):
     return builds
 
 
+def _counting_map_sets(monkeypatch):
+    from jost1d import jost
+
+    calls = []
+    x_maps = jost._x_maps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return x_maps(*args, **kwargs)
+
+    monkeypatch.setattr(jost, "_x_maps", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["well_theta_minus", "well_theta_plus", "exp_resonant_well"])
 def test_report_equals_one_build_per_quantity_oracle(name, request):
     p = request.getfixturevalue(name)
@@ -155,6 +169,13 @@ def test_nonresonant_report_equals_oracle(barrier):
     assert not rep.is_resonant
     assert (rep.d0, rep.extrapolated) == oracles.d_zero(barrier)
     assert rep.theta is rep.theta_far_field is rep.halfbound_values is None
+
+
+def test_nonresonant_report_builds_no_evaluator(barrier, monkeypatch):
+    # d0 is the product of one map set; only a resonant report scans them
+    builds, map_sets = _counting_builds(monkeypatch), _counting_map_sets(monkeypatch)
+    assert not j.resonance_report(barrier).is_resonant
+    assert (len(builds), len(map_sets)) == (0, 1)
 
 
 @pytest.mark.parametrize("name, threshold, expected", [
@@ -329,15 +350,45 @@ def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
         assert np.max(np.abs(sweep.d0_values - bessel)) < 1e-11
 
 
-def test_layered_sweep_builds_two_evaluators_per_round(monkeypatch):
-    # one build per side for the 201-point grid and one per side per
-    # bisection round; halving the grid step 0.125 below root_tol = 1e-8
-    # takes 24 rounds, and the residual test may ask for a few more.  A
-    # point-by-point sweep builds 402 for the grid alone.
-    builds = _counting_builds(monkeypatch)
+def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch):
+    # one map set for the 201-point grid and one per bisection round, each
+    # multiplied out with no evaluator; halving the grid step 0.125 below
+    # root_tol = 1e-8 takes 24 rounds, and the residual test may ask for a
+    # few more.  A point-by-point sweep builds 201 map sets for the grid alone.
+    builds, map_sets = _counting_builds(monkeypatch), _counting_map_sets(monkeypatch)
     sweep = j.resonant_couplings(_random_well(1, 6), 0.001, 25.0, grid_n=201)
     assert len(sweep.roots) == 3
-    assert len(builds) <= 2 * (1 + 28)
+    assert len(builds) == 0
+    assert len(map_sets) <= 1 + 28
+
+
+@pytest.mark.parametrize("base, alpha_max", [
+    (j.square(-1.0, 1.0, -1.0), 1e308),  # mu^2 w^2 overflows: the steps are nan
+    (j.square(-1.0, 1.0, 1.0), 1e6),  # cosh overflows: the product is not finite
+], ids=["well_1e308", "barrier_1e6"])
+def test_sweep_with_overflowing_d0_raises(base, alpha_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(SpecError, match="not finite"):
+            j.resonant_couplings(base, 0.5, alpha_max, grid_n=5)
+
+
+@pytest.mark.parametrize("base, alpha_min", [
+    (j.square(-1.0, 1.0, -1.0), 0.001),
+    (_random_well(1, 6), 0.001),
+    (_random_well(2, 22, gaps=True), 0.001),
+    (j.square(-1.0, 0.5, -2.0, coupling=0.7), 0.001),
+    (_random_well(3, 9, gaps=True), -25.0),
+], ids=["square", "layers6", "layers22_gaps", "coupling0.7", "straddles0"])
+def test_layered_sweep_d0_matches_mpmath_layer_matching(base, alpha_min):
+    sweep = j.resonant_couplings(base, alpha_min, 25.0)
+    want = np.array([
+        oracles.layer_matching_d0([(lo, hi, h * base.coupling * alpha)
+                                   for lo, hi, h in base.shape.segments])
+        for alpha in sweep.alphas.tolist()])
+    # no grid point lies on a root, so every d0 has a relative error
+    nonzero = sweep.alphas != 0.0
+    assert np.all(np.abs(sweep.d0_values - want)[nonzero] <= 1e-12 * np.abs(want)[nonzero])
 
 
 @pytest.mark.parametrize("name, theta, tol", [
