@@ -234,11 +234,12 @@ def resonant_couplings(
         raise SpecError(f"root_tol must be positive, got {root_tol}")
 
     def g(alphas):  # d0 at each alpha; one map set for a layered base
+        alphas = np.asarray(alphas)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _zero_energy_wronskians(base, base.coupling * np.asarray(alphas), tol).real
+            values = _zero_energy_wronskians(base, base.coupling * alphas, tol).real
         bad = ~np.isfinite(values)
         if bad.any():
-            raise SpecError(f"d0 is not finite at alpha = {float(np.asarray(alphas)[bad][0])}: the "
+            raise SpecError(f"d0 is not finite at alpha = {float(alphas[bad][0])}: the "
                             "propagator overflows there; narrow the sweep range")
         return values
 
