@@ -9,38 +9,41 @@ f_+ = a e^{ikx} + b e^{-ikx} on the far left defines the coefficients
 from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
-Numerics.  One evaluator class serves both sides and both routes, and
-one builder, _jost_maps, makes the step maps that every evaluator and
-every Wronskian reads.  The potential picks the route: the exact layer
+Numerics.  One builder, _jost_maps, makes the step maps that every
+number here reads.  The potential picks the route: the exact layer
 route when its shape tiles into layers (nodes at the layer edges, steps
 from transfer.propagator_entries), and otherwise a 4th-order Magnus
 panel propagator (transfer.magnus_entries), whose step samples V at two
-Gauss points and is exact for the free equation at any k.  The Magnus mesh starts from the potential's breakpoints, so no
-step crosses a kink, and halves every step whose one-step and
-two-half-step maps differ by more than its share of tol.  An accepted
-step keeps its two-half-step map with the Richardson correction
-M_2 + (M_2 - M_1)/15: the Gauss-point step is time-symmetric, so its
-local error is odd in h.  One mesh serves both sides: nodes and step
-maps are built once in x, and f_-, the right solution f_+(-x; V(-.)) of
-the reflected potential, reads f_+'s maps mirrored (see JostEvaluator),
-so an evaluator pair costs one mesh and two prefix scans.  Node states
-are a prefix product of the step maps from the anchor, and between nodes
-one partial step from the anchor-side node gives (f, f').  The Wronskian
-alone needs no evaluator: the whole product of the step maps, taken in
-pairwise rounds (O(N) products, against O(N log N) for a scan), carries
-f_+ from its anchor to f_-'s, where W is read off (see _maps_wronskian);
-jost_wronskian, every d0 and the coupling sweeps take this path.  The
-anchor sits at the support edge when the support is compact, otherwise
-where the weighted tail has dropped below tol, and the cut tail mass is
+Gauss points and is exact for the free equation at any k.  The Magnus
+mesh starts from the potential's breakpoints, so no step crosses a kink,
+and halves every step whose one-step and two-half-step maps differ by
+more than its share of tol.  An accepted step keeps its two-half-step
+map with the Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point
+step is time-symmetric, so its local error is odd in h.  The anchor sits
+at the support edge when the support is compact, otherwise where the
+weighted tail has dropped below tol, and the cut tail mass is
 error_bound; this holds at k = 0 as well.
+
+The product P of the step maps, taken in pairwise rounds (O(N)
+products, against O(N log N) for a scan), carries f_+ = (1, ik) e^{ik hi}
+from its anchor hi to the far edge lo, where transfer.plane_pair reads
+a and b and W is read off (see _maps_wronskian): scattering,
+jost_wronskian, d0 and D'(0) build no evaluator.  At the split node of
+the last round, P = L R, f_+ is R applied to its start and f_- the
+mirrored L (see JostEvaluator) applied to its own; their W is P's in
+exact arithmetic for any maps, so the wronskian_gap and ray_gap read
+there measure rounding.  An evaluator scans the maps into node states
+for f(x), which only jost_evaluator, the window kernel of the limits
+module and the resonant half-bound state read.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
 coefficients are V's at eps k.  _jost_maps therefore builds V at
 eps k on V's own nodes, by whichever route V picks, and only eval and
-the Wronskian (divided by eps) map back; the mesh never resolves the
-squeezed scale, and error_bound is V's.  A window cut from a squeezed potential is the squeezed window of
-V, so the windowed operator of the limits module is solved this way.
+the Wronskian (divided by eps) map back; D'(0) is unchanged.  The mesh
+never resolves the squeezed scale, and error_bound is V's.  A window cut
+from a squeezed potential is the squeezed window of V, so the windowed
+operator of the limits module is solved this way.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class ScatteringData:
 
     a and b are None for idealized limit operators that have no finite
     Jost expansion (the decoupled half-line limit).  wronskian_gap is the
-    relative defect of the cross-check a = W{f_+, f_-}/(-2ik), computed
-    only where both solutions were constructed.
+    relative defect of a = W{f_+, f_-}/(-2ik), with W from the two halves
+    of the step maps' product, and None for the limit operators.
     """
 
     k: complex
@@ -162,21 +165,14 @@ class JostEvaluator:
     build as an array, so a scalar call computes each row of a batch with
     the same elementwise operations and gives the same bits.
 
-    _dot (k = 0 only) adds the k-derivative of the solution, the
-    zero-energy solution equal to i t from the anchor on: batch gains a
-    leading axis of length 2, row 0 the solution and row 1 its
-    derivative, both from the same scan.  On infinite support the maps'
-    anchor then also bounds the second-moment tail, which error_bound
-    includes.
-
     _eps (set by _jost_maps for a squeezed potential, kept as eps) is the
     dilation: p, k and maps then belong to the unsqueezed base at eps k,
     and everything above is that base problem, except that eval takes x
-    and gives f'(x) = s g'(s x / eps) / eps, with the k-derivative row
-    multiplied by eps, and anchor and far_edge are in x.
+    and gives f'(x) = s g'(s x / eps) / eps, and anchor and far_edge are
+    in x.
     """
 
-    def __init__(self, p: Potential, k, side, maps, _dot=False, _eps=1.0):
+    def __init__(self, p: Potential, k, side, maps, _eps=1.0):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
@@ -200,7 +196,7 @@ class JostEvaluator:
             self.nodes, self.error_bound = -nodes[::-1], tails[0]
             self.mu2 = None if mu2 is None else mu2[..., ::-1]
             steps = steps[..., [3, 1, 2, 0]]
-        self.batch, self._dot, self.eps = steps.shape[:-2], _dot, _eps
+        self.batch, self.eps = steps.shape[:-2], _eps
         self.anchor = float(s * _eps * self.nodes[-1])
         self.far_edge = float(s * _eps * self.nodes[0])
 
@@ -211,11 +207,6 @@ class JostEvaluator:
             shift *= 2
         wave = np.exp(1j * kb * self.nodes[-1])
         start = np.concatenate([wave, 1j * kb * wave], axis=-1)[..., None, :]
-        if _dot:
-            # row 1 is df/dk at k = 0, equal to i t from the anchor on
-            start = np.stack([start, np.broadcast_to(1j * np.array([self.nodes[-1], 1.0]),
-                                                     start.shape)])
-            self.batch = (2,) + self.batch
         self.states = np.empty(self.batch + (len(self.nodes), 2), dtype=complex)
         self.states[..., -2::-1, :] = (steps[..., 0::2] * start[..., :1]
                                        + steps[..., 1::2] * start[..., 1:])
@@ -250,17 +241,12 @@ class JostEvaluator:
         wave = np.exp(1j * kb * t[anchored])
         f[..., anchored] = wave
         fp[..., anchored] = 1j * kb * wave
-        if self._dot:
-            f[1][..., anchored], fp[1][..., anchored] = 1j * t[anchored], 1j
         if beyond.any():
             f[..., beyond], fp[..., beyond] = self._vacuum(t[beyond])
         inside = ~(anchored | beyond)
         if inside.any():
             f[..., inside], fp[..., inside] = self._inside(t[inside])
         fp *= self.s / self.eps
-        if self._dot and self.eps != 1.0:
-            f[1] *= self.eps
-            fp[1] *= self.eps
         out = self.batch + x.shape
         return f.reshape(out)[()], fp.reshape(out)[()]
 
@@ -365,20 +351,15 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     """
-    return _jost_pair(p, k, tol, sides=(side,))[0]
+    return _evaluators(*_jost_maps(p, k, tol), sides=side)[0]
 
 
-def _jost_pair(p: Potential, k, tol=1e-10, _dot=False, sides="+-", couplings=None):
-    """Evaluators of p at k for sides, (f_+, f_-) by default, scanning one set of x-maps.
+def _jost_maps(p: Potential, k, tol=1e-10, second=False, couplings=None):
+    """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k.
 
-    _dot adds the k-derivative at k = 0 (see JostEvaluator); couplings, a 1-d
-    array standing in for p.coupling, batches the layer route (not the Magnus one).
+    second cuts infinite tails by their second-moment mass too (see _tail_point);
+    couplings, a 1-d array in place of p.coupling, batches the layer route.
     """
-    return _evaluators(*_jost_maps(p, k, tol, _dot, couplings), _dot, sides)
-
-
-def _jost_maps(p: Potential, k, tol=1e-10, _dot=False, couplings=None):
-    """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k (see _jost_pair)."""
     k = check_wavenumber(k, allow_zero=True)
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
@@ -387,12 +368,12 @@ def _jost_maps(p: Potential, k, tol=1e-10, _dot=False, couplings=None):
     if eps != 1.0:
         k = eps * k
     layers = _layers(p.shape, p.coupling if couplings is None else couplings)
-    return p, k, _x_maps(p, k, tol, layers, _dot), eps
+    return p, k, _x_maps(p, k, tol, layers, second), eps
 
 
-def _evaluators(p, k, maps, eps, _dot=False, sides="+-"):
-    """The evaluators for sides, scanning maps from _jost_maps."""
-    return tuple(JostEvaluator(p, k, side, maps, _dot, eps) for side in sides)
+def _evaluators(p, k, maps, eps, sides="+-"):
+    """The evaluators for sides, (f_+, f_-) by default, scanning maps from _jost_maps."""
+    return tuple(JostEvaluator(p, k, side, maps, eps) for side in sides)
 
 
 def _layers(shape, couplings):
@@ -426,19 +407,36 @@ def _zero_energy_wronskians(p: Potential, couplings, tol=1e-10) -> np.ndarray:
 
 
 def _product(steps):
-    """steps[..., 0, :] @ steps[..., 1, :] @ ... along axis -2, in pairwise rounds.
+    """(L, R, P): P = steps[..., 0, :] @ steps[..., 1, :] @ ... = L @ R, in pairwise rounds.
 
     Each round composes neighbours and carries an odd last map over, so
-    ceil(log2 N) rounds take N - 1 products in all.  No maps give the identity.
+    ceil(log2 N) rounds take N - 1 products in all; the last joins L and R
+    at the split node.  Fewer than two maps are padded with identities.
     """
-    if not steps.shape[-2]:
-        return np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0], dtype=steps.dtype),
-                               steps.shape[:-2] + (4,))
-    while steps.shape[-2] > 1:
+    if steps.shape[-2] < 2:
+        eye = np.array([1.0, 0.0, 0.0, 1.0], dtype=steps.dtype)
+        eye = np.broadcast_to(eye, steps.shape[:-2] + (2 - steps.shape[-2], 4))
+        steps = np.concatenate([eye, steps], axis=-2)
+    while steps.shape[-2] > 2:
         n = steps.shape[-2]
         paired = _compose(steps[..., 0:n - 1:2, :], steps[..., 1::2, :])
         steps = np.concatenate([paired, steps[..., n - 1:, :]], axis=-2) if n % 2 else paired
-    return steps[..., 0, :]
+    left, right = steps[..., 0, :], steps[..., 1, :]
+    return left, right, _compose(left, right)
+
+
+def _apply(m, v):
+    """The 2x2 maps m, entries last, applied to the vector v."""
+    return m[..., 0] * v[0] + m[..., 1] * v[1], m[..., 2] * v[0] + m[..., 3] * v[1]
+
+
+def _halves_states(left, right, plus_start, minus_start):
+    """(f, f', g, g') at the split node of the halves left and right of _product.
+
+    f_+ is right applied to its start at hi; f_- = g(-x) and f_-' = -g', where
+    g is left mirrored (m00 and m11 swapped) applied to its start at t = -lo.
+    """
+    return (*_apply(right, plus_start), *_apply(left[..., [3, 1, 2, 0]], minus_start))
 
 
 def _maps_wronskian(p, k, maps, eps):
@@ -451,7 +449,7 @@ def _maps_wronskian(p, k, maps, eps):
     row whose product overflowed gives nan, even where P10 stayed finite.
     """
     nodes, steps = maps[:2]
-    product = _product(steps)
+    product = _product(steps)[2]
     m00, m01, m10, m11 = np.moveaxis(product, -1, 0)
     if k == 0:
         w = -m10
@@ -459,23 +457,6 @@ def _maps_wronskian(p, k, maps, eps):
         ik = 1j * k
         w = -np.exp(ik * (nodes[-1] - nodes[0])) * (ik * (m00 + m11) - k * k * m01 + m10)
     return np.where(np.isfinite(product).all(axis=-1), w / eps, np.nan)
-
-
-def _midpoint(p: Potential) -> float:
-    """The support midpoint, or x = 0 for infinite support."""
-    sup = p.support()
-    return 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
-
-
-def _wronskian_at(evp, evm, x):
-    """W{f_+, f_-} at the points x, shaped like evp.eval(x)."""
-    (f, fp), (g, gp) = evp.eval(x), evm.eval(x)
-    return f * gp - fp * g
-
-
-def _wronskian_at_mid(p: Potential, evp, evm):
-    """W{f_+, f_-} at _midpoint(p), one value per batch row."""
-    return _wronskian_at(evp, evm, [_midpoint(p)])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +468,21 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
 
     Extracts a and b from (f_+, f_+') at the far (left) edge, where the
     potential has ended and f_+ is an exact combination of plane waves;
-    then r = b/a, t = 1/a.  The independent identity a = W/(-2ik) is
-    evaluated as well and its relative defect reported.
+    then r = b/a, t = 1/a; the product of the step maps gives that state.
+    The relative defect of a = W/(-2ik), W read at the product's split node, is reported.
     """
     k = check_wavenumber(k, allow_zero=False)
-    evp, evm = _jost_pair(p, k, tol)
-    return _scattering_from(k, evp, _wronskian_at_mid(p, evp, evm))
+    return _scattering_from(k, *_jost_maps(p, k, tol))
 
 
-def _scattering_from(k, evp, w) -> ScatteringData:
-    """Scattering data from the plane pair of f_+ (evp), checked against W{f_+, f_-} = w."""
-    a, b = evp.plane_pair()
+def _scattering_from(k, p, kb, maps, eps) -> ScatteringData:
+    """Scattering data at k from the (p, kb, maps, eps) of _jost_maps, kb = eps k (p unused)."""
+    nodes, steps = maps[:2]
+    lo, hi = nodes[0], nodes[-1]
+    left, right, product = _product(steps)
+    # f_+ starts as (1, ik) e^{ik hi} at hi, and f_-'s g as (1, ik) e^{-ik lo} at t = -lo
+    up, dn = (np.exp(1j * kb * x) * np.array([1.0, 1j * kb]) for x in (hi, -lo))
+    a, b = plane_pair(*_apply(product, up), kb, lo)
     if abs(a) < 1e-12 * (1.0 + abs(b)):
         if k.imag == 0:
             raise ExceptionalPointError(
@@ -507,7 +492,7 @@ def _scattering_from(k, evp, w) -> ScatteringData:
         raise ExceptionalPointError(
             f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined"
         )
-    gap = abs(a - w / (-2j * k)) / (1.0 + abs(a))
+    f, fp, g, gp = _halves_states(left, right, up, dn)
+    gap = abs(a - (f * gp + fp * g) / (2j * kb)) / (1.0 + abs(a))
     return ScatteringData(k=k, a=complex(a), b=complex(b), r=complex(b / a),
                           t=complex(1.0 / a), wronskian_gap=float(gap))
-

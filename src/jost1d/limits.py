@@ -8,7 +8,7 @@ with the window half-width x_eps = eps * xi_eps chosen by the splitting
 scale so that the window both shrinks to a point and, after unsqueezing,
 swallows ever more of V.  That operator is -d^2/dx^2 plus the potential
 scale(truncate(V, xi_eps), eps), so its Jost solutions f~_+- are that
-potential's, and jost_evaluator builds them by dilation: f~_+ at (x, k)
+potential's, and the jost module builds them by dilation: f~_+ at (x, k)
 is f_+ of V cut to |s| <= xi_eps at (x/eps, eps k), solved on the
 unsqueezed axis at the small wavenumber eps k, and its error_bound is
 that of the cut V (zero: the cut is compact).  Whether a = W/(-2ik)
@@ -48,11 +48,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SpecError
-from .jost import ScatteringData, _jost_pair, _scattering_from, _wronskian_at, check_wavenumber
+from .jost import ScatteringData, _evaluators, _jost_maps, _scattering_from, check_wavenumber
 from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import resonance_report
 
@@ -96,26 +97,35 @@ class Kernel:
 class TruncatedScaledOperator:
     """Jost solutions and resolvent kernel of the windowed squeezed operator.
 
-    plus and minus are the Jost evaluators of the window potential
-    scale(truncate(p, xi_eps), eps), built once: evaluating either
-    solution or the kernel green afterwards is vectorized and cheap,
-    which is what the Hilbert-Schmidt lattice sums need.  green.w is
-    their Wronskian.
+    The window potential scale(truncate(p, xi_eps), eps) gets one set of
+    step maps, whose product gives the scattering data.  plus and minus,
+    its Jost evaluators, scan them on first use, as green does: evaluating
+    either afterwards is vectorized and cheap, which is what the
+    Hilbert-Schmidt lattice sums need.  green.w = -2ik a is the product's W.
     """
 
     def __init__(self, p: Potential, eps, k, tol=1e-10):
         k = check_wavenumber(k, allow_zero=False)
         ss = splitting_scale(p, eps)
         self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
-        plus, minus = self.plus, self.minus = _jost_pair(scale(truncate(p, ss.xi_eps), ss.eps),
-                                                         k, tol)
-        # W at the window's right edge, where both solutions are plane waves:
-        # it is -2ik a of f_-, so the Wronskian gap checks reciprocity a_+ = a_-.
+        self._built = _jost_maps(scale(truncate(p, ss.xi_eps), ss.eps), k, tol)
+        self._scattering = _scattering_from(k, *self._built)
+
+    @cached_property
+    def plus(self):
+        return _evaluators(*self._built, sides="+")[0]
+
+    @cached_property
+    def minus(self):
+        return _evaluators(*self._built, sides="-")[0]
+
+    @cached_property
+    def green(self) -> Kernel:
         # u and v close over the evaluators, not self: a cycle through self
         # would keep their arrays alive until the cyclic collector runs
-        self.green = Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0],
-                            complex(_wronskian_at(plus, minus, self.x_eps)))
-        self._scattering = _scattering_from(k, plus, self.green.w)
+        plus, minus = self.plus, self.minus
+        return Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0],
+                      -2j * self._scattering.k * self._scattering.a)
 
     def scattering(self) -> ScatteringData:
         return self._scattering

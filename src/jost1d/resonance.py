@@ -14,9 +14,10 @@ scans them into an (f_+, f_-) evaluator pair.  Outside the support, or
 beyond the cut tails, the solutions are constants and straight lines.
 Infinite tails are cut where their weighted mass falls below tol, as at
 any k; the results are then flagged as extrapolated and the cut mass is
-the evaluators' error_bound.  The derivative of the Wronskian at k = 0 is
-exact as well: D'(0) = W{h_+, f_-} + W{f_+, h_-} with h = df/dk, from
-one build per side that carries each solution and its k-derivative.
+the evaluators' error_bound.  A d0 that is not finite raises SpecError.
+D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
+on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
+jost._maps_wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
 
 A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
@@ -25,7 +26,8 @@ and the brackets of all sign changes are bisected in lockstep with one
 batched call per round; each value is bit for bit the one-coupling
 result.  Other bases are evaluated one coupling at a time under the
 same driver.  A d0 that is not finite, or whose product overflowed,
-stops the sweep with SpecError.
+stops the sweep with SpecError, as does a root whose residual stays
+above root_tol.
 """
 
 from __future__ import annotations
@@ -37,14 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import (
-    _evaluators,
-    _jost_maps,
-    _jost_pair,
-    _maps_wronskian,
-    _midpoint,
-    _zero_energy_wronskians,
-)
+from .jost import (_evaluators, _halves_states, _jost_maps, _maps_wronskian, _product,
+                   _zero_energy_wronskians)
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -91,12 +87,15 @@ def resonance_report(
     |d0| < 1e-8 * (1 + fm_norm).  When resonant, theta is the average of
     f_-(x,0)/f_+(x,0) over points where |f_+| is not small; the ratio
     must be constant for a genuine resonance, and a drift beyond 1e-6
-    raises RatioInconsistencyError.
+    raises RatioInconsistencyError.  A non-finite d0 raises SpecError.
     """
     if threshold is None:
         threshold = 1e-8 * (1.0 + fm_norm(p))
-    built = _jost_maps(p, 0.0, tol)
-    d0 = float(_maps_wronskian(*built).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives d0 = nan
+        built = _jost_maps(p, 0.0, tol)
+        d0 = float(_maps_wronskian(*built).real)
+    if not math.isfinite(d0):
+        raise SpecError("d0 is not finite: the zero-energy propagator overflows")
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
@@ -137,10 +136,9 @@ class DZeroDerivative:
 
     For a resonance with far-field ratio theta the exact value is
     -i (theta + 1/theta); theta_formula_gap is the distance of value from
-    that identity.  ray_gap is a second estimate of the integration
-    error: the Wronskian is constant in x, and ray_gap is the gap between
-    value, taken at the support midpoint (x = 0 for infinite support),
-    and the same Wronskian taken halfway from there to f_+'s anchor.
+    that identity.  ray_gap is the distance of value, read from the
+    product of the step maps, from the same derivative at the product's
+    split node (see d_dot_zero), which only rounding makes nonzero.
     """
 
     value: complex
@@ -155,12 +153,12 @@ def d_dot_zero(
 ) -> DZeroDerivative:
     """Exact derivative D'(0) of the Wronskian at zero energy.
 
-    D'(0) = W{h_+, f_-} + W{f_+, h_-}, where h_+ = df_+/dk at k = 0 is
-    the zero-energy solution equal to i x beyond f_+'s anchor (h_- is
-    -i x beyond f_-'s).  One build per side carries f and h through the
-    same step maps; on infinite support its anchor also cuts the
-    second-moment tail int |x| (1 + |x|) |V|.  No difference quotient is
-    taken.  Requires a resonant potential, whose report gives theta.
+    D'(0) = -i [(hi - lo) P10 + P00 + P11] from the product P = L R of
+    the k = 0 step maps on [lo, hi], whose infinite tails are cut by the
+    second-moment mass int |x| (1 + |x|) |V| as well.  At the split node
+    it is W{h_+, f_-} + W{f_+, h_-} with h = df/dk, h_+ = R (i hi, i) and
+    h_- the mirrored L applied to (-i lo, i) in t = -x.  Requires a
+    resonant potential, whose report gives theta.
     """
     if report is None:
         report = resonance_report(p, tol=tol)
@@ -169,14 +167,15 @@ def d_dot_zero(
             f"d_dot_zero needs a zero-energy resonance; |d0| = {abs(report.d0):.3g} "
             f"exceeds threshold {report.threshold:.3g}"
         )
-    evp, evm = _jost_pair(p, 0.0, tol, _dot=True)
-    x_star = _midpoint(p)
-    xs = [x_star, 0.5 * (x_star + evp.anchor)]
-    (f, f_k), (f_x, f_kx) = evp.eval(xs)  # rows: f_+ and its k-derivative
-    (g, g_k), (g_x, g_kx) = evm.eval(xs)
-    w = f_k * g_x - f_kx * g + f * g_kx - f_x * g_k
+    nodes, steps = _jost_maps(p, 0.0, tol, second=True)[2][:2]
+    lo, hi = nodes[0], nodes[-1]
+    left, right, (m00, _, m10, m11) = _product(steps)
+    value = complex(-1j * ((hi - lo) * m10 + m00 + m11))
+    f, fp, g, gp = _halves_states(left, right, (1.0, 0.0), (1.0, 0.0))
+    f_k, fp_k, g_k, gp_k = _halves_states(left, right, (1j * hi, 1j), (-1j * lo, 1j))
+    split = -(f_k * gp + fp_k * g) - (f * gp_k + fp * g_k)
     expected = -1j * (report.theta + 1.0 / report.theta)
-    return DZeroDerivative(complex(w[0]), float(abs(w[0] - w[1])), float(abs(w[0] - expected)))
+    return DZeroDerivative(value, float(abs(value - split)), float(abs(value - expected)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,8 @@ def resonant_couplings(
     round; each value equals the one-coupling d0 bit for bit.  A grid too
     coarse to separate a pair of nearby roots is flagged with a warning
     based on the local parabolic model of the sweep.  A d0 that overflows,
-    on the grid or in a bisection, raises SpecError.
+    on the grid or in a bisection, raises SpecError, as does a root whose
+    residual never falls below root_tol.
     """
     if not alpha_min < alpha_max:
         raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
@@ -260,6 +260,10 @@ def resonant_couplings(
         if g_lo * g_hi < 0.0:
             brackets.append((lo_a, hi_a, g_lo, g_hi))
     roots = sorted(roots + _bisect_roots(g, brackets, root_tol), key=lambda r: r.bracket[0])
+    for root in roots:
+        if not root.residual < root_tol:
+            raise SpecError(f"|d0| stays at {root.residual:.3g} >= root_tol near alpha = "
+                            f"{root.alpha}: d0 has no correct digits; narrow the sweep range")
 
     _warn_double_crossings(alphas, values)
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: the potential corpus and a seeded random generator."""
+"""Shared fixtures: the potential corpus, a seeded random generator and a build counter."""
 
 import numpy as np
 import pytest
@@ -59,3 +59,19 @@ def corpus(barrier, shallow_well, well_theta_minus, well_theta_plus, two_step, b
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+@pytest.fixture
+def evaluator_builds(monkeypatch):
+    """A list that gains one entry per JostEvaluator built from here on."""
+    from jost1d.jost import JostEvaluator
+
+    builds = []
+    init = JostEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JostEvaluator, "__init__", counting)
+    return builds

@@ -262,6 +262,32 @@ def test_resonance_sweep_overflowing_range_exits_2(runner, tmp_path):
     assert result.stdout == ""
 
 
+def test_resonance_sweep_root_without_digits_exits_2(runner, tmp_path):
+    # d0 is finite over the range, but has no correct digits at the root
+    path = tmp_path / "well.json"
+    path.write_text(json.dumps(
+        {"kind": "square", "params": {"left": -1.0, "right": 1.0, "height": -1.0}}
+    ))
+    result = runner.invoke(main, [
+        "resonance", "sweep", "--potential", str(path),
+        "--alpha-min", "0.5", "--alpha-max", "2.6e307", "--grid", "2",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "root_tol" in result.stderr
+    assert result.stdout == ""
+
+
+def test_resonance_theta_overflowing_d0_exits_2(runner, tmp_path):
+    path = tmp_path / "barrier.json"
+    path.write_text(json.dumps(
+        {"kind": "square", "params": {"left": -1.0, "right": 1.0, "height": 1e6}}
+    ))
+    result = runner.invoke(main, ["resonance", "theta", "--potential", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "not finite" in result.stderr
+    assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 

@@ -13,9 +13,9 @@ import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
 from jost1d.jost import (
     JostEvaluator,
-    _jost_pair,
+    _evaluators,
+    _jost_maps,
     _layers,
-    _wronskian_at_mid,
     _x_maps,
     jost_evaluator,
 )
@@ -345,7 +345,10 @@ def test_wronskian_product_matches_evaluator_pair(request, name, k):
         p = j.scale(j.tabulated(x, -np.exp(-(x**2))), 0.01)
     else:
         p = request.getfixturevalue(name)
-    want = complex(_wronskian_at_mid(p, *_jost_pair(p, k)))
+    sup = p.support()
+    mid = 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
+    (f, fp), (g, gp) = (ev.eval(mid) for ev in _evaluators(*_jost_maps(p, k)))
+    want = complex(f * gp - fp * g)
     assert abs(j.jost_wronskian(p, k) - want) <= 1e-12 * max(abs(want), 1.0)
 
 
@@ -381,7 +384,7 @@ def _hex(a):
 @pytest.mark.parametrize("k", [0.0, 1.3, 1.0 + 0.5j])
 def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
     p = _SHARED_MESH[name] if name in _SHARED_MESH else request.getfixturevalue(name)
-    pair = _jost_pair(p, k)
+    pair = _evaluators(*_jost_maps(p, k))
     for side, ev in zip("+-", pair):
         lone = jost_evaluator(p, k, side)
         assert _hex(ev.nodes) == _hex(lone.nodes)
@@ -389,6 +392,42 @@ def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
         assert ev.error_bound == lone.error_bound
     evp, evm = pair
     assert _hex(evm.nodes) == _hex(-evp.nodes[::-1])
+
+
+_X41 = np.linspace(-2.0, 2.0, 41)
+_PRODUCT_CASES = {
+    "square": j.square(-1.0, 1.0, 1.0),
+    "piecewise": j.piecewise_constant([(-1.0, 0.0, -2.0), (0.5, 1.5, 3.0)]),
+    "table": j.tabulated([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], [0, 0.5, -1, -2, -1, 0.5, 0]),
+    "exp_decay": j.exp_decay(1.0, -1.0, 1.4458),
+    "scaled_table": j.scale(j.tabulated(_X41, -np.exp(-(_X41**2))), 0.01),
+    "scaled_exp": j.scale(j.exp_decay(1.0, -1.0, 1.4458), 0.01),
+}
+
+
+@pytest.mark.parametrize("name, k", [
+    (name, k) for name, p in _PRODUCT_CASES.items()
+    for k in [0.7, 2.5, 1.0 + 0.3j, 0.5 + 1.0j]
+    # Im k = 1 on a rate-1 tail leaves b no digits, and a spurious a-vanishing error with it
+    if p.is_compact() or k.imag < 0.5
+])
+def test_product_plane_pair_matches_evaluator(name, k):
+    # scattering reads (a, b) from the product of the step maps; the
+    # evaluator scans the same maps.  On infinite support b at Im k > 0
+    # carries the cut tail times e^{2 Im k T}, so only a is compared there.
+    p = _PRODUCT_CASES[name]
+    sd = j.scattering(p, k)
+    a, b = jost_evaluator(p, k, "+").plane_pair()
+    assert abs(sd.a - a) <= 1e-13 * abs(a)
+    if p.is_compact() or k.imag == 0:
+        assert abs(sd.b - b) <= 1e-13 * abs(b)
+
+
+@pytest.mark.parametrize("name", ["barrier", "bump_table", "exp_tail"])
+def test_scattering_builds_no_evaluator(request, name, evaluator_builds):
+    sd = j.scattering(request.getfixturevalue(name), 1.3)
+    assert len(evaluator_builds) == 0
+    assert sd.wronskian_gap < 1e-12
 
 
 def test_scattering_samples_the_potential_once_per_pair(bump_table, monkeypatch):
@@ -474,7 +513,8 @@ def test_exp_well_unitarity_reciprocity_conjugation(p, k):
 @given(p=_tables(), k_re=st.floats(0.2, 3.0), k_im=st.floats(0.0, 0.5))
 def test_table_wronskian_constant_at_complex_k(p, k_re, k_im):
     xs = np.linspace(-4.0, 4.0, 101)
-    f, fp, g, gp = (y for ev in _jost_pair(p, complex(k_re, k_im)) for y in ev.eval(xs))
+    pair = _evaluators(*_jost_maps(p, complex(k_re, k_im)))
+    f, fp, g, gp = (y for ev in pair for y in ev.eval(xs))
     w = f * gp - fp * g
     mid = w[len(w) // 2]
     assert np.max(np.abs(w - mid)) / abs(mid) < 1e-10
@@ -548,7 +588,7 @@ def test_coupling_batch_rows_equal_scalar_evaluators(side, k):
     # every row of a batch over couplings is bit for bit the scalar evaluator
     couplings = np.array([-2.5, -1.0, 0.0, 0.7, 3.0])
     xs = np.array([-3.0, -1.5, -0.9, -0.1, 0.0, 0.3, 1.1, 1.3, 4.0])
-    (batch,) = _jost_pair(_GAPPED, k, sides=side, couplings=couplings)
+    (batch,) = _evaluators(*_jost_maps(_GAPPED, k, couplings=couplings), side)
     f, fp = batch.eval(xs)
     assert f.shape == fp.shape == (len(couplings), len(xs))
     for i, c in enumerate(couplings):

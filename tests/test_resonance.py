@@ -122,20 +122,6 @@ def exp_bessel_well():
     return j.exp_decay(1.0, -1.0).with_coupling(oracles.exp_well_resonances(1)[0][0])
 
 
-def _counting_builds(monkeypatch):
-    from jost1d.jost import JostEvaluator
-
-    builds = []
-    init = JostEvaluator.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(JostEvaluator, "__init__", counting)
-    return builds
-
-
 def _counting_map_sets(monkeypatch):
     from jost1d import jost
 
@@ -171,21 +157,20 @@ def test_nonresonant_report_equals_oracle(barrier):
     assert rep.theta is rep.theta_far_field is rep.halfbound_values is None
 
 
-def test_nonresonant_report_builds_no_evaluator(barrier, monkeypatch):
+def test_nonresonant_report_builds_no_evaluator(barrier, monkeypatch, evaluator_builds):
     # d0 is the product of one map set; only a resonant report scans them
-    builds, map_sets = _counting_builds(monkeypatch), _counting_map_sets(monkeypatch)
+    map_sets = _counting_map_sets(monkeypatch)
     assert not j.resonance_report(barrier).is_resonant
-    assert (len(builds), len(map_sets)) == (0, 1)
+    assert (len(evaluator_builds), len(map_sets)) == (0, 1)
 
 
 @pytest.mark.parametrize("name, threshold, expected", [
     ("well_theta_minus", None, 2),  # one pair at k = 0
     ("exp_resonant_well", 1e-3, 2),  # one pair at k = 0, anchored at the cut tails
 ])
-def test_resonant_report_builds_each_evaluator_once(name, threshold, expected, request,
-                                                    monkeypatch):
+def test_resonant_report_builds_each_evaluator_once(name, threshold, expected, request):
     p = request.getfixturevalue(name)
-    builds = _counting_builds(monkeypatch)
+    builds = request.getfixturevalue("evaluator_builds")  # counts from here on
     assert j.resonance_report(p, threshold=threshold).is_resonant
     assert len(builds) == expected
 
@@ -350,15 +335,16 @@ def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
         assert np.max(np.abs(sweep.d0_values - bessel)) < 1e-11
 
 
-def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch):
+def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch,
+                                                                     evaluator_builds):
     # one map set for the 201-point grid and one per bisection round, each
     # multiplied out with no evaluator; halving the grid step 0.125 below
     # root_tol = 1e-8 takes 24 rounds, and the residual test may ask for a
     # few more.  A point-by-point sweep builds 201 map sets for the grid alone.
-    builds, map_sets = _counting_builds(monkeypatch), _counting_map_sets(monkeypatch)
+    map_sets = _counting_map_sets(monkeypatch)
     sweep = j.resonant_couplings(_random_well(1, 6), 0.001, 25.0, grid_n=201)
     assert len(sweep.roots) == 3
-    assert len(builds) == 0
+    assert len(evaluator_builds) == 0
     assert len(map_sets) <= 1 + 28
 
 
@@ -371,6 +357,21 @@ def test_sweep_with_overflowing_d0_raises(base, alpha_max):
         warnings.simplefilter("error")  # and no RuntimeWarning on the way
         with pytest.raises(SpecError, match="not finite"):
             j.resonant_couplings(base, 0.5, alpha_max, grid_n=5)
+
+
+def test_sweep_root_without_digits_raises():
+    # d0 is finite near alpha = 2e307 but rounding swamps it: the bisection
+    # reaches a rounding-wide bracket with |d0| ~ 4e151
+    with pytest.raises(SpecError, match="root_tol"):
+        j.resonant_couplings(j.square(-1.0, 1.0, -1.0), 0.5, 2.6e307, grid_n=2)
+
+
+def test_report_with_overflowing_d0_raises():
+    # cosh(2000) overflows, so d0 is nan; it must not reach the resonant branch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(SpecError, match="not finite"):
+            j.resonance_report(j.square(-1.0, 1.0, 1e6))
 
 
 @pytest.mark.parametrize("base, alpha_min", [
@@ -399,7 +400,7 @@ def test_layered_sweep_d0_matches_mpmath_layer_matching(base, alpha_min):
     pytest.param("layers6_root", None, 1e-5, id="layers6_root"),
     pytest.param("exp_resonant_well", None, 1e-5, id="exp_resonant_well"),
 ])
-def test_d_dot_zero_matches_theta_identity(name, theta, tol, request, monkeypatch):
+def test_d_dot_zero_matches_theta_identity(name, theta, tol, request):
     if name == "layers6_root":
         base = _random_well(1, 6)
         root = j.resonant_couplings(base, 0.001, 25.0).roots[0]
@@ -407,9 +408,9 @@ def test_d_dot_zero_matches_theta_identity(name, theta, tol, request, monkeypatc
     else:
         p = request.getfixturevalue(name)
     rep = j.resonance_report(p)
-    builds = _counting_builds(monkeypatch)
+    builds = request.getfixturevalue("evaluator_builds")  # counts from here on
     dd = j.d_dot_zero(p, report=rep)
-    assert len(builds) <= 2  # one build per side carries f and df/dk
+    assert len(builds) == 0  # the product of the maps carries D'(0)
     assert dd.theta_formula_gap < tol
     if theta is not None:  # an exact resonance: D'(0) = -i (theta + 1/theta) = -2i theta
         assert abs(dd.value + 2j * theta) < tol
