@@ -32,9 +32,10 @@ jost_wronskian, d0 and D'(0) build no evaluator.  At the split node of
 the last round, P = L R, f_+ is R applied to its start and f_- the
 mirrored L (see JostEvaluator) applied to its own; their W is P's in
 exact arithmetic for any maps, so the wronskian_gap and ray_gap read
-there measure rounding.  An evaluator scans the maps into node states
-for f(x), which only jost_evaluator, the window kernel of the limits
-module and the resonant half-bound state read.
+there measure rounding.  A JostEvaluator is one solution at one scalar
+k, scanned from the maps into node states for f(x), which only
+jost_evaluator, the window kernel of the limits module and the resonant
+half-bound state read.  The couplings batch serves only the product.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
@@ -49,7 +50,6 @@ operator of the limits module is solved this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -140,86 +140,57 @@ def _compose(m, n):
 
 
 class JostEvaluator:
-    """f_+ (side "+") or f_- (side "-") of V, stored as states at nodes.
+    """f_+ (side "+") or f_- (side "-") of V at one scalar k, stored as states at nodes.
 
+    built is the (p, k, maps, eps) of _jost_maps, one for both sides.
     Both sides are "+" solutions in t = s x, s = +1 for f_+ and -1 for
     f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
     anchor, the right end of the nodes, and f(x) = g(s x), f'(x) =
     s g'(s x).  nodes and states are in t; anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
-    state.  maps are the (nodes, steps, mu2, tails) of _x_maps, which
-    _jost_maps builds once in x for both sides: layer steps when the
-    shape has layers, else the Magnus mesh.  f_- reads them mirrored.
-    t = -x reverses the nodes and the maps, and f_-'s Gauss-Magnus step
-    over a panel is f_+'s with the two Gauss points traded, which swaps
-    m00 and m11 (a layer step has m00 = m11).  The swap M -> J M^T J
-    reverses products, so it carries the composed halves and the
-    Richardson-corrected maps over exactly.  Each side scans its own
-    copy of the maps.
+    state.  maps are the (nodes, steps, mu2, tails) of _x_maps in x,
+    which f_- reads mirrored: t = -x reverses the nodes and the maps,
+    and f_-'s Gauss-Magnus step over a panel is f_+'s with the two Gauss
+    points traded, which swaps m00 and m11 (a layer step has m00 = m11).
+    The swap M -> J M^T J reverses products, so it carries the composed
+    halves and the Richardson-corrected maps over exactly.
 
-    The layer route takes a batch: heights of shape (n, L) and/or k of
-    shape (n,) give n solutions on the same edges from one build, and
-    then steps, states, mu2, eval and plane_pair carry a leading axis of
-    length n (batch == (n,)).  k within a batch is either all zero or all
-    nonzero.  Unbatched arrays have no such axis, and k enters every
-    build as an array, so a scalar call computes each row of a batch with
-    the same elementwise operations and gives the same bits.
-
-    _eps (set by _jost_maps for a squeezed potential, kept as eps) is the
-    dilation: p, k and maps then belong to the unsqueezed base at eps k,
-    and everything above is that base problem, except that eval takes x
-    and gives f'(x) = s g'(s x / eps) / eps, and anchor and far_edge are
-    in x.
+    eps is the dilation: p, k and maps belong to the unsqueezed base at
+    eps k, and eval takes x and gives f'(x) = s g'(s x / eps) / eps.
     """
 
-    def __init__(self, p: Potential, k, side, maps, _eps=1.0):
+    def __init__(self, built, side):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
-        ka = np.asarray(k, dtype=complex)
-        self.k = complex(k) if ka.ndim == 0 else ka
-        # k as shape (1,) or (n, 1): it broadcasts against (nodes,) and (n, nodes)
-        self._k = kb = ka.reshape(ka.shape + (1,))
-        ks = kb.ravel().tolist()
-        self._zero = not any(ks)
-        if not (self._zero or all(ks)):
-            raise SpecError("a batch of wavenumbers cannot mix k = 0 with k != 0")
-        self.p = p
+        p, self.k, maps, self.eps = built
         self._v = p if s > 0 else (lambda t: p(-t))
         nodes, steps, mu2, tails = maps
         if s > 0:
             self.nodes, self.mu2, self.error_bound = nodes, mu2, tails[1]
-            steps = steps[..., ::-1, :].copy()  # anchor first; the scan below writes into it
+            steps = steps[::-1].copy()  # anchor first; the scan below writes into it
         else:
             # t = -x reverses the nodes and the maps, and the scan reads them
             # anchor first, so they stay in x order; the mirror is a new array
             self.nodes, self.error_bound = -nodes[::-1], tails[0]
-            self.mu2 = None if mu2 is None else mu2[..., ::-1]
-            steps = steps[..., [3, 1, 2, 0]]
-        self.batch, self.eps = steps.shape[:-2], _eps
-        self.anchor = float(s * _eps * self.nodes[-1])
-        self.far_edge = float(s * _eps * self.nodes[0])
+            self.mu2 = None if mu2 is None else mu2[::-1]
+            steps = steps[:, [3, 1, 2, 0]]
+        self.anchor = float(s * self.eps * self.nodes[-1])
+        self.far_edge = float(s * self.eps * self.nodes[0])
 
-        # Hillis-Steele scan: after it, steps[..., j, :] maps the anchor to node j+1 away
+        # Hillis-Steele scan: after it, steps[j] maps the anchor to node j+1 away
         shift = 1
-        while shift < steps.shape[-2]:
-            steps[..., shift:, :] = _compose(steps[..., shift:, :], steps[..., :-shift, :])
+        while shift < len(steps):
+            steps[shift:] = _compose(steps[shift:], steps[:-shift])
             shift *= 2
-        wave = np.exp(1j * kb * self.nodes[-1])
-        start = np.concatenate([wave, 1j * kb * wave], axis=-1)[..., None, :]
-        self.states = np.empty(self.batch + (len(self.nodes), 2), dtype=complex)
-        self.states[..., -2::-1, :] = (steps[..., 0::2] * start[..., :1]
-                                       + steps[..., 1::2] * start[..., 1:])
-        self.states[..., -1:, :] = start
-
-    @cached_property
-    def _pair(self):
-        # shape (1,) or (n, 1), like self._k
-        f0, fp0 = self.states[..., :1, 0], self.states[..., :1, 1]
-        if self._zero:
-            # zero energy: the outside solution is the straight line A + B t
-            return f0 - fp0 * self.nodes[0], fp0
-        return plane_pair(f0, fp0, self._k, self.nodes[0])
+        start = np.array([1.0, 1j * self.k]) * np.exp(1j * self.k * self.nodes[-1])
+        self.states = np.empty((len(self.nodes), 2), dtype=complex)
+        self.states[-2::-1] = steps[:, 0::2] * start[0] + steps[:, 1::2] * start[1]
+        self.states[-1] = start
+        # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at k = 0
+        f0, fp0 = self.states[0]
+        self._pair = ((f0 - fp0 * self.nodes[0], fp0) if self.k == 0
+                      else plane_pair(f0, fp0, self.k, self.nodes[0]))
 
     def plane_pair(self):
         """(c_plus, c_minus) with f = c_plus e^{ikx} + c_minus e^{-ikx} beyond the far edge.
@@ -227,36 +198,32 @@ class JostEvaluator:
         For side "+" these are the scattering coefficients (a, b).  Only
         meaningful for k != 0.
         """
-        c_plus, c_minus = (c.reshape(self.batch)[()] for c in self._pair)
+        c_plus, c_minus = self._pair
         return (c_plus, c_minus) if self.s > 0 else (c_minus, c_plus)
 
     def eval(self, x):
-        """Vectorized (f, f') at arbitrary points, shaped batch + x.shape."""
+        """Vectorized (f, f') at arbitrary points, shaped like x."""
         x = np.asarray(x, dtype=float)
         t = self.s * x.ravel() / self.eps
-        f, fp = np.empty((2,) + self.batch + t.shape, dtype=complex)
-        kb = self._k
+        f, fp = np.empty((2,) + t.shape, dtype=complex)
         anchored = t >= self.nodes[-1]
         beyond = t < self.nodes[0]
-        wave = np.exp(1j * kb * t[anchored])
-        f[..., anchored] = wave
-        fp[..., anchored] = 1j * kb * wave
-        if beyond.any():
-            f[..., beyond], fp[..., beyond] = self._vacuum(t[beyond])
+        # e^{ikt} alone past the anchor: e^{-ikt} can overflow there for Im k > 0
+        wave = np.exp(1j * self.k * t[anchored])
+        f[anchored] = wave
+        fp[anchored] = 1j * self.k * wave
+        f[beyond], fp[beyond] = self._vacuum(t[beyond])
         inside = ~(anchored | beyond)
-        if inside.any():
-            f[..., inside], fp[..., inside] = self._inside(t[inside])
+        f[inside], fp[inside] = self._inside(t[inside])
         fp *= self.s / self.eps
-        out = self.batch + x.shape
-        return f.reshape(out)[()], fp.reshape(out)[()]
+        return f.reshape(x.shape)[()], fp.reshape(x.shape)[()]
 
     def _vacuum(self, t):
         c_plus, c_minus = self._pair
-        if self._zero:
-            return c_plus + c_minus * t, np.repeat(c_minus, t.size, axis=-1)
-        up = np.exp(1j * self._k * t)
-        dn = np.exp(-1j * self._k * t)
-        return c_plus * up + c_minus * dn, 1j * self._k * (c_plus * up - c_minus * dn)
+        if self.k == 0:
+            return c_plus + c_minus * t, np.full(t.shape, c_minus)
+        up, dn = np.exp(1j * self.k * t), np.exp(-1j * self.k * t)
+        return c_plus * up + c_minus * dn, 1j * self.k * (c_plus * up - c_minus * dn)
 
     def _inside(self, t):
         # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1])
@@ -264,9 +231,9 @@ class JostEvaluator:
         if self.mu2 is None:
             m00, m01, m10, m11 = magnus_entries(self._v, self.k, self.nodes[node], t)
         else:
-            m00, m01, m10 = propagator_entries(self.mu2[..., node - 1], t - self.nodes[node])
+            m00, m01, m10 = propagator_entries(self.mu2[node - 1], t - self.nodes[node])
             m11 = m00
-        f0, fp0 = self.states[..., node, 0], self.states[..., node, 1]
+        f0, fp0 = self.states[node, 0], self.states[node, 1]
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
 
 
@@ -279,9 +246,11 @@ _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 def _x_maps(p: Potential, k, tol, layers, second):
     """(nodes, steps, mu2, tails) in x, oriented as f_+ reads them.
 
-    steps[..., j, :] maps (f, f') at node j+1 to node j; tails are the
-    masses cut left and right of the end nodes (with second, plus the
-    second-moment tails).  layers give exact steps and mu2 = h - k^2.
+    steps[j] maps (f, f') at node j+1 to node j; tails are the masses
+    cut left and right of the end nodes (with second, plus the
+    second-moment tails).  layers give exact steps and mu2 = h - k^2 for
+    the scalar k; a couplings batch, heights of shape (n, L), gives steps
+    and mu2 a leading axis of length n, which only _product reads.
     Otherwise mu2 is None and a Magnus step is accepted once its one-step
     and two-half-step maps differ by at most tol * |h| / span relative to
     its size (or by the rounding floor), keeping the two-half-step map,
@@ -289,8 +258,7 @@ def _x_maps(p: Potential, k, tol, layers, second):
     """
     if layers is not None:
         edges, heights = layers
-        kb = np.asarray(k, dtype=complex)[..., None]
-        mu2 = heights - kb * kb
+        mu2 = heights - np.multiply(k, k)  # numpy's loop rounds k^2 more closely than k * k
         a, b, c = propagator_entries(mu2, edges[:-1] - edges[1:])
         steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
         return edges, steps, mu2, (0.0, 0.0)
@@ -351,29 +319,27 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     """
-    return _evaluators(*_jost_maps(p, k, tol), sides=side)[0]
+    return JostEvaluator(_jost_maps(p, k, tol), side)
 
 
 def _jost_maps(p: Potential, k, tol=1e-10, second=False, couplings=None):
     """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k.
 
-    second cuts infinite tails by their second-moment mass too (see _tail_point);
-    couplings, a 1-d array in place of p.coupling, batches the layer route.
+    Every build checks tol here: outside (0, 1) it raises SpecError.
+    second cuts infinite tails by their second-moment mass too (see
+    _tail_point); couplings, a 1-d array in place of p.coupling, batches
+    the layer route for the sweep's product, not for a JostEvaluator.
     """
     k = check_wavenumber(k, allow_zero=True)
+    if not 0.0 < tol < 1.0:
+        raise SpecError(f"tol must lie in (0, 1), got {tol}")
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
     if base is not p.shape:
         p = Potential(base, p.coupling)
-    if eps != 1.0:
-        k = eps * k
+    k = eps * k
     layers = _layers(p.shape, p.coupling if couplings is None else couplings)
     return p, k, _x_maps(p, k, tol, layers, second), eps
-
-
-def _evaluators(p, k, maps, eps, sides="+-"):
-    """The evaluators for sides, (f_+, f_-) by default, scanning maps from _jost_maps."""
-    return tuple(JostEvaluator(p, k, side, maps, eps) for side in sides)
 
 
 def _layers(shape, couplings):

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpecError
-from .jost import ScatteringData, _evaluators, _jost_maps, _scattering_from, check_wavenumber
+from .jost import JostEvaluator, ScatteringData, _jost_maps, _scattering_from, check_wavenumber
 from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import resonance_report
 
@@ -113,11 +113,11 @@ class TruncatedScaledOperator:
 
     @cached_property
     def plus(self):
-        return _evaluators(*self._built, sides="+")[0]
+        return JostEvaluator(self._built, "+")
 
     @cached_property
     def minus(self):
-        return _evaluators(*self._built, sides="-")[0]
+        return JostEvaluator(self._built, "-")
 
     @cached_property
     def green(self) -> Kernel:

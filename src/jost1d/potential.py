@@ -17,11 +17,11 @@ truncate lands on that one form.
 Every integral is closed form.  Each shape gives its own integrals of
 V, x V, |V| and (1+|x|) |V| over any interval [lo, hi]: exact per-layer
 sums for piecewise-constant shapes (each layer clipped to [lo, hi] and
-split at x = 0, the kink of 1 + |x|), elementary antiderivatives for
-exp_decay, and for tables a 2-point Gauss-Legendre rule on the panels
-between nodes, sign changes and 0, where |V| and x are linear, so every
-integrand is at most quadratic and the rule is exact.  A squeezed
-window maps the integrals of its base over the window.
+split at x = 0, the kink of 1 + |x|), half-line sums for exp_decay
+(folded at 0, as V is even), and for tables a 2-point Gauss-Legendre
+rule on the panels between nodes, sign changes and 0, where |V| and x
+are linear, so every integrand is at most quadratic and the rule is
+exact.  A squeezed window maps the integrals of its base over the window.
 """
 
 from __future__ import annotations
@@ -193,41 +193,37 @@ class ExpDecayShape(_Shape):
         return (0.0,)
 
     def integrals(self, lo, hi, coupling):
-        """Differences of F(y) = int_y^inf (1, t, 1 + |t|) e^{-rate |t|} dt.
+        """(int V, int x V, int |V|, int (1+|x|) |V|) over [lo, hi], folded at 0.
 
-        V is even, so [-inf, hi] is read as [-hi, inf] with x V negated:
-        a small left tail is then F(-hi) itself, not the difference of two
-        nearly equal numbers F(-inf) - F(hi).  A finite window is split
-        at 0, its left part folded onto the right half line the same way,
-        and each part summed by _window, which does not cancel when the
-        window is narrow.
+        V is even, so [lo, hi] splits at 0 and its left part is read as
+        [-hi, -lo] with t V negated.  _window sums each part, finite or
+        not, without cancelling, so only int t V over an interval around 0
+        is a difference (of its two parts).
         """
         a = coupling * self.amplitude
-        if math.isfinite(lo) and math.isfinite(hi):
-            s_r, m_r, t_r = self._window(max(lo, 0.0), max(hi, 0.0))
-            s_l, m_l, t_l = self._window(max(-hi, 0.0), max(-lo, 0.0))
-            return a * (s_r + s_l), a * (m_r - m_l), abs(a) * (s_r + s_l), abs(a) * (t_r + t_l)
-        odd = 1.0
-        if lo == -math.inf and hi != math.inf:
-            lo, hi, odd = -hi, math.inf, -1.0
-        (s0, m0, t0), (s1, m1, t1) = self._antiderivative(lo), self._antiderivative(hi)
-        return a * (s0 - s1), odd * a * (m0 - m1), abs(a) * (s0 - s1), abs(a) * (t0 - t1)
+        s_r, m_r, t_r = self._window(max(lo, 0.0), max(hi, 0.0))
+        s_l, m_l, t_l = self._window(max(-hi, 0.0), max(-lo, 0.0))
+        return a * (s_r + s_l), a * (m_r - m_l), abs(a) * (s_r + s_l), abs(a) * (t_r + t_l)
 
     def _window(self, a, b):
-        """int_a^b (1, t, 1 + t) e^{-rate t} dt for 0 <= a <= b.
+        """int_a^b (1, t, 1 + t) e^{-rate t} dt for 0 <= a <= b <= inf.
 
         With x = rate (b - a), int e^{-rt} = e^{-ra} (-expm1(-x)) / r and
         int t e^{-rt} = a int e^{-rt} + e^{-ra} g(x) / r^2, where
         g(x) = 1 - (1 + x) e^{-x} >= 0.  Both terms are nonnegative, and
-        for x < 1/2, where 1 - (1 + x) e^{-x} would cancel, g is summed
-        as e^{-x} times the positive series sum_{n >= 2} x^n / n!.
+        for x < 1/2, where g would cancel, it is summed as e^{-x} times the
+        positive series sum_{n >= 2} x^n / n!.
         """
+        if a == b:  # the empty half of a one-sided interval: skip the series
+            return 0.0, 0.0, 0.0
         r = self.rate
         x = r * (b - a)
         e = math.exp(-r * a)
         s = -e * math.expm1(-x) / r
         if x < 0.5:
             g = math.exp(-x) * math.fsum(x**n / math.factorial(n) for n in range(2, 20))
+        elif x == math.inf:
+            g = 1.0  # x e^{-x} -> 0, but inf * 0 is nan
         else:
             g = -math.expm1(-x) - x * math.exp(-x)
         m = a * s + e * g / (r * r)
@@ -238,19 +234,6 @@ class ExpDecayShape(_Shape):
         r, y = self.rate, abs(y)
         poly = (y * y + y) / r + (2.0 * y + 1.0) / r**2 + 2.0 / r**3
         return abs(coupling * self.amplitude) * math.exp(-r * y) * poly
-
-    def _antiderivative(self, y):
-        """F(y); t e^{-r|t|} is odd, so its part of F is even in y."""
-        if y == math.inf:
-            return 0.0, 0.0, 0.0
-        r = self.rate
-        whole = 2.0 * (1.0 / r + 1.0 / r**2)  # int (1 + |t|) e^{-r|t|} over the line
-        if y == -math.inf:
-            return 2.0 / r, 0.0, whole
-        e = math.exp(-r * abs(y))
-        g = e * ((1.0 + abs(y)) / r + 1.0 / r**2)
-        m = e * (abs(y) / r + 1.0 / r**2)
-        return (e / r, m, g) if y >= 0 else ((2.0 - e) / r, m, whole - g)
 
 
 @dataclass(frozen=True)

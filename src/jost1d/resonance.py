@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import (_evaluators, _halves_states, _jost_maps, _maps_wronskian, _product,
+from .jost import (JostEvaluator, _halves_states, _jost_maps, _maps_wronskian, _product,
                    _zero_energy_wronskians)
 from .potential import Potential, fm_norm
 
@@ -99,7 +99,7 @@ def resonance_report(
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
-    evp, evm = _evaluators(*built)
+    evp, evm = JostEvaluator(built, "+"), JostEvaluator(built, "-")
 
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0

@@ -228,6 +228,20 @@ def test_resonance_sweep_exponential_well(runner, tmp_path):
     assert roots == pytest.approx(want, abs=1e-4)
 
 
+@pytest.mark.parametrize("command", [["scatter", "--k", "1.0"],
+                                     ["converge", "--k", "1.0", "--eps", "0.1"]])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1"])
+def test_tol_outside_unit_interval_exits_2(runner, tmp_path, command, tol):
+    path = tmp_path / "well.json"
+    path.write_text(json.dumps(
+        {"kind": "exp_decay", "params": {"rate": 1.0, "amplitude": 1.0}, "coupling": -1.4458}
+    ))
+    result = runner.invoke(main, [*command, "--potential", str(path), "--tol", tol])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "tol" in result.stderr
+    assert result.stdout == ""
+
+
 def test_resonance_sweep_bad_range(runner, barrier_file):
     result = runner.invoke(main, [
         "resonance", "sweep", "--potential", barrier_file,

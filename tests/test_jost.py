@@ -13,7 +13,6 @@ import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
 from jost1d.jost import (
     JostEvaluator,
-    _evaluators,
     _jost_maps,
     _layers,
     _x_maps,
@@ -44,6 +43,19 @@ def test_wavenumber_rejects_non_finite(k):
     # NaN fails every ordering test, so each check must be written to reject it
     with pytest.raises(SpecError, match="finite"):
         j.check_wavenumber(k, allow_zero=True)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, 1.0])
+def test_tol_outside_unit_interval_raises(tol):
+    # unchecked, an infinite tol cut this well's tails at |x| = 1 and gave
+    # t = 0.73+0.64i (0.32+0.94i is right); tol <= 0 never anchored
+    well = j.exp_decay(1.0, -1.0, 1.4458)
+    with pytest.raises(SpecError, match="tol"):
+        j.scattering(well, 1.0, tol=tol)
+    with pytest.raises(SpecError, match="tol"):
+        j.resonance_report(well, tol=tol)
+    with pytest.raises(SpecError, match="tol"):
+        jost_evaluator(j.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]), 1.0, "+", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +146,8 @@ def test_random_layer_potentials_vs_matching_oracle(rng):
 def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
     # maps built without layers take the Magnus route
-    a, b = JostEvaluator(two_step, k, "+", _x_maps(two_step, k, 1e-10, None, False)).plane_pair()
+    maps = _x_maps(two_step, complex(k), 1e-10, None, False)
+    a, b = JostEvaluator((two_step, complex(k), maps, 1.0), "+").plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
 
@@ -347,7 +360,8 @@ def test_wronskian_product_matches_evaluator_pair(request, name, k):
         p = request.getfixturevalue(name)
     sup = p.support()
     mid = 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
-    (f, fp), (g, gp) = (ev.eval(mid) for ev in _evaluators(*_jost_maps(p, k)))
+    built = _jost_maps(p, k)
+    (f, fp), (g, gp) = (JostEvaluator(built, side).eval(mid) for side in "+-")
     want = complex(f * gp - fp * g)
     assert abs(j.jost_wronskian(p, k) - want) <= 1e-12 * max(abs(want), 1.0)
 
@@ -384,7 +398,8 @@ def _hex(a):
 @pytest.mark.parametrize("k", [0.0, 1.3, 1.0 + 0.5j])
 def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
     p = _SHARED_MESH[name] if name in _SHARED_MESH else request.getfixturevalue(name)
-    pair = _evaluators(*_jost_maps(p, k))
+    built = _jost_maps(p, k)
+    pair = [JostEvaluator(built, side) for side in "+-"]
     for side, ev in zip("+-", pair):
         lone = jost_evaluator(p, k, side)
         assert _hex(ev.nodes) == _hex(lone.nodes)
@@ -513,7 +528,8 @@ def test_exp_well_unitarity_reciprocity_conjugation(p, k):
 @given(p=_tables(), k_re=st.floats(0.2, 3.0), k_im=st.floats(0.0, 0.5))
 def test_table_wronskian_constant_at_complex_k(p, k_re, k_im):
     xs = np.linspace(-4.0, 4.0, 101)
-    pair = _evaluators(*_jost_maps(p, complex(k_re, k_im)))
+    built = _jost_maps(p, complex(k_re, k_im))
+    pair = [JostEvaluator(built, side) for side in "+-"]
     f, fp, g, gp = (y for ev in pair for y in ev.eval(xs))
     w = f * gp - fp * g
     mid = w[len(w) // 2]
@@ -538,7 +554,8 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 
 def _route_evaluator(p, k, side, route):
     layers = _layers(p.shape, p.coupling) if route == "transfer" else None
-    return JostEvaluator(p, k, side, _x_maps(p, k, 1e-10, layers, False))
+    k = complex(k)
+    return JostEvaluator((p, k, _x_maps(p, k, 1e-10, layers, False), 1.0), side)
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)
@@ -573,45 +590,6 @@ def _even_bound_state_kappa(depth, half_width):
 
     q = brentq(g, 1e-9, min(np.sqrt(depth) - 1e-9, np.pi / (2 * half_width) - 1e-9))
     return np.sqrt(depth - q * q)
-
-
-# ---------------------------------------------------------------------------
-# the batch axis of the layer route
-
-
-_GAPPED = j.piecewise_constant([(-1.5, -0.4, -2.0), (-0.1, 0.6, 1.5), (0.9, 1.3, -0.7)])
-
-
-@pytest.mark.parametrize("side", ["+", "-"])
-@pytest.mark.parametrize("k", [0.0, 1.3, 0.4 + 0.9j])
-def test_coupling_batch_rows_equal_scalar_evaluators(side, k):
-    # every row of a batch over couplings is bit for bit the scalar evaluator
-    couplings = np.array([-2.5, -1.0, 0.0, 0.7, 3.0])
-    xs = np.array([-3.0, -1.5, -0.9, -0.1, 0.0, 0.3, 1.1, 1.3, 4.0])
-    (batch,) = _evaluators(*_jost_maps(_GAPPED, k, couplings=couplings), side)
-    f, fp = batch.eval(xs)
-    assert f.shape == fp.shape == (len(couplings), len(xs))
-    for i, c in enumerate(couplings):
-        ev = jost_evaluator(_GAPPED.with_coupling(c), k, side)
-        g, gp = ev.eval(xs)
-        assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
-        assert f[i, 3] == ev.eval(xs[3])[0]
-        if k != 0:
-            assert all(np.array_equal(b[i], e) for b, e in zip(batch.plane_pair(), ev.plane_pair()))
-
-
-@pytest.mark.parametrize("side", ["+", "-"])
-def test_wavenumber_batch_rows_equal_scalar_evaluators(side):
-    ks = np.array([1e-4j, 0.3, 1.0 + 0.5j, 2.0])
-    xs = np.array([-2.0, -0.2, 0.5, 1.2, 3.0])
-    layers = _layers(_GAPPED.shape, _GAPPED.coupling)
-    batch = JostEvaluator(_GAPPED, ks, side, _x_maps(_GAPPED, ks, 1e-10, layers, False))
-    f, fp = batch.eval(xs)
-    for i, k in enumerate(ks):
-        g, gp = jost_evaluator(_GAPPED, k, side).eval(xs)
-        assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
-    with pytest.raises(SpecError):
-        JostEvaluator(_GAPPED, [0.0, 1.0], side, _x_maps(_GAPPED, [0.0, 1.0], 1e-10, layers, False))
 
 
 def test_bound_state_raises_exceptional_point():
@@ -697,12 +675,18 @@ def test_scaled_jost_value_identity(barrier):
 
 
 def test_plane_wave_beyond_anchor(barrier):
+    # past x = 1419 (mirrored for f_-) e^{-ikx} overflows at Im k = 0.5; the
+    # anchored region never forms it, so its values stay finite
     k = 1.0 + 0.5j
-    ev = jost_evaluator(barrier, k, "+")
-    xs = np.array([1.0, 2.0, 10.0, 50.0])
-    vals, ders = ev.eval(xs)
-    assert np.allclose(vals, np.exp(1j * k * xs), rtol=1e-13)
-    assert np.allclose(ders, 1j * k * np.exp(1j * k * xs), rtol=1e-13)
+    for side, s in (("+", 1.0), ("-", -1.0)):
+        xs = s * np.array([1.0, 2.0, 10.0, 50.0, 1000.0, 1450.0, 2000.0])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.exp(-1j * s * k * xs[-2:])).any()
+        wave = np.exp(1j * s * k * xs)
+        vals, ders = jost_evaluator(barrier, k, side).eval(xs)
+        assert np.isfinite(vals).all() and np.isfinite(ders).all()
+        assert np.allclose(vals, wave, rtol=1e-13)
+        assert np.allclose(ders, 1j * s * k * wave, rtol=1e-13)
 
 
 def test_error_bound_reporting(barrier, exp_tail):
@@ -715,7 +699,7 @@ def test_side_validation(barrier):
     with pytest.raises(SpecError):
         jost_evaluator(barrier, 1.0, "x")
     with pytest.raises(SpecError):
-        JostEvaluator(barrier, 1.0, "x", None)  # side is checked before the maps are read
+        JostEvaluator(None, "x")  # side is checked before built is read
 
 
 def test_reexports_are_in_module_all():
