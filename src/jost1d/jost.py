@@ -322,24 +322,29 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     return JostEvaluator(_jost_maps(p, k, tol), side)
 
 
-def _jost_maps(p: Potential, k, tol=1e-10, second=False, couplings=None):
+def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None):
     """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k.
 
     Every build checks tol here: outside (0, 1) it raises SpecError.
     second cuts infinite tails by their second-moment mass too (see
-    _tail_point); couplings, a 1-d array in place of p.coupling, batches
+    _tail_point).  layers, as _layers gives them for the unsqueezed base,
+    spare reading its tiling; heights of shape (n, L), n couplings, batch
     the layer route for the sweep's product, not for a JostEvaluator.
     """
     k = check_wavenumber(k, allow_zero=True)
     if not 0.0 < tol < 1.0:
         raise SpecError(f"tol must lie in (0, 1), got {tol}")
+    p, eps = _unsqueezed(p)
+    k = eps * k
+    layers = _layers(p.shape, p.coupling) if layers is None else layers
+    return p, k, _x_maps(p, k, tol, layers, second), eps
+
+
+def _unsqueezed(p: Potential):
+    """(base, eps) with p = eps^-2 base(x / eps); eps = 1 and base = p unless squeezed."""
     dilation = getattr(p.shape, "dilation", None)  # a shape without the method is not squeezed
     base, eps = dilation() if dilation is not None else (p.shape, 1.0)
-    if base is not p.shape:
-        p = Potential(base, p.coupling)
-    k = eps * k
-    layers = _layers(p.shape, p.coupling if couplings is None else couplings)
-    return p, k, _x_maps(p, k, tol, layers, second), eps
+    return (p if base is p.shape else Potential(base, p.coupling)), eps
 
 
 def _layers(shape, couplings):
@@ -360,16 +365,19 @@ def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
     return complex(_maps_wronskian(*_jost_maps(p, k, tol)))
 
 
-def _zero_energy_wronskians(p: Potential, couplings, tol=1e-10) -> np.ndarray:
-    """W{f_+, f_-} at k = 0 for each of couplings (a 1-d array), standing in for p.coupling.
+def _zero_energy_wronskians(p: Potential, tol=1e-10):
+    """(d0, layered): d0(couplings) is W{f_+, f_-} at k = 0 for each of couplings, a 1-d array.
 
-    The layer route batches all couplings in one map set and one product, bit
-    for bit what jost_wronskian gives per coupling; the Magnus route builds one
-    map set per coupling.
+    They stand in for p.coupling.  The layer route (layered) reads the tiling
+    once, here, and batches a call's couplings in one map set and product,
+    bit for bit jost_wronskian's per coupling; Magnus builds one per coupling.
     """
-    if _layers(p.shape, 1.0) is None:
-        return np.array([jost_wronskian(p.with_coupling(c), 0.0, tol) for c in couplings.tolist()])
-    return _maps_wronskian(*_jost_maps(p, 0.0, tol, couplings=couplings))
+    tiling = _layers(_unsqueezed(p)[0].shape, 1.0)
+    if tiling is None:
+        return (lambda cs: np.array([jost_wronskian(p.with_coupling(c), 0.0, tol)
+                                     for c in cs.tolist()])), False
+    return (lambda cs: _maps_wronskian(*_jost_maps(
+        p, 0.0, tol, layers=(tiling[0], np.multiply.outer(cs, tiling[1]))))), True
 
 
 def _product(steps):

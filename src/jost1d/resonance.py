@@ -21,13 +21,13 @@ jost._maps_wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
 
 A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
-coupling form one batch, so the grid is one map set and one product,
-and the brackets of all sign changes are bisected in lockstep with one
-batched call per round; each value is bit for bit the one-coupling
-result.  Other bases are evaluated one coupling at a time under the
-same driver.  A d0 that is not finite, or whose product overflowed,
-stops the sweep with SpecError, as does a root whose residual stays
-above root_tol.
+coupling form one batch, so the grid is one map set and one product;
+as its size costs little, each bisection round evaluates in one batch
+the 15 midpoints the next four steps of every bracket can take.  Other
+bases, one map set per coupling, take one step per round.  Each value,
+and so each root, is bit for bit the one-coupling result.  A d0 that is
+not finite, or whose product overflowed, stops the sweep with
+SpecError, as does a root whose residual stays above root_tol.
 """
 
 from __future__ import annotations
@@ -216,9 +216,10 @@ def resonant_couplings(
 
     Scans d0(alpha) on a uniform grid, brackets sign changes, and refines
     each bracket by bisection until both the bracket width and the
-    residual |d0| fall below root_tol.  The grid is one batched d0 call,
-    and all brackets advance together, one batched call per bisection
-    round; each value equals the one-coupling d0 bit for bit.  A grid too
+    residual |d0| fall below root_tol (positive and finite).  The grid is
+    one batched d0 call, and all brackets advance together, four steps
+    per batched call on a layered base and one otherwise; each value
+    equals the one-coupling d0 bit for bit, as do the roots.  A grid too
     coarse to separate a pair of nearby roots is flagged with a warning
     based on the local parabolic model of the sweep.  A d0 that overflows,
     on the grid or in a bisection, raises SpecError, as does a root whose
@@ -230,21 +231,16 @@ def resonant_couplings(
         raise SpecError(f"sweep range must be finite, got [{alpha_min}, {alpha_max}]")
     if grid_n < 2:
         raise SpecError(f"grid_n must be at least 2, got {grid_n}")
-    if root_tol <= 0:
-        raise SpecError(f"root_tol must be positive, got {root_tol}")
+    if not 0.0 < root_tol < math.inf:
+        raise SpecError(f"root_tol must be positive and finite, got {root_tol}")
+    d0, layered = _zero_energy_wronskians(base, tol)
 
-    def g(alphas):  # d0 at each alpha; one map set for a layered base
-        alphas = np.asarray(alphas)
+    def g(alphas):  # d0 at each alpha, nan where it overflowed; one map set for a layered base
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _zero_energy_wronskians(base, base.coupling * alphas, tol).real
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise SpecError(f"d0 is not finite at alpha = {float(alphas[bad][0])}: the "
-                            "propagator overflows there; narrow the sweep range")
-        return values
+            return d0(base.coupling * alphas).real
 
     alphas = np.linspace(alpha_min, alpha_max, grid_n)
-    values = g(alphas)
+    values = _finite(alphas, g(alphas))
 
     trivial = 0.0 if alpha_min <= 0.0 <= alpha_max else None
 
@@ -259,7 +255,8 @@ def resonant_couplings(
             continue
         if g_lo * g_hi < 0.0:
             brackets.append((lo_a, hi_a, g_lo, g_hi))
-    roots = sorted(roots + _bisect_roots(g, brackets, root_tol), key=lambda r: r.bracket[0])
+    found = _bisect_roots(g, brackets, root_tol, 4 if layered else 1)
+    roots = sorted(roots + found, key=lambda r: r.bracket[0])
     for root in roots:
         if not root.residual < root_tol:
             raise SpecError(f"|d0| stays at {root.residual:.3g} >= root_tol near alpha = "
@@ -270,30 +267,51 @@ def resonant_couplings(
     return CouplingSweep(alphas, values, tuple(roots), trivial)
 
 
-def _bisect_roots(g, brackets, root_tol) -> list[CouplingRoot]:
-    """Bisect every bracket (lo, hi, g_lo, g_hi) in lockstep, one g call per round.
+def _finite(alphas, values):
+    """values, unless d0 is not finite at one of alphas: then SpecError names the first."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise SpecError(f"d0 is not finite at alpha = {float(alphas[bad][0])}: the "
+                        "propagator overflows there; narrow the sweep range")
+    return values
 
-    Each bracket follows its own rule: it stops once both its width and
-    its smaller end value are below root_tol, once its width reaches
-    rounding, or after 200 rounds.
+
+def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:
+    """Bisect every bracket (lo, hi, g_lo, g_hi) in lockstep, depth steps per g call.
+
+    A round splits each live [lo, hi] by 2^depth + 1 points, the one with
+    lowest set bit s at p being 0.5 * (a + b) of those at p -+ s; one g
+    call evaluates them, and the walk reads the values plain bisection
+    reads, so only those can raise and the roots are bit for bit the same.
+    A bracket stops, its round left unread, once its width and smaller end
+    value are below root_tol, its width reaches rounding, or at 200 steps.
     """
     if not brackets:
         return []
     lo, hi, g_lo, g_hi = (np.array(c, dtype=float) for c in zip(*brackets))
-    live = np.arange(len(brackets))
-    for _ in range(200):
-        mid = 0.5 * (lo[live] + hi[live])
-        g_mid = g(mid)
-        left = g_lo[live] * g_mid <= 0.0
-        hi[live[left]], g_hi[live[left]] = mid[left], g_mid[left]
-        lo[live[~left]], g_lo[live[~left]] = mid[~left], g_mid[~left]
-        width = hi[live] - lo[live]
-        small = np.minimum(np.abs(g_lo[live]), np.abs(g_hi[live]))
-        done = (width < root_tol) & (small < root_tol)
-        done |= width < 1e-15 * np.maximum(1.0, np.abs(hi[live]))
-        live = live[~done]
-        if not len(live):
-            break
+    live, steps = np.arange(len(brackets)), 0
+    halves = [2 ** d for d in reversed(range(depth))]  # a step's half width, in points
+    while len(live) and steps < 200:
+        pts = np.empty((len(live), 2 ** depth + 1))
+        pts[:, 0], pts[:, -1] = lo[live], hi[live]
+        for s in halves:
+            pts[:, s::2 * s] = 0.5 * (pts[:, :-s:2 * s] + pts[:, 2 * s::2 * s])
+        values = g(pts[:, 1:-1].ravel()).reshape(len(live), -1)
+        rows, at = np.arange(len(live)), np.zeros(len(live), dtype=int)
+        for s in halves[:200 - steps]:
+            at += s  # from each bracket's left end to its midpoint
+            mid = pts[rows, at]
+            g_mid = _finite(mid, values[rows, at - 1])
+            left = g_lo[live] * g_mid <= 0.0
+            hi[live[left]], g_hi[live[left]] = mid[left], g_mid[left]
+            lo[live[~left]], g_lo[live[~left]] = mid[~left], g_mid[~left]
+            width = hi[live] - lo[live]
+            small = np.minimum(np.abs(g_lo[live]), np.abs(g_hi[live]))
+            done = (width < root_tol) & (small < root_tol)
+            done |= width < 1e-15 * np.maximum(1.0, np.abs(hi[live]))
+            at[left] -= s
+            live, rows, at = live[~done], rows[~done], at[~done]
+            steps += 1
     return [CouplingRoot(float(a if abs(ga) <= abs(gb) else b), start[:2],
                          float(min(abs(ga), abs(gb))))
             for a, b, ga, gb, start in zip(lo.tolist(), hi.tolist(), g_lo.tolist(),
@@ -302,20 +320,14 @@ def _bisect_roots(g, brackets, root_tol) -> list[CouplingRoot]:
 
 def _warn_double_crossings(alphas, values):
     """Parabolic check for a pair of roots hiding between grid points."""
-    suspicious = []
-    for i in range(1, len(alphas) - 1):
-        g0, g1, g2 = values[i - 1], values[i], values[i + 1]
-        if g0 * g1 < 0.0 or g1 * g2 < 0.0 or g1 == 0.0:
-            continue
+    g0, g1, g2 = values[:-2], values[1:-1], values[2:]
+    with np.errstate(all="ignore"):  # curv = 0 or g1 = 0 fails the last two tests
         half_diff = 0.5 * (g2 - g0)
         curv = 0.5 * (g2 - 2.0 * g1 + g0)
-        if curv == 0.0:
-            continue
         s_vertex = -half_diff / (2.0 * curv)
-        if abs(s_vertex) < 1.0:
-            q_vertex = g1 + half_diff * s_vertex + curv * s_vertex * s_vertex
-            if q_vertex * g1 < 0.0:
-                suspicious.append(float(alphas[i]))
+        q_vertex = g1 + half_diff * s_vertex + curv * s_vertex * s_vertex
+        pair = (g0 * g1 >= 0) & (g1 * g2 >= 0) & (np.abs(s_vertex) < 1) & (q_vertex * g1 < 0)
+    suspicious = alphas[1:-1][pair].tolist()
     if suspicious:
         warnings.warn(
             "the d0 sweep may cross zero twice between grid points near alpha = "

@@ -12,7 +12,8 @@ jost_wronskian on purpose: they are the zero-energy code one coupling
 and one quantity at a time (jost_wronskian multiplies one map set,
 jost_evaluator builds one evaluator), and check how the library
 batches, bisects and reuses its maps, not the propagation underneath;
-layer_matching_d0 checks that propagation in mpmath.
+layer_matching_d0 checks that propagation in mpmath.  double_crossings
+is the sweep's parabolic check written as a loop over grid points.
 """
 
 from __future__ import annotations
@@ -497,6 +498,29 @@ def scalar_sweep(base, alpha_min, alpha_max, grid_n=201, root_tol=1e-8, tol=1e-1
             roots.append(bisect(lo_a, hi_a, g_lo, g_hi))
     trivial = 0.0 if alpha_min <= 0.0 <= alpha_max else None
     return alphas, values, roots, trivial
+
+
+def double_crossings(alphas, values):
+    """The grid alphas that the sweep's parabolic check flags, one point at a time.
+
+    This is the check as first written, a loop over the inner grid
+    points; the sweep's masks must flag the same alphas.
+    """
+    suspicious = []
+    for i in range(1, len(alphas) - 1):
+        g0, g1, g2 = values[i - 1], values[i], values[i + 1]
+        if g0 * g1 < 0.0 or g1 * g2 < 0.0 or g1 == 0.0:
+            continue
+        half_diff = 0.5 * (g2 - g0)
+        curv = 0.5 * (g2 - 2.0 * g1 + g0)
+        if curv == 0.0:
+            continue
+        s_vertex = -half_diff / (2.0 * curv)
+        if abs(s_vertex) < 1.0:
+            q_vertex = g1 + half_diff * s_vertex + curv * s_vertex * s_vertex
+            if q_vertex * g1 < 0.0:
+                suspicious.append(float(alphas[i]))
+    return suspicious
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,18 @@ def test_resonance_sweep_root_without_digits_exits_2(runner, tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("root_tol", ["nan", "inf"])
+def test_resonance_sweep_non_finite_root_tol_exits_2(runner, barrier_file, root_tol):
+    result = runner.invoke(main, [
+        "resonance", "sweep", "--potential", barrier_file,
+        "--alpha-min", "0.5", "--alpha-max", "25", "--root-tol", root_tol,
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+    assert "root_tol must be positive and finite" in result.stderr
+    assert result.stdout == ""
+
+
 def test_resonance_theta_overflowing_d0_exits_2(runner, tmp_path):
     path = tmp_path / "barrier.json"
     path.write_text(json.dumps(

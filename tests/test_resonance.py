@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jost1d as j
+from jost1d import resonance
 from jost1d.errors import SpecError
 
 import oracles
@@ -271,6 +272,48 @@ def test_sweep_validation():
             j.resonant_couplings(base, lo, hi, grid_n=5)
 
 
+@pytest.mark.parametrize("root_tol", [math.nan, math.inf])
+def test_sweep_rejects_non_finite_root_tol(root_tol):
+    # nan once bisected to rounding width and blamed d0's digits; inf took
+    # the first midpoint as a root
+    with pytest.raises(SpecError, match="root_tol must be positive and finite"):
+        j.resonant_couplings(j.square(-1.0, 1.0, -1.0), 0.001, 25.0, root_tol=root_tol)
+
+
+def test_sweep_warns_of_roots_between_grid_points():
+    # two unit wells 4 apart resonate near alpha = 9.87 and 10.84, inside
+    # one step of the 11-point grid; a 21-point grid separates them
+    base = j.piecewise_constant([(-3.0, -2.0, -1.0), (2.0, 3.0, -1.0)])
+    with pytest.warns(RuntimeWarning, match=r"near alpha = \[9\.7, 10\.85\]") as caught:
+        coarse = j.resonant_couplings(base, 0.5, 12.0, grid_n=11)
+    assert [w.filename for w in caught] == [__file__]  # stacklevel names the caller
+    assert coarse.roots == ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fine = j.resonant_couplings(base, 0.5, 12.0, grid_n=21)
+    assert [r.alpha for r in fine.roots] == pytest.approx([9.8696, 10.8393], abs=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_double_crossing_masks_equal_loop_oracle(seed):
+    # runs of one sign with deep dips, sign changes, exact zeros and a
+    # straight piece (curv = 0)
+    rng = np.random.default_rng(seed)
+    alphas = np.linspace(0.0, 1.0, 60)
+    values = np.exp(rng.normal(0.0, 1.5, alphas.size))
+    values[30:] *= -1.0
+    values[rng.integers(0, alphas.size, 4)] = 0.0
+    values[10:14] = 0.5 + 0.25 * np.arange(4)
+    expected = oracles.double_crossings(alphas, values)
+    assert expected  # the seeds give the check something to flag
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        resonance._warn_double_crossings(alphas, values)
+    assert [str(w.message) for w in caught] == [
+        f"the d0 sweep may cross zero twice between grid points near alpha = {expected}; "
+        "refine the grid to resolve the pair"]
+
+
 def test_sweep_values_match_pointwise_reports():
     base = j.square(-1.0, 1.0, -1.0)
     sweep = j.resonant_couplings(base, 0.5, 3.0, grid_n=6)
@@ -313,12 +356,18 @@ def _table_well():
 @pytest.mark.parametrize("base, alpha_min, alpha_max, kwargs", [
     (j.square(-1.0, 1.0, -1.0), 0.001, 25.0, {}),
     (_random_well(1, 6), 0.001, 25.0, {}),
+    # 22 bisection steps: the last look-ahead round stops at its second step
+    (_random_well(1, 6), 0.001, 25.0, dict(grid_n=11, root_tol=1e-6)),
     (_random_well(2, 22, gaps=True), 0.001, 25.0, {}),
+    # a squeezed base and its window read the tiling of the unsqueezed base
+    (j.scale(_random_well(1, 6), 0.5), 0.001, 25.0, {}),
+    (j.truncate(j.scale(_random_well(1, 6), 0.5), 0.4), 0.001, 25.0, {}),
     (j.square(-1.0, 0.5, -2.0, coupling=0.7), 0.001, 30.0, {}),
     (_random_well(3, 9, gaps=True), -25.0, 25.0, {}),  # the grid holds alpha = 0
     (_table_well(), 0.5, 12.0, dict(grid_n=21, root_tol=1e-6)),  # Magnus, compact
     (j.exp_decay(rate=1.0, amplitude=-1.0), 1.2, 1.7, dict(grid_n=11, root_tol=1e-6)),
-], ids=["square", "layers6", "layers22_gaps", "coupling0.7", "straddles0", "table", "exp"])
+], ids=["square", "layers6", "layers6_22_steps", "layers22_gaps", "squeezed", "window",
+        "coupling0.7", "straddles0", "table", "exp"])
 def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -337,15 +386,47 @@ def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
 
 def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch,
                                                                      evaluator_builds):
-    # one map set for the 201-point grid and one per bisection round, each
-    # multiplied out with no evaluator; halving the grid step 0.125 below
-    # root_tol = 1e-8 takes 24 rounds, and the residual test may ask for a
-    # few more.  A point-by-point sweep builds 201 map sets for the grid alone.
+    # one map set for the 201-point grid and one per round, each multiplied
+    # out with no evaluator.  A round looks four bisection steps ahead: its
+    # one batch holds the 15 midpoints those steps can take in every
+    # bracket, so halving the grid step 0.125 below root_tol = 1e-8 takes
+    # 24 steps in 6 rounds.  A point-by-point sweep builds 201 map sets for
+    # the grid alone.
     map_sets = _counting_map_sets(monkeypatch)
-    sweep = j.resonant_couplings(_random_well(1, 6), 0.001, 25.0, grid_n=201)
-    assert len(sweep.roots) == 3
+    for base in (j.square(-1.0, 1.0, -1.0), _random_well(1, 6), _random_well(2, 22, gaps=True)):
+        map_sets.clear()
+        sweep = j.resonant_couplings(base, 0.001, 25.0, grid_n=201)
+        assert len(sweep.roots) == 3
+        assert len(map_sets) == 1 + 6
     assert len(evaluator_builds) == 0
-    assert len(map_sets) <= 1 + 28
+
+
+def test_bisection_raises_only_on_values_it_reads():
+    # d0 = alpha - 0.3 up to 0.9 and nan beyond.  Toward the root at 0.3 a
+    # four-step round also evaluates 0.9375, 0.96875 and 0.984375, which
+    # bisection never reads; from [0.8, 1] it reads 0.9, then the nan at 0.95
+    def g(alphas):
+        return np.where(alphas > 0.9, np.nan, alphas - 0.3)
+
+    bracket = (0.0, 1.0, -0.3, 0.7)
+    assert resonance._bisect_roots(g, [bracket], 1e-8, 4) == \
+        resonance._bisect_roots(g, [bracket], 1e-8, 1)
+    with pytest.raises(SpecError, match="d0 is not finite at alpha = 0.95:"):
+        resonance._bisect_roots(g, [(0.8, 1.0, 0.5, -0.1)], 1e-8, 4)
+
+
+def test_magnus_sweep_builds_one_map_set_per_coupling(monkeypatch):
+    # each coupling is its own Magnus mesh, so bisection takes one step per
+    # round: 21 grid points and 20 steps for each of the table's 2 brackets,
+    # 11 grid points and 16 steps for the exponential well's one
+    map_sets = _counting_map_sets(monkeypatch)
+    for base, alpha_min, alpha_max, grid_n, n_roots, expected in [
+            (_table_well(), 0.5, 12.0, 21, 2, 21 + 2 * 20),
+            (j.exp_decay(rate=1.0, amplitude=-1.0), 1.2, 1.7, 11, 1, 11 + 16)]:
+        map_sets.clear()
+        sweep = j.resonant_couplings(base, alpha_min, alpha_max, grid_n=grid_n, root_tol=1e-6)
+        assert len(sweep.roots) == n_roots
+        assert len(map_sets) == expected
 
 
 @pytest.mark.parametrize("base, alpha_max", [
