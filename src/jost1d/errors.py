@@ -25,7 +25,7 @@ class AnchorError(NumericsError):
 
 
 class IntegrationError(NumericsError):
-    """The Magnus step halving did not converge (too many rounds or steps)."""
+    """The Magnus mesh did not converge (a step at the width floor failed, or too many steps)."""
 
 
 class ExceptionalPointError(NumericsError):

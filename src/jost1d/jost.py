@@ -10,19 +10,21 @@ from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
 Numerics.  One builder, _jost_maps, makes the step maps that every
-number here reads.  The potential picks the route: the exact layer
-route when its shape tiles into layers (nodes at the layer edges, steps
-from transfer.propagator_entries), and otherwise a 4th-order Magnus
-panel propagator (transfer.magnus_entries), whose step samples V at two
-Gauss points and is exact for the free equation at any k.  The Magnus
-mesh starts from the potential's breakpoints, so no step crosses a kink,
-and halves every step whose one-step and two-half-step maps differ by
-more than its share of tol.  An accepted step keeps its two-half-step
-map with the Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point
-step is time-symmetric, so its local error is odd in h.  The anchor sits
-at the support edge when the support is compact, otherwise where the
-weighted tail has dropped below tol, and the cut tail mass is
-error_bound; this holds at k = 0 as well.
+number here reads.  The potential picks the route: the exact layer route
+when its shape tiles into layers (nodes at the layer edges, steps from
+transfer.propagator_entries), and otherwise a 4th-order Magnus panel
+propagator (transfer.magnus_entries), whose step samples V at two Gauss
+points and is exact for the free equation at any k.  The Magnus mesh
+starts from the potential's breakpoints, so no step crosses a kink, and
+accepts a step once its one-step and two-half-step maps differ by at
+most its share of tol; the defect is O(h^5) and the share O(h), so a
+rejected step is split at once into 2^ceil(log16(defect / share)) equal
+pieces.  An accepted step keeps its two-half-step map with the
+Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point step is
+time-symmetric, so its local error is odd in h.  The anchor sits at the
+support edge when the support is compact, otherwise where the weighted
+tail has dropped below tol, and the cut tail mass is error_bound; this
+holds at k = 0 as well.
 
 The product P of the step maps, taken in pairwise rounds (O(N)
 products, against O(N log N) for a scan), carries f_+ = (1, ik) e^{ik hi}
@@ -238,7 +240,8 @@ class JostEvaluator:
 
 
 _MIN_PANELS = 16  # uniform panels laid over the breakpoints
-_MAX_ROUNDS = 40  # halving rounds before IntegrationError
+_MAX_ROUNDS = 40  # halvings of a uniform panel that set the narrowest Magnus step
+_MAX_JUMP = 8  # most halvings one rejected step jumps in one round
 _MAX_STEPS = 1 << 20
 _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 
@@ -254,7 +257,8 @@ def _x_maps(p: Potential, k, tol, layers, second):
     Otherwise mu2 is None and a Magnus step is accepted once its one-step
     and two-half-step maps differ by at most tol * |h| / span relative to
     its size (or by the rounding floor), keeping the two-half-step map,
-    Richardson-corrected.
+    Richardson-corrected.  A rejected step is split into 2^l equal pieces,
+    l = ceil(log16(defect / allowed)) in [1, _MAX_JUMP], none below narrowest.
     """
     if layers is not None:
         edges, heights = layers
@@ -280,33 +284,35 @@ def _x_maps(p: Potential, k, tol, layers, second):
     near[[0, -1]] = False
     edges = np.unique(np.concatenate([uniform[~near], cuts]))
     left, right = edges[:-1], edges[1:]
+    narrowest = span / (_MIN_PANELS << _MAX_ROUNDS)  # nodes stay dyadic points of edges
     done_left, done_maps = [], []
-    whole = step(right, left)
-    for _ in range(_MAX_ROUNDS):
+    while True:
         mid = 0.5 * (left + right)
-        upper, lower = step(right, mid), step(mid, left)
-        halves = _compose(lower, upper)
-        size = np.max(np.abs(halves), axis=-1)
-        defect = np.max(np.abs(whole - halves), axis=-1)
-        ok = defect <= np.maximum(tol * (right - left) / span, _FLOOR) * size
+        halves = _compose(step(mid, left), step(right, mid))
+        gap = step(right, left) - halves  # M_1 - M_2
+        defect = np.max(np.abs(gap), axis=-1)
+        allowed = np.maximum(tol * (right - left) / span, _FLOOR) * np.max(np.abs(halves), axis=-1)
+        ok = defect <= allowed
+        halves -= gap / 15.0  # in place: a round can hold most of the mesh
         done_left.append(left[ok])
-        done_maps.append(halves[ok] + (halves[ok] - whole[ok]) / 15.0)
+        done_maps.append(halves[ok])
+        del gap, halves
         if ok.all():
             break
-        bad = ~ok
-        if 2 * bad.sum() + sum(len(d) for d in done_left) > _MAX_STEPS:
-            raise IntegrationError(
-                f"Magnus mesh needs more than {_MAX_STEPS} steps on [{lo:g}, {hi:g}]"
-            )
-        # the halves of a rejected step are the whole steps of its children
-        left, right, mid = left[bad], right[bad], mid[bad]
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-        whole = np.concatenate([lower[bad], upper[bad]])
-    else:
-        raise IntegrationError(
-            f"Magnus step halving did not converge in {_MAX_ROUNDS} rounds "
-            f"on [{lo:g}, {hi:g}] (tol {tol:g})"
-        )
+        left, right, defect, allowed = (v[~ok] for v in (left, right, defect, allowed))
+        # defect ~ h^5 against allowed ~ h, so 2^ceil(log16 ratio) pieces bring
+        # the ratio to 1; fmax makes a nan ratio (an overflowed step) one halving
+        levels = np.fmax(np.ceil(np.log2(defect / allowed) / 4.0), 1.0)
+        room = np.floor(np.log2((right - left) / narrowest))
+        count = np.exp2(np.minimum(levels, np.minimum(room, _MAX_JUMP))).astype(int)
+        if (room < 1).any() or count.sum() + sum(len(d) for d in done_left) > _MAX_STEPS:
+            raise IntegrationError(f"Magnus mesh on [{lo:g}, {hi:g}] (tol {tol:g}) needs steps "
+                                   f"narrower than {narrowest:.3g} or more than {_MAX_STEPS}")
+        # piece i of m covers [i / m, (i + 1) / m] of its step, whose ends stay exact
+        m = np.repeat(count, count)
+        t = (np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)) / m
+        a, b = np.repeat(left, count), np.repeat(right, count)
+        left, right = (1.0 - t) * a + t * b, (1.0 - t - 1.0 / m) * a + (t + 1.0 / m) * b
     left = np.concatenate(done_left)
     order = np.argsort(left)
     return np.append(left[order], hi), np.concatenate(done_maps)[order], None, tails

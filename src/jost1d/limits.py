@@ -55,7 +55,7 @@ import numpy as np
 from .errors import SpecError
 from .jost import JostEvaluator, ScatteringData, _jost_maps, _scattering_from, check_wavenumber
 from .potential import Potential, scale, splitting_scale, truncate
-from .resonance import resonance_report
+from .resonance import _count, resonance_report
 
 __all__ = [
     "Kernel",
@@ -236,7 +236,7 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
 
 def _abscissae(box, n):
     """The n lattice abscissae on [-box, box], shared by both lattice axes."""
-    if not 0 < box < np.inf or n < 2:
+    if not 0 < box < np.inf or _count("n", n) < 2:
         raise SpecError("kernel_distance needs box > 0 and n >= 2")
     return np.linspace(-box, box, n)
 

@@ -33,6 +33,7 @@ SpecError, as does a root whose residual stays above root_tol.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -229,7 +230,7 @@ def resonant_couplings(
         raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
     if not math.isfinite(float(alpha_max) - float(alpha_min)):  # an infinite end or span
         raise SpecError(f"sweep range must be finite, got [{alpha_min}, {alpha_max}]")
-    if grid_n < 2:
+    if (grid_n := _count("grid_n", grid_n)) < 2:
         raise SpecError(f"grid_n must be at least 2, got {grid_n}")
     if not 0.0 < root_tol < math.inf:
         raise SpecError(f"root_tol must be positive and finite, got {root_tol}")
@@ -274,6 +275,14 @@ def _finite(alphas, values):
         raise SpecError(f"d0 is not finite at alpha = {float(alphas[bad][0])}: the "
                         "propagator overflows there; narrow the sweep range")
     return values
+
+
+def _count(name, n):
+    """n as an int, or SpecError naming the argument when it is not an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise SpecError(f"{name} must be an integer, got {n!r}") from None
 
 
 def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:

@@ -282,6 +282,61 @@ def test_magnus_halving_gives_up():
         jost_evaluator(Potential(_UnlistedSpike()), 1.0, "+")
 
 
+_README_WELL = j.exp_decay(1.0, -1.0, 1.4458)
+
+
+@pytest.mark.parametrize("which, k", [("exp_well", 1.0), ("exp_well", 2.5),
+                                      ("exp_well", 1.0 + 0.3j), ("exp_well", 0.0),
+                                      ("bump", 2.0), ("window", 1.0)])
+def test_every_magnus_step_passes_the_defect_test(bump_table, which, k):
+    # recomputed panel by panel from magnus_entries and 2x2 matmul: the
+    # one-step vs two-half-step defect is within max(tol h / span, 1e-14)
+    # of the step's size, and the kept map is the Richardson-corrected one
+    if which == "window":  # an exp_decay window at eps = 0.01, built on its base at eps k
+        built = j.truncated_operator(j.exp_decay(1.5, 1.0), 0.01, k)._built
+    else:
+        built = _jost_maps(_README_WELL if which == "exp_well" else bump_table, k)
+    p, k, (nodes, steps, mu2, _), _ = built
+    assert mu2 is None
+    x0, x1 = nodes[1:], nodes[:-1]  # steps map (f, f') at node j+1 to node j
+    mid = 0.5 * (x0 + x1)
+
+    def maps(a, b):
+        return np.stack(magnus_entries(p, k, a, b), axis=-1).reshape(-1, 2, 2)
+
+    whole, halves = maps(x0, x1), maps(mid, x1) @ maps(x0, mid)
+    size = np.abs(halves).max(axis=(1, 2))
+    allowed = np.maximum(1e-10 * (x0 - x1) / (nodes[-1] - nodes[0]), 1e-14) * size
+    assert np.all(np.abs(whole - halves).max(axis=(1, 2)) <= allowed)
+    richardson = (halves + (halves - whole) / 15.0).reshape(-1, 4)
+    assert np.all(np.abs(steps - richardson).max(axis=1) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("which, k, most", [("exp_well", 1.0, 12), ("bump", 2.0, 6)])
+def test_magnus_mesh_jumps_to_its_level(bump_table, monkeypatch, which, k, most):
+    # a rejected step is split into 2^ceil(log16(defect / allowed)) pieces
+    # at once; halving one level per round took 25 and 11 calls
+    from jost1d import jost
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return magnus_entries(*args)
+
+    monkeypatch.setattr(jost, "magnus_entries", counting)
+    _jost_maps(_README_WELL if which == "exp_well" else bump_table, k)
+    assert len(calls) <= most
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowed_magnus_steps_are_halved():
+    # at k = 300i the coarse steps overflow to inf and nan, whose defect
+    # ratio is nan: such a step is halved, not split to the width floor
+    steps = _jost_maps(j.exp_decay(1.0, -1.0), 300j)[2][1]
+    assert np.isfinite(steps).all()
+
+
 def test_exponential_tail_jost_values(exp_tail):
     # f_+(x, i) decays like e^{-x}; the deviation is controlled by the tail
     ev = jost_evaluator(exp_tail, 1j, "+")

@@ -248,6 +248,16 @@ def test_convergence_table_rejects_lattice_before_work(barrier, monkeypatch, box
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [200.0, 50.5])
+def test_lattice_rejects_non_integer_n(barrier, n):
+    # np.linspace raised a bare TypeError on a float count
+    g = j.truncated_operator(barrier, 0.1, 1.0 + 1.0j).green
+    with pytest.raises(SpecError, match="n must be an integer"):
+        j.convergence_table(barrier, 1.0 + 1.0j, [0.1], n=n)
+    with pytest.raises(SpecError, match="n must be an integer"):
+        j.kernel_distance(g, g, n=n)
+
+
 # the resonant exp well is classified interface only above the default threshold
 _RESONANT_EXP = (j.exp_decay(1.0, -1.0, 1.4457964873313904), 1e-3)
 

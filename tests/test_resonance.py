@@ -272,6 +272,13 @@ def test_sweep_validation():
             j.resonant_couplings(base, lo, hi, grid_n=5)
 
 
+@pytest.mark.parametrize("grid_n", [10.0, 10.5])
+def test_sweep_rejects_non_integer_grid_n(grid_n):
+    # np.linspace raised a bare TypeError on a float count
+    with pytest.raises(SpecError, match="grid_n must be an integer"):
+        j.resonant_couplings(j.square(-1.0, 1.0, -1.0), 0.5, 3.0, grid_n=grid_n)
+
+
 @pytest.mark.parametrize("root_tol", [math.nan, math.inf])
 def test_sweep_rejects_non_finite_root_tol(root_tol):
     # nan once bisected to rounding width and blamed d0's digits; inf took
