@@ -24,7 +24,8 @@ Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point step is
 time-symmetric, so its local error is odd in h.  The anchor sits at the
 support edge when the support is compact, otherwise where the weighted
 tail has dropped below tol, and the cut tail mass is error_bound; this
-holds at k = 0 as well.
+holds at k = 0 as well.  Step maps are float64 wherever k^2 is real (real k,
+k = 0, k = i kappa), else complex128; _peak reads their size.
 
 The product P of the step maps, taken in pairwise rounds (O(N)
 products, against O(N log N) for a scan), carries f_+ = (1, ik) e^{ik hi}
@@ -262,7 +263,8 @@ def _x_maps(p: Potential, k, tol, layers, second):
     """
     if layers is not None:
         edges, heights = layers
-        mu2 = heights - np.multiply(k, k)  # numpy's loop rounds k^2 more closely than k * k
+        k2 = np.multiply(k, k)  # numpy's loop rounds k^2 more closely than k * k
+        mu2 = heights - (k2.real if k2.imag == 0 else k2)  # real maps wherever k^2 is real
         a, b, c = propagator_entries(mu2, edges[:-1] - edges[1:])
         steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
         return edges, steps, mu2, (0.0, 0.0)
@@ -290,8 +292,8 @@ def _x_maps(p: Potential, k, tol, layers, second):
         mid = 0.5 * (left + right)
         halves = _compose(step(mid, left), step(right, mid))
         gap = step(right, left) - halves  # M_1 - M_2
-        defect = np.max(np.abs(gap), axis=-1)
-        allowed = np.maximum(tol * (right - left) / span, _FLOOR) * np.max(np.abs(halves), axis=-1)
+        defect = _peak(np.abs(gap))
+        allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
         ok = defect <= allowed
         halves -= gap / 15.0  # in place: a round can hold most of the mesh
         done_left.append(left[ok])
@@ -316,6 +318,11 @@ def _x_maps(p: Potential, k, tol, layers, second):
     left = np.concatenate(done_left)
     order = np.argsort(left)
     return np.append(left[order], hi), np.concatenate(done_maps)[order], None, tails
+
+
+def _peak(a):
+    """max of each map's |entries| a, entries last: numpy's max over that short axis is slow."""
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]))
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10):
@@ -368,7 +375,11 @@ def _layers(shape, couplings):
 
 def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
     """W{f_+, f_-}(k) from the product of the step maps, with no evaluator built."""
-    return complex(_maps_wronskian(*_jost_maps(p, k, tol)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = complex(_maps_wronskian(*_jost_maps(p, k, tol)))
+    if not np.isfinite(w):
+        raise SpecError(f"the step-map product is not finite at k = {k}")
+    return w
 
 
 def _zero_energy_wronskians(p: Potential, tol=1e-10):
@@ -380,7 +391,7 @@ def _zero_energy_wronskians(p: Potential, tol=1e-10):
     """
     tiling = _layers(_unsqueezed(p)[0].shape, 1.0)
     if tiling is None:
-        return (lambda cs: np.array([jost_wronskian(p.with_coupling(c), 0.0, tol)
+        return (lambda cs: np.array([_maps_wronskian(*_jost_maps(p.with_coupling(c), 0.0, tol))
                                      for c in cs.tolist()])), False
     return (lambda cs: _maps_wronskian(*_jost_maps(
         p, 0.0, tol, layers=(tiling[0], np.multiply.outer(cs, tiling[1]))))), True
@@ -401,7 +412,8 @@ def _product(steps):
         n = steps.shape[-2]
         paired = _compose(steps[..., 0:n - 1:2, :], steps[..., 1::2, :])
         steps = np.concatenate([paired, steps[..., n - 1:, :]], axis=-2) if n % 2 else paired
-    left, right = steps[..., 0, :], steps[..., 1, :]
+    # L and R complex: numpy's real times complex scalar products are slow
+    left, right = steps[..., 0, :].astype(complex), steps[..., 1, :].astype(complex)
     return left, right, _compose(left, right)
 
 
@@ -449,7 +461,8 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     Extracts a and b from (f_+, f_+') at the far (left) edge, where the
     potential has ended and f_+ is an exact combination of plane waves;
     then r = b/a, t = 1/a; the product of the step maps gives that state.
-    The relative defect of a = W/(-2ik), W read at the product's split node, is reported.
+    The relative defect of a = W/(-2ik), W read at the product's split node, is reported;
+    an overflowed product raises SpecError.
     """
     k = check_wavenumber(k, allow_zero=False)
     return _scattering_from(k, *_jost_maps(p, k, tol))
@@ -459,7 +472,10 @@ def _scattering_from(k, p, kb, maps, eps) -> ScatteringData:
     """Scattering data at k from the (p, kb, maps, eps) of _jost_maps, kb = eps k (p unused)."""
     nodes, steps = maps[:2]
     lo, hi = nodes[0], nodes[-1]
-    left, right, product = _product(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right, product = _product(steps)
+    if not np.isfinite(product).all():
+        raise SpecError(f"the step-map product is not finite at k = {k}")
     # f_+ starts as (1, ik) e^{ik hi} at hi, and f_-'s g as (1, ik) e^{-ik lo} at t = -lo
     up, dn = (np.exp(1j * kb * x) * np.array([1.0, 1j * kb]) for x in (hi, -lo))
     a, b = plane_pair(*_apply(product, up), kb, lo)

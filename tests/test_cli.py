@@ -314,6 +314,16 @@ def test_resonance_theta_overflowing_d0_exits_2(runner, tmp_path):
     assert result.stdout == ""
 
 
+def test_scatter_overflowing_product_exits_2(runner, tmp_path):
+    # at k = 20i the step maps are finite but their product overflows
+    path = tmp_path / "well.json"
+    path.write_text(json.dumps({"kind": "exp_decay", "params": {"rate": 1.0, "amplitude": -1.0}}))
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "0,20"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "not finite at k = 20j" in result.stderr
+    assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 

@@ -1,6 +1,9 @@
 """Jost solutions, Wronskians, and scattering data against independent oracles."""
 
+import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from jost1d.jost import (
     JostEvaluator,
     _jost_maps,
     _layers,
+    _peak,
     _x_maps,
     jost_evaluator,
 )
@@ -335,6 +339,47 @@ def test_overflowed_magnus_steps_are_halved():
     # ratio is nan: such a step is halved, not split to the width floor
     steps = _jost_maps(j.exp_decay(1.0, -1.0), 300j)[2][1]
     assert np.isfinite(steps).all()
+
+
+@pytest.mark.parametrize("k", [20j, 0.5 + 15j])
+@pytest.mark.parametrize("quantity", [j.scattering, j.jost_wronskian])
+def test_overflowed_product_raises(quantity, k):
+    # the step maps are finite, but their product over the tail cut at |x| = 32 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(SpecError, match=re.escape(f"not finite at k = {k}")):
+            quantity(j.exp_decay(1.0, -1.0), k)
+
+
+def test_peak_is_numpys_max_over_the_entries(rng):
+    # the Magnus defect test takes max |m_ij| pairwise: exactly numpy's max, nan included
+    real = rng.normal(size=(500, 4)) * 10.0 ** rng.uniform(-300, 300, (500, 4))
+    real[[3, 7], [1, 2]] = np.nan
+    real[[5, 9], [0, 3]] = [np.inf, -np.inf]
+    real[11] = [np.nan, np.inf, 1.0, np.nan]
+    for m in (real, real + 1j * rng.normal(size=(500, 4))[::-1]):
+        assert np.array_equal(_peak(np.abs(m)), np.max(np.abs(m), axis=-1), equal_nan=True)
+
+
+@pytest.mark.parametrize("p", [
+    j.exp_decay(1.0, -1.0, 1.4458),
+    j.square(-1.0, 1.0, 2.0),
+    j.scale(j.truncate(j.exp_decay(1.0, -1.0, 1.4458), 6.0), 0.05),
+], ids=["exp_well", "square", "squeezed_window"])
+def test_step_maps_are_real_where_k2_is(p):
+    for k in (1.0, 0.0, 2j):
+        assert _jost_maps(p, k)[2][1].dtype == np.float64
+    assert _jost_maps(p, 1.0 + 0.5j)[2][1].dtype == np.complex128
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 9.0, 12.0])
+def test_imaginary_axis_counts_square_well_bound_states(alpha):
+    # W(i kappa) is real, and it vanishes once per bound state: a well of
+    # width 2 and depth alpha holds ceil(2 sqrt(alpha) / pi) of them
+    p = j.square(-1.0, 1.0, -alpha)
+    w = np.array([j.jost_wronskian(p, 1j * kappa) for kappa in np.linspace(0.01, 10.0, 1000)])
+    assert np.all(w.imag == 0.0)
+    assert np.count_nonzero(np.diff(np.sign(w.real))) == math.ceil(2.0 * math.sqrt(alpha) / math.pi)
 
 
 def test_exponential_tail_jost_values(exp_tail):

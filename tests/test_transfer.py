@@ -1,5 +1,7 @@
 """Single-layer propagator entries against a generic matrix exponential."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -59,6 +61,31 @@ def test_cosh_sinhc_mixed_batch_equals_scalar_calls():
     for row, z in enumerate(z2):
         a1, s1 = _cosh_sinhc(z)
         assert (bits(a[row]), bits(s[row])) == (bits(a1), bits(s1))
+
+
+def test_cosh_sinhc_real_branch_matches_complex_branch(rng):
+    # one-signed batches, a mixed one, series entries and overflowing ones:
+    # within 2 ulp of the complex branch on z2 + 0j, and bit for bit at z2 <= 0
+    scales = 10.0 ** rng.uniform(-9.0, 2.5, 400)
+    batches = [scales, -scales, rng.permutation(np.concatenate([scales, -scales])),
+               np.array([0.0, 1e-14, -1e-12, 3e-11, 2.0, -2.0, 1e6, -1e6]),
+               np.array([1e6]), np.array([-1e6]), np.array(-4.0), np.array([])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z2 in batches:
+            real, full = _cosh_sinhc(z2), _cosh_sinhc(z2 + 0j)
+            for got, want in zip(real, full):
+                assert got.dtype == np.float64 and got.shape == z2.shape
+                want = want.real
+                assert np.array_equal(got[z2 <= 0], want[z2 <= 0])
+                big = ~np.isfinite(want)  # cosh and sinh overflow to inf
+                assert np.array_equal(got[big], want[big])
+                got, want = got[~big], want[~big]
+                assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+        # a mixed batch with series entries takes the same branch per entry as scalar calls
+        z2 = batches[3]
+        for got, want in zip(_cosh_sinhc(z2), zip(*map(_cosh_sinhc, z2))):
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
 def test_propagator_determinant_one(rng):
