@@ -35,10 +35,16 @@ jost_wronskian, d0 and D'(0) build no evaluator.  At the split node of
 the last round, P = L R, f_+ is R applied to its start and f_- the
 mirrored L (see JostEvaluator) applied to its own; their W is P's in
 exact arithmetic for any maps, so the wronskian_gap and ray_gap read
-there measure rounding.  A JostEvaluator is one solution at one scalar
-k, scanned from the maps into node states for f(x), which only
-jost_evaluator, the window kernel of the limits module and the resonant
-half-bound state read.  The couplings batch serves only the product.
+there measure rounding.  A JostEvaluator is one solution, scanned from
+the maps into node states for f(x), which only jost_evaluator, the
+window kernels of the limits module and the resonant half-bound state
+read.  The layer route also builds a leading row axis: a couplings
+batch, which only the product reads, or a k batch, the eps rows of a
+convergence table, which the scattering data and the evaluator read row
+by row.  numpy rounds a complex product of two scalars otherwise than
+the same product in arrays, so the evaluator holds a lone k as one row,
+and the limits module builds even a lone window as a k batch: a row's
+numbers do not depend on its batch.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
@@ -143,7 +149,7 @@ def _compose(m, n):
 
 
 class JostEvaluator:
-    """f_+ (side "+") or f_- (side "-") of V at one scalar k, stored as states at nodes.
+    """f_+ (side "+") or f_- (side "-") of V at k, stored as states at nodes.
 
     built is the (p, k, maps, eps) of _jost_maps, one for both sides.
     Both sides are "+" solutions in t = s x, s = +1 for f_+ and -1 for
@@ -160,39 +166,51 @@ class JostEvaluator:
 
     eps is the dilation: p, k and maps belong to the unsqueezed base at
     eps k, and eval takes x and gives f'(x) = s g'(s x / eps) / eps.
+
+    k and eps may be a k batch of _x_maps, one row each on shared nodes:
+    eval, plane_pair, anchor and far_edge then carry that leading axis.
+    A lone k is stored as one row, and its outputs drop the axis.
     """
 
     def __init__(self, built, side):
         if side not in ("+", "-"):
             raise SpecError(f"side must be '+' or '-', got {side!r}")
         self.s = s = 1.0 if side == "+" else -1.0
-        p, self.k, maps, self.eps = built
+        p, k, maps, eps = built
         self._v = p if s > 0 else (lambda t: p(-t))
+        self._shape = np.shape(k)
+        self.k, self.eps = np.array(k, ndmin=1), np.array(eps, ndmin=1)  # one row per k
         nodes, steps, mu2, tails = maps
+        rows = len(self.k)
+        steps = steps.reshape(rows, *steps.shape[-2:])
+        mu2 = None if mu2 is None else mu2.reshape(rows, -1)
         if s > 0:
             self.nodes, self.mu2, self.error_bound = nodes, mu2, tails[1]
-            steps = steps[::-1].copy()  # anchor first; the scan below writes into it
+            steps = steps[:, ::-1].copy()  # anchor first; the scan below writes into it
         else:
             # t = -x reverses the nodes and the maps, and the scan reads them
             # anchor first, so they stay in x order; the mirror is a new array
             self.nodes, self.error_bound = -nodes[::-1], tails[0]
-            self.mu2 = None if mu2 is None else mu2[::-1]
-            steps = steps[:, [3, 1, 2, 0]]
-        self.anchor = float(s * self.eps * self.nodes[-1])
-        self.far_edge = float(s * self.eps * self.nodes[0])
+            self.mu2 = None if mu2 is None else mu2[:, ::-1]
+            steps = steps[..., [3, 1, 2, 0]]
+        ends = s * self.eps[:, None] * self.nodes[[-1, 0]]
+        self.anchor, self.far_edge = ends.reshape(self._shape + (2,)).T
 
-        # Hillis-Steele scan: after it, steps[j] maps the anchor to node j+1 away
+        # Hillis-Steele scan: after it, steps[:, j] maps the anchor to node j+1 away
         shift = 1
-        while shift < len(steps):
-            steps[shift:] = _compose(steps[shift:], steps[:-shift])
+        while shift < steps.shape[1]:
+            steps[:, shift:] = _compose(steps[:, shift:], steps[:, :-shift])
             shift *= 2
-        start = np.array([1.0, 1j * self.k]) * np.exp(1j * self.k * self.nodes[-1])
-        self.states = np.empty((len(self.nodes), 2), dtype=complex)
-        self.states[-2::-1] = steps[:, 0::2] * start[0] + steps[:, 1::2] * start[1]
-        self.states[-1] = start
-        # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at k = 0
-        f0, fp0 = self.states[0]
-        self._pair = ((f0 - fp0 * self.nodes[0], fp0) if self.k == 0
+        ik = 1j * self.k
+        wave = np.exp(ik * self.nodes[-1])
+        self.states = np.empty((rows, len(self.nodes), 2), dtype=complex)
+        self.states[:, -1, 0], self.states[:, -1, 1] = start = wave, ik * wave
+        self.states[:, -2::-1] = (steps[..., 0::2] * start[0][:, None, None]
+                                  + steps[..., 1::2] * start[1][:, None, None])
+        # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
+        # k = 0, which is never batched with k != 0
+        f0, fp0 = self.states[:, 0, 0], self.states[:, 0, 1]
+        self._pair = ((f0 - fp0 * self.nodes[0], fp0) if not self.k.any()
                       else plane_pair(f0, fp0, self.k, self.nodes[0]))
 
     def plane_pair(self):
@@ -201,42 +219,50 @@ class JostEvaluator:
         For side "+" these are the scattering coefficients (a, b).  Only
         meaningful for k != 0.
         """
-        c_plus, c_minus = self._pair
+        c_plus, c_minus = (c.reshape(self._shape)[()] for c in self._pair)
         return (c_plus, c_minus) if self.s > 0 else (c_minus, c_plus)
 
     def eval(self, x):
-        """Vectorized (f, f') at arbitrary points, shaped like x."""
+        """Vectorized (f, f') at arbitrary points, shaped like x after k's row axis."""
         x = np.asarray(x, dtype=float)
-        t = self.s * x.ravel() / self.eps
+        t = self.s * x.ravel() / self.eps[:, None]
+        # each point's row, to gather its k, pair, states and mu2 by; a lone row
+        # reads them at row 0, which puts the same numbers through the same ufuncs
+        row = np.arange(len(self.k)).repeat(x.size).reshape(t.shape) if len(self.k) > 1 else None
         f, fp = np.empty((2,) + t.shape, dtype=complex)
         anchored = t >= self.nodes[-1]
         beyond = t < self.nodes[0]
-        # e^{ikt} alone past the anchor: e^{-ikt} can overflow there for Im k > 0
-        wave = np.exp(1j * self.k * t[anchored])
-        f[anchored] = wave
-        fp[anchored] = 1j * self.k * wave
-        f[beyond], fp[beyond] = self._vacuum(t[beyond])
         inside = ~(anchored | beyond)
-        f[inside], fp[inside] = self._inside(t[inside])
-        fp *= self.s / self.eps
-        return f.reshape(x.shape)[()], fp.reshape(x.shape)[()]
+        for part, branch in ((anchored, self._wave), (beyond, self._vacuum),
+                             (inside, self._inside)):
+            f[part], fp[part] = branch(0 if row is None else row[part], t[part])
+        fp *= self.s / self.eps[:, None]
+        shape = self._shape + x.shape
+        return f.reshape(shape)[()], fp.reshape(shape)[()]
 
-    def _vacuum(self, t):
-        c_plus, c_minus = self._pair
-        if self.k == 0:
-            return c_plus + c_minus * t, np.full(t.shape, c_minus)
-        up, dn = np.exp(1j * self.k * t), np.exp(-1j * self.k * t)
-        return c_plus * up + c_minus * dn, 1j * self.k * (c_plus * up - c_minus * dn)
+    def _wave(self, row, t):
+        # e^{ikt} alone past the anchor: e^{-ikt} can overflow there for Im k > 0
+        ik = 1j * self.k[row]
+        wave = np.exp(ik * t)
+        return wave, ik * wave
 
-    def _inside(self, t):
+    def _vacuum(self, row, t):
+        c_plus, c_minus = (c[row] for c in self._pair)
+        if not self.k.any():
+            return c_plus + c_minus * t, c_minus
+        ik = 1j * self.k[row]
+        up, dn = np.exp(ik * t), np.exp(-ik * t)
+        return c_plus * up + c_minus * dn, ik * (c_plus * up - c_minus * dn)
+
+    def _inside(self, row, t):
         # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1])
         node = np.searchsorted(self.nodes, t, side="right")
-        if self.mu2 is None:
-            m00, m01, m10, m11 = magnus_entries(self._v, self.k, self.nodes[node], t)
+        if self.mu2 is None:  # a Magnus build has one row
+            m00, m01, m10, m11 = magnus_entries(self._v, self.k.item(), self.nodes[node], t)
         else:
-            m00, m01, m10 = propagator_entries(self.mu2[node - 1], t - self.nodes[node])
+            m00, m01, m10 = propagator_entries(self.mu2[row, node - 1], t - self.nodes[node])
             m11 = m00
-        f0, fp0 = self.states[node, 0], self.states[node, 1]
+        f0, fp0 = self.states[row, node].T
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
 
 
@@ -253,18 +279,20 @@ def _x_maps(p: Potential, k, tol, layers, second):
     steps[j] maps (f, f') at node j+1 to node j; tails are the masses
     cut left and right of the end nodes (with second, plus the
     second-moment tails).  layers give exact steps and mu2 = h - k^2 for
-    the scalar k; a couplings batch, heights of shape (n, L), gives steps
-    and mu2 a leading axis of length n, which only _product reads.
-    Otherwise mu2 is None and a Magnus step is accepted once its one-step
-    and two-half-step maps differ by at most tol * |h| / span relative to
-    its size (or by the rounding floor), keeping the two-half-step map,
-    Richardson-corrected.  A rejected step is split into 2^l equal pieces,
-    l = ceil(log16(defect / allowed)) in [1, _MAX_JUMP], none below narrowest.
+    the scalar k.  A couplings batch, heights of shape (n, L), or a k
+    batch, k of shape (n,), gives steps and mu2 a leading axis of length
+    n, real only where every row's k^2 is (see the module docstring).
+    Otherwise k is a scalar, mu2 is None and a Magnus step is accepted
+    once its one-step and two-half-step maps differ by at most
+    tol * |h| / span relative to its size (or by the rounding floor),
+    keeping the two-half-step map, Richardson-corrected.  A rejected step
+    is split into 2^l equal pieces, l = ceil(log16(defect / allowed)) in
+    [1, _MAX_JUMP], none below narrowest.
     """
     if layers is not None:
         edges, heights = layers
         k2 = np.multiply(k, k)  # numpy's loop rounds k^2 more closely than k * k
-        mu2 = heights - (k2.real if k2.imag == 0 else k2)  # real maps wherever k^2 is real
+        mu2 = heights - (k2.real if not k2.imag.any() else k2)[..., None]  # real where k^2 is
         a, b, c = propagator_entries(mu2, edges[:-1] - edges[1:])
         steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
         return edges, steps, mu2, (0.0, 0.0)
@@ -335,7 +363,7 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     return JostEvaluator(_jost_maps(p, k, tol), side)
 
 
-def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None):
+def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
     """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k.
 
     Every build checks tol here: outside (0, 1) it raises SpecError.
@@ -343,11 +371,14 @@ def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None):
     _tail_point).  layers, as _layers gives them for the unsqueezed base,
     spare reading its tiling; heights of shape (n, L), n couplings, batch
     the layer route for the sweep's product, not for a JostEvaluator.
+    Given eps, an array of dilations, p is already the base and the build
+    is the k batch at eps k, of eps's shape (one row on the Magnus route).
     """
     k = check_wavenumber(k, allow_zero=True)
     if not 0.0 < tol < 1.0:
         raise SpecError(f"tol must lie in (0, 1), got {tol}")
-    p, eps = _unsqueezed(p)
+    if eps is None:
+        p, eps = _unsqueezed(p)
     k = eps * k
     layers = _layers(p.shape, p.coupling) if layers is None else layers
     return p, k, _x_maps(p, k, tol, layers, second), eps
@@ -402,12 +433,13 @@ def _product(steps):
 
     Each round composes neighbours and carries an odd last map over, so
     ceil(log2 N) rounds take N - 1 products in all; the last joins L and R
-    at the split node.  Fewer than two maps are padded with identities.
+    at the split node.  One map M is (I, M, M), and no map (I, I, I).
     """
     if steps.shape[-2] < 2:
-        eye = np.array([1.0, 0.0, 0.0, 1.0], dtype=steps.dtype)
-        eye = np.broadcast_to(eye, steps.shape[:-2] + (2 - steps.shape[-2], 4))
-        steps = np.concatenate([eye, steps], axis=-2)
+        eye = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
+                              steps.shape[:-2] + (4,))
+        right = steps[..., 0, :].astype(complex) if steps.shape[-2] else eye
+        return eye, right, right
     while steps.shape[-2] > 2:
         n = steps.shape[-2]
         paired = _compose(steps[..., 0:n - 1:2, :], steps[..., 1::2, :])
@@ -465,21 +497,28 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     an overflowed product raises SpecError.
     """
     k = check_wavenumber(k, allow_zero=False)
-    return _scattering_from(k, *_jost_maps(p, k, tol))
+    return _scattering_from(k, *_jost_maps(p, k, tol))[0]
 
 
-def _scattering_from(k, p, kb, maps, eps) -> ScatteringData:
-    """Scattering data at k from the (p, kb, maps, eps) of _jost_maps, kb = eps k (p unused)."""
+def _scattering_from(k, p, kb, maps, eps) -> list[ScatteringData]:
+    """Scattering data at k per row of the (p, kb, maps, eps) of _jost_maps, kb = eps k (p unused).
+
+    A scalar kb is one row.  The first row whose product is not finite,
+    or whose a vanishes, raises what scattering would raise at its eps.
+    """
     nodes, steps = maps[:2]
     lo, hi = nodes[0], nodes[-1]
+    ikb = 1j * kb
     with np.errstate(over="ignore", invalid="ignore"):
         left, right, product = _product(steps)
-    if not np.isfinite(product).all():
-        raise SpecError(f"the step-map product is not finite at k = {k}")
-    # f_+ starts as (1, ik) e^{ik hi} at hi, and f_-'s g as (1, ik) e^{-ik lo} at t = -lo
-    up, dn = (np.exp(1j * kb * x) * np.array([1.0, 1j * kb]) for x in (hi, -lo))
-    a, b = plane_pair(*_apply(product, up), kb, lo)
-    if abs(a) < 1e-12 * (1.0 + abs(b)):
+        # f_+ starts as (1, ik) e^{ik hi} at hi, and f_-'s g as (1, ik) e^{-ik lo} at t = -lo
+        up, dn = ((wave, ikb * wave) for wave in (np.exp(ikb * hi), np.exp(ikb * -lo)))
+        a, b = plane_pair(*_apply(product, up), kb, lo)
+        finite = np.isfinite(product).all(axis=-1)
+        failed = ~finite | (abs(a) < 1e-12 * (1.0 + abs(b)))
+    if failed.any():
+        if not np.ravel(finite)[np.argmax(failed)]:
+            raise SpecError(f"the step-map product is not finite at k = {k}")
         if k.imag == 0:
             raise ExceptionalPointError(
                 f"a(k) vanishes at real k = {k}: exceptional point; evaluate at a "
@@ -489,6 +528,6 @@ def _scattering_from(k, p, kb, maps, eps) -> ScatteringData:
             f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined"
         )
     f, fp, g, gp = _halves_states(left, right, up, dn)
-    gap = abs(a - (f * gp + fp * g) / (2j * kb)) / (1.0 + abs(a))
-    return ScatteringData(k=k, a=complex(a), b=complex(b), r=complex(b / a),
-                          t=complex(1.0 / a), wronskian_gap=float(gap))
+    gap = abs(a - (f * gp + fp * g) / (2.0 * ikb)) / (1.0 + abs(a))
+    columns = (np.array(v, ndmin=1).tolist() for v in (a, b, b / a, 1.0 / a, gap))
+    return [ScatteringData(k, *row) for row in zip(*columns)]

@@ -40,8 +40,14 @@ an n x n lattice, and the convergence table reports it per eps.  For
 two Kernels the lattice sum never forms the lattice: G is symmetric and
 G[i, j] = a_i b_j for j <= i, so the sum of |G_A - G_B|^2 is the
 diagonal plus twice a lower triangle that three prefix sums of length n
-give (_hs_sum).  The table evaluates the limit's u and v once and each
-window's once per eps, at the n abscissae.
+give (_hs_sum).
+
+The window at eps is its base truncate(V, xi_eps) at eps k, so once
+xi_eps clears a compact support the windows differ only in k.  The table
+solves each run of eps whose windows tile alike as one k batch, a row per
+eps: one set of step maps, one scan per side, one evaluation of u and v
+at the n abscissae and one _hs_sum.  truncated_operator is the one-row
+case of the same code, so a row equals its lone window bit for bit.
 """
 
 from __future__ import annotations
@@ -49,11 +55,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from .errors import SpecError
-from .jost import JostEvaluator, ScatteringData, _jost_maps, _scattering_from, check_wavenumber
+from .jost import (JostEvaluator, ScatteringData, _jost_maps, _layers, _scattering_from,
+                   _unsqueezed, check_wavenumber)
 from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import _count, resonance_report
 
@@ -94,22 +102,43 @@ class Kernel:
         return (np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g)[()]
 
 
-class TruncatedScaledOperator:
-    """Jost solutions and resolvent kernel of the windowed squeezed operator.
+def _windows(p: Potential, eps, k, tol):
+    """(scales, built) per run of consecutive eps whose windows tile alike, in eps order.
 
-    The window potential scale(truncate(p, xi_eps), eps) gets one set of
-    step maps, whose product gives the scattering data.  plus and minus,
-    its Jost evaluators, scan them on first use, as green does: evaluating
-    either afterwards is vectorized and cheap, which is what the
-    Hilbert-Schmidt lattice sums need.  green.w = -2ik a is the product's W.
+    A run of layered windows whose bases tile bit for bit alike is one k
+    batch of _jost_maps, a row per eps, even a lone one; a Magnus window
+    is a run of its own, at a scalar eps k.
+    """
+    scales = [splitting_scale(p, e) for e in eps]
+    bases = [_unsqueezed(scale(truncate(p, ss.xi_eps), ss.eps)) for ss in scales]
+    tilings = [_layers(base.shape, base.coupling) for base, _ in bases]
+    keys = [i if t is None else (t[0].tobytes(), t[1].tobytes()) for i, t in enumerate(tilings)]
+    for _, run in groupby(range(len(eps)), keys.__getitem__):
+        run = list(run)
+        (base, _), tiling = bases[run[0]], tilings[run[0]]
+        dilations = np.array([bases[i][1] for i in run])
+        yield [scales[i] for i in run], _jost_maps(
+            base, k, tol, layers=tiling, eps=dilations[0] if tiling is None else dilations)
+
+
+class _WindowRows:
+    """The windowed operators of a _windows run, one row per eps.
+
+    The rows share one set of step maps, whose product gives each row's
+    scattering data.  plus and minus, the Jost evaluators of all rows,
+    scan them on first use, as green does: evaluating either afterwards
+    is vectorized and cheap, which is what the Hilbert-Schmidt lattice
+    sums need.  green's u, v and w = -2ik a (the product's W) lead with
+    the rows' axis.
     """
 
-    def __init__(self, p: Potential, eps, k, tol=1e-10):
-        k = check_wavenumber(k, allow_zero=False)
-        ss = splitting_scale(p, eps)
-        self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
-        self._built = _jost_maps(scale(truncate(p, ss.xi_eps), ss.eps), k, tol)
-        self._scattering = _scattering_from(k, *self._built)
+    def __init__(self, k, built, shape=None):
+        self._rows = _scattering_from(k, *built)
+        # the evaluators and w take the rows' shape, () for a lone window
+        p, kb, maps, eps = built
+        shape = np.shape(kb) if shape is None else shape
+        self._built = p, np.reshape(kb, shape), maps, np.reshape(eps, shape)
+        self._w = (-2j * k * np.array([sd.a for sd in self._rows])).reshape(shape)
 
     @cached_property
     def plus(self):
@@ -124,11 +153,25 @@ class TruncatedScaledOperator:
         # u and v close over the evaluators, not self: a cycle through self
         # would keep their arrays alive until the cyclic collector runs
         plus, minus = self.plus, self.minus
-        return Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0],
-                      -2j * self._scattering.k * self._scattering.a)
+        return Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0], self._w[()])
+
+
+class TruncatedScaledOperator(_WindowRows):
+    """Jost solutions and resolvent kernel of the windowed squeezed operator.
+
+    The window potential scale(truncate(p, xi_eps), eps) is the one-row
+    case of a convergence table's windows (see _WindowRows), shaped as
+    one window.
+    """
+
+    def __init__(self, p: Potential, eps, k, tol=1e-10):
+        k = check_wavenumber(k, allow_zero=False)
+        ((ss,), built), = _windows(p, [eps], k, tol)
+        self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
+        super().__init__(k, built, ())
 
     def scattering(self) -> ScatteringData:
-        return self._scattering
+        return self._rows[0]
 
 
 def truncated_operator(p, eps, k, tol=1e-10):
@@ -231,7 +274,7 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
     else:
         xg, yg = np.meshgrid(xs, xs)
         total = np.sum(np.abs(np.asarray(kernel_a(xg, yg)) - np.asarray(kernel_b(xg, yg))) ** 2)
-    return _hs_distance(total, box, n)
+    return float(_hs_distance(total, box, n))
 
 
 def _abscissae(box, n):
@@ -242,8 +285,8 @@ def _abscissae(box, n):
 
 
 def _hs_distance(total, box, n):
-    """The normalized Hilbert-Schmidt distance from the lattice sum of |G_A - G_B|^2."""
-    return float(np.sqrt(box * box / (n * n) * total))
+    """The normalized Hilbert-Schmidt distances from lattice sums of |G_A - G_B|^2."""
+    return np.sqrt(box * box / (n * n) * total)
 
 
 def _lattice_factors(kernel, xs):
@@ -256,7 +299,7 @@ def _lattice_factors(kernel, xs):
     distance and lose no digits to cancellation.  A split kernel's v/w is
     0 at x < 0: those are the pairs across the origin.
     """
-    u, v, w = kernel.u(xs), kernel.v(xs), kernel.w
+    u, v, w = kernel.u(xs), kernel.v(xs), np.asarray(kernel.w)[..., None]
     v_w = np.where(xs < 0, 0.0, v / w) if kernel.split else v / w
     return (u / w, v), (u, v_w)
 
@@ -264,14 +307,15 @@ def _lattice_factors(kernel, xs):
 def _hs_sum(factors_a, factors_b, xs):
     """Sum of |G_A - G_B|^2 over the lattice xs x xs, in O(n) time and memory.
 
-    factors_a and factors_b are _lattice_factors of the two kernels.  G
-    is symmetric, so the sum is the diagonal plus twice the strict lower
+    factors_a and factors_b are _lattice_factors of the two kernels, whose
+    leading axes (a window row per eps) broadcast to one sum each.  G is
+    symmetric, so the sum is the diagonal plus twice the strict lower
     triangle; rows x_i <= 0 read the first factoring, rows x_i > 0 the
     second.  Clamped at 0, which rounding could otherwise undercut.
     """
     neg, pos = (_row_sums(*fa, *fb) for fa, fb in zip(factors_a, factors_b))
     m = np.searchsorted(xs, 0.0, side="right")
-    return max(float(np.sum(neg[:m]) + np.sum(pos[m:])), 0.0)
+    return np.maximum(np.sum(neg[..., :m], axis=-1) + np.sum(pos[..., m:], axis=-1), 0.0)
 
 
 def _row_sums(a_a, b_a, a_b, b_b):
@@ -289,9 +333,9 @@ def _row_sums(a_a, b_a, a_b, b_b):
 
 
 def _before(z):
-    """The exclusive prefix sums sum_{j<i} z_j."""
+    """The exclusive prefix sums sum_{j<i} z_j along the last axis."""
     out = np.zeros_like(z)
-    np.cumsum(z[:-1], out=out[1:])
+    np.cumsum(z[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -319,10 +363,11 @@ def convergence_table(
     eps values are processed in decreasing order; each row carries the
     windowed operator's (r, t), its sampled Hilbert-Schmidt distance to
     the classified limit kernel, and the limit's (r, t) for reference.
-    The limit's u and v are evaluated once per table and each window's
-    once per eps, at the n abscissae, and _hs_sum adds the lattice in
-    O(n); the distance equals kernel_distance(tso.green,
-    green_kernel_fn(op, k), box, n) bit for bit.
+    The limit's u and v are evaluated once per table, and each run of eps
+    whose windows tile alike is one row batch (see the module docstring),
+    whose _hs_sum adds each row's lattice in O(n).  Each row equals its
+    eps's one-row table, and its distance kernel_distance(tso.green,
+    green_kernel_fn(op, k), box, n), bit for bit.
     """
     k = check_wavenumber(k, allow_zero=False)
     xs = _abscissae(box, n)
@@ -336,14 +381,10 @@ def convergence_table(
     ls = limit_scattering(op, k)
     limit = _lattice_factors(green_kernel_fn(op, k), xs)
     records = []
-    for eps in eps_sorted:
-        tso = truncated_operator(p, eps, k, tol)
-        sd = tso.scattering()
-        dist = _hs_distance(_hs_sum(_lattice_factors(tso.green, xs), limit, xs), box, n)
-        records.append(
-            ConvergenceRecord(
-                eps=eps, r_eps=sd.r, t_eps=sd.t,
-                kernel_distance=dist, limit_r=ls.r, limit_t=ls.t,
-            )
-        )
+    for scales, built in _windows(p, eps_sorted, k, tol):
+        windows = _WindowRows(k, built)
+        dist = _hs_distance(_hs_sum(_lattice_factors(windows.green, xs), limit, xs), box, n)
+        records += [ConvergenceRecord(eps=ss.eps, r_eps=sd.r, t_eps=sd.t, kernel_distance=float(d),
+                                      limit_r=ls.r, limit_t=ls.t)
+                    for ss, sd, d in zip(scales, windows._rows, np.ravel(dist))]
     return records

@@ -105,8 +105,8 @@ def resonance_report(
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
     grid = np.linspace(-half, half, 801)
-    vp, vm = evp.eval(grid)[0], evm.eval(grid)[0]
-    f_far, df_far = evp.eval(evp.far_edge)
+    f, fp = evp.eval(np.append(grid, evp.far_edge))  # the grid and the far edge in one call
+    vp, vm, f_far, df_far = f[:-1], evm.eval(grid)[0], f[-1], fp[-1]
     # below the far edge the zero-energy f_+ is the line A + B x; A is its
     # renormalized value
     a_far = complex(f_far - df_far * evp.far_edge)

@@ -19,6 +19,7 @@ from jost1d.jost import (
     _jost_maps,
     _layers,
     _peak,
+    _product,
     _x_maps,
     jost_evaluator,
 )
@@ -349,6 +350,24 @@ def test_overflowed_product_raises(quantity, k):
         warnings.simplefilter("error")  # and no RuntimeWarning on the way
         with pytest.raises(SpecError, match=re.escape(f"not finite at k = {k}")):
             quantity(j.exp_decay(1.0, -1.0), k)
+
+
+@pytest.mark.parametrize("k", [1.0, 1.0 + 0.5j, 0.0])
+def test_single_map_product_is_identity_and_map(k):
+    # a one-layer square has one step map M, and its product is (I, M, M) as is
+    steps = _jost_maps(j.square(-1.0, 1.0, -1.0), k)[2][1]
+    assert steps.shape == (1, 4)
+    left, right, product = _product(steps)
+    assert _hex(left) == _hex(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
+    assert _hex(right) == _hex(product) == _hex(steps[0].astype(complex))
+    overflowed = steps.copy()
+    overflowed[0, 1] = np.inf
+    assert not np.isfinite(_product(overflowed)[2]).all()
+    if k == 1.0:  # at complex k the overflowed layer map warns on its way (nan entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match="not finite"):
+                j.scattering(j.square(-1.0, 1.0, 1e6), k)
 
 
 def test_peak_is_numpys_max_over_the_entries(rng):

@@ -282,11 +282,28 @@ def test_table_distance_equals_kernel_distance(request, name, box, n):
 
 @pytest.mark.parametrize("name", ["barrier", "well_theta_minus"])
 def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
+    # the support lies inside every window, so all eps are one row batch:
+    # one window map set, one u and one v evaluation for all rows at the n
+    # abscissae, and one O(n) lattice sum
     import dataclasses
 
+    import jost1d.jost as jost
     import jost1d.limits as limits
 
-    points = {"u": [], "v": []}
+    map_k, points, sums = [], {"+": [], "-": []}, []
+    limit_kernels, limit_points = [], {"u": [], "v": []}
+    x_maps, evaluate = jost._x_maps, jost.JostEvaluator.eval
+    limit_kernel, hs_sum = limits.green_kernel_fn, limits._hs_sum
+
+    def counted_maps(p, k, *args):
+        map_k.append(np.atleast_1d(k))
+        return x_maps(p, k, *args)
+
+    def counted_eval(self, x):
+        f, fp = evaluate(self, x)
+        if self.k.any():  # the report's k = 0 solutions are not the window's
+            points["+" if self.s > 0 else "-"].append(np.size(f))
+        return f, fp
 
     def counted(solution, log):
         def wrapper(x):
@@ -294,18 +311,6 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
             return solution(x)
 
         return wrapper
-
-    build = limits.truncated_operator
-
-    def counted_window(*args):
-        tso = build(*args)
-        tso.green = dataclasses.replace(tso.green, u=counted(tso.green.u, points["u"]),
-                                        v=counted(tso.green.v, points["v"]))
-        return tso
-
-    monkeypatch.setattr(limits, "truncated_operator", counted_window)
-    limit_kernels, limit_points, sums = [], {"u": [], "v": []}, []
-    limit_kernel, hs_sum = limits.green_kernel_fn, limits._hs_sum
 
     def counted_limit(*args):
         limit_kernels.append(args)
@@ -317,15 +322,50 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
         sums.append(args)
         return hs_sum(*args)
 
+    monkeypatch.setattr(jost, "_x_maps", counted_maps)
+    monkeypatch.setattr(jost.JostEvaluator, "eval", counted_eval)
     monkeypatch.setattr(limits, "green_kernel_fn", counted_limit)
     monkeypatch.setattr(limits, "_hs_sum", counted_sum)
     eps, n = [0.2, 0.1, 0.05], 40
     j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
+    windows = [k for k in map_k if k.any()]
+    assert len(windows) == 1 and len(windows[0]) == len(eps)
     for log in points.values():
-        assert len(log) == len(eps) and sum(log) <= n * len(eps)
+        assert len(log) == 1 and sum(log) <= n * len(eps)
     assert len(limit_kernels) == 1
     assert limit_points == {"u": [n], "v": [n]}
-    assert len(sums) == len(eps)
+    assert len(sums) == 1
+
+
+def _random_layers(widths, heights, span):
+    """Contiguous layers of the given relative widths and heights, span wide and centred."""
+    edges = np.concatenate([[0.0], np.cumsum(widths)]) * span / np.sum(widths) - 0.5 * span
+    return list(zip(edges[:-1], edges[1:], heights))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(widths=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=6),
+       heights=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+       span=st.floats(0.5, 16.0), k_re=st.floats(0.2, 2.0), k_im=st.floats(0.0, 1.5),
+       eps=st.lists(st.sampled_from([0.8, 0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.003]),
+                    min_size=1, max_size=8))
+def test_ladder_rows_equal_one_eps_tables(widths, heights, span, k_re, k_im, eps):
+    # up to 16 units wide, the windows of the larger eps cut layers, so the
+    # ladder splits into several tilings; eps come unsorted and repeated
+    p = j.piecewise_constant(_random_layers(widths, heights[:len(widths)], span))
+    k = complex(k_re, k_im)
+    rows = j.convergence_table(p, k, eps, box=3.0, n=31)
+    assert [rec.eps for rec in rows] == sorted(set(eps), reverse=True)
+    for rec in rows:
+        assert [rec] == j.convergence_table(p, k, [rec.eps], box=3.0, n=31)
+
+
+@pytest.mark.parametrize("name", ["exp_tail", "bump_table"])
+def test_magnus_ladder_rows_equal_one_eps_tables(request, name):
+    p, k = request.getfixturevalue(name), 1.0 + 0.5j
+    rows = j.convergence_table(p, k, [0.05, 0.2, 0.1, 0.2], box=3.0, n=31)
+    for rec in rows:
+        assert [rec] == j.convergence_table(p, k, [rec.eps], box=3.0, n=31)
 
 
 def _on_meshgrid(kern):

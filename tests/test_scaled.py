@@ -270,14 +270,12 @@ def test_rejects_bad_arguments(barrier):
         j.truncated_operator(barrier, 0.1, 1.0 - 0.5j)
 
 
-def test_eigenvalue_collision_raises(well_theta_minus):
-    # at eps=1 the window barely clips the well, which still binds a state;
-    # hitting it head-on must fail loudly, not divide by near-zero
-    p = well_theta_minus
+def _window_bound_state(p, eps):
+    """kappa with (i kappa)^2 an eigenvalue of p's window at eps, the first root of W(i kappa)."""
     from scipy.optimize import brentq
 
-    ss = j.splitting_scale(p, 0.4)
-    direct = j.truncate(j.scale(p, 0.4), ss.x_eps)
+    ss = j.splitting_scale(p, eps)
+    direct = j.truncate(j.scale(p, eps), ss.x_eps)
 
     def w_real(kappa):
         # at k = i*kappa the Wronskian of a real potential is real
@@ -288,6 +286,25 @@ def test_eigenvalue_collision_raises(well_theta_minus):
     flips = np.nonzero(np.diff(signs))[0]
     assert len(flips) > 0, "expected a bound state of the windowed well"
     i = flips[0]
-    kappa = brentq(w_real, grid[i], grid[i + 1])
+    return brentq(w_real, grid[i], grid[i + 1])
+
+
+def test_eigenvalue_collision_raises(well_theta_minus):
+    # at eps=1 the window barely clips the well, which still binds a state;
+    # hitting it head-on must fail loudly, not divide by near-zero
+    kappa = _window_bound_state(well_theta_minus, 0.4)
     with pytest.raises(NumericsError):
-        j.truncated_operator(p, 0.4, 1j * kappa)
+        j.truncated_operator(well_theta_minus, 0.4, 1j * kappa)
+
+
+def test_table_raises_the_error_of_its_first_failing_eps(well_theta_minus):
+    # 0.4 and 0.2 are one row batch; the table raises what the window at
+    # 0.4 raises alone, though the row at 0.2 is fine
+    kappa = _window_bound_state(well_theta_minus, 0.4)
+    with pytest.raises(NumericsError) as alone:
+        j.truncated_operator(well_theta_minus, 0.4, 1j * kappa)
+    with pytest.raises(NumericsError) as table:
+        j.convergence_table(well_theta_minus, 1j * kappa, [0.4, 0.2])
+    assert type(table.value) is type(alone.value)
+    assert str(table.value) == str(alone.value)
+    j.truncated_operator(well_theta_minus, 0.2, 1j * kappa).scattering()
