@@ -12,15 +12,16 @@ a = W / (-2ik).
 Numerics.  One builder, _jost_maps, makes the step maps that every
 number here reads.  The potential picks the route: the exact layer route
 when its shape tiles into layers (nodes at the layer edges, steps from
-transfer.propagator_entries), and otherwise a 4th-order Magnus panel
-propagator (transfer.magnus_entries), whose step samples V at two Gauss
-points and is exact for the free equation at any k.  The Magnus mesh
-starts from the potential's breakpoints, so no step crosses a kink, and
-accepts a step once its one-step and two-half-step maps differ by at
-most its share of tol; the defect is O(h^5) and the share O(h), so a
-rejected step is split at once into 2^ceil(log16(defect / share)) equal
+transfer.propagator_entries), and otherwise a 6th-order Magnus panel
+propagator (transfer.magnus_entries), whose step samples V at three
+Gauss points and is exact for the free equation at any k.  The Magnus
+mesh starts from the potential's breakpoints, so no step crosses a kink,
+and accepts a step once its one-step and two-half-step maps differ by at
+most its share of tol; one kernel call per round gives both half steps
+and the whole step.  The defect is O(h^7) and the share O(h), so a
+rejected step is split at once into 2^ceil(log64(defect / share)) equal
 pieces.  An accepted step keeps its two-half-step map with the
-Richardson correction M_2 + (M_2 - M_1)/15: the Gauss-point step is
+Richardson correction M_2 + (M_2 - M_1)/63: the Gauss-point step is
 time-symmetric, so its local error is odd in h.  The anchor sits at the
 support edge when the support is compact, otherwise where the weighted
 tail has dropped below tol, and the cut tail mass is error_bound; this
@@ -30,8 +31,9 @@ k = 0, k = i kappa), else complex128; _peak reads their size.
 The product P of the step maps, taken in pairwise rounds (O(N)
 products, against O(N log N) for a scan), carries f_+ = (1, ik) e^{ik hi}
 from its anchor hi to the far edge lo, where transfer.plane_pair reads
-a and b and W is read off (see _maps_wronskian): scattering,
-jost_wronskian, d0 and D'(0) build no evaluator.  At the split node of
+a and b, r is read from the same state, and W is read off (see
+_maps_wronskian): scattering, jost_wronskian, d0 and D'(0) build no
+evaluator.  At the split node of
 the last round, P = L R, f_+ is R applied to its start and f_- the
 mirrored L (see JostEvaluator) applied to its own; their W is P's in
 exact arithmetic for any maps, so the wronskian_gap and ray_gap read
@@ -159,7 +161,7 @@ class JostEvaluator:
     Beyond the far edge the solution is the plane-wave pair of the far
     state.  maps are the (nodes, steps, mu2, tails) of _x_maps in x,
     which f_- reads mirrored: t = -x reverses the nodes and the maps,
-    and f_-'s Gauss-Magnus step over a panel is f_+'s with the two Gauss
+    and f_-'s Gauss-Magnus step over a panel is f_+'s with the outer Gauss
     points traded, which swaps m00 and m11 (a layer step has m00 = m11).
     The swap M -> J M^T J reverses products, so it carries the composed
     halves and the Richardson-corrected maps over exactly.
@@ -283,11 +285,12 @@ def _x_maps(p: Potential, k, tol, layers, second):
     batch, k of shape (n,), gives steps and mu2 a leading axis of length
     n, real only where every row's k^2 is (see the module docstring).
     Otherwise k is a scalar, mu2 is None and a Magnus step is accepted
-    once its one-step and two-half-step maps differ by at most
-    tol * |h| / span relative to its size (or by the rounding floor),
-    keeping the two-half-step map, Richardson-corrected.  A rejected step
-    is split into 2^l equal pieces, l = ceil(log16(defect / allowed)) in
-    [1, _MAX_JUMP], none below narrowest.
+    once its one-step and two-half-step maps, from one magnus_entries
+    call per round, differ by at most tol * |h| / span relative to its
+    size (or by the rounding floor), keeping the two-half-step map,
+    Richardson-corrected by /63.  A rejected step is split into 2^l equal
+    pieces, l = ceil(log64(defect / allowed)) in [1, _MAX_JUMP], none
+    below narrowest.
     """
     if layers is not None:
         edges, heights = layers
@@ -303,9 +306,6 @@ def _x_maps(p: Potential, k, tol, layers, second):
         (hi, mass_r), (lo, mass_l) = (_tail_point(p, s, tol, second) for s in (1.0, -1.0))
         lo, tails = -lo, (mass_l, mass_r)
 
-    def step(x0, x1):
-        return np.stack(magnus_entries(p, k, x0, x1), axis=-1)
-
     span = hi - lo
     cuts = np.array([b for b in p.breakpoints() if lo < b < hi])
     uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
@@ -318,21 +318,26 @@ def _x_maps(p: Potential, k, tol, layers, second):
     done_left, done_maps = [], []
     while True:
         mid = 0.5 * (left + right)
-        halves = _compose(step(mid, left), step(right, mid))
-        gap = step(right, left) - halves  # M_1 - M_2
-        defect = _peak(np.abs(gap))
-        allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
-        ok = defect <= allowed
-        halves -= gap / 15.0  # in place: a round can hold most of the mesh
+        # the two half steps and the whole step in one call, V sampled once for all
+        maps = np.stack(magnus_entries(p, k, np.concatenate([mid, right, right]),
+                                       np.concatenate([left, mid, left])), axis=-1)
+        n = len(left)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, nan or 0 defects
+            halves = _compose(maps[:n], maps[n:2 * n])
+            gap = maps[2 * n:] - halves  # M_1 - M_2
+            defect = _peak(np.abs(gap))
+            allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
+            ok = defect <= allowed
+            halves -= gap / 63.0  # in place: a round can hold most of the mesh
+            # defect ~ h^7 against allowed ~ h, so 2^ceil(log64 ratio) pieces bring
+            # the ratio to 1; fmax makes a nan ratio (an overflowed step) one halving
+            levels = np.fmax(np.ceil(np.log2(defect / allowed) / 6.0), 1.0)
         done_left.append(left[ok])
         done_maps.append(halves[ok])
-        del gap, halves
+        del maps, gap, halves
         if ok.all():
             break
-        left, right, defect, allowed = (v[~ok] for v in (left, right, defect, allowed))
-        # defect ~ h^5 against allowed ~ h, so 2^ceil(log16 ratio) pieces bring
-        # the ratio to 1; fmax makes a nan ratio (an overflowed step) one halving
-        levels = np.fmax(np.ceil(np.log2(defect / allowed) / 4.0), 1.0)
+        left, right, levels = (v[~ok] for v in (left, right, levels))
         room = np.floor(np.log2((right - left) / narrowest))
         count = np.exp2(np.minimum(levels, np.minimum(room, _MAX_JUMP))).astype(int)
         if (room < 1).any() or count.sum() + sum(len(d) for d in done_left) > _MAX_STEPS:
@@ -492,7 +497,8 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
 
     Extracts a and b from (f_+, f_+') at the far (left) edge, where the
     potential has ended and f_+ is an exact combination of plane waves;
-    then r = b/a, t = 1/a; the product of the step maps gives that state.
+    then t = 1/a, and r = b/a = e^{2ik lo} (ik f - f')/(ik f + f') is read
+    from that state (f, f') directly; the product of the step maps gives it.
     The relative defect of a = W/(-2ik), W read at the product's split node, is reported;
     an overflowed product raises SpecError.
     """
@@ -513,7 +519,10 @@ def _scattering_from(k, p, kb, maps, eps) -> list[ScatteringData]:
         left, right, product = _product(steps)
         # f_+ starts as (1, ik) e^{ik hi} at hi, and f_-'s g as (1, ik) e^{-ik lo} at t = -lo
         up, dn = ((wave, ikb * wave) for wave in (np.exp(ikb * hi), np.exp(ikb * -lo)))
-        a, b = plane_pair(*_apply(product, up), kb, lo)
+        far = _apply(product, up)
+        a, b = plane_pair(*far, kb, lo)
+        # r = b / a read off the far state directly, with fewer roundings
+        r = np.exp(2.0 * ikb * lo) * (ikb * far[0] - far[1]) / (ikb * far[0] + far[1])
         finite = np.isfinite(product).all(axis=-1)
         failed = ~finite | (abs(a) < 1e-12 * (1.0 + abs(b)))
     if failed.any():
@@ -529,5 +538,5 @@ def _scattering_from(k, p, kb, maps, eps) -> list[ScatteringData]:
         )
     f, fp, g, gp = _halves_states(left, right, up, dn)
     gap = abs(a - (f * gp + fp * g) / (2.0 * ikb)) / (1.0 + abs(a))
-    columns = (np.array(v, ndmin=1).tolist() for v in (a, b, b / a, 1.0 / a, gap))
+    columns = (np.array(v, ndmin=1).tolist() for v in (a, b, r, 1.0 / a, gap))
     return [ScatteringData(k, *row) for row in zip(*columns)]
