@@ -26,7 +26,10 @@ time-symmetric, so its local error is odd in h.  The anchor sits at the
 support edge when the support is compact, otherwise where the weighted
 tail has dropped below tol, and the cut tail mass is error_bound; this
 holds at k = 0 as well.  Step maps are float64 wherever k^2 is real (real k,
-k = 0, k = i kappa), else complex128; _peak reads their size.
+k = 0, k = i kappa), else complex128; _peak reads their size.  Every array
+of step maps is entry-major, of shape (4, *batch, N): the entries (m00, m01,
+m10, m11) lead and the map index is last, so composing two arrays
+multiplies four whole entry planes.
 
 The product P of the step maps, taken in pairwise rounds (O(N)
 products, against O(N log N) for a scan), carries f_+ = (1, ik) e^{ik hi}
@@ -141,13 +144,16 @@ def _tail_point(p: Potential, s: float, tol: float, second=False):
 
 
 def _compose(m, n):
-    """Entry-wise 2x2 products m @ n of (..., 4) arrays (m00, m01, m10, m11)."""
-    return np.stack([
-        m[..., 0] * n[..., 0] + m[..., 1] * n[..., 2],
-        m[..., 0] * n[..., 1] + m[..., 1] * n[..., 3],
-        m[..., 2] * n[..., 0] + m[..., 3] * n[..., 2],
-        m[..., 2] * n[..., 1] + m[..., 3] * n[..., 3],
-    ], axis=-1)
+    """The 2x2 products m @ n of entry-major maps, as one new array of the four sums."""
+    a, b, c, d, e, f, g, h = _entries(m) + _entries(n)
+    return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+
+
+def _entries(m):
+    """The four entry planes of the maps m, 0-d arrays (not scalars) for one map."""
+    # numpy rounds complex scalar products otherwise than array products, so
+    # one map multiplies as a batch row does
+    return m[0, ...], m[1, ...], m[2, ...], m[3, ...]
 
 
 class JostEvaluator:
@@ -157,10 +163,11 @@ class JostEvaluator:
     Both sides are "+" solutions in t = s x, s = +1 for f_+ and -1 for
     f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
     anchor, the right end of the nodes, and f(x) = g(s x), f'(x) =
-    s g'(s x).  nodes and states are in t; anchor and far_edge are in x.
+    s g'(s x).  nodes and states, (f, f') per row and node, are in t;
+    anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
     state.  maps are the (nodes, steps, mu2, tails) of _x_maps in x,
-    which f_- reads mirrored: t = -x reverses the nodes and the maps,
+    which f_- reads mirrored: t = -x reverses the nodes and the maps' last axis,
     and f_-'s Gauss-Magnus step over a panel is f_+'s with the outer Gauss
     points traded, which swaps m00 and m11 (a layer step has m00 = m11).
     The swap M -> J M^T J reverses products, so it carries the composed
@@ -184,34 +191,34 @@ class JostEvaluator:
         self.k, self.eps = np.array(k, ndmin=1), np.array(eps, ndmin=1)  # one row per k
         nodes, steps, mu2, tails = maps
         rows = len(self.k)
-        steps = steps.reshape(rows, *steps.shape[-2:])
+        steps = steps.reshape(4, rows, steps.shape[-1])
         mu2 = None if mu2 is None else mu2.reshape(rows, -1)
         if s > 0:
             self.nodes, self.mu2, self.error_bound = nodes, mu2, tails[1]
-            steps = steps[:, ::-1].copy()  # anchor first; the scan below writes into it
+            steps = steps[..., ::-1].copy()  # anchor first; the scan below writes into it
         else:
             # t = -x reverses the nodes and the maps, and the scan reads them
             # anchor first, so they stay in x order; the mirror is a new array
             self.nodes, self.error_bound = -nodes[::-1], tails[0]
             self.mu2 = None if mu2 is None else mu2[:, ::-1]
-            steps = steps[..., [3, 1, 2, 0]]
+            steps = steps[[3, 1, 2, 0]]
         ends = s * self.eps[:, None] * self.nodes[[-1, 0]]
         self.anchor, self.far_edge = ends.reshape(self._shape + (2,)).T
 
-        # Hillis-Steele scan: after it, steps[:, j] maps the anchor to node j+1 away
+        # Hillis-Steele scan: after it, steps[:, :, j] maps the anchor to node j+1 away
         shift = 1
-        while shift < steps.shape[1]:
-            steps[:, shift:] = _compose(steps[:, shift:], steps[:, :-shift])
+        while shift < steps.shape[-1]:
+            steps[..., shift:] = _compose(steps[..., shift:], steps[..., :-shift])
             shift *= 2
         ik = 1j * self.k
         wave = np.exp(ik * self.nodes[-1])
-        self.states = np.empty((rows, len(self.nodes), 2), dtype=complex)
-        self.states[:, -1, 0], self.states[:, -1, 1] = start = wave, ik * wave
-        self.states[:, -2::-1] = (steps[..., 0::2] * start[0][:, None, None]
-                                  + steps[..., 1::2] * start[1][:, None, None])
+        self.states = np.empty((2, rows, len(self.nodes)), dtype=complex)
+        self.states[:, :, -1] = start = wave, ik * wave
+        self.states[:, :, -2::-1] = (steps[0::2] * start[0][:, None]
+                                     + steps[1::2] * start[1][:, None])
         # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
         # k = 0, which is never batched with k != 0
-        f0, fp0 = self.states[:, 0, 0], self.states[:, 0, 1]
+        f0, fp0 = self.states[..., 0]
         self._pair = ((f0 - fp0 * self.nodes[0], fp0) if not self.k.any()
                       else plane_pair(f0, fp0, self.k, self.nodes[0]))
 
@@ -264,7 +271,7 @@ class JostEvaluator:
         else:
             m00, m01, m10 = propagator_entries(self.mu2[row, node - 1], t - self.nodes[node])
             m11 = m00
-        f0, fp0 = self.states[row, node].T
+        f0, fp0 = self.states[:, row, node]
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
 
 
@@ -278,12 +285,13 @@ _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 def _x_maps(p: Potential, k, tol, layers, second):
     """(nodes, steps, mu2, tails) in x, oriented as f_+ reads them.
 
-    steps[j] maps (f, f') at node j+1 to node j; tails are the masses
+    steps[:, j] maps (f, f') at node j+1 to node j; tails are the masses
     cut left and right of the end nodes (with second, plus the
     second-moment tails).  layers give exact steps and mu2 = h - k^2 for
     the scalar k.  A couplings batch, heights of shape (n, L), or a k
-    batch, k of shape (n,), gives steps and mu2 a leading axis of length
-    n, real only where every row's k^2 is (see the module docstring).
+    batch, k of shape (n,), gives mu2 a leading axis of length n and
+    steps one after their entries (steps[:, i, j] in row i), real only
+    where every row's k^2 is (see the module docstring).
     Otherwise k is a scalar, mu2 is None and a Magnus step is accepted
     once its one-step and two-half-step maps, from one magnus_entries
     call per round, differ by at most tol * |h| / span relative to its
@@ -297,8 +305,7 @@ def _x_maps(p: Potential, k, tol, layers, second):
         k2 = np.multiply(k, k)  # numpy's loop rounds k^2 more closely than k * k
         mu2 = heights - (k2.real if not k2.imag.any() else k2)[..., None]  # real where k^2 is
         a, b, c = propagator_entries(mu2, edges[:-1] - edges[1:])
-        steps = np.array([a, b, c, a]).transpose(*range(1, a.ndim + 1), 0)  # entries last
-        return edges, steps, mu2, (0.0, 0.0)
+        return edges, np.array([a, b, c, a]), mu2, (0.0, 0.0)
     sup = p.support()
     if sup is not None:
         (lo, hi), tails = sup, (0.0, 0.0)
@@ -319,12 +326,12 @@ def _x_maps(p: Potential, k, tol, layers, second):
     while True:
         mid = 0.5 * (left + right)
         # the two half steps and the whole step in one call, V sampled once for all
-        maps = np.stack(magnus_entries(p, k, np.concatenate([mid, right, right]),
-                                       np.concatenate([left, mid, left])), axis=-1)
+        maps = np.array(magnus_entries(p, k, np.concatenate([mid, right, right]),
+                                       np.concatenate([left, mid, left])))
         n = len(left)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, nan or 0 defects
-            halves = _compose(maps[:n], maps[n:2 * n])
-            gap = maps[2 * n:] - halves  # M_1 - M_2
+            halves = _compose(maps[:, :n], maps[:, n:2 * n])
+            gap = maps[:, 2 * n:] - halves  # M_1 - M_2
             defect = _peak(np.abs(gap))
             allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
             ok = defect <= allowed
@@ -333,7 +340,7 @@ def _x_maps(p: Potential, k, tol, layers, second):
             # the ratio to 1; fmax makes a nan ratio (an overflowed step) one halving
             levels = np.fmax(np.ceil(np.log2(defect / allowed) / 6.0), 1.0)
         done_left.append(left[ok])
-        done_maps.append(halves[ok])
+        done_maps.append(halves[:, ok])
         del maps, gap, halves
         if ok.all():
             break
@@ -350,12 +357,12 @@ def _x_maps(p: Potential, k, tol, layers, second):
         left, right = (1.0 - t) * a + t * b, (1.0 - t - 1.0 / m) * a + (t + 1.0 / m) * b
     left = np.concatenate(done_left)
     order = np.argsort(left)
-    return np.append(left[order], hi), np.concatenate(done_maps)[order], None, tails
+    return np.append(left[order], hi), np.concatenate(done_maps, axis=1)[:, order], None, tails
 
 
 def _peak(a):
-    """max of each map's |entries| a, entries last: numpy's max over that short axis is slow."""
-    return np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]))
+    """max of each map's |entries| a, entries first: numpy's max over that short axis is slow."""
+    return np.maximum(np.maximum(a[0], a[1]), np.maximum(a[2], a[3]))
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10):
@@ -434,29 +441,30 @@ def _zero_energy_wronskians(p: Potential, tol=1e-10):
 
 
 def _product(steps):
-    """(L, R, P): P = steps[..., 0, :] @ steps[..., 1, :] @ ... = L @ R, in pairwise rounds.
+    """(L, R, P): P = steps[..., 0] @ steps[..., 1] @ ... = L @ R, in pairwise rounds.
 
     Each round composes neighbours and carries an odd last map over, so
     ceil(log2 N) rounds take N - 1 products in all; the last joins L and R
     at the split node.  One map M is (I, M, M), and no map (I, I, I).
+    Entry-major steps (4, *batch, N) give L, R and P of shape (4, *batch).
     """
-    if steps.shape[-2] < 2:
-        eye = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
-                              steps.shape[:-2] + (4,))
-        right = steps[..., 0, :].astype(complex) if steps.shape[-2] else eye
+    if steps.shape[-1] < 2:
+        eye = np.multiply.outer([1.0, 0.0, 0.0, 1.0], np.ones(steps.shape[1:-1], dtype=complex))
+        right = steps[..., 0].astype(complex) if steps.shape[-1] else eye
         return eye, right, right
-    while steps.shape[-2] > 2:
-        n = steps.shape[-2]
-        paired = _compose(steps[..., 0:n - 1:2, :], steps[..., 1::2, :])
-        steps = np.concatenate([paired, steps[..., n - 1:, :]], axis=-2) if n % 2 else paired
+    while steps.shape[-1] > 2:
+        n = steps.shape[-1]
+        paired = _compose(steps[..., 0:n - 1:2], steps[..., 1::2])
+        steps = np.concatenate([paired, steps[..., n - 1:]], axis=-1) if n % 2 else paired
     # L and R complex: numpy's real times complex scalar products are slow
-    left, right = steps[..., 0, :].astype(complex), steps[..., 1, :].astype(complex)
+    left, right = steps[..., 0].astype(complex), steps[..., 1].astype(complex)
     return left, right, _compose(left, right)
 
 
 def _apply(m, v):
-    """The 2x2 maps m, entries last, applied to the vector v."""
-    return m[..., 0] * v[0] + m[..., 1] * v[1], m[..., 2] * v[0] + m[..., 3] * v[1]
+    """The 2x2 maps m, entries first, applied to the vector v."""
+    m00, m01, m10, m11 = _entries(m)
+    return m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1]
 
 
 def _halves_states(left, right, plus_start, minus_start):
@@ -465,7 +473,7 @@ def _halves_states(left, right, plus_start, minus_start):
     f_+ is right applied to its start at hi; f_- = g(-x) and f_-' = -g', where
     g is left mirrored (m00 and m11 swapped) applied to its start at t = -lo.
     """
-    return (*_apply(right, plus_start), *_apply(left[..., [3, 1, 2, 0]], minus_start))
+    return (*_apply(right, plus_start), *_apply(left[[3, 1, 2, 0]], minus_start))
 
 
 def _maps_wronskian(p, k, maps, eps):
@@ -479,13 +487,13 @@ def _maps_wronskian(p, k, maps, eps):
     """
     nodes, steps = maps[:2]
     product = _product(steps)[2]
-    m00, m01, m10, m11 = np.moveaxis(product, -1, 0)
+    m00, m01, m10, m11 = product
     if k == 0:
         w = -m10
     else:
         ik = 1j * k
         w = -np.exp(ik * (nodes[-1] - nodes[0])) * (ik * (m00 + m11) - k * k * m01 + m10)
-    return np.where(np.isfinite(product).all(axis=-1), w / eps, np.nan)
+    return np.where(np.isfinite(product).all(axis=0), w / eps, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +531,7 @@ def _scattering_from(k, p, kb, maps, eps) -> list[ScatteringData]:
         a, b = plane_pair(*far, kb, lo)
         # r = b / a read off the far state directly, with fewer roundings
         r = np.exp(2.0 * ikb * lo) * (ikb * far[0] - far[1]) / (ikb * far[0] + far[1])
-        finite = np.isfinite(product).all(axis=-1)
+        finite = np.isfinite(product).all(axis=0)
         failed = ~finite | (abs(a) < 1e-12 * (1.0 + abs(b)))
     if failed.any():
         if not np.ravel(finite)[np.argmax(failed)]:

@@ -24,9 +24,10 @@ evaluator.  For a piecewise-constant base the layer heights of every
 coupling form one batch, so the grid is one map set and one product;
 as its size costs little, each bisection round evaluates in one batch
 the 15 midpoints the next four steps of every bracket can take.  Other
-bases, one map set per coupling, take one step per round.  Each value,
-and so each root, is bit for bit the one-coupling result.  A d0 that is
-not finite, or whose product overflowed, stops the sweep with
+bases, one map set per coupling, take one step per round.  The steps
+are walked on Python floats, which round as float64 does, so each
+value, and so each root, is bit for bit the one-coupling result.  A d0
+that is not finite, or whose product overflowed, stops the sweep with
 SpecError, as does a root whose residual stays above root_tol.
 """
 
@@ -272,7 +273,7 @@ def _finite(alphas, values):
     """values, unless d0 is not finite at one of alphas: then SpecError names the first."""
     bad = ~np.isfinite(values)
     if bad.any():
-        raise SpecError(f"d0 is not finite at alpha = {float(alphas[bad][0])}: the "
+        raise SpecError(f"d0 is not finite at alpha = {float(np.asarray(alphas)[bad][0])}: the "
                         "propagator overflows there; narrow the sweep range")
     return values
 
@@ -290,41 +291,43 @@ def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:
 
     A round splits each live [lo, hi] by 2^depth + 1 points, the one with
     lowest set bit s at p being 0.5 * (a + b) of those at p -+ s; one g
-    call evaluates them, and the walk reads the values plain bisection
-    reads, so only those can raise and the roots are bit for bit the same.
-    A bracket stops, its round left unread, once its width and smaller end
+    call evaluates them.  The walk runs on Python floats, which round as
+    float64 arrays do, and reads, step by step and within a step bracket
+    by bracket, the values plain bisection reads, so only those can raise
+    (the first in that order) and the roots are bit for bit the same.  A
+    bracket stops, its round left unread, once its width and smaller end
     value are below root_tol, its width reaches rounding, or at 200 steps.
     """
-    if not brackets:
-        return []
-    lo, hi, g_lo, g_hi = (np.array(c, dtype=float) for c in zip(*brackets))
-    live, steps = np.arange(len(brackets)), 0
+    state = [[float(v) for v in b] for b in brackets]  # each [lo, hi, g_lo, g_hi], walked in place
+    live, steps = state, 0
     halves = [2 ** d for d in reversed(range(depth))]  # a step's half width, in points
-    while len(live) and steps < 200:
+    while live and steps < 200:
         pts = np.empty((len(live), 2 ** depth + 1))
-        pts[:, 0], pts[:, -1] = lo[live], hi[live]
+        pts[:, [0, -1]] = [b[:2] for b in live]
         for s in halves:
             pts[:, s::2 * s] = 0.5 * (pts[:, :-s:2 * s] + pts[:, 2 * s::2 * s])
         values = g(pts[:, 1:-1].ravel()).reshape(len(live), -1)
-        rows, at = np.arange(len(live)), np.zeros(len(live), dtype=int)
+        walk = [(b, 0, xs, vs) for b, xs, vs in zip(live, pts.tolist(), values.tolist())]
         for s in halves[:200 - steps]:
-            at += s  # from each bracket's left end to its midpoint
-            mid = pts[rows, at]
-            g_mid = _finite(mid, values[rows, at - 1])
-            left = g_lo[live] * g_mid <= 0.0
-            hi[live[left]], g_hi[live[left]] = mid[left], g_mid[left]
-            lo[live[~left]], g_lo[live[~left]] = mid[~left], g_mid[~left]
-            width = hi[live] - lo[live]
-            small = np.minimum(np.abs(g_lo[live]), np.abs(g_hi[live]))
-            done = (width < root_tol) & (small < root_tol)
-            done |= width < 1e-15 * np.maximum(1.0, np.abs(hi[live]))
-            at[left] -= s
-            live, rows, at = live[~done], rows[~done], at[~done]
+            kept = []
+            for b, at, xs, vs in walk:
+                at += s  # from the bracket's left end to its midpoint
+                mid, g_mid = xs[at], vs[at - 1]
+                if not math.isfinite(g_mid):
+                    _finite([mid], [g_mid])  # raises, naming mid
+                if b[2] * g_mid <= 0.0:
+                    b[1], b[3], at = mid, g_mid, at - s
+                else:
+                    b[0], b[2] = mid, g_mid
+                lo, hi, g_lo, g_hi = b
+                if not ((hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol)
+                        or hi - lo < 1e-15 * max(1.0, abs(hi))):
+                    kept.append((b, at, xs, vs))
+            walk = kept
             steps += 1
-    return [CouplingRoot(float(a if abs(ga) <= abs(gb) else b), start[:2],
-                         float(min(abs(ga), abs(gb))))
-            for a, b, ga, gb, start in zip(lo.tolist(), hi.tolist(), g_lo.tolist(),
-                                           g_hi.tolist(), brackets)]
+        live = [w[0] for w in walk]
+    return [CouplingRoot(a if abs(ga) <= abs(gb) else b, start[:2], min(abs(ga), abs(gb)))
+            for (a, b, ga, gb), start in zip(state, brackets)]
 
 
 def _warn_double_crossings(alphas, values):

@@ -334,7 +334,7 @@ def test_every_magnus_step_passes_the_defect_test(bump_table, which, k):
     allowed = np.maximum(1e-10 * (x0 - x1) / (nodes[-1] - nodes[0]), 1e-14) * size
     assert np.all(np.abs(whole - halves).max(axis=(1, 2)) <= allowed)
     richardson = (halves + (halves - whole) / 63.0).reshape(-1, 4)
-    assert np.all(np.abs(steps - richardson).max(axis=1) <= 1e-13 * size)
+    assert np.all(np.abs(steps.T - richardson).max(axis=1) <= 1e-13 * size)
 
 
 @pytest.mark.parametrize("which, k, most", [("exp_well", 1.0, 12), ("bump", 2.0, 6)])
@@ -393,12 +393,12 @@ def test_overflowed_product_raises(quantity, k):
 def test_single_map_product_is_identity_and_map(k):
     # a one-layer square has one step map M, and its product is (I, M, M) as is
     steps = _jost_maps(j.square(-1.0, 1.0, -1.0), k)[2][1]
-    assert steps.shape == (1, 4)
+    assert steps.shape == (4, 1)
     left, right, product = _product(steps)
     assert _hex(left) == _hex(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
-    assert _hex(right) == _hex(product) == _hex(steps[0].astype(complex))
+    assert _hex(right) == _hex(product) == _hex(steps[:, 0].astype(complex))
     overflowed = steps.copy()
-    overflowed[0, 1] = np.inf
+    overflowed[1, 0] = np.inf
     assert not np.isfinite(_product(overflowed)[2]).all()
     if k != 0:  # an overflowed layer raises, with no warning on its way, at real and complex k
         with warnings.catch_warnings():
@@ -413,8 +413,8 @@ def test_peak_is_numpys_max_over_the_entries(rng):
     real[[3, 7], [1, 2]] = np.nan
     real[[5, 9], [0, 3]] = [np.inf, -np.inf]
     real[11] = [np.nan, np.inf, 1.0, np.nan]
-    for m in (real, real + 1j * rng.normal(size=(500, 4))[::-1]):
-        assert np.array_equal(_peak(np.abs(m)), np.max(np.abs(m), axis=-1), equal_nan=True)
+    for m in (real.T, (real + 1j * rng.normal(size=(500, 4))[::-1]).T):  # entries on axis 0
+        assert np.array_equal(_peak(np.abs(m)), np.max(np.abs(m), axis=0), equal_nan=True)
 
 
 @pytest.mark.parametrize("p", [

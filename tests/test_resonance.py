@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jost1d as j
@@ -420,6 +420,85 @@ def test_bisection_raises_only_on_values_it_reads():
         resonance._bisect_roots(g, [bracket], 1e-8, 1)
     with pytest.raises(SpecError, match="d0 is not finite at alpha = 0.95:"):
         resonance._bisect_roots(g, [(0.8, 1.0, 0.5, -0.1)], 1e-8, 4)
+
+
+def _plain_bisection(g, lo, hi, g_lo, g_hi, root_tol):
+    """oracles.scalar_sweep's per-bracket bisection, reading one value of g per step."""
+    bracket = (lo, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g_mid = float(g(np.array([mid]))[0])
+        if g_lo * g_mid <= 0.0:
+            hi, g_hi = mid, g_mid
+        else:
+            lo, g_lo = mid, g_mid
+        if hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol:
+            break
+        if hi - lo < 1e-15 * max(1.0, abs(hi)):
+            break
+    alpha = lo if abs(g_lo) <= abs(g_hi) else hi
+    return float(alpha), bracket, float(min(abs(g_lo), abs(g_hi)))
+
+
+def _walked(g, brackets, root_tol, depth):
+    return [(r.alpha, r.bracket, r.residual)
+            for r in resonance._bisect_roots(g, brackets, root_tol, depth)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(roots=st.lists(st.floats(0.5, 9.5), min_size=2, max_size=5, unique=True),
+       scale=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+       grid_n=st.integers(25, 60), depth=st.integers(1, 5),
+       log_tol=st.floats(-12.0, -4.0))
+def test_bisection_walk_equals_plain_bisection(roots, scale, grid_n, depth, log_tol):
+    # a polynomial with simple roots, bracketed on a grid as resonant_couplings does:
+    # every bracket's root, bracket and residual equal plain bisection's
+    roots = sorted(roots)
+    assume(min(b - a for a, b in zip(roots, roots[1:])) >= 0.5)
+
+    def g(x):
+        out = np.full(np.shape(x), scale)
+        for r in roots:
+            out = out * (x - r)
+        return out
+
+    alphas = np.linspace(0.0, 10.0, grid_n)
+    values = g(alphas).tolist()
+    brackets = [(lo, hi, g_lo, g_hi) for lo, hi, g_lo, g_hi
+                in zip(alphas.tolist(), alphas[1:].tolist(), values, values[1:])
+                if g_lo * g_hi < 0.0]
+    assume(len(brackets) >= 2)
+    root_tol = 10.0 ** log_tol
+    assert _walked(g, brackets, root_tol, depth) == \
+        [_plain_bisection(g, *bracket, root_tol) for bracket in brackets]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_bisection_walk_stops_at_the_cap_and_at_rounding(depth):
+    # g jumps at 0.3 and |g| >= 1 elsewhere, so no residual falls below root_tol:
+    # [0, 1] stops once its width reaches rounding, after 50 steps; the width of
+    # [-1e46, 3e46] would need 205 steps to get there, so it stops at the cap.
+    # Each root is the bracket's hi, which a 201st step would move
+    def g(x):
+        return np.where(x < 0.3, -2.0, 1.0)
+
+    brackets = [(0.0, 1.0, -2.0, 1.0), (-1e46, 3e46, -2.0, 1.0)]
+    walked = _walked(g, brackets, 1e-8, depth)
+    assert walked == [_plain_bisection(g, *bracket, 1e-8) for bracket in brackets]
+    (short, _, _), (capped, _, _) = walked
+    assert abs(short - 0.3) < 1e-15
+    assert 1e-15 < abs(capped - 0.3) < 4e46 / 2.0 ** 200  # 200 halvings, about 2.5e-14
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_bisection_names_the_first_nan_in_step_order(depth):
+    # [0, 1] reads 0.5, then a nan at 0.25; [2, 3] reads a nan at 2.5 first.  Plain
+    # bisection's steps run in lockstep over the brackets, so 2.5 is read first
+    def g(x):
+        return np.where((x == 0.25) | (x == 2.5), np.nan, np.where(x < 1.5, x - 0.3, x - 2.7))
+
+    with pytest.raises(SpecError, match="d0 is not finite at alpha = 2.5:"):
+        resonance._bisect_roots(g, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.7, 0.3)], 1e-8, depth)
 
 
 def test_magnus_sweep_builds_one_map_set_per_coupling(monkeypatch):
