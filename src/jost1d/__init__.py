@@ -29,10 +29,8 @@ from .limits import (
     classify_limit,
     convergence_table,
     dirichlet_decoupled,
-    green_kernel_fn,
     interface,
     kernel_distance,
-    limit_scattering,
     truncated_operator,
 )
 from .potential import (
@@ -91,12 +89,10 @@ __all__ = [
     "dirichlet_decoupled",
     "exp_decay",
     "fm_norm",
-    "green_kernel_fn",
     "interface",
     "jost_evaluator",
     "jost_wronskian",
     "kernel_distance",
-    "limit_scattering",
     "load_potential",
     "moments",
     "piecewise_constant",

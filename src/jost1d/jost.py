@@ -86,7 +86,10 @@ __all__ = [
 
 
 def check_wavenumber(k, allow_zero=False):
-    k = complex(k)
+    try:
+        k = complex(k)
+    except (TypeError, ValueError):
+        raise SpecError(f"wavenumber must be a complex number, got {k!r}") from None
     if not np.isfinite(k):
         raise SpecError(f"wavenumber must be finite, got {k}")
     if k.imag < 0:
@@ -100,10 +103,11 @@ def check_wavenumber(k, allow_zero=False):
 class ScatteringData:
     """Plane-wave coefficients of f_+ and the derived reflection data.
 
-    a and b are None for idealized limit operators that have no finite
-    Jost expansion (the decoupled half-line limit).  wronskian_gap is the
-    relative defect of a = W{f_+, f_-}/(-2ik), with W from the two halves
-    of the step maps' product, and None for the limit operators.
+    a and b are None where there is no finite Jost expansion: the
+    Dirichlet pair's LimitOperator.scattering, whose half lines decouple.
+    wronskian_gap is the relative defect of a = W{f_+, f_-}/(-2ik), with W
+    from the two halves of the step maps' product, and None for the limit
+    operators.
     """
 
     k: complex

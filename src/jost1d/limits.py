@@ -16,15 +16,16 @@ blows up like 1/eps (generic case) or stays bounded (zero-energy
 resonance) decides the limiting operator.
 
 As eps -> 0 the windowed operator converges in norm-resolvent sense to
-one of two self-adjoint operators on the line with a point perturbation
-at the origin:
+a self-adjoint operator on the line with a point perturbation at the
+origin, a LimitOperator whose one field theta is the resonance report's:
 
-* no zero-energy resonance: the two half lines decouple, with a
-  Dirichlet condition on each side of the origin;
+* no zero-energy resonance (theta None): the two half lines decouple,
+  with a Dirichlet condition on each side of the origin;
 * a resonance with far-field ratio theta: the interface conditions
   y(0+) = theta y(0-), theta y'(0+) = y'(0-).
 
-theta = 1 reproduces the free line.
+theta = 1 reproduces the free line.  LimitOperator.scattering(k) gives
+the limit's (r, t) and LimitOperator.green(k) its resolvent kernel.
 
 Every resolvent kernel here is one Kernel, u(max(x, y)) v(min(x, y)) / w
 with w = W{u, v}: f~_+ and f~_- for the window, the two plane-wave
@@ -74,8 +75,6 @@ __all__ = [
     "dirichlet_decoupled",
     "interface",
     "classify_limit",
-    "limit_scattering",
-    "green_kernel_fn",
     "kernel_distance",
     "convergence_table",
 ]
@@ -180,70 +179,48 @@ def truncated_operator(p, eps, k, tol=1e-10):
 
 @dataclass(frozen=True)
 class LimitOperator:
-    """Either the Dirichlet-decoupled pair or the interface coupling."""
+    """The point interaction at the origin that the windows converge to.
 
-    kind: str
-    theta: float | None = None
-
-
-def dirichlet_decoupled() -> LimitOperator:
-    return LimitOperator("dirichlet")
-
-
-def interface(theta: float) -> LimitOperator:
-    theta = float(theta)
-    if theta == 0.0 or not np.isfinite(theta):
-        raise SpecError(f"interface ratio must be real, finite and nonzero, got {theta}")
-    return LimitOperator("interface", theta)
-
-
-def classify_limit(
-    p: Potential, threshold: float | None = None, tol: float = 1e-10
-) -> LimitOperator:
-    """Map a potential to its small-eps limit operator."""
-    report = resonance_report(p, threshold=threshold, tol=tol)
-    if report.is_resonant:
-        return interface(report.theta)
-    return dirichlet_decoupled()
-
-
-def limit_scattering(op: LimitOperator, k) -> ScatteringData:
-    """Reflection and transmission of the limit operator.
-
-    Independent of k: the limits are scale-invariant point interactions.
-    The decoupled case reflects everything (r = -1, t = 0) and has no
-    finite plane-wave coefficients a, b.
+    theta is the interface ratio: y(0+) = theta y(0-), theta y'(0+) =
+    y'(0-).  None is the Dirichlet-decoupled pair, as a resonance report's
+    theta is None for a potential without a zero-energy resonance.
     """
-    k = check_wavenumber(k, allow_zero=False)
-    if op.kind == "dirichlet":
-        return ScatteringData(k=k, a=None, b=None, r=-1.0 + 0.0j, t=0.0 + 0.0j)
-    if op.kind == "interface":
-        th = op.theta
+
+    theta: float | None
+
+    def scattering(self, k) -> ScatteringData:
+        """Reflection and transmission of the limit operator.
+
+        Independent of k: the limits are scale-invariant point interactions.
+        The decoupled pair reflects everything (r = -1, t = 0) and has no
+        finite plane-wave coefficients a, b.
+        """
+        k = check_wavenumber(k, allow_zero=False)
+        th = self.theta
+        if th is None:
+            return ScatteringData(k=k, a=None, b=None, r=-1.0 + 0.0j, t=0.0 + 0.0j)
         t = 2.0 * th / (1.0 + th * th)
         r = (1.0 - th * th) / (1.0 + th * th)
         return ScatteringData(k=k, a=1.0 / t, b=r / t, r=complex(r), t=complex(t))
-    raise SpecError(f"unknown limit operator kind {op.kind!r}")
 
+    def green(self, k) -> Kernel:
+        """The resolvent kernel of the limit operator at k.
 
-def green_kernel_fn(op: LimitOperator, k) -> Kernel:
-    """The resolvent kernel of a limit operator at k.
-
-    Dirichlet-decoupled: on each half line the solution outgoing at
-    infinity over the one vanishing at the origin, zero across it (see
-    the module docstring).  Interface(theta): u is e^{ikx} for x >= 0
-    and v is e^{-ikx} for x <= 0; across the origin each continues by
-    the interface conditions, and W is -ik(theta + 1/theta).
-    """
-    k = check_wavenumber(k, allow_zero=False)
-    if op.kind == "dirichlet":
-        return Kernel(
-            lambda x: np.where(x > 0, np.exp(1j * k * x), -np.sin(k * x)),
-            lambda x: np.where(x >= 0, np.sin(k * x), np.exp(-1j * k * x)),
-            k,
-            split=True,
-        )
-    if op.kind == "interface":
-        theta = op.theta
+        Dirichlet-decoupled: on each half line the solution outgoing at
+        infinity over the one vanishing at the origin, zero across it (see
+        the module docstring).  Interface(theta): u is e^{ikx} for x >= 0
+        and v is e^{-ikx} for x <= 0; across the origin each continues by
+        the interface conditions, and W is -ik(theta + 1/theta).
+        """
+        k = check_wavenumber(k, allow_zero=False)
+        theta = self.theta
+        if theta is None:
+            return Kernel(
+                lambda x: np.where(x > 0, np.exp(1j * k * x), -np.sin(k * x)),
+                lambda x: np.where(x >= 0, np.sin(k * x), np.exp(-1j * k * x)),
+                k,
+                split=True,
+            )
         a_co = 0.5 * (theta + 1.0 / theta)
         b_co = 0.5 * (1.0 / theta - theta)
         d_co = 0.5 * (theta - 1.0 / theta)
@@ -254,7 +231,28 @@ def green_kernel_fn(op: LimitOperator, k) -> Kernel:
                                a_co * np.exp(-1j * k * x) + d_co * np.exp(1j * k * x)),
             -1j * k * (theta + 1.0 / theta),
         )
-    raise SpecError(f"unknown limit operator kind {op.kind!r}")
+
+
+def dirichlet_decoupled() -> LimitOperator:
+    return LimitOperator(None)
+
+
+def interface(theta: float) -> LimitOperator:
+    # None, text and complex numbers are no ratio (numpy's would cast with a warning)
+    try:
+        ratio = np.nan if np.iscomplexobj(theta) else float(theta)
+    except (TypeError, ValueError):
+        ratio = np.nan
+    if ratio == 0.0 or not np.isfinite(ratio):
+        raise SpecError(f"interface ratio must be real, finite and nonzero, got {theta}")
+    return LimitOperator(ratio)
+
+
+def classify_limit(
+    p: Potential, threshold: float | None = None, tol: float = 1e-10
+) -> LimitOperator:
+    """Map a potential to its small-eps limit operator."""
+    return LimitOperator(resonance_report(p, threshold=threshold, tol=tol).theta)
 
 
 def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> float:
@@ -367,7 +365,7 @@ def convergence_table(
     whose windows tile alike is one row batch (see the module docstring),
     whose _hs_sum adds each row's lattice in O(n).  Each row equals its
     eps's one-row table, and its distance kernel_distance(tso.green,
-    green_kernel_fn(op, k), box, n), bit for bit.
+    op.green(k), box, n), bit for bit.
     """
     k = check_wavenumber(k, allow_zero=False)
     xs = _abscissae(box, n)
@@ -378,8 +376,8 @@ def convergence_table(
     if not all(e > 0 for e in eps_sorted):  # NaN fails this too
         raise SpecError("all eps values must be positive")
     op = classify_limit(p, threshold=threshold, tol=tol)
-    ls = limit_scattering(op, k)
-    limit = _lattice_factors(green_kernel_fn(op, k), xs)
+    ls = op.scattering(k)
+    limit = _lattice_factors(op.green(k), xs)
     records = []
     for scales, built in _windows(p, eps_sorted, k, tol):
         windows = _WindowRows(k, built)

@@ -378,7 +378,7 @@ def test_converge_classifies_once(runner, request, monkeypatch, well, label):
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
     p = j.load_potential(path)
-    assert classify(p).kind == label
+    assert (classify(p).theta is None) == (label == "dirichlet")
     lines = ["eps,r_re,r_im,t_re,t_im,kernel_distance,limit_r,limit_t,classification"]
     for rec in j.convergence_table(p, 1.0, [0.1, 0.05], box=4.0, n=40):
         values = [rec.eps, rec.r_eps.real, rec.r_eps.imag, rec.t_eps.real, rec.t_eps.imag,
@@ -387,11 +387,14 @@ def test_converge_classifies_once(runner, request, monkeypatch, well, label):
     assert result.output == "\n".join(lines) + "\n"
 
 
-def test_converge_bad_eps(runner, barrier_file):
+@pytest.mark.parametrize("eps", ["0,-1", ","])
+def test_converge_bad_eps(runner, barrier_file, eps):
+    # the table, not the CLI, rejects an empty or nonpositive eps list
     result = runner.invoke(main, [
-        "converge", "--potential", barrier_file, "--k", "1.0", "--eps", "0,-1",
+        "converge", "--potential", barrier_file, "--k", "1.0", "--eps", eps,
     ])
     assert result.exit_code == 2
+    assert result.output.startswith("error:")
 
 
 @pytest.mark.parametrize("args", [

@@ -50,6 +50,12 @@ def test_wavenumber_rejects_non_finite(k):
         j.check_wavenumber(k, allow_zero=True)
 
 
+@pytest.mark.parametrize("k", [None, "a", [1, 2]])
+def test_wavenumber_rejects_non_numbers(k):
+    with pytest.raises(SpecError, match="complex number"):
+        j.check_wavenumber(k, allow_zero=True)
+
+
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, 1.0])
 def test_tol_outside_unit_interval_raises(tol):
     # unchecked, an infinite tol cut this well's tails at |x| = 1 and gave
@@ -864,3 +870,19 @@ def test_reexports_are_in_module_all():
     missing = [(m.__name__, name) for name, m in modules.items()
                if hasattr(m, "__all__") and name not in m.__all__]
     assert missing == []
+
+
+def test_public_names():
+    # pinned, so that any change to the public API shows in a diff
+    assert sorted(j.__all__) == [
+        "AnchorError", "ConvergenceRecord", "CouplingRoot", "CouplingSweep", "DZeroDerivative",
+        "ExceptionalPointError", "IntegrationError", "LimitOperator", "NumericsError",
+        "Potential", "RatioInconsistencyError", "ResonanceReport", "ScatteringData",
+        "SpecError", "SplittingScale", "TailData", "TruncatedScaledOperator",
+        "check_wavenumber", "classify_limit", "convergence_table", "d_dot_zero",
+        "dirichlet_decoupled", "exp_decay", "fm_norm", "interface", "jost_evaluator",
+        "jost_wronskian", "kernel_distance", "load_potential", "moments",
+        "piecewise_constant", "potential_from_dict", "resonance_report",
+        "resonant_couplings", "scale", "scattering", "splitting_scale", "square",
+        "tabulated", "tail_weight_norm", "tails", "truncate", "truncated_operator", "zero",
+    ]

@@ -19,21 +19,21 @@ import oracles
 
 
 def test_interface_validation():
-    with pytest.raises(SpecError):
-        j.interface(0.0)
-    with pytest.raises(SpecError):
-        j.interface(float("inf"))
+    # None is no ratio: it must not quietly stand for the Dirichlet pair
+    for bad in (0.0, float("inf"), 1 + 1j, np.complex128(1 + 1j), "a", None):
+        with pytest.raises(SpecError, match="must be real"):
+            j.interface(bad)
     op = j.interface(-2.5)
-    assert op.kind == "interface" and op.theta == -2.5
+    assert op.theta == -2.5
     d = j.dirichlet_decoupled()
-    assert d.kind == "dirichlet" and d.theta is None
+    assert d.theta is None
 
 
 def test_classification(barrier, shallow_well, well_theta_minus, well_theta_plus):
-    assert j.classify_limit(barrier).kind == "dirichlet"
-    assert j.classify_limit(shallow_well).kind == "dirichlet"
+    assert j.classify_limit(barrier).theta is None
+    assert j.classify_limit(shallow_well).theta is None
     op_m = j.classify_limit(well_theta_minus)
-    assert op_m.kind == "interface"
+    assert op_m.theta is not None
     assert op_m.theta == pytest.approx(-1.0, abs=1e-10)
     op_p = j.classify_limit(well_theta_plus)
     assert op_p.theta == pytest.approx(1.0, abs=1e-10)
@@ -44,14 +44,14 @@ def test_classification(barrier, shallow_well, well_theta_minus, well_theta_plus
 
 
 def test_limit_scattering_dirichlet():
-    sd = j.limit_scattering(j.dirichlet_decoupled(), 1.0)
+    sd = j.dirichlet_decoupled().scattering(1.0)
     assert sd.r == -1.0 and sd.t == 0.0
     assert sd.a is None and sd.b is None
 
 
 @pytest.mark.parametrize("theta", [-1.0, 1.0, 2.0, -0.5])
 def test_limit_scattering_interface(theta):
-    sd = j.limit_scattering(j.interface(theta), 1.0)
+    sd = j.interface(theta).scattering(1.0)
     assert sd.t == pytest.approx(2 * theta / (1 + theta**2), rel=1e-14)
     assert sd.r == pytest.approx((1 - theta**2) / (1 + theta**2), rel=1e-14, abs=1e-14)
     assert abs(abs(sd.r) ** 2 + abs(sd.t) ** 2 - 1.0) < 1e-14
@@ -66,7 +66,7 @@ def test_limit_scattering_interface(theta):
 
 def test_interface_kernel_theta_one_is_free_kernel(rng):
     k = 1.0 + 0.7j
-    kern = j.green_kernel_fn(j.interface(1.0), k)
+    kern = j.interface(1.0).green(k)
     for _ in range(20):
         x, y = rng.uniform(-6, 6, 2)
         free = np.exp(1j * k * abs(x - y)) / (-2j * k)
@@ -76,7 +76,7 @@ def test_interface_kernel_theta_one_is_free_kernel(rng):
 def test_interface_kernel_conditions_at_origin():
     k = 1.0 + 1.0j
     theta = -2.0
-    kern = j.green_kernel_fn(j.interface(theta), k)
+    kern = j.interface(theta).green(k)
     y = 1.3
     h = 1e-6
     val_plus = complex(kern(h, y))
@@ -91,7 +91,7 @@ def test_interface_kernel_conditions_at_origin():
 
 def test_interface_kernel_solves_free_equation(rng):
     k = 0.8 + 0.9j
-    kern = j.green_kernel_fn(j.interface(-1.5), k)
+    kern = j.interface(-1.5).green(k)
     y = -2.0
     xs = np.array([-4.0, -1.0, 1.0, 3.0])
     res = oracles.schrodinger_residual(
@@ -105,7 +105,7 @@ def test_interface_kernel_vs_fd_resolvent(rng):
     theta, k = -1.0, 1j
     ys = rng.uniform(-4.0, 4.0, 6)
     fd = oracles.fd_split_line_kernel(k, sources=ys, theta=theta)
-    kern = j.green_kernel_fn(j.interface(theta), k)
+    kern = j.interface(theta).green(k)
     for y in ys:
         for x in rng.uniform(-4.5, 4.5, 4):
             xs, ysn = fd.snap(x), fd.snap(y)
@@ -116,7 +116,7 @@ def test_interface_kernel_vs_fd_resolvent_generic_theta(rng):
     theta, k = 2.0, 1j
     ys = [-1.5, 2.5]
     fd = oracles.fd_split_line_kernel(k, sources=ys, theta=theta)
-    kern = j.green_kernel_fn(j.interface(theta), k)
+    kern = j.interface(theta).green(k)
     for y in ys:
         for x in [-3.0, -0.5, 0.5, 3.5]:
             assert abs(kern(fd.snap(x), fd.snap(y)) - fd.value(x, y)) < 1e-4
@@ -126,7 +126,7 @@ def test_dirichlet_kernel_vs_fd_resolvent(rng):
     k = 1j
     ys = [-2.0, 1.0]
     fd = oracles.fd_split_line_kernel(k, sources=ys, theta=None)
-    kern = j.green_kernel_fn(j.dirichlet_decoupled(), k)
+    kern = j.dirichlet_decoupled().green(k)
     for y in ys:
         for x in [-4.0, -1.0, 0.5, 2.0]:
             assert abs(kern(fd.snap(x), fd.snap(y)) - fd.value(x, y)) < 1e-4
@@ -134,7 +134,7 @@ def test_dirichlet_kernel_vs_fd_resolvent(rng):
 
 def test_dirichlet_kernel_structure(rng):
     k = 1.0 + 1.0j
-    kern = j.green_kernel_fn(j.dirichlet_decoupled(), k)
+    kern = j.dirichlet_decoupled().green(k)
     # decoupled: zero across the origin
     assert kern(-1.0, 2.0) == 0.0
     assert kern(3.0, -0.5) == 0.0
@@ -153,7 +153,7 @@ def test_dirichlet_lattice_matches_image_form(box, n):
     # odd n puts x = 0 on the lattice, where the kernel is exactly zero
     k = 0.7 + 0.4j
     xs = np.linspace(-box, box, n)
-    got = j.green_kernel_fn(j.dirichlet_decoupled(), k)(*np.meshgrid(xs, xs))
+    got = j.dirichlet_decoupled().green(k)(*np.meshgrid(xs, xs))
     expect = oracles.dirichlet_image_kernel(k, *np.meshgrid(xs, xs))
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
     assert np.array_equal(got == 0, expect == 0)
@@ -165,13 +165,13 @@ def test_dirichlet_lattice_matches_image_form(box, n):
 
 def test_kernel_distance_zero_for_identical():
     k = 1.0 + 1.0j
-    kern = j.green_kernel_fn(j.interface(1.0), k)
+    kern = j.interface(1.0).green(k)
     assert j.kernel_distance(kern, kern) == 0.0
 
 
 def test_kernel_distance_scales_linearly():
     k = 1.0 + 1.0j
-    kern = j.green_kernel_fn(j.interface(1.0), k)
+    kern = j.interface(1.0).green(k)
 
     def shifted(c):
         return lambda x, y: kern(x, y) + c
@@ -185,7 +185,7 @@ def test_kernel_distance_scales_linearly():
 
 
 def test_kernel_distance_validation():
-    kern = j.green_kernel_fn(j.dirichlet_decoupled(), 1j)
+    kern = j.dirichlet_decoupled().green(1j)
     with pytest.raises(SpecError):
         j.kernel_distance(kern, kern, box=-1.0)
     with pytest.raises(SpecError):
@@ -212,7 +212,7 @@ def test_convergence_table_matches_operator(well_theta_minus):
     sd = j.truncated_operator(well_theta_minus, 0.1, k).scattering()
     assert rec.r_eps == pytest.approx(sd.r, rel=1e-12)
     assert rec.t_eps == pytest.approx(sd.t, rel=1e-12)
-    limit_sd = j.limit_scattering(j.classify_limit(well_theta_minus), k)
+    limit_sd = j.classify_limit(well_theta_minus).scattering(k)
     assert rec.limit_r == pytest.approx(limit_sd.r)
     assert rec.limit_t == pytest.approx(limit_sd.t)
 
@@ -272,7 +272,7 @@ def test_table_distance_equals_kernel_distance(request, name, box, n):
     p, threshold = (_RESONANT_EXP if name == "exp_resonant_well"
                     else (request.getfixturevalue(name), None))
     k = 1.0 + 1.0j
-    limit_fn = j.green_kernel_fn(j.classify_limit(p, threshold=threshold), k)
+    limit_fn = j.classify_limit(p, threshold=threshold).green(k)
     for eps in (0.2, 0.1):
         (rec,) = j.convergence_table(p, k, [eps], box, n, threshold=threshold)
         tso = j.truncated_operator(p, eps, k)
@@ -293,7 +293,7 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
     map_k, points, sums = [], {"+": [], "-": []}, []
     limit_kernels, limit_points = [], {"u": [], "v": []}
     x_maps, evaluate = jost._x_maps, jost.JostEvaluator.eval
-    limit_kernel, hs_sum = limits.green_kernel_fn, limits._hs_sum
+    limit_kernel, hs_sum = limits.LimitOperator.green, limits._hs_sum
 
     def counted_maps(p, k, *args):
         map_k.append(np.atleast_1d(k))
@@ -324,7 +324,7 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
 
     monkeypatch.setattr(jost, "_x_maps", counted_maps)
     monkeypatch.setattr(jost.JostEvaluator, "eval", counted_eval)
-    monkeypatch.setattr(limits, "green_kernel_fn", counted_limit)
+    monkeypatch.setattr(limits.LimitOperator, "green", counted_limit)
     monkeypatch.setattr(limits, "_hs_sum", counted_sum)
     eps, n = [0.2, 0.1, 0.05], 40
     j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
@@ -384,7 +384,7 @@ def test_table_distance_matches_meshgrid_sum(request, name):
                     else (request.getfixturevalue(name), None))
     eps = [0.2, 0.05, 0.01, 1e-3, 1e-4]
     for k in (1.0 + 1.0j, 0.7 + 0.4j, 1.0):
-        limit = _on_meshgrid(j.green_kernel_fn(j.classify_limit(p, threshold=threshold), k))
+        limit = _on_meshgrid(j.classify_limit(p, threshold=threshold).green(k))
         windows = [_on_meshgrid(j.truncated_operator(p, e, k).green) for e in eps]
         for box, n in ((10.0, 200), (4.0, 41), (3.0, 31), (0.5, 21)):
             rows = j.convergence_table(p, k, eps, box, n, threshold=threshold)
