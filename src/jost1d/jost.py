@@ -40,16 +40,18 @@ evaluator.  At the split node of
 the last round, P = L R, f_+ is R applied to its start and f_- the
 mirrored L (see JostEvaluator) applied to its own; their W is P's in
 exact arithmetic for any maps, so the wronskian_gap and ray_gap read
-there measure rounding.  A JostEvaluator is one solution, scanned from
-the maps into node states for f(x), which only jost_evaluator, the
-window kernels of the limits module and the resonant half-bound state
-read.  The layer route also builds a leading row axis: a couplings
+there measure rounding.  A JostEvaluator scans the maps into node
+states for f(x), which only jost_evaluator (one side), the window
+kernels of the limits module and the resonant half-bound state (both
+sides) read.  It stacks its sides' maps on the row axis, so one scan
+and one evaluation, one kernel call per branch, serve f_+ and f_-
+together.  The layer route also builds a leading row axis: a couplings
 batch, which only the product reads, or a k batch, the eps rows of a
 convergence table, which the scattering data and the evaluator read row
 by row.  numpy rounds a complex product of two scalars otherwise than
 the same product in arrays, so the evaluator holds a lone k as one row,
 and the limits module builds even a lone window as a k batch: a row's
-numbers do not depend on its batch.
+numbers do not depend on its batch, nor on the side stacked beside it.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
@@ -160,13 +162,19 @@ def _entries(m):
     return m[0, ...], m[1, ...], m[2, ...], m[3, ...]
 
 
+# each side as a "+" solution in t = s x: (s, the entry order of its maps
+# read in t, the end of the tails whose cut mass is its error_bound)
+_SIDES = {"+": ((1, [0, 1, 2, 3], 1),), "-": ((-1, [3, 1, 2, 0], 0),)}
+_SIDES["+-"] = _SIDES["+"] + _SIDES["-"]
+
+
 class JostEvaluator:
-    """f_+ (side "+") or f_- (side "-") of V at k, stored as states at nodes.
+    """f_+ (side "+"), f_- (side "-") or both (side "+-") of V at k, stored as states at nodes.
 
     built is the (p, k, maps, eps) of _jost_maps, one for both sides.
-    Both sides are "+" solutions in t = s x, s = +1 for f_+ and -1 for
+    Each side is a "+" solution in t = s x, s = +1 for f_+ and -1 for
     f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
-    anchor, the right end of the nodes, and f(x) = g(s x), f'(x) =
+    anchor, the right end of its nodes, and f(x) = g(s x), f'(x) =
     s g'(s x).  nodes and states, (f, f') per row and node, are in t;
     anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
@@ -177,54 +185,78 @@ class JostEvaluator:
     The swap M -> J M^T J reverses products, so it carries the composed
     halves and the Richardson-corrected maps over exactly.
 
+    The sides' maps are stacked on the row axis, so one Hillis-Steele
+    scan serves both, and eval reads both from one set of masks and
+    gathers, with one kernel call per branch.  A pair's s, nodes,
+    error_bound, anchor, far_edge, plane_pair and eval lead with the side
+    axis, f_+ first; a one-side build is the same code with one side, and
+    _side reads one side of a pair on the pair's arrays, with no scan.
+
     eps is the dilation: p, k and maps belong to the unsqueezed base at
     eps k, and eval takes x and gives f'(x) = s g'(s x / eps) / eps.
 
     k and eps may be a k batch of _x_maps, one row each on shared nodes:
-    eval, plane_pair, anchor and far_edge then carry that leading axis.
-    A lone k is stored as one row, and its outputs drop the axis.
+    eval, plane_pair, anchor and far_edge then carry that axis after the
+    sides', and the attributes k and eps repeat the rows once per side.  A
+    lone k is stored as one row, and its outputs drop the axis.
     """
 
     def __init__(self, built, side):
-        if side not in ("+", "-"):
-            raise SpecError(f"side must be '+' or '-', got {side!r}")
-        self.s = s = 1.0 if side == "+" else -1.0
-        p, k, maps, eps = built
-        self._v = p if s > 0 else (lambda t: p(-t))
-        self._shape = np.shape(k)
-        self.k, self.eps = np.array(k, ndmin=1), np.array(eps, ndmin=1)  # one row per k
-        nodes, steps, mu2, tails = maps
-        rows = len(self.k)
+        if side not in _SIDES:
+            raise SpecError(f"side must be '+', '-' or '+-', got {side!r}")
+        sides = _SIDES[side]
+        p, k, (nodes, steps, mu2, tails), eps = built
+        shape = ((2,) if side == "+-" else ()) + np.shape(k)
+        k, eps = np.array(k, ndmin=1), np.array(eps, ndmin=1)  # one row per k
+        rows = len(k)
         steps = steps.reshape(4, rows, steps.shape[-1])
-        mu2 = None if mu2 is None else mu2.reshape(rows, -1)
-        if s > 0:
-            self.nodes, self.mu2, self.error_bound = nodes, mu2, tails[1]
-            steps = steps[..., ::-1].copy()  # anchor first; the scan below writes into it
-        else:
-            # t = -x reverses the nodes and the maps, and the scan reads them
-            # anchor first, so they stay in x order; the mirror is a new array
-            self.nodes, self.error_bound = -nodes[::-1], tails[0]
-            self.mu2 = None if mu2 is None else mu2[:, ::-1]
-            steps = steps[[3, 1, 2, 0]]
-        ends = s * self.eps[:, None] * self.nodes[[-1, 0]]
-        self.anchor, self.far_edge = ends.reshape(self._shape + (2,)).T
-
+        # every side's maps in t, anchor first, one block of rows each: f_+ reads
+        # them right to left, f_- left to right mirrored; the scan writes into them
+        steps = np.concatenate([steps[e, :, ::-s] for s, e, _ in sides], axis=1)
         # Hillis-Steele scan: after it, steps[:, :, j] maps the anchor to node j+1 away
         shift = 1
         while shift < steps.shape[-1]:
             steps[..., shift:] = _compose(steps[..., shift:], steps[..., :-shift])
             shift *= 2
-        ik = 1j * self.k
-        wave = np.exp(ik * self.nodes[-1])
-        self.states = np.empty((2, rows, len(self.nodes)), dtype=complex)
-        self.states[:, :, -1] = start = wave, ik * wave
-        self.states[:, :, -2::-1] = (steps[0::2] * start[0][:, None]
-                                     + steps[1::2] * start[1][:, None])
+        nodes = np.array([s * nodes[::s] for s, _, _ in sides])
+        k, eps = (np.concatenate([v] * len(sides)) for v in (k, eps))
+        ik = 1j * k
+        wave = np.exp(ik * nodes[:, -1].repeat(rows))
+        states = np.empty((2, len(k), nodes.shape[1]), dtype=complex)
+        states[:, :, -1] = start = wave, ik * wave
+        states[:, :, -2::-1] = (steps[0::2] * start[0][:, None]
+                                + steps[1::2] * start[1][:, None])
+        if mu2 is not None:
+            mu2 = np.concatenate([mu2.reshape(rows, -1)[:, ::s] for s, _, _ in sides])
+        self._keep(p, shape, np.array([s for s, _, _ in sides], dtype=float), nodes, k, eps,
+                   states, mu2, np.array([tails[i] for _, _, i in sides]))
+
+    def _keep(self, p, shape, signs, nodes, k, eps, states, mu2, tails):
+        """Set the attributes from the scanned states, one block of rows per side."""
+        self._p, self._shape, self._nodes = p, shape, nodes
+        self.k, self.eps, self.states, self.mu2 = k, eps, states, mu2
+        self._rows = rows = len(k) // len(signs)  # per side
+        self._sign = signs.repeat(rows)
+        self._ends = nodes[:, [0, -1]].repeat(rows, axis=0)  # each row's far and anchor t
+        self._zero = not k.any()
+        pair = len(signs) > 1
+        self.s, self.error_bound = (v if pair else float(v[0]) for v in (signs, tails))
+        self.nodes = nodes if pair else nodes[0]
+        ends = ((self._sign * eps)[:, None] * self._ends).reshape(shape + (2,))
+        self.far_edge, self.anchor = ends[..., 0][()], ends[..., 1][()]
         # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
         # k = 0, which is never batched with k != 0
-        f0, fp0 = self.states[..., 0]
-        self._pair = ((f0 - fp0 * self.nodes[0], fp0) if not self.k.any()
-                      else plane_pair(f0, fp0, self.k, self.nodes[0]))
+        f0, fp0 = states[..., 0]
+        far = self._ends[:, 0]
+        self._pair = (f0 - fp0 * far, fp0) if self._zero else plane_pair(f0, fp0, k, far)
+
+    def _side(self, i):
+        """Side i of a pair (0 for f_+) as a one-side evaluator on the pair's arrays."""
+        one, rows = JostEvaluator.__new__(JostEvaluator), slice(i * self._rows, (i + 1) * self._rows)
+        one._keep(self._p, self._shape[1:], self.s[i:i + 1], self._nodes[i:i + 1], self.k[rows],
+                  self.eps[rows], self.states[:, rows], None if self.mu2 is None else self.mu2[rows],
+                  self.error_bound[i:i + 1])
+        return one
 
     def plane_pair(self):
         """(c_plus, c_minus) with f = c_plus e^{ikx} + c_minus e^{-ikx} beyond the far edge.
@@ -232,24 +264,26 @@ class JostEvaluator:
         For side "+" these are the scattering coefficients (a, b).  Only
         meaningful for k != 0.
         """
-        c_plus, c_minus = (c.reshape(self._shape)[()] for c in self._pair)
-        return (c_plus, c_minus) if self.s > 0 else (c_minus, c_plus)
+        plus = self._sign > 0
+        c_plus, c_minus = self._pair
+        return tuple(np.where(plus, a, b).reshape(self._shape)[()]
+                     for a, b in ((c_plus, c_minus), (c_minus, c_plus)))
 
     def eval(self, x):
-        """Vectorized (f, f') at arbitrary points, shaped like x after k's row axis."""
+        """Vectorized (f, f') at arbitrary points, shaped like x after the side and k axes."""
         x = np.asarray(x, dtype=float)
-        t = self.s * x.ravel() / self.eps[:, None]
+        t = self._sign[:, None] * x.ravel() / self.eps[:, None]
         # each point's row, to gather its k, pair, states and mu2 by; a lone row
         # reads them at row 0, which puts the same numbers through the same ufuncs
         row = np.arange(len(self.k)).repeat(x.size).reshape(t.shape) if len(self.k) > 1 else None
         f, fp = np.empty((2,) + t.shape, dtype=complex)
-        anchored = t >= self.nodes[-1]
-        beyond = t < self.nodes[0]
+        anchored = t >= self._ends[:, 1:]
+        beyond = t < self._ends[:, :1]
         inside = ~(anchored | beyond)
         for part, branch in ((anchored, self._wave), (beyond, self._vacuum),
                              (inside, self._inside)):
             f[part], fp[part] = branch(0 if row is None else row[part], t[part])
-        fp *= self.s / self.eps[:, None]
+        fp *= self._sign[:, None] / self.eps[:, None]
         shape = self._shape + x.shape
         return f.reshape(shape)[()], fp.reshape(shape)[()]
 
@@ -261,19 +295,26 @@ class JostEvaluator:
 
     def _vacuum(self, row, t):
         c_plus, c_minus = (c[row] for c in self._pair)
-        if not self.k.any():
+        if self._zero:
             return c_plus + c_minus * t, c_minus
         ik = 1j * self.k[row]
         up, dn = np.exp(ik * t), np.exp(-ik * t)
         return c_plus * up + c_minus * dn, ik * (c_plus * up - c_minus * dn)
 
     def _inside(self, row, t):
-        # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1])
-        node = np.searchsorted(self.nodes, t, side="right")
-        if self.mu2 is None:  # a Magnus build has one row
-            m00, m01, m10, m11 = magnus_entries(self._v, self.k.item(), self.nodes[node], t)
+        # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1]):
+        # the points come side by side, and each side's run is searched in its own nodes
+        cuts = [0, *np.searchsorted(np.ravel(row), self._rows * np.arange(1, len(self._nodes))),
+                len(t)]
+        node = np.concatenate([np.searchsorted(nodes, t[a:b], side="right")
+                               for nodes, a, b in zip(self._nodes, cuts, cuts[1:])])
+        start = self._nodes[row // self._rows, node]
+        if self.mu2 is None:  # a Magnus build has one k, so its rows are its sides
+            sign = self._sign[row]
+            m00, m01, m10, m11 = magnus_entries(lambda g: self._p(sign * g), self.k[0].item(),
+                                                start, t)
         else:
-            m00, m01, m10 = propagator_entries(self.mu2[row, node - 1], t - self.nodes[node])
+            m00, m01, m10 = propagator_entries(self.mu2[row, node - 1], t - start)
             m11 = m00
         f0, fp0 = self.states[:, row, node]
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
@@ -376,6 +417,8 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     """
+    if side not in ("+", "-"):  # the pair "+-" is for the library's own callers
+        raise SpecError(f"side must be '+' or '-', got {side!r}")
     return JostEvaluator(_jost_maps(p, k, tol), side)
 
 

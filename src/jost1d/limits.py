@@ -44,11 +44,12 @@ diagonal plus twice a lower triangle that three prefix sums of length n
 give (_hs_sum).
 
 The window at eps is its base truncate(V, xi_eps) at eps k, so once
-xi_eps clears a compact support the windows differ only in k.  The table
-solves each run of eps whose windows tile alike as one k batch, a row per
-eps: one set of step maps, one scan per side, one evaluation of u and v
-at the n abscissae and one _hs_sum.  truncated_operator is the one-row
-case of the same code, so a row equals its lone window bit for bit.
+xi_eps clears every layer of V the windows differ only in k.  The table
+solves the run of such eps as one k batch, a row per eps, on one window
+base and one tiling: one set of step maps, one scan and one evaluation
+for both sides (u and v at the n abscissae) and one _hs_sum.
+truncated_operator is the one-row case of the same code, so a row equals
+its lone window bit for bit.
 """
 
 from __future__ import annotations
@@ -104,31 +105,36 @@ class Kernel:
 def _windows(p: Potential, eps, k, tol):
     """(scales, built) per run of consecutive eps whose windows tile alike, in eps order.
 
-    A run of layered windows whose bases tile bit for bit alike is one k
-    batch of _jost_maps, a row per eps, even a lone one; a Magnus window
-    is a run of its own, at a scalar eps k.
+    A window that keeps every layer of p whole tiles as p does, so the
+    run of such eps is one k batch of _jost_maps, a row per eps, on the
+    tiling of the run's first window; any other window, a Magnus one at
+    a scalar eps k, is a run of its own.  Only a run's first eps builds
+    its window potential.
     """
     scales = [splitting_scale(p, e) for e in eps]
-    bases = [_unsqueezed(scale(truncate(p, ss.xi_eps), ss.eps)) for ss in scales]
-    tilings = [_layers(base.shape, base.coupling) for base, _ in bases]
-    keys = [i if t is None else (t[0].tobytes(), t[1].tobytes()) for i, t in enumerate(tilings)]
+    base, e0 = _unsqueezed(p)
+    tiling = _layers(base.shape, base.coupling)
+    # the half width, on the base's axis, beyond which a window cuts no layer
+    reach = np.inf if tiling is None else np.abs(tiling[0]).max()
+    keys = ["whole" if ss.xi_eps / e0 >= reach else i for i, ss in enumerate(scales)]
     for _, run in groupby(range(len(eps)), keys.__getitem__):
-        run = list(run)
-        (base, _), tiling = bases[run[0]], tilings[run[0]]
-        dilations = np.array([bases[i][1] for i in run])
-        yield [scales[i] for i in run], _jost_maps(
-            base, k, tol, layers=tiling, eps=dilations[0] if tiling is None else dilations)
+        run = [scales[i] for i in run]
+        window, dilation = _unsqueezed(scale(truncate(p, run[0].xi_eps), run[0].eps))
+        tiling = _layers(window.shape, window.coupling)
+        yield run, _jost_maps(window, k, tol, layers=tiling, eps=dilation if tiling is None
+                              else np.array([e0 * ss.eps for ss in run]))
 
 
 class _WindowRows:
     """The windowed operators of a _windows run, one row per eps.
 
     The rows share one set of step maps, whose product gives each row's
-    scattering data.  plus and minus, the Jost evaluators of all rows,
-    scan them on first use, as green does: evaluating either afterwards
-    is vectorized and cheap, which is what the Hilbert-Schmidt lattice
-    sums need.  green's u, v and w = -2ik a (the product's W) lead with
-    the rows' axis.
+    scattering data.  _evaluator, the Jost evaluator of both sides and
+    all rows, scans them once, on first use; plus and minus are its sides
+    and green reads them, so evaluating any of them afterwards is
+    vectorized and cheap, which is what the Hilbert-Schmidt lattice sums
+    need.
+    green's u, v and w = -2ik a (the product's W) lead with the rows' axis.
     """
 
     def __init__(self, k, built, shape=None):
@@ -140,12 +146,16 @@ class _WindowRows:
         self._w = (-2j * k * np.array([sd.a for sd in self._rows])).reshape(shape)
 
     @cached_property
+    def _evaluator(self):
+        return JostEvaluator(self._built, "+-")
+
+    @cached_property
     def plus(self):
-        return JostEvaluator(self._built, "+")
+        return self._evaluator._side(0)
 
     @cached_property
     def minus(self):
-        return JostEvaluator(self._built, "-")
+        return self._evaluator._side(1)
 
     @cached_property
     def green(self) -> Kernel:
@@ -268,7 +278,9 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
     """
     xs = _abscissae(box, n)
     if isinstance(kernel_a, Kernel) and isinstance(kernel_b, Kernel):
-        total = _hs_sum(_lattice_factors(kernel_a, xs), _lattice_factors(kernel_b, xs), xs)
+        fa, fb = (_lattice_factors(kern.u(xs), kern.v(xs), kern.w, xs, kern.split)
+                  for kern in (kernel_a, kernel_b))
+        total = _hs_sum(fa, fb, xs)
     else:
         xg, yg = np.meshgrid(xs, xs)
         total = np.sum(np.abs(np.asarray(kernel_a(xg, yg)) - np.asarray(kernel_b(xg, yg))) ** 2)
@@ -287,8 +299,8 @@ def _hs_distance(total, box, n):
     return np.sqrt(box * box / (n * n) * total)
 
 
-def _lattice_factors(kernel, xs):
-    """Two factorings of a Kernel on the increasing abscissae xs.
+def _lattice_factors(u, v, w, xs, split=False):
+    """Two factorings of the Kernel (u, v, w, split) from u and v on the increasing abscissae xs.
 
     For j <= i, G(xs[i], xs[j]) = a_i b_j with (a, b) = (u/w, v) on rows
     x_i <= 0 and (u, v/w) on rows x_i > 0.  Putting w on the factor of
@@ -297,8 +309,8 @@ def _lattice_factors(kernel, xs):
     distance and lose no digits to cancellation.  A split kernel's v/w is
     0 at x < 0: those are the pairs across the origin.
     """
-    u, v, w = kernel.u(xs), kernel.v(xs), np.asarray(kernel.w)[..., None]
-    v_w = np.where(xs < 0, 0.0, v / w) if kernel.split else v / w
+    w = np.asarray(w)[..., None]
+    v_w = np.where(xs < 0, 0.0, v / w) if split else v / w
     return (u / w, v), (u, v_w)
 
 
@@ -372,16 +384,18 @@ def convergence_table(
     eps_sorted = sorted({float(e) for e in np.atleast_1d(np.asarray(eps_list, dtype=float))},
                         reverse=True)
     if not eps_sorted:
-        raise SpecError("eps_list is empty")
+        raise SpecError("no eps value given")
     if not all(e > 0 for e in eps_sorted):  # NaN fails this too
-        raise SpecError("all eps values must be positive")
+        raise SpecError("every eps value must be positive")
     op = classify_limit(p, threshold=threshold, tol=tol)
     ls = op.scattering(k)
-    limit = _lattice_factors(op.green(k), xs)
+    kern = op.green(k)
+    limit = _lattice_factors(kern.u(xs), kern.v(xs), kern.w, xs, kern.split)
     records = []
     for scales, built in _windows(p, eps_sorted, k, tol):
         windows = _WindowRows(k, built)
-        dist = _hs_distance(_hs_sum(_lattice_factors(windows.green, xs), limit, xs), box, n)
+        u, v = windows._evaluator.eval(xs)[0]  # green's u and v, both sides in one call
+        dist = _hs_distance(_hs_sum(_lattice_factors(u, v, windows._w, xs), limit, xs), box, n)
         records += [ConvergenceRecord(eps=ss.eps, r_eps=sd.r, t_eps=sd.t, kernel_distance=float(d),
                                       limit_r=ls.r, limit_t=ls.t)
                     for ss, sd, d in zip(scales, windows._rows, np.ravel(dist))]

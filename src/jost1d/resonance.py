@@ -10,11 +10,12 @@ computing carefully and cross-checking.
 
 Everything at zero energy comes from one set of step maps at k = 0,
 built once per report: d0 is their product, and only a resonant report
-scans them into an (f_+, f_-) evaluator pair.  Outside the support, or
+scans them, both sides in one evaluator, which reads f_+ and f_- on the
+report's grid, and f_+ at its far edge, in one call.  Outside the support, or
 beyond the cut tails, the solutions are constants and straight lines.
 Infinite tails are cut where their weighted mass falls below tol, as at
 any k; the results are then flagged as extrapolated and the cut mass is
-the evaluators' error_bound.  A d0 that is not finite raises SpecError.
+the evaluator's error_bound.  A d0 that is not finite raises SpecError.
 D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
 on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
 jost._maps_wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
@@ -101,16 +102,17 @@ def resonance_report(
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
-    evp, evm = JostEvaluator(built, "+"), JostEvaluator(built, "-")
+    pair = JostEvaluator(built, "+-")
 
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
     grid = np.linspace(-half, half, 801)
-    f, fp = evp.eval(np.append(grid, evp.far_edge))  # the grid and the far edge in one call
-    vp, vm, f_far, df_far = f[:-1], evm.eval(grid)[0], f[-1], fp[-1]
+    far_edge = pair.far_edge[0]
+    f, fp = pair.eval(np.append(grid, far_edge))  # both sides on the grid, and the far edge
+    vp, vm, f_far, df_far = f[0, :-1], f[1, :-1], f[0, -1], fp[0, -1]
     # below the far edge the zero-energy f_+ is the line A + B x; A is its
     # renormalized value
-    a_far = complex(f_far - df_far * evp.far_edge)
+    a_far = complex(f_far - df_far * far_edge)
     mask = np.abs(vp) > 0.1 * np.max(np.abs(vp))
     ratios = vm[mask] / vp[mask]
     theta_c = np.mean(ratios)
@@ -126,7 +128,7 @@ def resonance_report(
         )
     theta = float(theta_c.real)
     theta_far = float((1.0 / a_far).real) if a_far != 0 else float("inf")
-    halfbound = vp.real
+    halfbound = vp.real.copy()  # a view would keep both sides' values alive
     return ResonanceReport(
         d0, float(threshold), True, theta, theta_far, grid, halfbound, extrapolated
     )

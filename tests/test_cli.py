@@ -397,6 +397,16 @@ def test_converge_bad_eps(runner, barrier_file, eps):
     assert result.output.startswith("error:")
 
 
+@pytest.mark.parametrize("eps", [",", "0.1,-0.2"])
+def test_converge_eps_error_names_the_option(runner, barrier_file, eps):
+    # the table's messages are the command's: they name eps, not a Python parameter
+    result = runner.invoke(main, [
+        "converge", "--potential", barrier_file, "--k", "1.0", "--eps", eps,
+    ])
+    assert result.exit_code == 2
+    assert "eps" in result.stderr and "eps_list" not in result.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["scatter", "--k", "nan"],
     ["scatter", "--k", "inf"],

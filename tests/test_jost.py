@@ -571,6 +571,80 @@ def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
     assert _hex(evm.nodes) == _hex(-evp.nodes[::-1])
 
 
+_E22 = np.linspace(-1.5, 1.5, 23)
+_PAIR_BUILDS = {
+    "square_well": j.square(-1.0, 1.0, -1.3),
+    "layers_22": j.piecewise_constant(list(zip(_E22[:-1], _E22[1:],
+                                               -1.5 + np.sin(3.0 * np.arange(22))))),
+    "exp_well": j.exp_decay(1.0, -1.0, 1.4458),
+}
+_WINDOW_EPS = np.array([0.2, 0.1, 0.05, 0.02, 0.01])
+
+
+def _pair_build(request, name, k):
+    """The _jost_maps build of a case; k "batch" is the five-row window k batch at 1+0.5i."""
+    p = _PAIR_BUILDS[name] if name in _PAIR_BUILDS else request.getfixturevalue(name)
+    if k == "batch":
+        return _jost_maps(p, 1.0 + 0.5j, layers=_layers(p.shape, p.coupling), eps=_WINDOW_EPS)
+    return _jost_maps(p, k)
+
+
+def _pair_points(built):
+    """Every node of every row, in x, and points beyond both ends."""
+    nodes, eps = built[2][0], np.atleast_1d(built[3])
+    x = np.multiply.outer(eps, nodes).ravel()
+    return np.concatenate([x, [x.min() - 0.5, x.max() + 0.5, -10.0, 10.0]])
+
+
+@pytest.mark.parametrize("name, k", [
+    (name, k) for name in ("square_well", "layers_22", "exp_well", "bump_table")
+    for k in (0.0, 1.0, 1.0 + 0.5j)
+] + [("square_well", "batch"), ("layers_22", "batch")])
+def test_pair_equals_two_one_side_builds(request, name, k):
+    # one scan and one evaluation of both sides give each side's numbers
+    # bit for bit, as do the pair's sides read on its arrays
+    built = _pair_build(request, name, k)
+    pair, lone = JostEvaluator(built, "+-"), [JostEvaluator(built, side) for side in "+-"]
+    xs = _pair_points(built)
+    xs = np.concatenate([xs, np.ravel(pair.anchor), np.ravel(pair.far_edge)])
+    f, fp = pair.eval(xs)
+    for i, one in enumerate(lone):
+        for ev in (one, pair._side(i)):
+            g, gp = ev.eval(xs)
+            assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
+            assert all(np.array_equal(c[i], d) for c, d in zip(pair.plane_pair(), ev.plane_pair()))
+            assert np.array_equal(pair.anchor[i], ev.anchor)
+            assert np.array_equal(pair.far_edge[i], ev.far_edge)
+            assert pair.s[i] == ev.s and pair.error_bound[i] == ev.error_bound
+
+
+@pytest.mark.parametrize("name, k", [("layers_22", 1.0 + 0.5j), ("layers_22", "batch"),
+                                     ("exp_well", 1.0 + 0.5j)])
+def test_a_node_is_read_across_its_anchor_side_panel(request, monkeypatch, name, k):
+    # at a node t_m each side steps from t_{m+1}, the node on its anchor side
+    # (searchsorted "right" in its own nodes, -nodes[::-1] for f_-), so
+    # no panel step at an inner node has zero width
+    import jost1d.jost as jost
+
+    built, widths = _pair_build(request, name, k), []
+
+    def propagator(mu2, w):
+        widths.append(np.asarray(w))
+        return propagator_entries(mu2, w)
+
+    def magnus(v, kk, x0, x1):
+        widths.append(np.asarray(x1) - x0)
+        return magnus_entries(v, kk, x0, x1)
+
+    monkeypatch.setattr(jost, "propagator_entries", propagator)
+    monkeypatch.setattr(jost, "magnus_entries", magnus)
+    pair = JostEvaluator(built, "+-")
+    nodes, eps = built[2][0], np.atleast_1d(built[3])
+    pair.eval(np.multiply.outer(eps, nodes[1:-1]).ravel())
+    width = np.concatenate(widths)
+    assert width.size >= 2 * len(eps) * (len(nodes) - 2) and np.all(width != 0.0)
+
+
 _X41 = np.linspace(-2.0, 2.0, 41)
 _PRODUCT_CASES = {
     "square": j.square(-1.0, 1.0, 1.0),

@@ -283,14 +283,14 @@ def test_table_distance_equals_kernel_distance(request, name, box, n):
 @pytest.mark.parametrize("name", ["barrier", "well_theta_minus"])
 def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
     # the support lies inside every window, so all eps are one row batch:
-    # one window map set, one u and one v evaluation for all rows at the n
-    # abscissae, and one O(n) lattice sum
+    # one window map set, one evaluation of u and v together for all rows
+    # at the n abscissae, and one O(n) lattice sum
     import dataclasses
 
     import jost1d.jost as jost
     import jost1d.limits as limits
 
-    map_k, points, sums = [], {"+": [], "-": []}, []
+    map_k, points, sums = [], [], []
     limit_kernels, limit_points = [], {"u": [], "v": []}
     x_maps, evaluate = jost._x_maps, jost.JostEvaluator.eval
     limit_kernel, hs_sum = limits.LimitOperator.green, limits._hs_sum
@@ -302,7 +302,7 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
     def counted_eval(self, x):
         f, fp = evaluate(self, x)
         if self.k.any():  # the report's k = 0 solutions are not the window's
-            points["+" if self.s > 0 else "-"].append(np.size(f))
+            points.append((tuple(np.atleast_1d(self.s)), np.size(f[0])))
         return f, fp
 
     def counted(solution, log):
@@ -330,8 +330,8 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
     j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
     windows = [k for k in map_k if k.any()]
     assert len(windows) == 1 and len(windows[0]) == len(eps)
-    for log in points.values():
-        assert len(log) == 1 and sum(log) <= n * len(eps)
+    (sides, size), = points  # both sides, each at no more than n points per row
+    assert sides == (1.0, -1.0) and size <= n * len(eps)
     assert len(limit_kernels) == 1
     assert limit_points == {"u": [n], "v": [n]}
     assert len(sums) == 1

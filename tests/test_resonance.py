@@ -166,8 +166,8 @@ def test_nonresonant_report_builds_no_evaluator(barrier, monkeypatch, evaluator_
 
 
 @pytest.mark.parametrize("name, threshold, expected", [
-    ("well_theta_minus", None, 2),  # one pair at k = 0
-    ("exp_resonant_well", 1e-3, 2),  # one pair at k = 0, anchored at the cut tails
+    ("well_theta_minus", None, 1),  # one pair at k = 0, both sides in one scan
+    ("exp_resonant_well", 1e-3, 1),  # the same, anchored at the cut tails
 ])
 def test_resonant_report_builds_each_evaluator_once(name, threshold, expected, request):
     p = request.getfixturevalue(name)
