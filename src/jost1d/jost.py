@@ -9,7 +9,7 @@ f_+ = a e^{ikx} + b e^{-ikx} on the far left defines the coefficients
 from which reflection r = b/a and transmission t = 1/a follow, and
 a = W / (-2ik).
 
-Numerics.  One builder, _jost_maps, makes the step maps that every
+Numerics.  One builder, _jost_maps, makes the _Build whose maps every
 number here reads.  The potential picks the route: the exact layer route
 when its shape tiles into layers (nodes at the layer edges, steps from
 transfer.propagator_entries), and otherwise a 6th-order Magnus panel
@@ -31,27 +31,28 @@ of step maps is entry-major, of shape (4, *batch, N): the entries (m00, m01,
 m10, m11) lead and the map index is last, so composing two arrays
 multiplies four whole entry planes.
 
-The product P of the step maps, taken in pairwise rounds (O(N)
-products, against O(N log N) for a scan), carries f_+ = (1, ik) e^{ik hi}
-from its anchor hi to the far edge lo, where transfer.plane_pair reads
-a and b, r is read from the same state, and W is read off (see
-_maps_wronskian): scattering, jost_wronskian, d0 and D'(0) build no
-evaluator.  At the split node of
-the last round, P = L R, f_+ is R applied to its start and f_- the
-mirrored L (see JostEvaluator) applied to its own; their W is P's in
-exact arithmetic for any maps, so the wronskian_gap and ray_gap read
-there measure rounding.  A JostEvaluator scans the maps into node
-states for f(x), which only jost_evaluator (one side), the window
-kernels of the limits module and the resonant half-bound state (both
-sides) read.  It stacks its sides' maps on the row axis, so one scan
-and one evaluation, one kernel call per branch, serve f_+ and f_-
-together.  The layer route also builds a leading row axis: a couplings
-batch, which only the product reads, or a k batch, the eps rows of a
-convergence table, which the scattering data and the evaluator read row
-by row.  numpy rounds a complex product of two scalars otherwise than
-the same product in arrays, so the evaluator holds a lone k as one row,
-and the limits module builds even a lone window as a k batch: a row's
-numbers do not depend on its batch, nor on the side stacked beside it.
+A build's product P of its step maps, taken once in pairwise rounds
+(O(N) products, against O(N log N) for a scan), carries its start state
+f_+ = (1, ik) e^{ik hi} from its anchor hi to the far edge lo, where
+transfer.plane_pair reads a and b, r is read from the same state, and W
+is read off (see _Build.wronskian): scattering, jost_wronskian, d0 and
+D'(0) build no evaluator.  At the split node of the last round, P = L R,
+f_+ is R applied to its start and f_- the mirrored L (see JostEvaluator)
+applied to its own (_Build.halves); their W is P's in exact arithmetic
+for any maps, so the wronskian_gap and ray_gap read there measure
+rounding.  A JostEvaluator scans the maps into node states for f(x),
+which only jost_evaluator (one side), the window kernels of the limits
+module and the resonant half-bound state (both sides) read.  It stacks
+its sides' maps on the row axis, so one scan and one evaluation, one
+kernel call per branch, serve f_+ and f_- together.  The layer route also
+builds a leading row axis: a couplings batch, which only the product
+reads, or a k batch, the eps rows of a convergence table, which the
+scattering data and the evaluator read row by row.  numpy rounds a
+complex product of two scalars otherwise than the same product in
+arrays, so the evaluator holds a lone k as one row (and writes its start
+states on its rows, not the build's scalar ones), and the limits module
+builds even a lone window as a k batch: a row's numbers do not depend on
+its batch, nor on the side stacked beside it.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
@@ -66,6 +67,7 @@ operator of the limits module is solved this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,15 +173,15 @@ _SIDES["+-"] = _SIDES["+"] + _SIDES["-"]
 class JostEvaluator:
     """f_+ (side "+"), f_- (side "-") or both (side "+-") of V at k, stored as states at nodes.
 
-    built is the (p, k, maps, eps) of _jost_maps, one for both sides.
+    built is the _Build of _jost_maps, one for both sides.
     Each side is a "+" solution in t = s x, s = +1 for f_+ and -1 for
     f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
     anchor, the right end of its nodes, and f(x) = g(s x), f'(x) =
     s g'(s x).  nodes and states, (f, f') per row and node, are in t;
     anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
-    state.  maps are the (nodes, steps, mu2, tails) of _x_maps in x,
-    which f_- reads mirrored: t = -x reverses the nodes and the maps' last axis,
+    state.  The build's nodes, steps, mu2 and tails are in x, and f_-
+    reads them mirrored: t = -x reverses the nodes and the maps' last axis,
     and f_-'s Gauss-Magnus step over a panel is f_+'s with the outer Gauss
     points traded, which swaps m00 and m11 (a layer step has m00 = m11).
     The swap M -> J M^T J reverses products, so it carries the composed
@@ -192,24 +194,24 @@ class JostEvaluator:
     axis, f_+ first; a one-side build is the same code with one side, and
     _side reads one side of a pair on the pair's arrays, with no scan.
 
-    eps is the dilation: p, k and maps belong to the unsqueezed base at
-    eps k, and eval takes x and gives f'(x) = s g'(s x / eps) / eps.
+    The build's eps is the dilation: its p, k and maps are the unsqueezed
+    base's at eps k, and eval gives f'(x) = s g'(s x / eps) / eps.
 
-    k and eps may be a k batch of _x_maps, one row each on shared nodes:
-    eval, plane_pair, anchor and far_edge then carry that axis after the
-    sides', and the attributes k and eps repeat the rows once per side.  A
-    lone k is stored as one row, and its outputs drop the axis.
+    The build may be a k batch, one row each on shared nodes: eval,
+    plane_pair, anchor and far_edge then carry that axis (of the given
+    shape, by default the build's k's) after the sides', and the attributes
+    k and eps repeat the rows once per side.  A lone k is stored as one
+    row, and its outputs drop the axis.
     """
 
-    def __init__(self, built, side):
+    def __init__(self, built, side, shape=None):
         if side not in _SIDES:
             raise SpecError(f"side must be '+', '-' or '+-', got {side!r}")
-        sides = _SIDES[side]
-        p, k, (nodes, steps, mu2, tails), eps = built
-        shape = ((2,) if side == "+-" else ()) + np.shape(k)
-        k, eps = np.array(k, ndmin=1), np.array(eps, ndmin=1)  # one row per k
+        sides, mu2 = _SIDES[side], built.mu2
+        shape = ((2,) if side == "+-" else ()) + (np.shape(built.k) if shape is None else shape)
+        k, eps = np.array(built.k, ndmin=1), np.array(built.eps, ndmin=1)  # one row per k
         rows = len(k)
-        steps = steps.reshape(4, rows, steps.shape[-1])
+        steps = built.steps.reshape(4, rows, built.steps.shape[-1])
         # every side's maps in t, anchor first, one block of rows each: f_+ reads
         # them right to left, f_- left to right mirrored; the scan writes into them
         steps = np.concatenate([steps[e, :, ::-s] for s, e, _ in sides], axis=1)
@@ -218,30 +220,22 @@ class JostEvaluator:
         while shift < steps.shape[-1]:
             steps[..., shift:] = _compose(steps[..., shift:], steps[..., :-shift])
             shift *= 2
-        nodes = np.array([s * nodes[::s] for s, _, _ in sides])
-        k, eps = (np.concatenate([v] * len(sides)) for v in (k, eps))
-        ik = 1j * k
-        wave = np.exp(ik * nodes[:, -1].repeat(rows))
+        nodes = np.array([s * built.nodes[::s] for s, _, _ in sides])
+        self.k, self.eps = k, eps = [np.concatenate([v] * len(sides)) for v in (k, eps)]
         states = np.empty((2, len(k), nodes.shape[1]), dtype=complex)
-        states[:, :, -1] = start = wave, ik * wave
+        states[:, :, -1] = start = self._wave(slice(None), nodes[:, -1].repeat(rows))
         states[:, :, -2::-1] = (steps[0::2] * start[0][:, None]
                                 + steps[1::2] * start[1][:, None])
         if mu2 is not None:
             mu2 = np.concatenate([mu2.reshape(rows, -1)[:, ::s] for s, _, _ in sides])
-        self._keep(p, shape, np.array([s for s, _, _ in sides], dtype=float), nodes, k, eps,
-                   states, mu2, np.array([tails[i] for _, _, i in sides]))
-
-    def _keep(self, p, shape, signs, nodes, k, eps, states, mu2, tails):
-        """Set the attributes from the scanned states, one block of rows per side."""
-        self._p, self._shape, self._nodes = p, shape, nodes
-        self.k, self.eps, self.states, self.mu2 = k, eps, states, mu2
-        self._rows = rows = len(k) // len(signs)  # per side
+        self._p, self._shape, self._nodes, self._rows = built.p, shape, nodes, rows  # rows per side
+        self.states, self.mu2, self._zero = states, mu2, not k.any()
+        signs = np.array([s for s, _, _ in sides], dtype=float)
         self._sign = signs.repeat(rows)
         self._ends = nodes[:, [0, -1]].repeat(rows, axis=0)  # each row's far and anchor t
-        self._zero = not k.any()
-        pair = len(signs) > 1
-        self.s, self.error_bound = (v if pair else float(v[0]) for v in (signs, tails))
-        self.nodes = nodes if pair else nodes[0]
+        tails = np.array([built.tails[i] for _, _, i in sides])
+        self.s, self.error_bound = (v if side == "+-" else float(v[0]) for v in (signs, tails))
+        self.nodes = nodes if side == "+-" else nodes[0]
         ends = ((self._sign * eps)[:, None] * self._ends).reshape(shape + (2,))
         self.far_edge, self.anchor = ends[..., 0][()], ends[..., 1][()]
         # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
@@ -251,11 +245,14 @@ class JostEvaluator:
         self._pair = (f0 - fp0 * far, fp0) if self._zero else plane_pair(f0, fp0, k, far)
 
     def _side(self, i):
-        """Side i of a pair (0 for f_+) as a one-side evaluator on the pair's arrays."""
+        """Side i of a pair (0 for f_+) as a one-side evaluator: views of the pair's rows."""
         one, rows = JostEvaluator.__new__(JostEvaluator), slice(i * self._rows, (i + 1) * self._rows)
-        one._keep(self._p, self._shape[1:], self.s[i:i + 1], self._nodes[i:i + 1], self.k[rows],
-                  self.eps[rows], self.states[:, rows], None if self.mu2 is None else self.mu2[rows],
-                  self.error_bound[i:i + 1])
+        one.__dict__.update(vars(self), _shape=self._shape[1:], _nodes=self._nodes[i:i + 1],
+                            nodes=self._nodes[i], s=float(self.s[i]), far_edge=self.far_edge[i],
+                            anchor=self.anchor[i], error_bound=float(self.error_bound[i]),
+                            states=self.states[:, rows], _pair=tuple(c[rows] for c in self._pair),
+                            mu2=None if self.mu2 is None else self.mu2[rows],
+                            **{n: vars(self)[n][rows] for n in ("k", "eps", "_sign", "_ends")})
         return one
 
     def plane_pair(self):
@@ -423,7 +420,7 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
 
 
 def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
-    """(p, k, maps, eps): the x-maps of the unsqueezed base of p at eps k.
+    """The _Build of the unsqueezed base of p at eps k: its step maps in x and their readers.
 
     Every build checks tol here: outside (0, 1) it raises SpecError.
     second cuts infinite tails by their second-moment mass too (see
@@ -440,7 +437,7 @@ def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
         p, eps = _unsqueezed(p)
     k = eps * k
     layers = _layers(p.shape, p.coupling) if layers is None else layers
-    return p, k, _x_maps(p, k, tol, layers, second), eps
+    return _Build(p, k, eps, *_x_maps(p, k, tol, layers, second))
 
 
 def _unsqueezed(p: Potential):
@@ -460,13 +457,27 @@ def _layers(shape, couplings):
 
 
 # ---------------------------------------------------------------------------
-# Wronskians
+# the readers of a build
+
+
+def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
+    """Reflection and transmission coefficients at wavenumber k != 0.
+
+    Extracts a and b from (f_+, f_+') at the far (left) edge, where the
+    potential has ended and f_+ is an exact combination of plane waves;
+    then t = 1/a, and r = b/a = e^{2ik lo} (ik f - f')/(ik f + f') is read
+    from that state directly; the product of the step maps gives it.  The
+    relative defect of a = W/(-2ik), W read at the product's split node, is
+    reported; an overflowed product raises SpecError.
+    """
+    k = check_wavenumber(k, allow_zero=False)
+    return _jost_maps(p, k, tol).scattering(k)[0]
 
 
 def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
     """W{f_+, f_-}(k) from the product of the step maps, with no evaluator built."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w = complex(_maps_wronskian(*_jost_maps(p, k, tol)))
+        w = complex(_jost_maps(p, k, tol).wronskian())
     if not np.isfinite(w):
         raise SpecError(f"the step-map product is not finite at k = {k}")
     return w
@@ -481,31 +492,10 @@ def _zero_energy_wronskians(p: Potential, tol=1e-10):
     """
     tiling = _layers(_unsqueezed(p)[0].shape, 1.0)
     if tiling is None:
-        return (lambda cs: np.array([_maps_wronskian(*_jost_maps(p.with_coupling(c), 0.0, tol))
+        return (lambda cs: np.array([_jost_maps(p.with_coupling(c), 0.0, tol).wronskian()
                                      for c in cs.tolist()])), False
-    return (lambda cs: _maps_wronskian(*_jost_maps(
-        p, 0.0, tol, layers=(tiling[0], np.multiply.outer(cs, tiling[1]))))), True
-
-
-def _product(steps):
-    """(L, R, P): P = steps[..., 0] @ steps[..., 1] @ ... = L @ R, in pairwise rounds.
-
-    Each round composes neighbours and carries an odd last map over, so
-    ceil(log2 N) rounds take N - 1 products in all; the last joins L and R
-    at the split node.  One map M is (I, M, M), and no map (I, I, I).
-    Entry-major steps (4, *batch, N) give L, R and P of shape (4, *batch).
-    """
-    if steps.shape[-1] < 2:
-        eye = np.multiply.outer([1.0, 0.0, 0.0, 1.0], np.ones(steps.shape[1:-1], dtype=complex))
-        right = steps[..., 0].astype(complex) if steps.shape[-1] else eye
-        return eye, right, right
-    while steps.shape[-1] > 2:
-        n = steps.shape[-1]
-        paired = _compose(steps[..., 0:n - 1:2], steps[..., 1::2])
-        steps = np.concatenate([paired, steps[..., n - 1:]], axis=-1) if n % 2 else paired
-    # L and R complex: numpy's real times complex scalar products are slow
-    left, right = steps[..., 0].astype(complex), steps[..., 1].astype(complex)
-    return left, right, _compose(left, right)
+    return (lambda cs: _jost_maps(p, 0.0, tol, layers=(tiling[0], np.multiply.outer(
+        cs, tiling[1]))).wronskian()), True
 
 
 def _apply(m, v):
@@ -514,84 +504,94 @@ def _apply(m, v):
     return m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1]
 
 
-def _halves_states(left, right, plus_start, minus_start):
-    """(f, f', g, g') at the split node of the halves left and right of _product.
+@dataclass(frozen=True, eq=False)
+class _Build:
+    """The step maps of _jost_maps, and the numbers read from their product.
 
-    f_+ is right applied to its start at hi; f_- = g(-x) and f_-' = -g', where
-    g is left mirrored (m00 and m11 swapped) applied to its start at t = -lo.
+    p is the unsqueezed base, k its wavenumber eps k (a scalar, or a k
+    batch's rows) and eps the dilation; the rest is _x_maps' output in x.
     """
-    return (*_apply(right, plus_start), *_apply(left[[3, 1, 2, 0]], minus_start))
 
+    p: Potential
+    k: complex | np.ndarray
+    eps: float | np.ndarray
+    nodes: np.ndarray
+    steps: np.ndarray
+    mu2: np.ndarray | None
+    tails: tuple[float, float]
 
-def _maps_wronskian(p, k, maps, eps):
-    """W{f_+, f_-} from the tuple of _jost_maps (p unused), one value per batch row.
+    @cached_property
+    def product(self):
+        """(L, R, P): P = steps[..., 0] @ steps[..., 1] @ ... = L @ R, in pairwise rounds, once.
 
-    The product P of the steps carries f_+ = (1, ik) e^{ik hi} from its
-    anchor hi = nodes[-1] to lo = nodes[0], where f_- = (1, -ik) e^{-ik lo},
-    so W = -e^{ik (hi - lo)} (ik (P00 + P11) - k^2 P01 + P10), which is
-    -P10 at k = 0.  The dilation divides the base's W at eps k by eps.  A
-    row whose product overflowed gives nan, even where P10 stayed finite.
-    """
-    nodes, steps = maps[:2]
-    product = _product(steps)[2]
-    m00, m01, m10, m11 = product
-    if k == 0:
-        w = -m10
-    else:
-        ik = 1j * k
-        w = -np.exp(ik * (nodes[-1] - nodes[0])) * (ik * (m00 + m11) - k * k * m01 + m10)
-    return np.where(np.isfinite(product).all(axis=0), w / eps, np.nan)
+        Each round composes neighbours and carries an odd last map over, so
+        ceil(log2 N) rounds take N - 1 products in all; the last joins L and R
+        at the split node.  One map M is (I, M, M), and no map (I, I, I).
+        Entry-major steps (4, *batch, N) give L, R and P of shape (4, *batch).
+        """
+        steps = self.steps
+        if steps.shape[-1] < 2:
+            eye = np.multiply.outer([1.0, 0.0, 0.0, 1.0], np.ones(steps.shape[1:-1], dtype=complex))
+            right = steps[..., 0].astype(complex) if steps.shape[-1] else eye
+            return eye, right, right
+        while steps.shape[-1] > 2:
+            n = steps.shape[-1]
+            paired = _compose(steps[..., 0:n - 1:2], steps[..., 1::2])
+            steps = np.concatenate([paired, steps[..., n - 1:]], axis=-1) if n % 2 else paired
+        # L and R complex: numpy's real times complex scalar products are slow
+        left, right = steps[..., 0].astype(complex), steps[..., 1].astype(complex)
+        return left, right, _compose(left, right)
 
+    @cached_property
+    def starts(self):
+        """The anchor states (1, ik) e^{ik hi} of f_+ at hi and of f_-'s g at t = -lo."""
+        ik = 1j * self.k
+        return tuple((w, ik * w) for w in (np.exp(ik * self.nodes[-1]), np.exp(ik * -self.nodes[0])))
 
-# ---------------------------------------------------------------------------
-# scattering
+    def halves(self, starts=None):
+        """(f, f', g, g') at the split node, from starts (by default the anchor states).
 
+        f_+ is R applied to its start at hi, and f_- = g(-x), f_-' = -g', with
+        g the mirrored L (m00 and m11 swapped) applied to its start at t = -lo.
+        """
+        left, right, _ = self.product
+        up, dn = self.starts if starts is None else starts
+        return (*_apply(right, up), *_apply(left[[3, 1, 2, 0]], dn))
 
-def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
-    """Reflection and transmission coefficients at wavenumber k != 0.
+    def wronskian(self):
+        """W{f_+, f_-}, one value per batch row, nan where the product overflowed.
 
-    Extracts a and b from (f_+, f_+') at the far (left) edge, where the
-    potential has ended and f_+ is an exact combination of plane waves;
-    then t = 1/a, and r = b/a = e^{2ik lo} (ik f - f')/(ik f + f') is read
-    from that state (f, f') directly; the product of the step maps gives it.
-    The relative defect of a = W/(-2ik), W read at the product's split node, is reported;
-    an overflowed product raises SpecError.
-    """
-    k = check_wavenumber(k, allow_zero=False)
-    return _scattering_from(k, *_jost_maps(p, k, tol))[0]
+        P carries f_+'s start at hi = nodes[-1] to lo = nodes[0], where f_- =
+        (1, -ik) e^{-ik lo}, so W = -e^{ik (hi - lo)} (ik (P00 + P11) - k^2 P01
+        + P10), which is -P10 at k = 0; the dilation divides it by eps.
+        """
+        k, ik, lo, hi = self.k, 1j * self.k, self.nodes[0], self.nodes[-1]
+        m00, m01, m10, m11 = product = self.product[2]
+        w = -m10 if k == 0 else -np.exp(ik * (hi - lo)) * (ik * (m00 + m11) - k * k * m01 + m10)
+        return np.where(np.isfinite(product).all(axis=0), w / self.eps, np.nan)
 
+    def scattering(self, k) -> list[ScatteringData]:
+        """Scattering data at k per row, the build's k being eps k (a scalar is one row).
 
-def _scattering_from(k, p, kb, maps, eps) -> list[ScatteringData]:
-    """Scattering data at k per row of the (p, kb, maps, eps) of _jost_maps, kb = eps k (p unused).
-
-    A scalar kb is one row.  The first row whose product is not finite,
-    or whose a vanishes, raises what scattering would raise at its eps.
-    """
-    nodes, steps = maps[:2]
-    lo, hi = nodes[0], nodes[-1]
-    ikb = 1j * kb
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right, product = _product(steps)
-        # f_+ starts as (1, ik) e^{ik hi} at hi, and f_-'s g as (1, ik) e^{-ik lo} at t = -lo
-        up, dn = ((wave, ikb * wave) for wave in (np.exp(ikb * hi), np.exp(ikb * -lo)))
-        far = _apply(product, up)
-        a, b = plane_pair(*far, kb, lo)
-        # r = b / a read off the far state directly, with fewer roundings
-        r = np.exp(2.0 * ikb * lo) * (ikb * far[0] - far[1]) / (ikb * far[0] + far[1])
-        finite = np.isfinite(product).all(axis=0)
-        failed = ~finite | (abs(a) < 1e-12 * (1.0 + abs(b)))
-    if failed.any():
-        if not np.ravel(finite)[np.argmax(failed)]:
-            raise SpecError(f"the step-map product is not finite at k = {k}")
-        if k.imag == 0:
+        The first row whose product is not finite, or whose a vanishes,
+        raises what scattering would raise at its eps.
+        """
+        kb, ikb, lo = self.k, 1j * self.k, self.nodes[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = _apply(self.product[2], self.starts[0])
+            a, b = plane_pair(*far, kb, lo)
+            # r = b / a read off the far state directly, with fewer roundings
+            r = np.exp(2.0 * ikb * lo) * (ikb * far[0] - far[1]) / (ikb * far[0] + far[1])
+            finite = np.isfinite(self.product[2]).all(axis=0)
+            failed = ~finite | (abs(a) < 1e-12 * (1.0 + abs(b)))
+        if failed.any():
+            if not np.ravel(finite)[np.argmax(failed)]:
+                raise SpecError(f"the step-map product is not finite at k = {k}")
             raise ExceptionalPointError(
-                f"a(k) vanishes at real k = {k}: exceptional point; evaluate at a "
-                "nearby complex k instead"
-            )
-        raise ExceptionalPointError(
-            f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined"
-        )
-    f, fp, g, gp = _halves_states(left, right, up, dn)
-    gap = abs(a - (f * gp + fp * g) / (2.0 * ikb)) / (1.0 + abs(a))
-    columns = (np.array(v, ndmin=1).tolist() for v in (a, b, r, 1.0 / a, gap))
-    return [ScatteringData(k, *row) for row in zip(*columns)]
+                f"a(k) vanishes at real k = {k}: exceptional point; evaluate at a nearby complex "
+                "k instead" if k.imag == 0 else
+                f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined")
+        f, fp, g, gp = self.halves()
+        gap = abs(a - (f * gp + fp * g) / (2.0 * ikb)) / (1.0 + abs(a))
+        columns = (np.array(v, ndmin=1).tolist() for v in (a, b, r, 1.0 / a, gap))
+        return [ScatteringData(k, *row) for row in zip(*columns)]

@@ -62,8 +62,8 @@ from itertools import groupby
 import numpy as np
 
 from .errors import SpecError
-from .jost import (JostEvaluator, ScatteringData, _jost_maps, _layers, _scattering_from,
-                   _unsqueezed, check_wavenumber)
+from .jost import (JostEvaluator, ScatteringData, _jost_maps, _layers, _unsqueezed,
+                   check_wavenumber)
 from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import _count, resonance_report
 
@@ -128,26 +128,23 @@ def _windows(p: Potential, eps, k, tol):
 class _WindowRows:
     """The windowed operators of a _windows run, one row per eps.
 
-    The rows share one set of step maps, whose product gives each row's
-    scattering data.  _evaluator, the Jost evaluator of both sides and
-    all rows, scans them once, on first use; plus and minus are its sides
-    and green reads them, so evaluating any of them afterwards is
-    vectorized and cheap, which is what the Hilbert-Schmidt lattice sums
-    need.
-    green's u, v and w = -2ik a (the product's W) lead with the rows' axis.
+    The rows share one build, whose product gives each row's scattering
+    data.  _evaluator, the Jost evaluator of both sides and all rows, scans
+    its maps once, on first use; plus and minus are its sides and green
+    reads them, so evaluating any of them afterwards is vectorized and
+    cheap, as the Hilbert-Schmidt lattice sums need.  green's u, v and
+    w = -2ik a (the product's W) lead with the rows' axis.
     """
 
     def __init__(self, k, built, shape=None):
-        self._rows = _scattering_from(k, *built)
+        self._rows = built.scattering(k)
         # the evaluators and w take the rows' shape, () for a lone window
-        p, kb, maps, eps = built
-        shape = np.shape(kb) if shape is None else shape
-        self._built = p, np.reshape(kb, shape), maps, np.reshape(eps, shape)
-        self._w = (-2j * k * np.array([sd.a for sd in self._rows])).reshape(shape)
+        self._built, self._shape = built, np.shape(built.k) if shape is None else shape
+        self._w = (-2j * k * np.array([sd.a for sd in self._rows])).reshape(self._shape)
 
     @cached_property
     def _evaluator(self):
-        return JostEvaluator(self._built, "+-")
+        return JostEvaluator(self._built, "+-", self._shape)
 
     @cached_property
     def plus(self):

@@ -18,7 +18,7 @@ any k; the results are then flagged as extrapolated and the cut mass is
 the evaluator's error_bound.  A d0 that is not finite raises SpecError.
 D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
 on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
-jost._maps_wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
+jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
 
 A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
@@ -37,13 +37,12 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import (JostEvaluator, _halves_states, _jost_maps, _maps_wronskian, _product,
-                   _zero_energy_wronskians)
+from .jost import JostEvaluator, _jost_maps, _zero_energy_wronskians
 from .potential import Potential, fm_norm
 
 __all__ = [
@@ -66,7 +65,7 @@ class ResonanceReport:
     handle.  halfbound_grid/halfbound_values sample the bounded solution
     normalized to 1 at +inf.  extrapolated means the solutions were
     anchored at a cut tail (infinite support); the cut mass is their
-    error_bound.
+    error_bound.  On compact support _zero_maps keeps (p, tol, k = 0 build).
     """
 
     d0: float
@@ -77,6 +76,7 @@ class ResonanceReport:
     halfbound_grid: np.ndarray | None
     halfbound_values: np.ndarray | None
     extrapolated: bool
+    _zero_maps: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def resonance_report(
@@ -96,7 +96,7 @@ def resonance_report(
         threshold = 1e-8 * (1.0 + fm_norm(p))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives d0 = nan
         built = _jost_maps(p, 0.0, tol)
-        d0 = float(_maps_wronskian(*built).real)
+        d0 = float(built.wronskian().real)
     if not math.isfinite(d0):
         raise SpecError("d0 is not finite: the zero-energy propagator overflows")
     extrapolated = not p.is_compact()
@@ -129,9 +129,8 @@ def resonance_report(
     theta = float(theta_c.real)
     theta_far = float((1.0 / a_far).real) if a_far != 0 else float("inf")
     halfbound = vp.real.copy()  # a view would keep both sides' values alive
-    return ResonanceReport(
-        d0, float(threshold), True, theta, theta_far, grid, halfbound, extrapolated
-    )
+    return ResonanceReport(d0, float(threshold), True, theta, theta_far, grid, halfbound,
+                           extrapolated, None if extrapolated else (p, tol, built))
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,8 @@ def d_dot_zero(
     second-moment mass int |x| (1 + |x|) |V| as well.  At the split node
     it is W{h_+, f_-} + W{f_+, h_-} with h = df/dk, h_+ = R (i hi, i) and
     h_- the mirrored L applied to (-i lo, i) in t = -x.  Requires a
-    resonant potential, whose report gives theta.
+    resonant potential, whose report gives theta, and on compact support
+    its k = 0 maps, if it is p's at this tol.
     """
     if report is None:
         report = resonance_report(p, tol=tol)
@@ -171,12 +171,14 @@ def d_dot_zero(
             f"d_dot_zero needs a zero-energy resonance; |d0| = {abs(report.d0):.3g} "
             f"exceeds threshold {report.threshold:.3g}"
         )
-    nodes, steps = _jost_maps(p, 0.0, tol, second=True)[2][:2]
-    lo, hi = nodes[0], nodes[-1]
-    left, right, (m00, _, m10, m11) = _product(steps)
+    zero = report._zero_maps
+    built = (zero[2] if zero is not None and zero[0] is p and zero[1] == tol
+             else _jost_maps(p, 0.0, tol, second=True))
+    lo, hi = built.nodes[0], built.nodes[-1]
+    m00, _, m10, m11 = built.product[2]
     value = complex(-1j * ((hi - lo) * m10 + m00 + m11))
-    f, fp, g, gp = _halves_states(left, right, (1.0, 0.0), (1.0, 0.0))
-    f_k, fp_k, g_k, gp_k = _halves_states(left, right, (1j * hi, 1j), (-1j * lo, 1j))
+    f, fp, g, gp = built.halves()
+    f_k, fp_k, g_k, gp_k = built.halves(((1j * hi, 1j), (-1j * lo, 1j)))
     split = -(f_k * gp + fp_k * g) - (f * gp_k + fp * g_k)
     expected = -1j * (report.theta + 1.0 / report.theta)
     return DZeroDerivative(value, float(abs(value - split)), float(abs(value - expected)))

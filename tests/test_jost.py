@@ -1,5 +1,6 @@
 """Jost solutions, Wronskians, and scattering data against independent oracles."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -16,10 +17,10 @@ import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
 from jost1d.jost import (
     JostEvaluator,
+    _Build,
     _jost_maps,
     _layers,
     _peak,
-    _product,
     _x_maps,
     jost_evaluator,
 )
@@ -158,7 +159,7 @@ def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
     # maps built without layers take the Magnus route
     maps = _x_maps(two_step, complex(k), 1e-10, None, False)
-    a, b = JostEvaluator((two_step, complex(k), maps, 1.0), "+").plane_pair()
+    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps), "+").plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
 
@@ -327,8 +328,8 @@ def test_every_magnus_step_passes_the_defect_test(bump_table, which, k):
         built = j.truncated_operator(j.exp_decay(1.5, 1.0), 0.01, k)._built
     else:
         built = _jost_maps(_README_WELL if which == "exp_well" else bump_table, k)
-    p, k, (nodes, steps, mu2, _), _ = built
-    assert mu2 is None
+    p, k, nodes, steps = built.p, built.k, built.nodes, built.steps
+    assert built.mu2 is None
     x0, x1 = nodes[1:], nodes[:-1]  # steps map (f, f') at node j+1 to node j
     mid = 0.5 * (x0 + x1)
 
@@ -365,7 +366,7 @@ def test_overflowed_magnus_steps_are_halved():
     # at k = 300i the coarse steps overflow to inf and nan, whose defect
     # ratio is nan: such a step is halved, not split to the width floor,
     # and no RuntimeWarning (an error under pytest's settings) is raised
-    steps = _jost_maps(j.exp_decay(1.0, -1.0), 300j)[2][1]
+    steps = _jost_maps(j.exp_decay(1.0, -1.0), 300j).steps
     assert np.isfinite(steps).all()
 
 
@@ -398,14 +399,15 @@ def test_overflowed_product_raises(quantity, k):
 @pytest.mark.parametrize("k", [1.0, 1.0 + 0.5j, 0.0])
 def test_single_map_product_is_identity_and_map(k):
     # a one-layer square has one step map M, and its product is (I, M, M) as is
-    steps = _jost_maps(j.square(-1.0, 1.0, -1.0), k)[2][1]
+    built = _jost_maps(j.square(-1.0, 1.0, -1.0), k)
+    steps = built.steps
     assert steps.shape == (4, 1)
-    left, right, product = _product(steps)
+    left, right, product = built.product
     assert _hex(left) == _hex(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
     assert _hex(right) == _hex(product) == _hex(steps[:, 0].astype(complex))
     overflowed = steps.copy()
     overflowed[1, 0] = np.inf
-    assert not np.isfinite(_product(overflowed)[2]).all()
+    assert not np.isfinite(dataclasses.replace(built, steps=overflowed).product[2]).all()
     if k != 0:  # an overflowed layer raises, with no warning on its way, at real and complex k
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -430,8 +432,8 @@ def test_peak_is_numpys_max_over_the_entries(rng):
 ], ids=["exp_well", "square", "squeezed_window"])
 def test_step_maps_are_real_where_k2_is(p):
     for k in (1.0, 0.0, 2j):
-        assert _jost_maps(p, k)[2][1].dtype == np.float64
-    assert _jost_maps(p, 1.0 + 0.5j)[2][1].dtype == np.complex128
+        assert _jost_maps(p, k).steps.dtype == np.float64
+    assert _jost_maps(p, 1.0 + 0.5j).steps.dtype == np.complex128
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 9.0, 12.0])
@@ -591,7 +593,7 @@ def _pair_build(request, name, k):
 
 def _pair_points(built):
     """Every node of every row, in x, and points beyond both ends."""
-    nodes, eps = built[2][0], np.atleast_1d(built[3])
+    nodes, eps = built.nodes, np.atleast_1d(built.eps)
     x = np.multiply.outer(eps, nodes).ravel()
     return np.concatenate([x, [x.min() - 0.5, x.max() + 0.5, -10.0, 10.0]])
 
@@ -639,7 +641,7 @@ def test_a_node_is_read_across_its_anchor_side_panel(request, monkeypatch, name,
     monkeypatch.setattr(jost, "propagator_entries", propagator)
     monkeypatch.setattr(jost, "magnus_entries", magnus)
     pair = JostEvaluator(built, "+-")
-    nodes, eps = built[2][0], np.atleast_1d(built[3])
+    nodes, eps = built.nodes, np.atleast_1d(built.eps)
     pair.eval(np.multiply.outer(eps, nodes[1:-1]).ravel())
     width = np.concatenate(widths)
     assert width.size >= 2 * len(eps) * (len(nodes) - 2) and np.all(width != 0.0)
@@ -791,7 +793,7 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 def _route_evaluator(p, k, side, route):
     layers = _layers(p.shape, p.coupling) if route == "transfer" else None
     k = complex(k)
-    return JostEvaluator((p, k, _x_maps(p, k, 1e-10, layers, False), 1.0), side)
+    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False)), side)
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)

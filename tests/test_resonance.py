@@ -594,6 +594,39 @@ def test_d_dot_zero_unchanged_by_squeezing(name, eps, request):
     assert abs(squeezed - j.d_dot_zero(p, report=rep).value) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def table_root_well():
+    """The 41-node table well at its first resonant coupling: Magnus, compact support."""
+    base = _table_well()
+    return base.with_coupling(j.resonant_couplings(base, 0.5, 12.0, grid_n=21).roots[0].alpha)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("well_theta_minus", 1),  # compact: the second-moment build is the report's
+    ("table_root_well", 1),
+    ("exp_bessel_well", 2),  # infinite tails: D'(0) cuts them by their second moment too
+])
+def test_d_dot_zero_reuses_its_compact_report_maps(name, expected, request, monkeypatch):
+    p = request.getfixturevalue(name)
+    map_sets = _counting_map_sets(monkeypatch)
+    rep = j.resonance_report(p)
+    assert rep.is_resonant
+    j.d_dot_zero(p, report=rep)
+    assert len(map_sets) == expected
+
+
+@pytest.mark.parametrize("name, other, tol", [
+    ("well_theta_minus", "table_root_well", 1e-10),
+    ("table_root_well", "well_theta_minus", 1e-10),
+    ("table_root_well", "table_root_well", 1e-8),  # p's own report, at another tol
+])
+def test_d_dot_zero_reads_its_own_maps_beside_another_report(name, other, tol, request):
+    # the report gives theta, but only p's own report at this tol lends its maps
+    p, q = request.getfixturevalue(name), request.getfixturevalue(other)
+    dd, want = j.d_dot_zero(p, tol=tol, report=j.resonance_report(q)), j.d_dot_zero(p, tol=tol)
+    assert (dd.value, dd.ray_gap) == (want.value, want.ray_gap)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(layers=st.lists(st.tuples(st.floats(0.2, 1.0), st.floats(-1.8, -0.2)),
                        min_size=2, max_size=8),
