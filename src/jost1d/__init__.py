@@ -28,8 +28,6 @@ from .limits import (
     TruncatedScaledOperator,
     classify_limit,
     convergence_table,
-    dirichlet_decoupled,
-    interface,
     kernel_distance,
     truncated_operator,
 )
@@ -86,10 +84,8 @@ __all__ = [
     "classify_limit",
     "convergence_table",
     "d_dot_zero",
-    "dirichlet_decoupled",
     "exp_decay",
     "fm_norm",
-    "interface",
     "jost_evaluator",
     "jost_wronskian",
     "kernel_distance",

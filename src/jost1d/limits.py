@@ -24,8 +24,8 @@ origin, a LimitOperator whose one field theta is the resonance report's:
 * a resonance with far-field ratio theta: the interface conditions
   y(0+) = theta y(0-), theta y'(0+) = y'(0-).
 
-theta = 1 reproduces the free line.  LimitOperator.scattering(k) gives
-the limit's (r, t) and LimitOperator.green(k) its resolvent kernel.
+LimitOperator(theta) rejects any other theta; theta = 1 is the free
+line.  Its scattering(k) gives (r, t) and green(k) the resolvent kernel.
 
 Every resolvent kernel here is one Kernel, u(max(x, y)) v(min(x, y)) / w
 with w = W{u, v}: f~_+ and f~_- for the window, the two plane-wave
@@ -47,9 +47,9 @@ The window at eps is its base truncate(V, xi_eps) at eps k, so once
 xi_eps clears every layer of V the windows differ only in k.  The table
 solves the run of such eps as one k batch, a row per eps, on one window
 base and one tiling: one set of step maps, one scan and one evaluation
-for both sides (u and v at the n abscissae) and one _hs_sum.
-truncated_operator is the one-row case of the same code, so a row equals
-its lone window bit for bit.
+for both sides (u and v at the n abscissae) and one _hs_sum.  A
+TruncatedScaledOperator, the one window type, is the one-row run of the
+same code, so a row equals its lone window bit for bit.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ __all__ = [
     "truncated_operator",
     "LimitOperator",
     "ConvergenceRecord",
-    "dirichlet_decoupled",
-    "interface",
     "classify_limit",
     "kernel_distance",
     "convergence_table",
@@ -109,7 +107,7 @@ def _windows(p: Potential, eps, k, tol):
     run of such eps is one k batch of _jost_maps, a row per eps, on the
     tiling of the run's first window; any other window, a Magnus one at
     a scalar eps k, is a run of its own.  Only a run's first eps builds
-    its window potential.
+    its window potential.  A window has layers just when p has.
     """
     scales = [splitting_scale(p, e) for e in eps]
     base, e0 = _unsqueezed(p)
@@ -120,64 +118,50 @@ def _windows(p: Potential, eps, k, tol):
     for _, run in groupby(range(len(eps)), keys.__getitem__):
         run = [scales[i] for i in run]
         window, dilation = _unsqueezed(scale(truncate(p, run[0].xi_eps), run[0].eps))
-        tiling = _layers(window.shape, window.coupling)
-        yield run, _jost_maps(window, k, tol, layers=tiling, eps=dilation if tiling is None
+        yield run, _jost_maps(window, k, tol, eps=dilation if tiling is None
                               else np.array([e0 * ss.eps for ss in run]))
 
 
-class _WindowRows:
-    """The windowed operators of a _windows run, one row per eps.
-
-    The rows share one build, whose product gives each row's scattering
-    data.  _evaluator, the Jost evaluator of both sides and all rows, scans
-    its maps once, on first use; plus and minus are its sides and green
-    reads them, so evaluating any of them afterwards is vectorized and
-    cheap, as the Hilbert-Schmidt lattice sums need.  green's u, v and
-    w = -2ik a (the product's W) lead with the rows' axis.
-    """
-
-    def __init__(self, k, built, shape=None):
-        self._rows = built.scattering(k)
-        # the evaluators and w take the rows' shape, () for a lone window
-        self._built, self._shape = built, np.shape(built.k) if shape is None else shape
-        self._w = (-2j * k * np.array([sd.a for sd in self._rows])).reshape(self._shape)
-
-    @cached_property
-    def _evaluator(self):
-        return JostEvaluator(self._built, "+-", self._shape)
-
-    @cached_property
-    def plus(self):
-        return self._evaluator._side(0)
-
-    @cached_property
-    def minus(self):
-        return self._evaluator._side(1)
-
-    @cached_property
-    def green(self) -> Kernel:
-        # u and v close over the evaluators, not self: a cycle through self
-        # would keep their arrays alive until the cyclic collector runs
-        plus, minus = self.plus, self.minus
-        return Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0], self._w[()])
-
-
-class TruncatedScaledOperator(_WindowRows):
+class TruncatedScaledOperator:
     """Jost solutions and resolvent kernel of the windowed squeezed operator.
 
     The window potential scale(truncate(p, xi_eps), eps) is the one-row
-    case of a convergence table's windows (see _WindowRows), shaped as
-    one window.
+    run of a convergence table's windows; its build's product gives the
+    scattering data and w = -2ik a.  The Jost pair of both sides scans
+    once, on first use; plus and minus are its sides and green reads them,
+    so evaluating any of them afterwards is vectorized and cheap.
     """
 
     def __init__(self, p: Potential, eps, k, tol=1e-10):
         k = check_wavenumber(k, allow_zero=False)
         ((ss,), built), = _windows(p, [eps], k, tol)
         self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
-        super().__init__(k, built, ())
+        (self._data,) = built.scattering(k)
+        self._built = built
+        # an array product, as the table's rows take it: a complex scalar one rounds otherwise
+        self._w = (-2j * k * np.array([self._data.a]))[0]
 
     def scattering(self) -> ScatteringData:
-        return self._rows[0]
+        return self._data
+
+    @cached_property
+    def _pair(self):
+        return JostEvaluator(self._built, "+-", ())
+
+    @cached_property
+    def plus(self):
+        return self._pair._side(0)
+
+    @cached_property
+    def minus(self):
+        return self._pair._side(1)
+
+    @cached_property
+    def green(self) -> Kernel:
+        # u and v close over the evaluators, not self: a cycle through self
+        # would keep their arrays alive until the cyclic collector runs
+        plus, minus = self.plus, self.minus
+        return Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0], self._w)
 
 
 def truncated_operator(p, eps, k, tol=1e-10):
@@ -189,11 +173,24 @@ class LimitOperator:
     """The point interaction at the origin that the windows converge to.
 
     theta is the interface ratio: y(0+) = theta y(0-), theta y'(0+) =
-    y'(0-).  None is the Dirichlet-decoupled pair, as a resonance report's
-    theta is None for a potential without a zero-energy resonance.
+    y'(0-), a real, finite and nonzero number, stored as a float.  None is
+    the Dirichlet-decoupled pair, as a resonance report's theta is None
+    for a potential without a zero-energy resonance.
     """
 
     theta: float | None
+
+    def __post_init__(self):
+        if self.theta is None:
+            return
+        # text and complex numbers are no ratio (numpy's would cast with a warning)
+        try:
+            ratio = np.nan if np.iscomplexobj(self.theta) else float(self.theta)
+        except (TypeError, ValueError):
+            ratio = np.nan
+        if ratio == 0.0 or not np.isfinite(ratio):
+            raise SpecError(f"interface ratio must be real, finite and nonzero, got {self.theta}")
+        object.__setattr__(self, "theta", ratio)
 
     def scattering(self, k) -> ScatteringData:
         """Reflection and transmission of the limit operator.
@@ -215,44 +212,25 @@ class LimitOperator:
 
         Dirichlet-decoupled: on each half line the solution outgoing at
         infinity over the one vanishing at the origin, zero across it (see
-        the module docstring).  Interface(theta): u is e^{ikx} for x >= 0
-        and v is e^{-ikx} for x <= 0; across the origin each continues by
-        the interface conditions, and W is -ik(theta + 1/theta).
+        the module docstring).  Interface(theta): u is e^{ikx} for x >= 0,
+        continued across the origin by the interface conditions, and W is
+        -ik(theta + 1/theta).  Either way v(x) is u(-x) of the mirror image,
+        itself for the Dirichlet pair and of ratio 1/theta for the interface,
+        which flips the sign of u's e^{-ikx} coefficient across the origin.
         """
         k = check_wavenumber(k, allow_zero=False)
         theta = self.theta
         if theta is None:
-            return Kernel(
-                lambda x: np.where(x > 0, np.exp(1j * k * x), -np.sin(k * x)),
-                lambda x: np.where(x >= 0, np.sin(k * x), np.exp(-1j * k * x)),
-                k,
-                split=True,
-            )
-        a_co = 0.5 * (theta + 1.0 / theta)
-        b_co = 0.5 * (1.0 / theta - theta)
-        d_co = 0.5 * (theta - 1.0 / theta)
-        return Kernel(
-            lambda x: np.where(x >= 0, np.exp(1j * k * x),
-                               a_co * np.exp(1j * k * x) + b_co * np.exp(-1j * k * x)),
-            lambda x: np.where(x <= 0, np.exp(-1j * k * x),
-                               a_co * np.exp(-1j * k * x) + d_co * np.exp(1j * k * x)),
-            -1j * k * (theta + 1.0 / theta),
-        )
+            def u(x):
+                return np.where(x > 0, np.exp(1j * k * x), -np.sin(k * x))
+            return Kernel(u, lambda x: u(-x), k, split=True)
+        a_co, b_co = 0.5 * (theta + 1.0 / theta), 0.5 * (1.0 / theta - theta)
 
-
-def dirichlet_decoupled() -> LimitOperator:
-    return LimitOperator(None)
-
-
-def interface(theta: float) -> LimitOperator:
-    # None, text and complex numbers are no ratio (numpy's would cast with a warning)
-    try:
-        ratio = np.nan if np.iscomplexobj(theta) else float(theta)
-    except (TypeError, ValueError):
-        ratio = np.nan
-    if ratio == 0.0 or not np.isfinite(ratio):
-        raise SpecError(f"interface ratio must be real, finite and nonzero, got {theta}")
-    return LimitOperator(ratio)
+        def wave(x, b):  # e^{ikx} on x >= 0, with e^{-ikx} coefficient b across the origin
+            return np.where(x >= 0, np.exp(1j * k * x),
+                            a_co * np.exp(1j * k * x) + b * np.exp(-1j * k * x))
+        return Kernel(lambda x: wave(x, b_co), lambda x: wave(-x, -b_co),
+                      -1j * k * (theta + 1.0 / theta))
 
 
 def classify_limit(
@@ -390,10 +368,11 @@ def convergence_table(
     limit = _lattice_factors(kern.u(xs), kern.v(xs), kern.w, xs, kern.split)
     records = []
     for scales, built in _windows(p, eps_sorted, k, tol):
-        windows = _WindowRows(k, built)
-        u, v = windows._evaluator.eval(xs)[0]  # green's u and v, both sides in one call
-        dist = _hs_distance(_hs_sum(_lattice_factors(u, v, windows._w, xs), limit, xs), box, n)
+        rows = built.scattering(k)
+        w = -2j * k * np.array([sd.a for sd in rows])  # each row's green.w
+        u, v = JostEvaluator(built, "+-").eval(xs)[0]  # each row's green u and v, in one call
+        dist = _hs_distance(_hs_sum(_lattice_factors(u, v, w, xs), limit, xs), box, n)
         records += [ConvergenceRecord(eps=ss.eps, r_eps=sd.r, t_eps=sd.t, kernel_distance=float(d),
                                       limit_r=ls.r, limit_t=ls.t)
-                    for ss, sd, d in zip(scales, windows._rows, np.ravel(dist))]
+                    for ss, sd, d in zip(scales, rows, np.ravel(dist))]
     return records

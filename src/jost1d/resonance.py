@@ -35,6 +35,7 @@ SpecError, as does a root whose residual stays above root_tol.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -90,10 +91,13 @@ def resonance_report(
     |d0| < 1e-8 * (1 + fm_norm).  When resonant, theta is the average of
     f_-(x,0)/f_+(x,0) over points where |f_+| is not small; the ratio
     must be constant for a genuine resonance, and a drift beyond 1e-6
-    raises RatioInconsistencyError.  A non-finite d0 raises SpecError.
+    raises RatioInconsistencyError.  A non-finite d0, or a threshold that
+    is not a positive, finite real number, raises SpecError.
     """
     if threshold is None:
         threshold = 1e-8 * (1.0 + fm_norm(p))
+    elif not (isinstance(threshold, numbers.Real) and 0.0 < threshold < math.inf):  # NaN too
+        raise SpecError(f"threshold must be positive and finite, got {threshold}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives d0 = nan
         built = _jost_maps(p, 0.0, tol)
         d0 = float(built.wronskian().real)

@@ -183,7 +183,7 @@ def test_09_interface_kernel_against_finite_differences(rng):
     with criterion(9, "interface kernel vs finite differences") as info:
         k = 1j
         theta = -1.0
-        closed = j.interface(theta).green(k)
+        closed = j.LimitOperator(theta).green(k)
         pairs = []
         while len(pairs) < 20:
             x, y = rng.uniform(-5.0, 5.0, size=2)

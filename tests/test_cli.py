@@ -303,6 +303,16 @@ def test_resonance_sweep_non_finite_root_tol_exits_2(runner, barrier_file, root_
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_resonance_theta_bad_threshold_exits_2(runner, barrier_file, threshold):
+    result = runner.invoke(main, [
+        "resonance", "theta", "--potential", barrier_file, "--threshold", threshold,
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "threshold" in result.stderr
+    assert result.stdout == ""
+
+
 def test_resonance_theta_overflowing_d0_exits_2(runner, tmp_path):
     path = tmp_path / "barrier.json"
     path.write_text(json.dumps(

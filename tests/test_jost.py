@@ -956,8 +956,8 @@ def test_public_names():
         "Potential", "RatioInconsistencyError", "ResonanceReport", "ScatteringData",
         "SpecError", "SplittingScale", "TailData", "TruncatedScaledOperator",
         "check_wavenumber", "classify_limit", "convergence_table", "d_dot_zero",
-        "dirichlet_decoupled", "exp_decay", "fm_norm", "interface", "jost_evaluator",
-        "jost_wronskian", "kernel_distance", "load_potential", "moments",
+        "exp_decay", "fm_norm", "jost_evaluator", "jost_wronskian", "kernel_distance",
+        "load_potential", "moments",
         "piecewise_constant", "potential_from_dict", "resonance_report",
         "resonant_couplings", "scale", "scattering", "splitting_scale", "square",
         "tabulated", "tail_weight_norm", "tails", "truncate", "truncated_operator", "zero",

@@ -18,15 +18,14 @@ import oracles
 # construction and classification
 
 
-def test_interface_validation():
-    # None is no ratio: it must not quietly stand for the Dirichlet pair
-    for bad in (0.0, float("inf"), 1 + 1j, np.complex128(1 + 1j), "a", None):
+def test_limit_operator_validation():
+    for bad in (0.0, float("inf"), -float("inf"), float("nan"), 1 + 1j, np.complex128(1 + 1j),
+                "a"):
         with pytest.raises(SpecError, match="must be real"):
-            j.interface(bad)
-    op = j.interface(-2.5)
-    assert op.theta == -2.5
-    d = j.dirichlet_decoupled()
-    assert d.theta is None
+            j.LimitOperator(bad)
+    op = j.LimitOperator(np.float64(-2.5))
+    assert op.theta == -2.5 and type(op.theta) is float
+    assert j.LimitOperator(None).theta is None
 
 
 def test_classification(barrier, shallow_well, well_theta_minus, well_theta_plus):
@@ -44,14 +43,14 @@ def test_classification(barrier, shallow_well, well_theta_minus, well_theta_plus
 
 
 def test_limit_scattering_dirichlet():
-    sd = j.dirichlet_decoupled().scattering(1.0)
+    sd = j.LimitOperator(None).scattering(1.0)
     assert sd.r == -1.0 and sd.t == 0.0
     assert sd.a is None and sd.b is None
 
 
 @pytest.mark.parametrize("theta", [-1.0, 1.0, 2.0, -0.5])
 def test_limit_scattering_interface(theta):
-    sd = j.interface(theta).scattering(1.0)
+    sd = j.LimitOperator(theta).scattering(1.0)
     assert sd.t == pytest.approx(2 * theta / (1 + theta**2), rel=1e-14)
     assert sd.r == pytest.approx((1 - theta**2) / (1 + theta**2), rel=1e-14, abs=1e-14)
     assert abs(abs(sd.r) ** 2 + abs(sd.t) ** 2 - 1.0) < 1e-14
@@ -66,7 +65,7 @@ def test_limit_scattering_interface(theta):
 
 def test_interface_kernel_theta_one_is_free_kernel(rng):
     k = 1.0 + 0.7j
-    kern = j.interface(1.0).green(k)
+    kern = j.LimitOperator(1.0).green(k)
     for _ in range(20):
         x, y = rng.uniform(-6, 6, 2)
         free = np.exp(1j * k * abs(x - y)) / (-2j * k)
@@ -76,7 +75,7 @@ def test_interface_kernel_theta_one_is_free_kernel(rng):
 def test_interface_kernel_conditions_at_origin():
     k = 1.0 + 1.0j
     theta = -2.0
-    kern = j.interface(theta).green(k)
+    kern = j.LimitOperator(theta).green(k)
     y = 1.3
     h = 1e-6
     val_plus = complex(kern(h, y))
@@ -91,7 +90,7 @@ def test_interface_kernel_conditions_at_origin():
 
 def test_interface_kernel_solves_free_equation(rng):
     k = 0.8 + 0.9j
-    kern = j.interface(-1.5).green(k)
+    kern = j.LimitOperator(-1.5).green(k)
     y = -2.0
     xs = np.array([-4.0, -1.0, 1.0, 3.0])
     res = oracles.schrodinger_residual(
@@ -105,7 +104,7 @@ def test_interface_kernel_vs_fd_resolvent(rng):
     theta, k = -1.0, 1j
     ys = rng.uniform(-4.0, 4.0, 6)
     fd = oracles.fd_split_line_kernel(k, sources=ys, theta=theta)
-    kern = j.interface(theta).green(k)
+    kern = j.LimitOperator(theta).green(k)
     for y in ys:
         for x in rng.uniform(-4.5, 4.5, 4):
             xs, ysn = fd.snap(x), fd.snap(y)
@@ -116,7 +115,7 @@ def test_interface_kernel_vs_fd_resolvent_generic_theta(rng):
     theta, k = 2.0, 1j
     ys = [-1.5, 2.5]
     fd = oracles.fd_split_line_kernel(k, sources=ys, theta=theta)
-    kern = j.interface(theta).green(k)
+    kern = j.LimitOperator(theta).green(k)
     for y in ys:
         for x in [-3.0, -0.5, 0.5, 3.5]:
             assert abs(kern(fd.snap(x), fd.snap(y)) - fd.value(x, y)) < 1e-4
@@ -126,7 +125,7 @@ def test_dirichlet_kernel_vs_fd_resolvent(rng):
     k = 1j
     ys = [-2.0, 1.0]
     fd = oracles.fd_split_line_kernel(k, sources=ys, theta=None)
-    kern = j.dirichlet_decoupled().green(k)
+    kern = j.LimitOperator(None).green(k)
     for y in ys:
         for x in [-4.0, -1.0, 0.5, 2.0]:
             assert abs(kern(fd.snap(x), fd.snap(y)) - fd.value(x, y)) < 1e-4
@@ -134,7 +133,7 @@ def test_dirichlet_kernel_vs_fd_resolvent(rng):
 
 def test_dirichlet_kernel_structure(rng):
     k = 1.0 + 1.0j
-    kern = j.dirichlet_decoupled().green(k)
+    kern = j.LimitOperator(None).green(k)
     # decoupled: zero across the origin
     assert kern(-1.0, 2.0) == 0.0
     assert kern(3.0, -0.5) == 0.0
@@ -153,7 +152,7 @@ def test_dirichlet_lattice_matches_image_form(box, n):
     # odd n puts x = 0 on the lattice, where the kernel is exactly zero
     k = 0.7 + 0.4j
     xs = np.linspace(-box, box, n)
-    got = j.dirichlet_decoupled().green(k)(*np.meshgrid(xs, xs))
+    got = j.LimitOperator(None).green(k)(*np.meshgrid(xs, xs))
     expect = oracles.dirichlet_image_kernel(k, *np.meshgrid(xs, xs))
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
     assert np.array_equal(got == 0, expect == 0)
@@ -165,13 +164,13 @@ def test_dirichlet_lattice_matches_image_form(box, n):
 
 def test_kernel_distance_zero_for_identical():
     k = 1.0 + 1.0j
-    kern = j.interface(1.0).green(k)
+    kern = j.LimitOperator(1.0).green(k)
     assert j.kernel_distance(kern, kern) == 0.0
 
 
 def test_kernel_distance_scales_linearly():
     k = 1.0 + 1.0j
-    kern = j.interface(1.0).green(k)
+    kern = j.LimitOperator(1.0).green(k)
 
     def shifted(c):
         return lambda x, y: kern(x, y) + c
@@ -185,7 +184,7 @@ def test_kernel_distance_scales_linearly():
 
 
 def test_kernel_distance_validation():
-    kern = j.dirichlet_decoupled().green(1j)
+    kern = j.LimitOperator(None).green(1j)
     with pytest.raises(SpecError):
         j.kernel_distance(kern, kern, box=-1.0)
     with pytest.raises(SpecError):

@@ -96,6 +96,12 @@ def test_threshold_scales_with_potential_size(barrier):
     assert rep.threshold == pytest.approx(1e-8 * (1.0 + j.fm_norm(barrier)), rel=1e-9)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1j, "a"])
+def test_threshold_must_be_positive_and_finite(barrier, threshold):
+    with pytest.raises(SpecError, match="threshold must be positive and finite"):
+        j.resonance_report(barrier, threshold=threshold)
+
+
 def test_loose_threshold_caught_by_ratio_guard(barrier):
     # a threshold so loose it misclassifies the barrier as resonant must
     # be caught: the two zero-energy solutions are not proportional, so

@@ -225,8 +225,8 @@ def test_plane_waves_outside_window(barrier):
 # the window, a limit kernel of each kind, and the potential each window squeezes
 _KERNELS = {
     "window": lambda p, k: j.truncated_operator(p, 0.05, k).green,
-    "interface": lambda p, k: j.interface(-2.0).green(k),
-    "dirichlet": lambda p, k: j.dirichlet_decoupled().green(k),
+    "interface": lambda p, k: j.LimitOperator(-2.0).green(k),
+    "dirichlet": lambda p, k: j.LimitOperator(None).green(k),
 }
 
 
