@@ -40,19 +40,21 @@ D'(0) build no evaluator.  At the split node of the last round, P = L R,
 f_+ is R applied to its start and f_- the mirrored L (see JostEvaluator)
 applied to its own (_Build.halves); their W is P's in exact arithmetic
 for any maps, so the wronskian_gap and ray_gap read there measure
-rounding.  A JostEvaluator scans the maps into node states for f(x),
-which only jost_evaluator (one side), the window kernels of the limits
-module and the resonant half-bound state (both sides) read.  It stacks
-its sides' maps on the row axis, so one scan and one evaluation, one
-kernel call per branch, serve f_+ and f_- together.  The layer route also
-builds a leading row axis: a couplings batch, which only the product
-reads, or a k batch, the eps rows of a convergence table, which the
-scattering data and the evaluator read row by row.  numpy rounds a
-complex product of two scalars otherwise than the same product in
-arrays, so the evaluator holds a lone k as one row (and writes its start
-states on its rows, not the build's scalar ones), and the limits module
-builds even a lone window as a k batch: a row's numbers do not depend on
-its batch, nor on the side stacked beside it.
+rounding.  A JostEvaluator scans the maps into node states for f(x).
+It is always the f_+/f_- pair of one build, started from the build's
+own anchor states (_Build.starts), so the scan and the product start
+from the same numbers.  It stacks the two sides' maps on the row axis,
+so one scan and one evaluation, one kernel call per branch, serve both:
+the window kernels of the limits module and the resonant half-bound
+state read both sides, and jost_evaluator returns one side of the pair.
+The layer route also builds a leading row axis: a couplings batch, which
+only the product reads, or a k batch, the eps rows of a convergence
+table, which the scattering data and the evaluator read row by row; the
+evaluator's outputs keep that axis only when it has more than one row.
+numpy rounds a complex product of two scalars otherwise than the same
+product in arrays, so the limits module builds even a lone layered
+window as a k batch: a row's numbers do not depend on its batch, nor on
+the side stacked beside it.
 
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
@@ -164,21 +166,20 @@ def _entries(m):
     return m[0, ...], m[1, ...], m[2, ...], m[3, ...]
 
 
-# each side as a "+" solution in t = s x: (s, the entry order of its maps
-# read in t, the end of the tails whose cut mass is its error_bound)
-_SIDES = {"+": ((1, [0, 1, 2, 3], 1),), "-": ((-1, [3, 1, 2, 0], 0),)}
-_SIDES["+-"] = _SIDES["+"] + _SIDES["-"]
+# the entry order that mirrors a map for f_-: m00 and m11 swapped (see JostEvaluator)
+_MIRROR = [3, 1, 2, 0]
 
 
 class JostEvaluator:
-    """f_+ (side "+"), f_- (side "-") or both (side "+-") of V at k, stored as states at nodes.
+    """f_+ and f_- of V at k together, the pair of one build, stored as states at nodes.
 
-    built is the _Build of _jost_maps, one for both sides.
+    built is the _Build of _jost_maps.
     Each side is a "+" solution in t = s x, s = +1 for f_+ and -1 for
     f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
     anchor, the right end of its nodes, and f(x) = g(s x), f'(x) =
-    s g'(s x).  nodes and states, (f, f') per row and node, are in t;
-    anchor and far_edge are in x.
+    s g'(s x).  The anchor states are the build's starts, so the scan
+    carries the very states the product carries.  nodes and states, (f,
+    f') per row and node, are in t; anchor and far_edge are in x.
     Beyond the far edge the solution is the plane-wave pair of the far
     state.  The build's nodes, steps, mu2 and tails are in x, and f_-
     reads them mirrored: t = -x reverses the nodes and the maps' last axis,
@@ -189,59 +190,53 @@ class JostEvaluator:
 
     The sides' maps are stacked on the row axis, so one Hillis-Steele
     scan serves both, and eval reads both from one set of masks and
-    gathers, with one kernel call per branch.  A pair's s, nodes,
-    error_bound, anchor, far_edge, plane_pair and eval lead with the side
-    axis, f_+ first; a one-side build is the same code with one side, and
-    _side reads one side of a pair on the pair's arrays, with no scan.
+    gathers, with one kernel call per branch.  s, nodes, error_bound,
+    anchor, far_edge, plane_pair and eval lead with the side axis, f_+
+    first, and _side(i) reads side i on the pair's arrays, with no scan.
 
     The build's eps is the dilation: its p, k and maps are the unsqueezed
     base's at eps k, and eval gives f'(x) = s g'(s x / eps) / eps.
 
     The build may be a k batch, one row each on shared nodes: eval,
-    plane_pair, anchor and far_edge then carry that axis (of the given
-    shape, by default the build's k's) after the sides', and the attributes
-    k and eps repeat the rows once per side.  A lone k is stored as one
-    row, and its outputs drop the axis.
+    plane_pair, anchor and far_edge then carry that axis after the
+    sides' when it has more than one row, and the attributes k and eps
+    repeat the rows once per side.  A lone k, or a one-row batch, has
+    outputs without a row axis.
     """
 
-    def __init__(self, built, side, shape=None):
-        if side not in _SIDES:
-            raise SpecError(f"side must be '+', '-' or '+-', got {side!r}")
-        sides, mu2 = _SIDES[side], built.mu2
-        shape = ((2,) if side == "+-" else ()) + (np.shape(built.k) if shape is None else shape)
-        k, eps = np.array(built.k, ndmin=1), np.array(built.eps, ndmin=1)  # one row per k
-        rows = len(k)
+    def __init__(self, built):
+        k, eps, mu2 = np.array(built.k, ndmin=1), np.array(built.eps, ndmin=1), built.mu2
+        rows = len(k)  # one row per k, per side
         steps = built.steps.reshape(4, rows, built.steps.shape[-1])
-        # every side's maps in t, anchor first, one block of rows each: f_+ reads
+        # both sides' maps in t, anchor first, f_+'s rows then f_-'s: f_+ reads
         # them right to left, f_- left to right mirrored; the scan writes into them
-        steps = np.concatenate([steps[e, :, ::-s] for s, e, _ in sides], axis=1)
+        steps = np.concatenate([steps[:, :, ::-1], steps[_MIRROR]], axis=1)
         # Hillis-Steele scan: after it, steps[:, :, j] maps the anchor to node j+1 away
         shift = 1
         while shift < steps.shape[-1]:
             steps[..., shift:] = _compose(steps[..., shift:], steps[..., :-shift])
             shift *= 2
-        nodes = np.array([s * built.nodes[::s] for s, _, _ in sides])
-        self.k, self.eps = k, eps = [np.concatenate([v] * len(sides)) for v in (k, eps)]
-        states = np.empty((2, len(k), nodes.shape[1]), dtype=complex)
-        states[:, :, -1] = start = self._wave(slice(None), nodes[:, -1].repeat(rows))
+        self.nodes = nodes = np.array([built.nodes, -built.nodes[::-1]])
+        self.k, self.eps = k, eps = np.concatenate([k, k]), np.concatenate([eps, eps])
+        states = np.empty((2, 2 * rows, nodes.shape[1]), dtype=complex)
+        # the starts are (f, f') of f_+, then of f_-, each a scalar or one per row
+        states[:, :, -1] = start = np.hstack(np.reshape(built.starts, (2, 2, rows)))
         states[:, :, -2::-1] = (steps[0::2] * start[0][:, None]
                                 + steps[1::2] * start[1][:, None])
         if mu2 is not None:
-            mu2 = np.concatenate([mu2.reshape(rows, -1)[:, ::s] for s, _, _ in sides])
-        self._p, self._shape, self._nodes, self._rows = built.p, shape, nodes, rows  # rows per side
+            mu2 = np.concatenate([mu2.reshape(rows, -1), mu2.reshape(rows, -1)[:, ::-1]])
+        self._shape = (2, rows) if rows > 1 else (2,)
+        self._p, self._nodes, self._rows = built.p, nodes, rows
         self.states, self.mu2, self._zero = states, mu2, not k.any()
-        signs = np.array([s for s, _, _ in sides], dtype=float)
-        self._sign = signs.repeat(rows)
+        # f_+ cuts the right tail, f_- the left
+        self.s, self.error_bound = np.array([1.0, -1.0]), np.array(built.tails[::-1])
+        self._sign = self.s.repeat(rows)
         self._ends = nodes[:, [0, -1]].repeat(rows, axis=0)  # each row's far and anchor t
-        tails = np.array([built.tails[i] for _, _, i in sides])
-        self.s, self.error_bound = (v if side == "+-" else float(v[0]) for v in (signs, tails))
-        self.nodes = nodes if side == "+-" else nodes[0]
-        ends = ((self._sign * eps)[:, None] * self._ends).reshape(shape + (2,))
-        self.far_edge, self.anchor = ends[..., 0][()], ends[..., 1][()]
+        ends = ((self._sign * eps)[:, None] * self._ends).reshape(self._shape + (2,))
+        self.far_edge, self.anchor = ends[..., 0], ends[..., 1]
         # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
         # k = 0, which is never batched with k != 0
-        f0, fp0 = states[..., 0]
-        far = self._ends[:, 0]
+        (f0, fp0), far = states[..., 0], self._ends[:, 0]
         self._pair = (f0 - fp0 * far, fp0) if self._zero else plane_pair(f0, fp0, k, far)
 
     def _side(self, i):
@@ -258,7 +253,7 @@ class JostEvaluator:
     def plane_pair(self):
         """(c_plus, c_minus) with f = c_plus e^{ikx} + c_minus e^{-ikx} beyond the far edge.
 
-        For side "+" these are the scattering coefficients (a, b).  Only
+        For f_+ these are the scattering coefficients (a, b).  Only
         meaningful for k != 0.
         """
         plus = self._sign > 0
@@ -267,8 +262,10 @@ class JostEvaluator:
                      for a, b in ((c_plus, c_minus), (c_minus, c_plus)))
 
     def eval(self, x):
-        """Vectorized (f, f') at arbitrary points, shaped like x after the side and k axes."""
+        """Vectorized (f, f') at finite points, shaped like x after the side and k axes."""
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise SpecError(f"evaluation points must be finite, got {x[~np.isfinite(x)][0]}")
         t = self._sign[:, None] * x.ravel() / self.eps[:, None]
         # each point's row, to gather its k, pair, states and mu2 by; a lone row
         # reads them at row 0, which puts the same numbers through the same ufuncs
@@ -408,15 +405,15 @@ def _peak(a):
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10):
-    """The Jost solution f_+ (side "+") or f_- (side "-") of p at k.
+    """The Jost solution f_+ (side "+") or f_- (side "-") of p at k: one side of the pair.
 
     The route is the layer one when p's shape has layers, else Magnus.  On
     infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     """
-    if side not in ("+", "-"):  # the pair "+-" is for the library's own callers
+    if side not in ("+", "-"):
         raise SpecError(f"side must be '+' or '-', got {side!r}")
-    return JostEvaluator(_jost_maps(p, k, tol), side)
+    return JostEvaluator(_jost_maps(p, k, tol))._side("+-".index(side))
 
 
 def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
@@ -556,7 +553,7 @@ class _Build:
         """
         left, right, _ = self.product
         up, dn = self.starts if starts is None else starts
-        return (*_apply(right, up), *_apply(left[[3, 1, 2, 0]], dn))
+        return (*_apply(right, up), *_apply(left[_MIRROR], dn))
 
     def wronskian(self):
         """W{f_+, f_-}, one value per batch row, nan where the product overflowed.

@@ -146,7 +146,7 @@ class TruncatedScaledOperator:
 
     @cached_property
     def _pair(self):
-        return JostEvaluator(self._built, "+-", ())
+        return JostEvaluator(self._built)
 
     @cached_property
     def plus(self):
@@ -370,7 +370,7 @@ def convergence_table(
     for scales, built in _windows(p, eps_sorted, k, tol):
         rows = built.scattering(k)
         w = -2j * k * np.array([sd.a for sd in rows])  # each row's green.w
-        u, v = JostEvaluator(built, "+-").eval(xs)[0]  # each row's green u and v, in one call
+        u, v = JostEvaluator(built).eval(xs)[0]  # each row's green u and v, in one call
         dist = _hs_distance(_hs_sum(_lattice_factors(u, v, w, xs), limit, xs), box, n)
         records += [ConvergenceRecord(eps=ss.eps, r_eps=sd.r, t_eps=sd.t, kernel_distance=float(d),
                                       limit_r=ls.r, limit_t=ls.t)

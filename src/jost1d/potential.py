@@ -337,11 +337,15 @@ class Potential:
 
 
 def _finite(kind, *values):
-    """values as floats; SpecError if any is not a number, NaN or infinite (json reads both)."""
-    try:
-        out = [float(t) for t in values]
-    except ValueError as exc:  # a string; potential_from_dict wraps TypeError (None, a list)
-        raise SpecError(f"{kind} potential parameters must be numbers: {exc}") from None
+    """values as floats; SpecError if any is not a number, NaN or infinite (json reads both).
+
+    A bool or a string is no number, though float() reads one; potential_from_dict
+    wraps the TypeError of None or a list.
+    """
+    text = [t for t in values if isinstance(t, (bool, str))]
+    if text:
+        raise SpecError(f"{kind} potential parameters must be numbers, got {text[0]!r}")
+    out = [float(t) for t in values]
     if not all(map(math.isfinite, out)):
         raise SpecError(f"{kind} potential parameters and coupling must be finite")
     return out
@@ -557,6 +561,8 @@ def potential_from_dict(spec: dict) -> Potential:
         if kind == "table":
             return tabulated(params["x"], params["v"], coupling)
         if kind == "exp_decay":
+            if not isinstance(params, dict):
+                raise SpecError('"exp_decay" params must be an object')
             return exp_decay(params.get("rate", 1.0), params.get("amplitude", 1.0), coupling)
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed parameters for kind {kind!r}: {exc}") from None

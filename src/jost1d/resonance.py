@@ -106,7 +106,7 @@ def resonance_report(
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
-    pair = JostEvaluator(built, "+-")
+    pair = JostEvaluator(built)
 
     sup = p.support()
     half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0

@@ -464,6 +464,18 @@ def test_string_parameter_in_potential_file_exits_2(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("params", ["[1, 2]", "null", '{"rate": true}', '{"rate": "2"}'])
+def test_malformed_parameters_in_potential_file_exit_2(runner, tmp_path, params):
+    # parameters that are no JSON object, or a bool or string for a number
+    path = tmp_path / "potential.json"
+    path.write_text(f'{{"kind": "exp_decay", "params": {params}}}')
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("flag, value", [("--n", "1"), ("--box", "0")])
 def test_converge_bad_lattice(runner, barrier_file, flag, value):
     result = runner.invoke(main, [

@@ -159,7 +159,7 @@ def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
     # maps built without layers take the Magnus route
     maps = _x_maps(two_step, complex(k), 1e-10, None, False)
-    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps), "+").plane_pair()
+    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps))._side(0).plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
 
@@ -525,7 +525,7 @@ def test_wronskian_product_matches_evaluator_pair(request, name, k):
     sup = p.support()
     mid = 0.5 * (sup[0] + sup[1]) if sup is not None else 0.0
     built = _jost_maps(p, k)
-    (f, fp), (g, gp) = (JostEvaluator(built, side).eval(mid) for side in "+-")
+    (f, g), (fp, gp) = JostEvaluator(built).eval(mid)
     want = complex(f * gp - fp * g)
     assert abs(j.jost_wronskian(p, k) - want) <= 1e-12 * max(abs(want), 1.0)
 
@@ -562,15 +562,15 @@ def _hex(a):
 @pytest.mark.parametrize("k", [0.0, 1.3, 1.0 + 0.5j])
 def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
     p = _SHARED_MESH[name] if name in _SHARED_MESH else request.getfixturevalue(name)
-    built = _jost_maps(p, k)
-    pair = [JostEvaluator(built, side) for side in "+-"]
-    for side, ev in zip("+-", pair):
-        lone = jost_evaluator(p, k, side)
-        assert _hex(ev.nodes) == _hex(lone.nodes)
-        assert _hex(ev.states) == _hex(lone.states)
-        assert ev.error_bound == lone.error_bound
-    evp, evm = pair
-    assert _hex(evm.nodes) == _hex(-evp.nodes[::-1])
+    # each side's view and jost_evaluator hold the pair's nodes and states
+    # bit for bit, and f_-'s nodes are f_+'s mirrored
+    pair = JostEvaluator(_jost_maps(p, k))
+    for i, side in enumerate("+-"):
+        for ev in (pair._side(i), jost_evaluator(p, k, side)):
+            assert _hex(ev.nodes) == _hex(pair.nodes[i])
+            assert _hex(ev.states) == _hex(pair.states[:, i:i + 1])
+            assert ev.error_bound == pair.error_bound[i]
+    assert _hex(pair.nodes[1]) == _hex(-pair.nodes[0][::-1])
 
 
 _E22 = np.linspace(-1.5, 1.5, 23)
@@ -603,21 +603,53 @@ def _pair_points(built):
     for k in (0.0, 1.0, 1.0 + 0.5j)
 ] + [("square_well", "batch"), ("layers_22", "batch")])
 def test_pair_equals_two_one_side_builds(request, name, k):
-    # one scan and one evaluation of both sides give each side's numbers
-    # bit for bit, as do the pair's sides read on its arrays
+    # each side read on the pair's arrays, and for a lone k jost_evaluator's
+    # own build, gives that side's numbers of the pair's one scan and one
+    # evaluation bit for bit
     built = _pair_build(request, name, k)
-    pair, lone = JostEvaluator(built, "+-"), [JostEvaluator(built, side) for side in "+-"]
+    pair = JostEvaluator(built)
     xs = _pair_points(built)
     xs = np.concatenate([xs, np.ravel(pair.anchor), np.ravel(pair.far_edge)])
     f, fp = pair.eval(xs)
-    for i, one in enumerate(lone):
-        for ev in (one, pair._side(i)):
+    for i, side in enumerate("+-"):
+        lone = [] if k == "batch" else [jost_evaluator(built.p, k, side)]
+        for ev in [pair._side(i), *lone]:
             g, gp = ev.eval(xs)
             assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
             assert all(np.array_equal(c[i], d) for c, d in zip(pair.plane_pair(), ev.plane_pair()))
             assert np.array_equal(pair.anchor[i], ev.anchor)
             assert np.array_equal(pair.far_edge[i], ev.far_edge)
             assert pair.s[i] == ev.s and pair.error_bound[i] == ev.error_bound
+
+
+def test_anchor_states_are_the_builds_starts(rng):
+    # the scan starts from the very states the product reads: the anchor
+    # column of each side's rows is the build's starts, bit for bit, for a
+    # lone k (jost_evaluator's sides too) and for a k batch
+    for _ in range(100):
+        lo, hi = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        p = j.square(lo, hi, rng.uniform(-5.0, 5.0))
+        k = complex(rng.uniform(0.1, 4.0), rng.uniform(0.05, 2.0))
+        lone = _jost_maps(p, k)
+        batch = _jost_maps(p, k, layers=_layers(p.shape, p.coupling), eps=rng.uniform(0.01, 1, 3))
+        for built in (lone, batch):
+            rows = np.size(built.k)
+            anchored = JostEvaluator(built).states[:, :, -1]
+            for i, (f, fp) in enumerate(built.starts):
+                assert _hex(anchored[:, i * rows:(i + 1) * rows]) == _hex([np.ravel(f), np.ravel(fp)])
+        for i, side in enumerate("+-"):
+            assert _hex(jost_evaluator(p, k, side).states[:, :, -1]) == _hex(lone.starts[i])
+
+
+@pytest.mark.parametrize("x, first", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+                                      ([0.5, -np.inf, np.nan, 1.0], "-inf")])
+def test_eval_rejects_non_finite_points(x, first):
+    # searchsorted puts nan past the last node, and e^{ikx} is nan at inf
+    built = _jost_maps(j.square(-1.0, 1.0, 1.0), 1.0)
+    pair = JostEvaluator(built)
+    for ev in (pair, pair._side(0), pair._side(1), jost_evaluator(built.p, 1.0, "-")):
+        with pytest.raises(SpecError, match=f"must be finite, got {re.escape(first)}$"):
+            ev.eval(x)
 
 
 @pytest.mark.parametrize("name, k", [("layers_22", 1.0 + 0.5j), ("layers_22", "batch"),
@@ -640,7 +672,7 @@ def test_a_node_is_read_across_its_anchor_side_panel(request, monkeypatch, name,
 
     monkeypatch.setattr(jost, "propagator_entries", propagator)
     monkeypatch.setattr(jost, "magnus_entries", magnus)
-    pair = JostEvaluator(built, "+-")
+    pair = JostEvaluator(built)
     nodes, eps = built.nodes, np.atleast_1d(built.eps)
     pair.eval(np.multiply.outer(eps, nodes[1:-1]).ravel())
     width = np.concatenate(widths)
@@ -767,8 +799,7 @@ def test_exp_well_unitarity_reciprocity_conjugation(p, k):
 def test_table_wronskian_constant_at_complex_k(p, k_re, k_im):
     xs = np.linspace(-4.0, 4.0, 101)
     built = _jost_maps(p, complex(k_re, k_im))
-    pair = [JostEvaluator(built, side) for side in "+-"]
-    f, fp, g, gp = (y for ev in pair for y in ev.eval(xs))
+    (f, g), (fp, gp) = JostEvaluator(built).eval(xs)
     w = f * gp - fp * g
     mid = w[len(w) // 2]
     assert np.max(np.abs(w - mid)) / abs(mid) < 1e-10
@@ -793,7 +824,8 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 def _route_evaluator(p, k, side, route):
     layers = _layers(p.shape, p.coupling) if route == "transfer" else None
     k = complex(k)
-    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False)), side)
+    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False)))._side(
+        "+-".index(side))
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)
@@ -936,8 +968,6 @@ def test_error_bound_reporting(barrier, exp_tail):
 def test_side_validation(barrier):
     with pytest.raises(SpecError):
         jost_evaluator(barrier, 1.0, "x")
-    with pytest.raises(SpecError):
-        JostEvaluator(None, "x")  # side is checked before built is read
 
 
 def test_reexports_are_in_module_all():

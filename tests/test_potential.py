@@ -582,6 +582,13 @@ def test_load_coupling_applies(tmp_path):
     {"kind": "square"},
     {"kind": "square", "params": {"left": "a", "right": 1.0, "height": 1.0}},
     {"kind": "exp_decay", "params": {"rate": "fast"}},
+    {"kind": "exp_decay", "params": [1, 2]},
+    {"kind": "exp_decay", "params": None},
+    {"kind": "exp_decay", "params": {"rate": True}},
+    {"kind": "exp_decay", "params": {"amplitude": "2"}},
+    {"kind": "square", "params": {"left": "-1", "right": 1.0, "height": 1.0}},
+    {"kind": "piecewise", "params": [{"left": -1.0, "right": 0.0, "height": False}]},
+    {"kind": "table", "params": {"x": [0.0, 1.0, 2.0], "v": [0.0, True, 0.0]}},
 ])
 def test_malformed_descriptions_rejected(tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -180,6 +180,14 @@ def test_window_builds_evaluators_only_for_its_kernel(request, name, evaluator_b
     assert len(evaluator_builds) == 1
 
 
+@pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5),
+                                  ([0.1, np.nan], [-np.inf, 0.2])])
+def test_green_rejects_non_finite_points(barrier, x, y):
+    op = j.truncated_operator(barrier, 0.05, 1.0)
+    with pytest.raises(SpecError, match="must be finite"):
+        op.green(x, y)
+
+
 def test_wronskian_mismatch_small(barrier, exp_tail):
     assert j.truncated_operator(barrier, 0.05, 1.0).scattering().wronskian_gap < 1e-12
     assert j.truncated_operator(exp_tail, 0.1, 1.0).scattering().wronskian_gap < 1e-8
