@@ -29,10 +29,10 @@ class IntegrationError(NumericsError):
 
 
 class ExceptionalPointError(NumericsError):
-    """The plane-wave coefficient a(k) vanished at real k.
+    """The plane-wave coefficient a(k) vanished at a k with Im k > 0.
 
-    Reflection and transmission are singular there; evaluate at a nearby
-    complex wavenumber instead.
+    k^2 is then an eigenvalue and reflection and transmission are
+    undefined there.  At real k it cannot vanish: |a|^2 = 1 + |b|^2.
     """
 
 

@@ -138,15 +138,13 @@ def _tail_point(p: Potential, s: float, tol: float, second=False):
     With second, mass adds the second-moment tail int |t| (1 + |t|) |V|,
     which bounds the cut for a solution growing like t.
     """
-    t = 1.0
-    for _ in range(60):
+    for t in (2.0 ** n for n in range(60)):
         lo, hi = (s * t, np.inf) if s > 0 else (-np.inf, s * t)
         mass = p.shape.integrals(lo, hi, p.coupling)[3]
         if second:
             mass += p.shape.second_tail(s * t, p.coupling)
         if mass < tol:
             return t, mass
-        t *= 2.0
     raise AnchorError(
         f"weighted tail never fell below {tol:g} (achieved {mass:.3g} at |x| = {t:g})",
         achieved=mass,
@@ -584,9 +582,8 @@ class _Build:
         if failed.any():
             if not np.ravel(finite)[np.argmax(failed)]:
                 raise SpecError(f"the step-map product is not finite at k = {k}")
+            # never at real k, where |a|^2 = 1 + |b|^2 for real V
             raise ExceptionalPointError(
-                f"a(k) vanishes at real k = {k}: exceptional point; evaluate at a nearby complex "
-                "k instead" if k.imag == 0 else
                 f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined")
         f, fp, g, gp = self.halves()
         gap = abs(a - (f * gp + fp * g) / (2.0 * ikb)) / (1.0 + abs(a))

@@ -64,7 +64,7 @@ import numpy as np
 from .errors import SpecError
 from .jost import (JostEvaluator, ScatteringData, _jost_maps, _layers, _unsqueezed,
                    check_wavenumber)
-from .potential import Potential, scale, splitting_scale, truncate
+from .potential import Potential, _real, scale, splitting_scale, truncate
 from .resonance import _count, resonance_report
 
 __all__ = [
@@ -93,8 +93,11 @@ class Kernel:
     split: bool = False
 
     def __call__(self, x, y):
-        """G(x, y), vectorized over broadcast x and y."""
+        """G(x, y), vectorized over broadcast finite x and y."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        for z in (x, y):
+            if not np.isfinite(z).all():
+                raise SpecError(f"evaluation points must be finite, got {z[~np.isfinite(z)][0]}")
         hi, lo = np.maximum(x, y), np.minimum(x, y)
         g = self.u(hi) * self.v(lo) / self.w
         return (np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g)[()]
@@ -183,11 +186,7 @@ class LimitOperator:
     def __post_init__(self):
         if self.theta is None:
             return
-        # text and complex numbers are no ratio (numpy's would cast with a warning)
-        try:
-            ratio = np.nan if np.iscomplexobj(self.theta) else float(self.theta)
-        except (TypeError, ValueError):
-            ratio = np.nan
+        ratio = _real(self.theta)
         if ratio == 0.0 or not np.isfinite(ratio):
             raise SpecError(f"interface ratio must be real, finite and nonzero, got {self.theta}")
         object.__setattr__(self, "theta", ratio)

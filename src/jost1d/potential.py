@@ -397,22 +397,38 @@ def zero():
 # transforms
 
 
+def _real(value) -> float:
+    """value as a float, or NaN for what is no real number: a bool, text, None, an array.
+
+    float() would read text and bools, and numpy's would cast a complex
+    number with a warning.
+    """
+    if isinstance(value, (bool, np.bool_, str)) or np.iscomplexobj(value) or np.ndim(value):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def scale(p: Potential, eps: float) -> Potential:
     """The squeezed family V_eps(x) = eps^-2 V(x/eps).
 
     Composes exactly: scale(scale(p, e1), e2) is the same object tree as
     scale(p, e1*e2), so repeated rescaling never accumulates error.
     """
-    if not 0 < eps < math.inf:
-        raise SpecError(f"scale factor must be positive and finite, got {eps}")
-    return replace(p, shape=p.shape.scaled(float(eps)))
+    factor = _real(eps)
+    if not 0 < factor < math.inf:
+        raise SpecError(f"scale factor must be positive and finite, got {eps!r}")
+    return replace(p, shape=p.shape.scaled(factor))
 
 
 def truncate(p: Potential, half_width: float) -> Potential:
     """Restrict V to the window [-half_width, half_width]."""
-    if not half_width > 0:  # NaN fails this too; an infinite window keeps all of V
-        raise SpecError(f"truncation half-width must be positive, got {half_width}")
-    return replace(p, shape=p.shape.truncated(float(half_width)))
+    width = _real(half_width)
+    if not width > 0:  # NaN fails this too; an infinite window keeps all of V
+        raise SpecError(f"truncation half-width must be positive, got {half_width!r}")
+    return replace(p, shape=p.shape.truncated(width))
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +505,8 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
     and monotone for integrable tails, and this one is 1/2.  Its root is
     found by bracket doubling plus bisection to 1e-12 relative width.
     """
-    if not eps > 0:  # NaN fails this too
-        raise SpecError(f"eps must be positive, got {eps}")
+    if not _real(eps) > 0:  # NaN fails this too, and what is no real number
+        raise SpecError(f"eps must be positive, got {eps!r}")
     target = 1.0 / eps
     compact = p.is_compact()
     rho0 = 1.0 if compact else _rho(p, 0.0)

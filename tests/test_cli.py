@@ -94,6 +94,29 @@ def test_scatter_out_file(runner, barrier_file, tmp_path):
     assert out.read_text().startswith("k_re,")
 
 
+def test_unwritable_out_exits_2(runner, barrier_file, tmp_path):
+    result = runner.invoke(main, [
+        "scatter", "--potential", barrier_file, "--k", "1.0",
+        "--out", str(tmp_path / "no" / "such" / "table.csv"),
+    ])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: cannot write output file:")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command, own", [
+    (["scatter"], ["--k", "--k-list", "--tol"]),
+    (["resonance", "sweep"], ["--alpha-min", "--alpha-max", "--grid", "--root-tol"]),
+    (["resonance", "theta"], ["--threshold"]),
+    (["converge"], ["--k", "--eps", "--box", "--n", "--tol"]),
+], ids=" ".join)
+def test_help_lists_potential_own_options_then_output(runner, command, own):
+    result = runner.invoke(main, [*command, "--help"])
+    listed = [line.split()[0] for line in result.output.splitlines() if line.startswith("  --")]
+    assert listed == ["--potential", *own, "--format", "--out", "--help"]
+
+
 def test_scatter_requires_wavenumbers(runner, barrier_file):
     result = runner.invoke(main, ["scatter", "--potential", barrier_file])
     assert result.exit_code == 2
@@ -116,6 +139,16 @@ def test_scatter_malformed_json(runner, tmp_path):
     path.write_text("{not json")
     result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1.0"])
     assert result.exit_code == 2
+
+
+def test_scatter_without_tail_anchor_exits_3(runner, tmp_path):
+    # a tail decaying at rate 1e-16 never drops below tol at any point tried
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"kind": "exp_decay", "params": {"rate": 1e-16}}))
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1.0"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("numerical failure: weighted tail never fell below")
+    assert "at |x| = 5.76461e+17" in result.stderr
 
 
 def test_scatter_at_bound_state_exits_3(runner, tmp_path):
@@ -407,9 +440,10 @@ def test_converge_bad_eps(runner, barrier_file, eps):
     assert result.output.startswith("error:")
 
 
-@pytest.mark.parametrize("eps", [",", "0.1,-0.2"])
+@pytest.mark.parametrize("eps", [",", "0.1,-0.2", "a,b"])
 def test_converge_eps_error_names_the_option(runner, barrier_file, eps):
-    # the table's messages are the command's: they name eps, not a Python parameter
+    # the parser's and the table's messages are the command's: they name eps,
+    # not a Python parameter
     result = runner.invoke(main, [
         "converge", "--potential", barrier_file, "--k", "1.0", "--eps", eps,
     ])

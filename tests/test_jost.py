@@ -457,6 +457,18 @@ def test_exponential_tail_jost_values(exp_tail):
     assert np.all(dev <= bound)
 
 
+def test_anchor_error_reports_the_last_measured_point():
+    # a tail decaying at rate 1e-16 stays above tol up to the last dyadic
+    # point tried, |x| = 2^59; the message names that point and its mass
+    p = j.exp_decay(1e-16, 1.0)
+    with pytest.raises(j.AnchorError) as caught:
+        j.scattering(p, 1.0)
+    mass = p.shape.integrals(2.0**59, math.inf, p.coupling)[3]
+    assert caught.value.achieved == mass
+    assert str(caught.value) == (
+        f"weighted tail never fell below 1e-10 (achieved {mass:.3g} at |x| = 5.76461e+17)")
+
+
 # ---------------------------------------------------------------------------
 # k = 0 (zero energy)
 
@@ -870,7 +882,7 @@ def test_bound_state_raises_exceptional_point():
     w = j.jost_wronskian(p, 1j * kappa)
     assert abs(w) < 1e-8
     # ... so the plane-wave expansion has no leading coefficient
-    with pytest.raises(ExceptionalPointError):
+    with pytest.raises(ExceptionalPointError, match="k\\^2 is an eigenvalue"):
         j.scattering(p, 1j * kappa)
 
 

@@ -20,7 +20,7 @@ import oracles
 
 def test_limit_operator_validation():
     for bad in (0.0, float("inf"), -float("inf"), float("nan"), 1 + 1j, np.complex128(1 + 1j),
-                "a"):
+                "a", "2", True, np.array([2.0])):
         with pytest.raises(SpecError, match="must be real"):
             j.LimitOperator(bad)
     op = j.LimitOperator(np.float64(-2.5))

@@ -505,6 +505,11 @@ def test_transforms_reject_nan(exp_tail):
             transform(exp_tail, nan)
     with pytest.raises(SpecError):
         j.scale(exp_tail, math.inf)
+    # what is no real number, a bool included, is no scale factor, half-width or eps
+    for transform in (j.scale, j.truncate, j.splitting_scale):
+        for bad in (True, "0.5", None, np.array([0.5, 1.0]), 1j):
+            with pytest.raises(SpecError):
+                transform(exp_tail, bad)
     # an infinite window keeps all of V
     whole = j.truncate(exp_tail, math.inf)
     assert whole.support() is None
@@ -589,6 +594,13 @@ def test_load_coupling_applies(tmp_path):
     {"kind": "square", "params": {"left": "-1", "right": 1.0, "height": 1.0}},
     {"kind": "piecewise", "params": [{"left": -1.0, "right": 0.0, "height": False}]},
     {"kind": "table", "params": {"x": [0.0, 1.0, 2.0], "v": [0.0, True, 0.0]}},
+    {"kind": "piecewise", "params": [{"left": 1.0, "right": 0.0, "height": 1.0}]},
+    {"kind": "table", "params": {"x": [0.0, 1.0, 2.0], "v": [0.0, 1.0]}},
+    {"kind": "table", "params": {"x": [0.0], "v": [1.0]}},
+    {"kind": "exp_decay", "params": {"rate": 0.0}},
+    [{"kind": "exp_decay"}],
+    {"kind": "exp_decay", "coupling": "2"},
+    {"kind": "piecewise", "params": {"left": -1.0, "right": 1.0, "height": 1.0}},
 ])
 def test_malformed_descriptions_rejected(tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -183,9 +183,12 @@ def test_window_builds_evaluators_only_for_its_kernel(request, name, evaluator_b
 @pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5),
                                   ([0.1, np.nan], [-np.inf, 0.2])])
 def test_green_rejects_non_finite_points(barrier, x, y):
-    op = j.truncated_operator(barrier, 0.05, 1.0)
-    with pytest.raises(SpecError, match="must be finite"):
-        op.green(x, y)
+    # a window's kernel and both kinds of limit kernel
+    kernels = [j.truncated_operator(barrier, 0.05, 1.0).green,
+               *(j.LimitOperator(theta).green(1.0) for theta in (None, -1.0, 2.0))]
+    for green in kernels:
+        with pytest.raises(SpecError, match="evaluation points must be finite"):
+            green(x, y)
 
 
 def test_wronskian_mismatch_small(barrier, exp_tail):
