@@ -75,7 +75,7 @@ def _write(sections, payload, fmt, out):
         raise SpecError(f"cannot write output file: {exc}") from None
     with target as stream:
         if fmt == "json":
-            json.dump(payload, stream, indent=2)
+            json.dump(payload(), stream, indent=2)
             stream.write("\n")
             return
         writer = csv.writer(stream, lineterminator="\n")
@@ -90,8 +90,9 @@ def _table_command(group):
     """Register a body on group as a command that writes the tables the body computes.
 
     The body takes the loaded --potential and its own options and returns
-    (sections, payload): the CSV sections as (header, rows) and the JSON
-    payload.  Its options are listed between --potential and the shared
+    (sections, payload): the CSV sections as (header, rows) and a function
+    of no arguments that builds the JSON payload, called for --format json
+    only.  Its options are listed between --potential and the shared
     --format and --out.
     """
 
@@ -146,7 +147,7 @@ def scatter(p, k_values, k_list, tol):
         sd = scattering(p, k, tol)
         rows.append([k.real, k.imag, sd.a.real, sd.a.imag, sd.b.real, sd.b.imag,
                      sd.r.real, sd.r.imag, sd.t.real, sd.t.imag, sd.unitarity_defect()])
-    return [(header, rows)], _records(header, rows)
+    return [(header, rows)], lambda: _records(header, rows)
 
 
 @main.group()
@@ -168,9 +169,9 @@ def sweep(base, alpha_min, alpha_max, grid_n, root_tol):
     sections = [(["alpha", "d0"], sweep_rows), (["root_alpha", *root_names[1:]], root_rows)]
     if result.trivial_root is not None:
         sections.append((["trivial_root"], [[result.trivial_root]]))
-    payload = {"sweep": _records(["alpha", "d0"], sweep_rows),
-               "roots": _records(root_names, root_rows), "trivial_root": result.trivial_root}
-    return sections, payload
+    return sections, lambda: {"sweep": _records(["alpha", "d0"], sweep_rows),
+                               "roots": _records(root_names, root_rows),
+                               "trivial_root": result.trivial_root}
 
 
 @_table_command(resonance)
@@ -185,7 +186,7 @@ def theta(p, threshold):
                                            dd.theta_formula_gap)
     row = [report.d0, report.threshold, report.is_resonant, report.theta,
            report.theta_far_field, *ddot, report.extrapolated]
-    return [(header, [row])], _records(header, [row])[0]
+    return [(header, [row])], lambda: _records(header, [row])[0]
 
 
 @_table_command(main)
@@ -207,7 +208,7 @@ def converge(p, k_text, eps_text, box, n_points, tol):
          rec.kernel_distance, rec.limit_r.real, rec.limit_t.real, label]
         for rec in records
     ]
-    return [(header, rows)], _records(header, rows)
+    return [(header, rows)], lambda: _records(header, rows)
 
 
 if __name__ == "__main__":

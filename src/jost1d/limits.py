@@ -344,9 +344,11 @@ def convergence_table(
 ) -> list[ConvergenceRecord]:
     """Scattering and kernel-distance trend of the windowed family.
 
-    eps values are processed in decreasing order; each row carries the
-    windowed operator's (r, t), its sampled Hilbert-Schmidt distance to
-    the classified limit kernel, and the limit's (r, t) for reference.
+    eps values, each a positive real number as for splitting_scale (text
+    and bools raise SpecError), are processed in decreasing order; each
+    row carries the windowed operator's (r, t), its sampled
+    Hilbert-Schmidt distance to the classified limit kernel, and the
+    limit's (r, t) for reference.
     The limit's u and v are evaluated once per table, and each run of eps
     whose windows tile alike is one row batch (see the module docstring),
     whose _hs_sum adds each row's lattice in O(n).  Each row equals its
@@ -355,12 +357,13 @@ def convergence_table(
     """
     k = check_wavenumber(k, allow_zero=False)
     xs = _abscissae(box, n)
-    eps_sorted = sorted({float(e) for e in np.atleast_1d(np.asarray(eps_list, dtype=float))},
-                        reverse=True)
-    if not eps_sorted:
+    items = list(eps_list) if np.ndim(eps_list) else [eps_list]
+    if not items:
         raise SpecError("no eps value given")
-    if not all(e > 0 for e in eps_sorted):  # NaN fails this too
-        raise SpecError("every eps value must be positive")
+    for e in items:  # read as splitting_scale reads eps
+        if not _real(e) > 0:  # NaN fails this too, and what is no real number
+            raise SpecError(f"eps must be positive, got {e!r}")
+    eps_sorted = sorted({_real(e) for e in items}, reverse=True)
     op = classify_limit(p, threshold=threshold, tol=tol)
     ls = op.scattering(k)
     kern = op.green(k)

@@ -23,13 +23,16 @@ jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
 A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
 coupling form one batch, so the grid is one map set and one product;
-as its size costs little, each bisection round evaluates in one batch
-the 15 midpoints the next four steps of every bracket can take.  Other
-bases, one map set per coupling, take one step per round.  The steps
-are walked on Python floats, which round as float64 does, so each
-value, and so each root, is bit for bit the one-coupling result.  A d0
-that is not finite, or whose product overflowed, stops the sweep with
-SpecError, as does a root whose residual stays above root_tol.
+as its size costs little, each bisection round evaluates in one batch,
+for every bracket, the 15 midpoints its next four steps can take and
+the midpoints of the path bisection takes if d0 is the secant through
+the bracket's ends, and walks until bisection leaves them: a 24-step
+sweep takes 2 or 3 rounds.  Other bases, one map set per coupling, take
+one step per round.  The steps are walked on Python floats, which round
+as float64 does, so each value, and so each root, is bit for bit the
+one-coupling result.  A d0 that is not finite, or whose product
+overflowed, stops the sweep with SpecError, as does a root whose
+residual stays above root_tol.
 """
 
 from __future__ import annotations
@@ -227,13 +230,14 @@ def resonant_couplings(
     Scans d0(alpha) on a uniform grid, brackets sign changes, and refines
     each bracket by bisection until both the bracket width and the
     residual |d0| fall below root_tol (positive and finite).  The grid is
-    one batched d0 call, and all brackets advance together, four steps
-    per batched call on a layered base and one otherwise; each value
-    equals the one-coupling d0 bit for bit, as do the roots.  A grid too
-    coarse to separate a pair of nearby roots is flagged with a warning
-    based on the local parabolic model of the sweep.  A d0 that overflows,
-    on the grid or in a bisection, raises SpecError, as does a root whose
-    residual never falls below root_tol.
+    one batched d0 call.  On a layered base each further call holds, for
+    every bracket, the midpoints of its next four steps and of the path
+    the secant through its ends predicts; otherwise each call is one
+    step.  Each value equals the one-coupling d0 bit for bit, as do the
+    roots.  A grid too coarse to separate a pair of nearby roots is
+    flagged with a warning based on the local parabolic model of the
+    sweep.  A d0 that overflows, on the grid or in a bisection, raises
+    SpecError, as does a root whose residual never falls below root_tol.
     """
     if not alpha_min < alpha_max:
         raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
@@ -254,17 +258,7 @@ def resonant_couplings(
 
     trivial = 0.0 if alpha_min <= 0.0 <= alpha_max else None
 
-    roots, brackets = [], []
-    for i in range(grid_n - 1):
-        lo_a, hi_a = float(alphas[i]), float(alphas[i + 1])
-        g_lo, g_hi = float(values[i]), float(values[i + 1])
-        if lo_a <= 0.0 <= hi_a and (g_lo == 0.0 or g_hi == 0.0):
-            continue  # the trivial root, handled separately
-        if g_lo == 0.0 and lo_a != 0.0:
-            roots.append(CouplingRoot(lo_a, (lo_a, lo_a), 0.0))
-            continue
-        if g_lo * g_hi < 0.0:
-            brackets.append((lo_a, hi_a, g_lo, g_hi))
+    roots, brackets = _grid_roots(alphas, values)
     found = _bisect_roots(g, brackets, root_tol, 4 if layered else 1)
     roots = sorted(roots + found, key=lambda r: r.bracket[0])
     for root in roots:
@@ -286,6 +280,20 @@ def _finite(alphas, values):
     return values
 
 
+def _grid_roots(alphas, values):
+    """The grid's exact zeros, as roots, and its sign changes (lo, hi, g_lo, g_hi), in grid order.
+
+    A cell [lo, hi] holding alpha = 0 with a zero end is the trivial root
+    and gives neither; any other cell whose lo value is zero gives the root lo.
+    """
+    lo, hi, g_lo, g_hi = alphas[:-1], alphas[1:], values[:-1], values[1:]
+    trivial = (lo <= 0.0) & (hi >= 0.0) & ((g_lo == 0.0) | (g_hi == 0.0))
+    with np.errstate(over="ignore"):  # an overflowing product is still negative
+        change = g_lo * g_hi < 0.0
+    roots = [CouplingRoot(a, (a, a), 0.0) for a in lo[(g_lo == 0.0) & ~trivial].tolist()]
+    return roots, list(zip(*(x[change].tolist() for x in (lo, hi, g_lo, g_hi))))
+
+
 def _count(name, n):
     """n as an int, or SpecError naming the argument when it is not an integer."""
     try:
@@ -295,47 +303,82 @@ def _count(name, n):
 
 
 def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:
-    """Bisect every bracket (lo, hi, g_lo, g_hi) in lockstep, depth steps per g call.
+    """Bisect every bracket (lo, hi, g_lo, g_hi) as plain bisection does, in rounds of one g call.
 
-    A round splits each live [lo, hi] by 2^depth + 1 points, the one with
-    lowest set bit s at p being 0.5 * (a + b) of those at p -+ s; one g
-    call evaluates them.  The walk runs on Python floats, which round as
-    float64 arrays do, and reads, step by step and within a step bracket
-    by bracket, the values plain bisection reads, so only those can raise
-    (the first in that order) and the roots are bit for bit the same.  A
-    bracket stops, its round left unread, once its width and smaller end
-    value are below root_tol, its width reaches rounding, or at 200 steps.
+    A round evaluates, for each live [lo, hi], the 2^depth - 1 midpoints
+    its next depth steps can take, the one with lowest set bit s at p
+    being 0.5 * (a + b) of those at p -+ s, and, for depth > 1, the
+    further midpoints of the path bisection takes if d0 is the secant
+    through its ends (see _secant_path).  Each bracket then walks, on
+    Python floats, which round as float64 arrays do, reading its midpoint
+    0.5 * (lo + hi) from the round's values until one is missing or the
+    bracket stops: once its width and smaller end value are below
+    root_tol, its width reaches rounding, or at 200 steps.  So it reads
+    the values plain bisection reads, and the roots are bit for bit the
+    same.  The first non-finite value in bisection's lockstep order, by
+    step and then by bracket, raises once no bracket can read an earlier one.
     """
-    state = [[float(v) for v in b] for b in brackets]  # each [lo, hi, g_lo, g_hi], walked in place
-    live, steps = state, 0
+    state = [[float(v) for v in b] + [0] for b in brackets]  # [lo, hi, g_lo, g_hi, steps]
+    live, bad = list(range(len(state))), (math.inf, 0, 0.0)  # bad: the first (step, bracket, mid)
     halves = [2 ** d for d in reversed(range(depth))]  # a step's half width, in points
-    while live and steps < 200:
+    while live:
         pts = np.empty((len(live), 2 ** depth + 1))
-        pts[:, [0, -1]] = [b[:2] for b in live]
+        pts[:, [0, -1]] = [state[i][:2] for i in live]
         for s in halves:
             pts[:, s::2 * s] = 0.5 * (pts[:, :-s:2 * s] + pts[:, 2 * s::2 * s])
-        values = g(pts[:, 1:-1].ravel()).reshape(len(live), -1)
-        walk = [(b, 0, xs, vs) for b, xs, vs in zip(live, pts.tolist(), values.tolist())]
-        for s in halves[:200 - steps]:
-            kept = []
-            for b, at, xs, vs in walk:
-                at += s  # from the bracket's left end to its midpoint
-                mid, g_mid = xs[at], vs[at - 1]
+        paths = [_secant_path(*state[i][:4], root_tol, 200 - state[i][4])[depth:]
+                 if depth > 1 else [] for i in live]
+        rows = [tree + path for tree, path in zip(pts[:, 1:-1].tolist(), paths)]
+        values = g(np.array([x for row in rows for x in row])).tolist()
+        kept, at = [], 0
+        for i, row in zip(live, rows):
+            table = dict(zip(row, values[at:at + len(row)]))  # g at each midpoint of the round
+            at += len(row)
+            b = state[i]
+            while (g_mid := table.get(mid := 0.5 * (b[0] + b[1]))) is not None:
+                b[4] += 1
                 if not math.isfinite(g_mid):
-                    _finite([mid], [g_mid])  # raises, naming mid
+                    bad = min(bad, (b[4], i, mid))
+                    break
                 if b[2] * g_mid <= 0.0:
-                    b[1], b[3], at = mid, g_mid, at - s
+                    b[1], b[3] = mid, g_mid
                 else:
                     b[0], b[2] = mid, g_mid
-                lo, hi, g_lo, g_hi = b
-                if not ((hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol)
-                        or hi - lo < 1e-15 * max(1.0, abs(hi))):
-                    kept.append((b, at, xs, vs))
-            walk = kept
-            steps += 1
-        live = [w[0] for w in walk]
+                lo, hi, g_lo, g_hi, steps = b
+                if ((hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol)
+                        or hi - lo < 1e-15 * max(1.0, abs(hi)) or steps == 200):
+                    break
+            else:  # the round holds no value for the next midpoint
+                kept.append(i)
+        live = kept
+        if bad[0] < math.inf and all((state[i][4] + 1, i) > bad[:2] for i in live):
+            _finite([bad[2]], [math.nan])  # raises, naming the midpoint
     return [CouplingRoot(a if abs(ga) <= abs(gb) else b, start[:2], min(abs(ga), abs(gb)))
-            for (a, b, ga, gb), start in zip(state, brackets)]
+            for (a, b, ga, gb, _), start in zip(state, brackets)]
+
+
+def _secant_path(lo, hi, g_lo, g_hi, root_tol, n):
+    """At most n midpoints that bisection takes from [lo, hi] if d0 is the secant through its ends.
+
+    The path ends where bisection would stop on the secant: once the width
+    and the secant's rise over it are below root_tol, or the width reaches
+    rounding.  It is empty when the secant's root is not inside (lo, hi).
+    """
+    r = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    slope = abs((g_hi - g_lo) / (hi - lo))
+    path = []
+    if lo < r < hi:  # nan fails this too
+        while len(path) < n:
+            mid = 0.5 * (lo + hi)
+            path.append(mid)
+            if mid < r:
+                lo = mid
+            else:
+                hi = mid
+            if (hi - lo < root_tol and (hi - lo) * slope < root_tol
+                    or hi - lo < 1e-15 * max(1.0, abs(hi))):
+                break
+    return path
 
 
 def _warn_double_crossings(alphas, values):

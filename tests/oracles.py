@@ -500,6 +500,27 @@ def scalar_sweep(base, alpha_min, alpha_max, grid_n=201, root_tol=1e-8, tol=1e-1
     return alphas, values, roots, trivial
 
 
+def grid_roots(alphas, values):
+    """The sweep's exact-zero roots and sign-change brackets, one grid cell at a time.
+
+    This is the scan as first written, a loop over the cells that skips the
+    trivial root at alpha = 0; the sweep's masks must give the same roots,
+    as (alpha, bracket, residual) tuples, and the same brackets, in order.
+    """
+    roots, brackets = [], []
+    for i in range(len(alphas) - 1):
+        lo_a, hi_a = float(alphas[i]), float(alphas[i + 1])
+        g_lo, g_hi = float(values[i]), float(values[i + 1])
+        if lo_a <= 0.0 <= hi_a and (g_lo == 0.0 or g_hi == 0.0):
+            continue
+        if g_lo == 0.0 and lo_a != 0.0:
+            roots.append((lo_a, (lo_a, lo_a), 0.0))
+            continue
+        if g_lo * g_hi < 0.0:
+            brackets.append((lo_a, hi_a, g_lo, g_hi))
+    return roots, brackets
+
+
 def double_crossings(alphas, values):
     """The grid alphas that the sweep's parabolic check flags, one point at a time.
 

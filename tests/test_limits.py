@@ -1,5 +1,6 @@
 """Limit operators: classification, scattering data, and Green kernels."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,18 @@ def test_convergence_table_validation(barrier):
         j.convergence_table(barrier, 1.0, [])
     with pytest.raises(SpecError):
         j.convergence_table(barrier, 1.0, [0.1, -0.2])
+
+
+@pytest.mark.parametrize("eps_list, shown", [(["0.5"], "'0.5'"), ([True], "True"),
+                                             ([0.1, -0.2], "-0.2")])
+def test_convergence_table_reads_eps_as_splitting_scale_does(barrier, eps_list, shown):
+    # float() would read the text "0.5" as 0.5, and True as eps = 1, which then
+    # failed as "too large"; splitting_scale rejects both as no positive number
+    with pytest.raises(SpecError, match=re.escape(f"eps must be positive, got {shown}")):
+        j.convergence_table(barrier, 1.0, eps_list)
+    if isinstance(eps_list[0], (str, bool)):
+        with pytest.raises(SpecError, match=re.escape(f"eps must be positive, got {shown}")):
+            j.splitting_scale(barrier, eps_list[0])
 
 
 @pytest.mark.parametrize("k, eps_list", [(1.0, [0.1, float("nan")]), (1.0, [float("nan")]),

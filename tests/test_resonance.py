@@ -1,6 +1,7 @@
 """Zero-energy resonance detection, far-field ratios, and coupling sweeps."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -327,6 +328,25 @@ def test_double_crossing_masks_equal_loop_oracle(seed):
         "refine the grid to resolve the pair"]
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("grid_n", [41, 40], ids=["zero_on_grid", "zero_inside_a_cell"])
+def test_grid_root_masks_equal_loop_oracle(seed, grid_n):
+    # a grid across alpha = 0, exact zeros (on the trivial cell too), sign
+    # changes whose product overflows or underflows to -0.0, and runs of one sign
+    rng = np.random.default_rng(seed)
+    alphas = np.linspace(-1.0, 1.0, grid_n)
+    values = rng.choice([-1.0, 1.0], grid_n) * np.exp(rng.normal(0.0, 2.0, grid_n))
+    values[rng.integers(0, grid_n, 6)] = 0.0
+    values[grid_n // 2 - 1:grid_n // 2 + 1] = 0.0
+    values[2:6] = [1e200, -1e200, 1e-200, -1e-200]
+    roots, brackets = resonance._grid_roots(alphas, values)
+    expected_roots, expected_brackets = oracles.grid_roots(alphas, values)
+    assert expected_roots and expected_brackets
+    assert [(r.alpha, r.bracket, r.residual) for r in roots] == expected_roots
+    assert brackets == expected_brackets
+    assert all(type(x) is float for bracket in brackets for x in bracket)
+
+
 def test_sweep_values_match_pointwise_reports():
     base = j.square(-1.0, 1.0, -1.0)
     sweep = j.resonant_couplings(base, 0.5, 3.0, grid_n=6)
@@ -400,17 +420,19 @@ def test_sweep_equals_scalar_oracle(base, alpha_min, alpha_max, kwargs):
 def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch,
                                                                      evaluator_builds):
     # one map set for the 201-point grid and one per round, each multiplied
-    # out with no evaluator.  A round looks four bisection steps ahead: its
-    # one batch holds the 15 midpoints those steps can take in every
-    # bracket, so halving the grid step 0.125 below root_tol = 1e-8 takes
-    # 24 steps in 6 rounds.  A point-by-point sweep builds 201 map sets for
-    # the grid alone.
+    # out with no evaluator.  Halving the grid step 0.125 below root_tol =
+    # 1e-8 takes 24 steps.  A round's one batch holds, for every bracket, the
+    # 15 midpoints its next four steps can take and the midpoints of the path
+    # the secant through its ends predicts; the secant of the first round's
+    # bracket mispredicts a few steps in, the second's takes the rest, so the
+    # 24 steps take 2 rounds, not 6.  A point-by-point sweep builds 201 map
+    # sets for the grid alone.
     map_sets = _counting_map_sets(monkeypatch)
     for base in (j.square(-1.0, 1.0, -1.0), _random_well(1, 6), _random_well(2, 22, gaps=True)):
         map_sets.clear()
         sweep = j.resonant_couplings(base, 0.001, 25.0, grid_n=201)
         assert len(sweep.roots) == 3
-        assert len(map_sets) == 1 + 6
+        assert len(map_sets) == 1 + 2
     assert len(evaluator_builds) == 0
 
 
@@ -505,6 +527,73 @@ def test_bisection_names_the_first_nan_in_step_order(depth):
 
     with pytest.raises(SpecError, match="d0 is not finite at alpha = 2.5:"):
         resonance._bisect_roots(g, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.7, 0.3)], 1e-8, depth)
+
+
+def _bisection_path(g, *bracket):
+    """The midpoints _plain_bisection reads from the bracket, in order."""
+    path = []
+
+    def recording(x):
+        path.extend(x.tolist())
+        return g(x)
+
+    _plain_bisection(recording, *bracket)
+    return path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(triple=st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3, unique=True),
+       near=st.floats(1e-12, 1e-6), curve=st.floats(2.0, 40.0), depth=st.integers(2, 5),
+       log_tol=st.floats(-12.0, -4.0))
+def test_bisection_walk_with_poor_secants_equals_plain_bisection(triple, near, curve, depth,
+                                                                  log_tol):
+    # the secant through a bracket's ends predicts bisection's path badly where
+    # g is strongly curved, where one bracket holds three roots, and where a
+    # root lies within 1e-6 of a bracket end: the walk then reads fewer steps
+    # per round, never other values
+    triple = sorted(triple)
+    assume(min(b - a for a, b in zip(triple, triple[1:])) >= 1e-3)
+
+    def g(x):
+        cubic = np.exp(curve * x) * (x - triple[0]) * (x - triple[1]) * (x - triple[2])
+        left_end = np.expm1(curve * (x - 2.0 - near))  # root by the bracket's lo
+        right_end = -np.expm1(curve * (x - 5.0 + near))  # and by its hi, d0 falling
+        return np.where(x < 1.5, cubic, np.where(x < 3.5, left_end, right_end))
+
+    brackets = [(a, b, float(g(np.array([a]))[0]), float(g(np.array([b]))[0]))
+                for a, b in ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))]
+    root_tol = 10.0 ** log_tol
+    plain = [_plain_bisection(g, *bracket, root_tol) for bracket in brackets]
+    assert _walked(g, brackets, root_tol, depth) == plain
+    # the secant leaves bisection's path before the root is found
+    assert any(resonance._secant_path(*bracket, root_tol, 200)[:len(path)] != path
+               for bracket in brackets for path in [_bisection_path(g, *bracket, root_tol)])
+
+
+def test_bisection_raises_the_first_nan_of_both_predicted_paths():
+    # d0 on [2, 3] is a line, so the first round predicts its whole path; the
+    # curved d0 on [0, 1] leaves its predicted path in the first round, so that
+    # bracket reads its later steps in a second round.  With a nan on both paths,
+    # the one lockstep bisection reads first (by step, then by bracket) raises,
+    # even where the line's bracket walked to its nan a round earlier
+    def clean(x):
+        return np.where(x < 1.5, np.expm1(8.0 * (x - 0.3)), x - 2.7)
+
+    brackets = [(lo, hi, float(clean(np.array([lo]))[0]), float(clean(np.array([hi]))[0]))
+                for lo, hi in ((0.0, 1.0), (2.0, 3.0))]
+    curved, line = (_bisection_path(clean, *bracket, 1e-8) for bracket in brackets)
+    predicted = [resonance._secant_path(*bracket, 1e-8, 200) for bracket in brackets]
+    assert predicted[0][:8] != curved[:8] and predicted[1][:12] == line[:12]
+    for step_curved, step_line, first in [(8, 9, curved[7]), (10, 9, line[8]),
+                                          (9, 9, curved[8])]:
+        nans = [curved[step_curved - 1], line[step_line - 1]]
+
+        def g(x):
+            return np.where(np.isin(x, nans), np.nan, clean(x))
+
+        for depth in (1, 4):
+            with pytest.raises(SpecError, match=re.escape(f"d0 is not finite at alpha = {first}:")):
+                resonance._bisect_roots(g, brackets, 1e-8, depth)
 
 
 def test_magnus_sweep_builds_one_map_set_per_coupling(monkeypatch):
