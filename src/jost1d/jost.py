@@ -35,18 +35,18 @@ A build's product P of its step maps, taken once in pairwise rounds
 (O(N) products, against O(N log N) for a scan), carries its start state
 f_+ = (1, ik) e^{ik hi} from its anchor hi to the far edge lo, where
 transfer.plane_pair reads a and b, r is read from the same state, and W
-is read off (see _Build.wronskian): scattering, jost_wronskian, d0 and
-D'(0) build no evaluator.  At the split node of the last round, P = L R,
-f_+ is R applied to its start and f_- the mirrored L (see JostEvaluator)
-applied to its own (_Build.halves); their W is P's in exact arithmetic
-for any maps, so the wronskian_gap and ray_gap read there measure
-rounding.  A JostEvaluator scans the maps into node states for f(x).
-It is always the f_+/f_- pair of one build, started from the build's
-own anchor states (_Build.starts), so the scan and the product start
-from the same numbers.  It stacks the two sides' maps on the row axis,
-so one scan and one evaluation, one kernel call per branch, serve both:
-the window kernels of the limits module and the resonant half-bound
-state read both sides, and jost_evaluator returns one side of the pair.
+is read off (see _Build.wronskian): scattering, jost_wronskian, d0,
+D'(0) and the resonant theta build no evaluator.  At the split node of
+the last round, P = L R, f_+ is R applied to its start and f_- the
+mirrored L (see JostEvaluator) applied to its own (_Build.halves); their
+W is P's in exact arithmetic for any maps, so the wronskian_gap and
+ray_gap read there measure rounding.  A JostEvaluator scans the maps
+into node states for f(x).  It is always the f_+/f_- pair of one build,
+started from the build's own anchor states (_Build.starts), so the scan
+and the product start from the same numbers.  It stacks the two sides'
+maps on the row axis, so one scan and one evaluation, one kernel call
+per branch, serve both: the window kernels of the limits module read
+both sides, and jost_evaluator returns one side of the pair.
 The layer route also builds a leading row axis: a couplings batch, which
 only the product reads, or a k batch, the eps rows of a convergence
 table, which the scattering data and the evaluator read row by row; the

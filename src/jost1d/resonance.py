@@ -9,13 +9,15 @@ survives of the potential in the small-eps limit, so it is worth
 computing carefully and cross-checking.
 
 Everything at zero energy comes from one set of step maps at k = 0,
-built once per report: d0 is their product, and only a resonant report
-scans them, both sides in one evaluator, which reads f_+ and f_- on the
-report's grid, and f_+ at its far edge, in one call.  Outside the support, or
-beyond the cut tails, the solutions are constants and straight lines.
-Infinite tails are cut where their weighted mass falls below tol, as at
-any k; the results are then flagged as extrapolated and the cut mass is
-the evaluator's error_bound.  A d0 that is not finite raises SpecError.
+built once per report, and no evaluator: d0 is read off their product,
+and so is theta.  Outside the support, or beyond the cut tails, the
+solutions are straight lines, so P carries f_+ to the line A + B x below
+the support and the mirrored P carries f_- to C + D x above it; at a
+resonance B = -d0 and D = d0 vanish, and theta = 1/A = C.  A resonant
+report reads theta from these far fields and the two states at the
+product's split node (see jost._Build.halves).  Infinite tails are cut
+where their weighted mass falls below tol, as at any k; the results are
+then flagged as extrapolated.  A d0 that is not finite raises SpecError.
 D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
 on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
 jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
@@ -38,7 +40,6 @@ residual stays above root_tol.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -46,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RatioInconsistencyError, SpecError
-from .jost import JostEvaluator, _jost_maps, _zero_energy_wronskians
-from .potential import Potential, fm_norm
+from .jost import _jost_maps, _zero_energy_wronskians
+from .potential import Potential, _real, fm_norm
 
 __all__ = [
     "ResonanceReport",
@@ -64,12 +65,11 @@ class ResonanceReport:
     """Zero-energy diagnosis of a potential.
 
     theta is the far-field ratio of the half-bound state (None when not
-    resonant); theta_far_field is the same number computed a second way,
-    from the renormalized value of f_+ on the far left, as a consistency
-    handle.  halfbound_grid/halfbound_values sample the bounded solution
-    normalized to 1 at +inf.  extrapolated means the solutions were
-    anchored at a cut tail (infinite support); the cut mass is their
-    error_bound.  On compact support _zero_maps keeps (p, tol, k = 0 build).
+    resonant); theta_far_field is the same number read from one point
+    only, 1/A for the line A + B x that f_+ follows on the far left, as a
+    consistency handle.  extrapolated means the solutions were anchored
+    at a cut tail (infinite support).  On compact support _zero_maps keeps
+    (p, tol, k = 0 build).
     """
 
     d0: float
@@ -77,8 +77,6 @@ class ResonanceReport:
     is_resonant: bool
     theta: float | None
     theta_far_field: float | None
-    halfbound_grid: np.ndarray | None
-    halfbound_values: np.ndarray | None
     extrapolated: bool
     _zero_maps: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -91,16 +89,18 @@ def resonance_report(
     """Decide resonant vs nonresonant at zero energy and extract theta.
 
     The default threshold scales with the potential mass:
-    |d0| < 1e-8 * (1 + fm_norm).  When resonant, theta is the average of
-    f_-(x,0)/f_+(x,0) over points where |f_+| is not small; the ratio
-    must be constant for a genuine resonance, and a drift beyond 1e-6
+    |d0| < 1e-8 * (1 + fm_norm).  When resonant, theta is the least-squares
+    ratio f_-/f_+ of four pairs of the k = 0 product: the far-field values
+    (A, 1) at -inf and (1, C) at +inf, and the values and the slopes at
+    the split node.  For a genuine resonance f_- = theta f_+ in all four,
+    and a largest gap |f_- - theta f_+| beyond 1e-6 of the largest |f_-|
     raises RatioInconsistencyError.  A non-finite d0, or a threshold that
     is not a positive, finite real number, raises SpecError.
     """
     if threshold is None:
         threshold = 1e-8 * (1.0 + fm_norm(p))
-    elif not (isinstance(threshold, numbers.Real) and 0.0 < threshold < math.inf):  # NaN too
-        raise SpecError(f"threshold must be positive and finite, got {threshold}")
+    elif not 0.0 < _real(threshold) < math.inf:  # NaN, bools and text too
+        raise SpecError(f"threshold must be positive and finite, got {threshold!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives d0 = nan
         built = _jost_maps(p, 0.0, tol)
         d0 = float(built.wronskian().real)
@@ -108,23 +108,19 @@ def resonance_report(
         raise SpecError("d0 is not finite: the zero-energy propagator overflows")
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
-        return ResonanceReport(d0, float(threshold), False, None, None, None, None, extrapolated)
-    pair = JostEvaluator(built)
-
-    sup = p.support()
-    half = max(5.0, 2.0 * max(abs(sup[0]), abs(sup[1]))) if sup else 10.0
-    grid = np.linspace(-half, half, 801)
-    far_edge = pair.far_edge[0]
-    f, fp = pair.eval(np.append(grid, far_edge))  # both sides on the grid, and the far edge
-    vp, vm, f_far, df_far = f[0, :-1], f[1, :-1], f[0, -1], fp[0, -1]
-    # below the far edge the zero-energy f_+ is the line A + B x; A is its
-    # renormalized value
-    a_far = complex(f_far - df_far * far_edge)
-    mask = np.abs(vp) > 0.1 * np.max(np.abs(vp))
-    ratios = vm[mask] / vp[mask]
-    theta_c = np.mean(ratios)
-    spread = np.max(np.abs(ratios - theta_c)) / max(abs(theta_c), 1e-300)
-    if spread > 1e-6:
+        return ResonanceReport(d0, float(threshold), False, None, None, extrapolated)
+    # P carries f_+ = (1, 0) from hi to (P00, P10) at lo, below which it is the
+    # line A + B x, and the mirrored P carries f_- = (1, 0) from lo to (P11,
+    # -P10) at hi, above which it is C + D x; f_- = theta f_+ pairs (f_+, f_-) =
+    # (A, 1) at -inf, (1, C) at +inf, and (f, g), (f', -g') at the split node
+    m00, _, m10, m11 = built.product[2]
+    lo, hi = built.nodes[0], built.nodes[-1]
+    f, fp, g, gp = built.halves()
+    plus = np.array([m00 - m10 * lo, 1.0, f, fp])
+    minus = np.array([1.0, m11 + m10 * hi, g, -gp])
+    theta_c = np.vdot(plus, minus) / np.vdot(plus, plus)
+    spread = np.max(np.abs(minus - theta_c * plus)) / np.max(np.abs(minus))
+    if not spread <= 1e-6:  # nan too
         raise RatioInconsistencyError(
             f"flagged resonant (|d0| = {abs(d0):.3g} < {threshold:.3g}) but "
             f"f_-/f_+ drifts by {spread:.3g}; the threshold may be too loose"
@@ -133,10 +129,8 @@ def resonance_report(
         raise RatioInconsistencyError(
             f"half-bound-state ratio should be real and nonzero, got {theta_c}"
         )
-    theta = float(theta_c.real)
-    theta_far = float((1.0 / a_far).real) if a_far != 0 else float("inf")
-    halfbound = vp.real.copy()  # a view would keep both sides' values alive
-    return ResonanceReport(d0, float(threshold), True, theta, theta_far, grid, halfbound,
+    theta_far = float((1.0 / plus[0]).real) if plus[0] != 0 else math.inf
+    return ResonanceReport(d0, float(threshold), True, float(theta_c.real), theta_far,
                            extrapolated, None if extrapolated else (p, tol, built))
 
 

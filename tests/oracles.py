@@ -429,10 +429,12 @@ def d_zero(p, tol=1e-10):
 def zero_energy_report(p, tol=1e-10):
     """(d0, extrapolated, theta, theta_far_field, halfbound_values) of a resonant p.
 
-    d0 comes from d_zero; the k = 0 solutions are then built again on
-    the report's grid, theta is their mean ratio where |f_+| is not
-    small, and theta_far_field is 1/A for the line A + B x that f_+
-    follows below its far edge.
+    d0 comes from d_zero; the k = 0 solutions are then built again, one
+    evaluator per side, and read on 801 points of [-h, h], h = max(5,
+    twice the support's reach) or 10 on infinite support.  theta is their
+    mean ratio where |f_+| is not small, halfbound_values is f_+ there,
+    and theta_far_field is 1/A for the line A + B x that f_+ follows below
+    its far edge.
     """
     from jost1d.jost import jost_evaluator
 

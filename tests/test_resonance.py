@@ -83,13 +83,14 @@ def test_resonant_exponential_well_theta():
 
 
 def test_halfbound_profile_is_bounded(well_theta_minus):
+    # f_+(., 0) on the oracle's grid [-5, 5]: at a resonance it is the bounded solution
     rep = j.resonance_report(well_theta_minus)
-    vals = np.asarray(rep.halfbound_values)
+    vals = oracles.zero_energy_report(well_theta_minus)[4]
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 10.0
-    # it approaches 1 on the far right and theta on the far left
+    # it approaches 1 on the far right and 1/theta on the far left
     assert vals[-1] == pytest.approx(1.0, abs=1e-8)
-    assert vals[0] == pytest.approx(rep.theta, abs=1e-6)
+    assert vals[0] == pytest.approx(1.0 / rep.theta, abs=1e-6)
 
 
 def test_threshold_scales_with_potential_size(barrier):
@@ -97,7 +98,8 @@ def test_threshold_scales_with_potential_size(barrier):
     assert rep.threshold == pytest.approx(1e-8 * (1.0 + j.fm_norm(barrier)), rel=1e-9)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1j, "a"])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1j, "a", True,
+                                       pytest.param(np.bool_(True), id="np.True_")])
 def test_threshold_must_be_positive_and_finite(barrier, threshold):
     with pytest.raises(SpecError, match="threshold must be positive and finite"):
         j.resonance_report(barrier, threshold=threshold)
@@ -114,7 +116,7 @@ def test_loose_threshold_caught_by_ratio_guard(barrier):
 
 
 # ---------------------------------------------------------------------------
-# one pair of zero-energy evaluators per report
+# theta and its drift verdict from one k = 0 product
 
 
 @pytest.fixture(scope="module")
@@ -149,11 +151,12 @@ def test_report_equals_one_build_per_quantity_oracle(name, request):
     p = request.getfixturevalue(name)
     threshold = 1e-3 if name == "exp_resonant_well" else None
     rep = j.resonance_report(p, threshold=threshold)
-    d0, extrapolated, theta, theta_far, halfbound = oracles.zero_energy_report(p)
+    d0, extrapolated, theta, theta_far, _ = oracles.zero_energy_report(p)
     assert rep.is_resonant
-    assert (rep.d0, rep.extrapolated, rep.theta, rep.theta_far_field) == (
-        d0, extrapolated, theta, theta_far)
-    assert np.array_equal(rep.halfbound_values, halfbound)
+    assert (rep.d0, rep.extrapolated) == (d0, extrapolated)
+    # theta is read from the product, the oracle's from the mean over a grid
+    assert abs(rep.theta - theta) < 1e-8
+    assert abs(rep.theta_far_field - theta_far) < 1e-12 * abs(theta_far)
     if name == "exp_resonant_well":
         assert abs(rep.d0 - oracles.exp_well_d0(p.coupling)) < 1e-11
 
@@ -162,25 +165,67 @@ def test_nonresonant_report_equals_oracle(barrier):
     rep = j.resonance_report(barrier)
     assert not rep.is_resonant
     assert (rep.d0, rep.extrapolated) == oracles.d_zero(barrier)
-    assert rep.theta is rep.theta_far_field is rep.halfbound_values is None
+    assert rep.theta is rep.theta_far_field is None
 
 
 def test_nonresonant_report_builds_no_evaluator(barrier, monkeypatch, evaluator_builds):
-    # d0 is the product of one map set; only a resonant report scans them
+    # d0 is the product of one map set, which no report scans
     map_sets = _counting_map_sets(monkeypatch)
     assert not j.resonance_report(barrier).is_resonant
     assert (len(evaluator_builds), len(map_sets)) == (0, 1)
 
 
-@pytest.mark.parametrize("name, threshold, expected", [
-    ("well_theta_minus", None, 1),  # one pair at k = 0, both sides in one scan
-    ("exp_resonant_well", 1e-3, 1),  # the same, anchored at the cut tails
+@pytest.mark.parametrize("name, threshold", [
+    ("well_theta_minus", None),
+    ("exp_resonant_well", 1e-3),  # anchored at the cut tails
 ])
-def test_resonant_report_builds_each_evaluator_once(name, threshold, expected, request):
+def test_resonant_report_builds_no_evaluator_and_one_map_set(name, threshold, request,
+                                                            monkeypatch):
+    # theta is read from the product that gives d0, as are its far fields
     p = request.getfixturevalue(name)
     builds = request.getfixturevalue("evaluator_builds")  # counts from here on
+    map_sets = _counting_map_sets(monkeypatch)
     assert j.resonance_report(p, threshold=threshold).is_resonant
-    assert len(builds) == expected
+    assert (len(builds), len(map_sets)) == (0, 1)
+
+
+@pytest.mark.parametrize("name", ["well_theta_minus", "exp_resonant_well"])
+@pytest.mark.parametrize("offset, drifts", [(1e-8, False), (1e-7, False), (1e-5, True),
+                                            (1e-4, True)])
+def test_ratio_drift_verdict_near_a_root(name, offset, drifts, request):
+    # a threshold of 1 lets every coupling near the root through; the
+    # drift test must refuse those whose f_- is not theta f_+
+    from jost1d.errors import RatioInconsistencyError
+
+    p = request.getfixturevalue(name)
+    p = p.with_coupling(p.coupling * (1.0 + offset))
+    if drifts:
+        with pytest.raises(RatioInconsistencyError, match="drifts by"):
+            j.resonance_report(p, threshold=1.0)
+    else:
+        rep = j.resonance_report(p, threshold=1.0)
+        assert rep.is_resonant
+        assert rep.theta == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_every_sweep_root_of_random_layer_wells_reports_oracle_theta():
+    # at sweep roots |d0| < root_tol = 1e-8, so each must report, including
+    # those with a small theta, where f_- is small on the right and a drift
+    # taken relative to theta would flag the rounding of its far field
+    thetas = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        heights, edges = rng.uniform(-3.0, 1.0, 3), np.sort(rng.uniform(-2.0, 3.0, 4))
+        base = j.piecewise_constant(list(zip(edges[:-1], edges[1:], heights)))
+        for root in j.resonant_couplings(base, 0.01, 30.0).roots:
+            p = base.with_coupling(root.alpha)
+            rep = j.resonance_report(p, threshold=1e-6)
+            theta = oracles.zero_energy_report(p)[2]
+            assert rep.is_resonant
+            assert abs(rep.theta - theta) < 1e-6 * abs(theta)
+            thetas.append(rep.theta)
+    assert len(thetas) >= 30  # 41 roots
+    assert min(np.abs(thetas)) < 0.005
 
 
 # ---------------------------------------------------------------------------
