@@ -17,7 +17,6 @@ from .errors import (
 )
 from .jost import (
     ScatteringData,
-    check_wavenumber,
     jost_evaluator,
     jost_wronskian,
     scattering,
@@ -80,7 +79,6 @@ __all__ = [
     "SplittingScale",
     "TailData",
     "TruncatedScaledOperator",
-    "check_wavenumber",
     "classify_limit",
     "convergence_table",
     "d_dot_zero",

@@ -78,31 +78,19 @@ from .errors import (
     ExceptionalPointError,
     IntegrationError,
     SpecError,
+    _points,
+    _real,
+    _wavenumber,
 )
 from .potential import Potential
 from .transfer import magnus_entries, plane_pair, propagator_entries
 
 __all__ = [
     "ScatteringData",
-    "check_wavenumber",
     "jost_evaluator",
     "jost_wronskian",
     "scattering",
 ]
-
-
-def check_wavenumber(k, allow_zero=False):
-    try:
-        k = complex(k)
-    except (TypeError, ValueError):
-        raise SpecError(f"wavenumber must be a complex number, got {k!r}") from None
-    if not np.isfinite(k):
-        raise SpecError(f"wavenumber must be finite, got {k}")
-    if k.imag < 0:
-        raise SpecError(f"wavenumber must satisfy Im k >= 0, got {k}")
-    if k == 0 and not allow_zero:
-        raise SpecError("k = 0 is not allowed here")
-    return k
 
 
 @dataclass(frozen=True)
@@ -261,9 +249,7 @@ class JostEvaluator:
 
     def eval(self, x):
         """Vectorized (f, f') at finite points, shaped like x after the side and k axes."""
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise SpecError(f"evaluation points must be finite, got {x[~np.isfinite(x)][0]}")
+        x = _points(x)
         t = self._sign[:, None] * x.ravel() / self.eps[:, None]
         # each point's row, to gather its k, pair, states and mu2 by; a lone row
         # reads them at row 0, which puts the same numbers through the same ufuncs
@@ -425,9 +411,7 @@ def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
     Given eps, an array of dilations, p is already the base and the build
     is the k batch at eps k, of eps's shape (one row on the Magnus route).
     """
-    k = check_wavenumber(k, allow_zero=True)
-    if not 0.0 < tol < 1.0:
-        raise SpecError(f"tol must lie in (0, 1), got {tol}")
+    k, tol = _wavenumber(k, allow_zero=True), _real(tol, "tol must lie in (0, 1)", 0.0, 1.0)
     if eps is None:
         p, eps = _unsqueezed(p)
     k = eps * k
@@ -465,7 +449,7 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     relative defect of a = W/(-2ik), W read at the product's split node, is
     reported; an overflowed product raises SpecError.
     """
-    k = check_wavenumber(k, allow_zero=False)
+    k = _wavenumber(k)
     return _jost_maps(p, k, tol).scattering(k)[0]
 
 

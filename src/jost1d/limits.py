@@ -61,11 +61,10 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import SpecError
-from .jost import (JostEvaluator, ScatteringData, _jost_maps, _layers, _unsqueezed,
-                   check_wavenumber)
-from .potential import Potential, _real, scale, splitting_scale, truncate
-from .resonance import _count, resonance_report
+from .errors import SpecError, _count, _points, _real, _wavenumber
+from .jost import JostEvaluator, ScatteringData, _jost_maps, _layers, _unsqueezed
+from .potential import Potential, scale, splitting_scale, truncate
+from .resonance import resonance_report
 
 __all__ = [
     "Kernel",
@@ -94,10 +93,7 @@ class Kernel:
 
     def __call__(self, x, y):
         """G(x, y), vectorized over broadcast finite x and y."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        for z in (x, y):
-            if not np.isfinite(z).all():
-                raise SpecError(f"evaluation points must be finite, got {z[~np.isfinite(z)][0]}")
+        x, y = np.broadcast_arrays(_points(x), _points(y))
         hi, lo = np.maximum(x, y), np.minimum(x, y)
         g = self.u(hi) * self.v(lo) / self.w
         return (np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g)[()]
@@ -136,7 +132,7 @@ class TruncatedScaledOperator:
     """
 
     def __init__(self, p: Potential, eps, k, tol=1e-10):
-        k = check_wavenumber(k, allow_zero=False)
+        k = _wavenumber(k)
         ((ss,), built), = _windows(p, [eps], k, tol)
         self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
         (self._data,) = built.scattering(k)
@@ -186,9 +182,10 @@ class LimitOperator:
     def __post_init__(self):
         if self.theta is None:
             return
-        ratio = _real(self.theta)
-        if ratio == 0.0 or not np.isfinite(ratio):
-            raise SpecError(f"interface ratio must be real, finite and nonzero, got {self.theta}")
+        what = "interface ratio must be real, finite and nonzero"
+        ratio = _real(self.theta, what)
+        if ratio == 0.0:
+            raise SpecError(f"{what}, got {self.theta!r}")
         object.__setattr__(self, "theta", ratio)
 
     def scattering(self, k) -> ScatteringData:
@@ -198,7 +195,7 @@ class LimitOperator:
         The decoupled pair reflects everything (r = -1, t = 0) and has no
         finite plane-wave coefficients a, b.
         """
-        k = check_wavenumber(k, allow_zero=False)
+        k = _wavenumber(k)
         th = self.theta
         if th is None:
             return ScatteringData(k=k, a=None, b=None, r=-1.0 + 0.0j, t=0.0 + 0.0j)
@@ -217,7 +214,7 @@ class LimitOperator:
         itself for the Dirichlet pair and of ratio 1/theta for the interface,
         which flips the sign of u's e^{-ikx} coefficient across the origin.
         """
-        k = check_wavenumber(k, allow_zero=False)
+        k = _wavenumber(k)
         theta = self.theta
         if theta is None:
             def u(x):
@@ -263,9 +260,9 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
 
 def _abscissae(box, n):
     """The n lattice abscissae on [-box, box], shared by both lattice axes."""
-    if not 0 < box < np.inf or _count("n", n) < 2:
-        raise SpecError("kernel_distance needs box > 0 and n >= 2")
-    return np.linspace(-box, box, n)
+    what = "kernel_distance needs box > 0 and n >= 2"
+    box = _real(box, f"{what}: box must be positive and finite", 0.0)
+    return np.linspace(-box, box, _count(n, f"{what}: n must be an integer of at least 2", 2))
 
 
 def _hs_distance(total, box, n):
@@ -355,15 +352,14 @@ def convergence_table(
     eps's one-row table, and its distance kernel_distance(tso.green,
     op.green(k), box, n), bit for bit.
     """
-    k = check_wavenumber(k, allow_zero=False)
+    k = _wavenumber(k)
     xs = _abscissae(box, n)
     items = list(eps_list) if np.ndim(eps_list) else [eps_list]
     if not items:
         raise SpecError("no eps value given")
-    for e in items:  # read as splitting_scale reads eps
-        if not _real(e) > 0:  # NaN fails this too, and what is no real number
-            raise SpecError(f"eps must be positive, got {e!r}")
-    eps_sorted = sorted({_real(e) for e in items}, reverse=True)
+    # read as splitting_scale reads eps
+    eps_sorted = sorted({_real(e, "eps must be positive", 0.0, closed=True) for e in items},
+                        reverse=True)
     op = classify_limit(p, threshold=threshold, tol=tol)
     ls = op.scattering(k)
     kern = op.green(k)

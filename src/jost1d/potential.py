@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, _real
 
 __all__ = [
     "Potential",
@@ -333,56 +333,56 @@ class Potential:
         return self.shape.breakpoints()
 
     def with_coupling(self, coupling):
-        return replace(self, coupling=float(coupling))
+        return replace(self, coupling=_real(coupling, "coupling must be a finite real number"))
 
 
-def _finite(kind, *values):
-    """values as floats; SpecError if any is not a number, NaN or infinite (json reads both).
+def _numbers(kind, values, count=None):
+    """values, a sequence of count (any number if None) finite reals, as a tuple of floats.
 
-    A bool or a string is no number, though float() reads one; potential_from_dict
-    wraps the TypeError of None or a list.
+    json reads NaN and Infinity, so a description can carry them.
     """
-    text = [t for t in values if isinstance(t, (bool, str))]
-    if text:
-        raise SpecError(f"{kind} potential parameters must be numbers, got {text[0]!r}")
-    out = [float(t) for t in values]
-    if not all(map(math.isfinite, out)):
-        raise SpecError(f"{kind} potential parameters and coupling must be finite")
-    return out
+    what = f"{kind} potential parameters and coupling must be numbers, real and finite"
+    row = tuple(values) if np.iterable(values) else None
+    if row is None or count not in (None, len(row)):
+        length = "" if count is None else f" of length {count}"
+        raise SpecError(f"{kind} potential needs a sequence of numbers{length}, got {values!r}")
+    return tuple(_real(t, what) for t in row)
 
 
 def square(left, right, height, coupling=1.0):
     """Square well (height < 0) or barrier (height > 0) on [left, right]."""
-    left, right, height, coupling = _finite("square", left, right, height, coupling)
+    left, right, height, coupling = _numbers("square", (left, right, height, coupling))
     if not left < right:
         raise SpecError(f"square potential needs left < right, got [{left}, {right}]")
     return Potential(PiecewiseShape(((left, right, height),)), coupling)
 
 
 def piecewise_constant(segments, coupling=1.0):
-    segs = sorted(tuple(_finite("piecewise", lo, hi, h)) for lo, hi, h in segments)
+    # a lone number is read, and rejected, as a segment
+    segs = sorted(_numbers("piecewise", seg, 3)
+                  for seg in (segments if np.iterable(segments) else [segments]))
     for lo, hi, _ in segs:
         if not lo < hi:
             raise SpecError(f"piecewise segment needs left < right, got [{lo}, {hi}]")
     for (_, hi, _), (lo2, _, _) in zip(segs, segs[1:]):
         if lo2 < hi:
             raise SpecError(f"piecewise segments overlap near x = {lo2}")
-    return Potential(PiecewiseShape(tuple(segs)), *_finite("piecewise", coupling))
+    return Potential(PiecewiseShape(tuple(segs)), *_numbers("piecewise", (coupling,)))
 
 
 def tabulated(x, v, coupling=1.0):
-    x, v = tuple(_finite("tabulated", *x)), tuple(_finite("tabulated", *v))
+    x, v = _numbers("tabulated", x), _numbers("tabulated", v)
     if len(x) != len(v):
         raise SpecError("tabulated potential needs matching x and v lengths")
     if len(x) < 2:
         raise SpecError("tabulated potential needs at least two samples")
     if any(b <= a for a, b in zip(x, x[1:])):
         raise SpecError("tabulated grid must be strictly increasing")
-    return Potential(TableShape(x, v), *_finite("tabulated", coupling))
+    return Potential(TableShape(x, v), *_numbers("tabulated", (coupling,)))
 
 
 def exp_decay(rate=1.0, amplitude=1.0, coupling=1.0):
-    rate, amplitude, coupling = _finite("exp_decay", rate, amplitude, coupling)
+    rate, amplitude, coupling = _numbers("exp_decay", (rate, amplitude, coupling))
     if rate <= 0:
         raise SpecError(f"exp_decay rate must be positive, got {rate}")
     return Potential(ExpDecayShape(rate, amplitude), coupling)
@@ -397,37 +397,20 @@ def zero():
 # transforms
 
 
-def _real(value) -> float:
-    """value as a float, or NaN for what is no real number: a bool, text, None, an array.
-
-    float() would read text and bools, and numpy's would cast a complex
-    number with a warning.
-    """
-    if isinstance(value, (bool, np.bool_, str)) or np.iscomplexobj(value) or np.ndim(value):
-        return math.nan
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
 def scale(p: Potential, eps: float) -> Potential:
     """The squeezed family V_eps(x) = eps^-2 V(x/eps).
 
     Composes exactly: scale(scale(p, e1), e2) is the same object tree as
     scale(p, e1*e2), so repeated rescaling never accumulates error.
     """
-    factor = _real(eps)
-    if not 0 < factor < math.inf:
-        raise SpecError(f"scale factor must be positive and finite, got {eps!r}")
+    factor = _real(eps, "scale factor must be positive and finite", 0.0)
     return replace(p, shape=p.shape.scaled(factor))
 
 
 def truncate(p: Potential, half_width: float) -> Potential:
     """Restrict V to the window [-half_width, half_width]."""
-    width = _real(half_width)
-    if not width > 0:  # NaN fails this too; an infinite window keeps all of V
-        raise SpecError(f"truncation half-width must be positive, got {half_width!r}")
+    # an infinite window keeps all of V
+    width = _real(half_width, "truncation half-width must be positive", 0.0, closed=True)
     return replace(p, shape=p.shape.truncated(width))
 
 
@@ -462,10 +445,11 @@ class TailData:
 
 
 def tails(p: Potential, x: float) -> TailData:
-    """Tail integrals of |V| and (1+|t|) |V| on each side of x, in closed form."""
+    """Tail integrals of |V| and (1+|t|) |V| on each side of a finite point x, in closed form."""
+    x = _real(x, "tail point must be a finite real number")
     _, _, sm, tm = p.shape.integrals(-math.inf, x, p.coupling)
     _, _, sp, tp = p.shape.integrals(x, math.inf, p.coupling)
-    return TailData(float(x), sm, sp, tm, tp)
+    return TailData(x, sm, sp, tm, tp)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +489,8 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
     and monotone for integrable tails, and this one is 1/2.  Its root is
     found by bracket doubling plus bisection to 1e-12 relative width.
     """
-    if not _real(eps) > 0:  # NaN fails this too, and what is no real number
-        raise SpecError(f"eps must be positive, got {eps!r}")
+    # eps = inf is too large, as is any eps >= 1 / rho(0), and says so below
+    eps = _real(eps, "eps must be positive", 0.0, closed=True)
     target = 1.0 / eps
     compact = p.is_compact()
     rho0 = 1.0 if compact else _rho(p, 0.0)
@@ -518,7 +502,7 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
         )
     if compact:
         xi = math.sqrt(target - 1.0)
-        return SplittingScale(float(eps), xi, eps * xi)
+        return SplittingScale(eps, xi, eps * xi)
     hi = 1.0
     for _ in range(80):
         if _rho(p, hi) > target:
@@ -534,7 +518,7 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
         else:
             lo = mid
     xi = 0.5 * (lo + hi)
-    return SplittingScale(float(eps), xi, eps * xi)
+    return SplittingScale(eps, xi, eps * xi)
 
 
 def tail_weight_norm(p: Potential, eps: float) -> float:
@@ -545,9 +529,9 @@ def tail_weight_norm(p: Potential, eps: float) -> float:
     window construction to be consistent.  Identically zero once xi_eps
     clears a compact support.
     """
-    xi = splitting_scale(p, eps).xi_eps
-    return (p.shape.integrals(xi, math.inf, p.coupling)[2]
-            + p.shape.integrals(-math.inf, -xi, p.coupling)[2]) / eps
+    ss = splitting_scale(p, eps)
+    return (p.shape.integrals(ss.xi_eps, math.inf, p.coupling)[2]
+            + p.shape.integrals(-math.inf, -ss.xi_eps, p.coupling)[2]) / ss.eps
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +547,7 @@ def potential_from_dict(spec: dict) -> Potential:
     except KeyError:
         raise SpecError('potential description is missing "kind"') from None
     params = spec.get("params", {})
-    coupling = spec.get("coupling", 1.0)
-    if not isinstance(coupling, (int, float)) or isinstance(coupling, bool):
-        raise SpecError(f'"coupling" must be a number, got {coupling!r}')
+    coupling = spec.get("coupling", 1.0)  # read, as every parameter, by the constructor
     try:
         if kind == "square":
             return square(params["left"], params["right"], params["height"], coupling)

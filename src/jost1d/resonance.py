@@ -40,15 +40,14 @@ residual stays above root_tol.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RatioInconsistencyError, SpecError
+from .errors import RatioInconsistencyError, SpecError, _count, _real
 from .jost import _jost_maps, _zero_energy_wronskians
-from .potential import Potential, _real, fm_norm
+from .potential import Potential, fm_norm
 
 __all__ = [
     "ResonanceReport",
@@ -97,10 +96,8 @@ def resonance_report(
     raises RatioInconsistencyError.  A non-finite d0, or a threshold that
     is not a positive, finite real number, raises SpecError.
     """
-    if threshold is None:
-        threshold = 1e-8 * (1.0 + fm_norm(p))
-    elif not 0.0 < _real(threshold) < math.inf:  # NaN, bools and text too
-        raise SpecError(f"threshold must be positive and finite, got {threshold!r}")
+    threshold = (1e-8 * (1.0 + fm_norm(p)) if threshold is None
+                 else _real(threshold, "threshold must be positive and finite", 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives d0 = nan
         built = _jost_maps(p, 0.0, tol)
         d0 = float(built.wronskian().real)
@@ -108,7 +105,7 @@ def resonance_report(
         raise SpecError("d0 is not finite: the zero-energy propagator overflows")
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
-        return ResonanceReport(d0, float(threshold), False, None, None, extrapolated)
+        return ResonanceReport(d0, threshold, False, None, None, extrapolated)
     # P carries f_+ = (1, 0) from hi to (P00, P10) at lo, below which it is the
     # line A + B x, and the mirrored P carries f_- = (1, 0) from lo to (P11,
     # -P10) at hi, above which it is C + D x; f_- = theta f_+ pairs (f_+, f_-) =
@@ -130,7 +127,7 @@ def resonance_report(
             f"half-bound-state ratio should be real and nonzero, got {theta_c}"
         )
     theta_far = float((1.0 / plus[0]).real) if plus[0] != 0 else math.inf
-    return ResonanceReport(d0, float(threshold), True, float(theta_c.real), theta_far,
+    return ResonanceReport(d0, threshold, True, float(theta_c.real), theta_far,
                            extrapolated, None if extrapolated else (p, tol, built))
 
 
@@ -233,24 +230,21 @@ def resonant_couplings(
     sweep.  A d0 that overflows, on the grid or in a bisection, raises
     SpecError, as does a root whose residual never falls below root_tol.
     """
-    if not alpha_min < alpha_max:
-        raise SpecError(f"need alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
-    if not math.isfinite(float(alpha_max) - float(alpha_min)):  # an infinite end or span
-        raise SpecError(f"sweep range must be finite, got [{alpha_min}, {alpha_max}]")
-    if (grid_n := _count("grid_n", grid_n)) < 2:
-        raise SpecError(f"grid_n must be at least 2, got {grid_n}")
-    if not 0.0 < root_tol < math.inf:
-        raise SpecError(f"root_tol must be positive and finite, got {root_tol}")
+    lo, hi = (_real(a, "sweep range must be finite") for a in (alpha_min, alpha_max))
+    if not 0.0 < hi - lo < math.inf:  # an overflowing span too
+        raise SpecError(f"need alpha_min < alpha_max and a finite sweep range, got [{lo}, {hi}]")
+    grid_n = _count(grid_n, "grid_n must be an integer of at least 2", 2)
+    root_tol = _real(root_tol, "root_tol must be positive and finite", 0.0)
     d0, layered = _zero_energy_wronskians(base, tol)
 
     def g(alphas):  # d0 at each alpha, nan where it overflowed; one map set for a layered base
         with np.errstate(over="ignore", invalid="ignore"):
             return d0(base.coupling * alphas).real
 
-    alphas = np.linspace(alpha_min, alpha_max, grid_n)
+    alphas = np.linspace(lo, hi, grid_n)
     values = _finite(alphas, g(alphas))
 
-    trivial = 0.0 if alpha_min <= 0.0 <= alpha_max else None
+    trivial = 0.0 if lo <= 0.0 <= hi else None
 
     roots, brackets = _grid_roots(alphas, values)
     found = _bisect_roots(g, brackets, root_tol, 4 if layered else 1)
@@ -286,14 +280,6 @@ def _grid_roots(alphas, values):
         change = g_lo * g_hi < 0.0
     roots = [CouplingRoot(a, (a, a), 0.0) for a in lo[(g_lo == 0.0) & ~trivial].tolist()]
     return roots, list(zip(*(x[change].tolist() for x in (lo, hi, g_lo, g_hi))))
-
-
-def _count(name, n):
-    """n as an int, or SpecError naming the argument when it is not an integer."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise SpecError(f"{name} must be an integer, got {n!r}") from None
 
 
 def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:

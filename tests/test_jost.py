@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import j0
 
 import jost1d as j
-from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError
+from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError, _wavenumber
 from jost1d.jost import (
     JostEvaluator,
     _Build,
@@ -36,11 +36,11 @@ import oracles
 
 def test_wavenumber_validation():
     with pytest.raises(SpecError):
-        j.check_wavenumber(1.0 - 0.5j)
+        _wavenumber(1.0 - 0.5j)
     with pytest.raises(SpecError):
-        j.check_wavenumber(0.0)
-    assert j.check_wavenumber(0.0, allow_zero=True) == 0.0
-    assert j.check_wavenumber(2.0) == 2.0 + 0.0j
+        _wavenumber(0.0)
+    assert _wavenumber(0.0, allow_zero=True) == 0.0
+    assert _wavenumber(2.0) == 2.0 + 0.0j
 
 
 @pytest.mark.parametrize("k", [float("nan"), float("inf"), -float("inf"),
@@ -48,13 +48,15 @@ def test_wavenumber_validation():
 def test_wavenumber_rejects_non_finite(k):
     # NaN fails every ordering test, so each check must be written to reject it
     with pytest.raises(SpecError, match="finite"):
-        j.check_wavenumber(k, allow_zero=True)
+        _wavenumber(k, allow_zero=True)
 
 
-@pytest.mark.parametrize("k", [None, "a", [1, 2]])
+@pytest.mark.parametrize("k", [None, "a", [1, 2], "1", True,
+                               pytest.param(np.bool_(True), id="np.True_")])
 def test_wavenumber_rejects_non_numbers(k):
+    # complex() reads the text "1" and True; neither is a wavenumber
     with pytest.raises(SpecError, match="complex number"):
-        j.check_wavenumber(k, allow_zero=True)
+        _wavenumber(k, allow_zero=True)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, 1.0])
@@ -997,7 +999,7 @@ def test_public_names():
         "ExceptionalPointError", "IntegrationError", "LimitOperator", "NumericsError",
         "Potential", "RatioInconsistencyError", "ResonanceReport", "ScatteringData",
         "SpecError", "SplittingScale", "TailData", "TruncatedScaledOperator",
-        "check_wavenumber", "classify_limit", "convergence_table", "d_dot_zero",
+        "classify_limit", "convergence_table", "d_dot_zero",
         "exp_decay", "fm_norm", "jost_evaluator", "jost_wronskian", "kernel_distance",
         "load_potential", "moments",
         "piecewise_constant", "potential_from_dict", "resonance_report",

@@ -63,11 +63,28 @@ def test_piecewise_rejects_overlap():
     lambda: j.exp_decay(coupling=math.inf),
     lambda: j.potential_from_dict({"kind": "square", "coupling": math.nan,
                                    "params": {"left": -1.0, "right": 1.0, "height": 1.0}}),
+    lambda: j.square(-1.0, 1.0, 1.0).with_coupling(math.nan),
 ], ids=["square height", "square edge", "square coupling", "piecewise edge",
         "piecewise coupling", "table node", "table value", "table coupling", "exp rate inf",
-        "exp rate nan", "exp amplitude", "exp coupling", "dict coupling"])
+        "exp rate nan", "exp amplitude", "exp coupling", "dict coupling", "with_coupling"])
 def test_constructors_reject_non_finite(build):
     with pytest.raises(SpecError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: j.tabulated(1.0, 2.0),
+    lambda: j.tabulated(np.zeros((2, 3)), np.ones((2, 3))),
+    lambda: j.tabulated("abc", [0.0, 1.0, 0.0]),
+    lambda: j.piecewise_constant(5),
+    lambda: j.piecewise_constant([(-1.0, 1.0)]),
+    lambda: j.piecewise_constant([(-1.0, 0.0, 1.0, 2.0)]),
+    lambda: j.piecewise_constant([1.0, 2.0, 3.0]),
+], ids=["table of scalars", "2-d table", "table of text", "piecewise scalar",
+        "2-tuple segment", "4-tuple segment", "segments of scalars"])
+def test_constructors_reject_what_is_no_sequence_of_numbers(build):
+    # each raised a bare TypeError or ValueError when read by unpacking
+    with pytest.raises(SpecError, match="potential"):
         build()
 
 
