@@ -15,12 +15,17 @@ when its shape tiles into layers (nodes at the layer edges, steps from
 transfer.propagator_entries), and otherwise a 6th-order Magnus panel
 propagator (transfer.magnus_entries), whose step samples V at three
 Gauss points and is exact for the free equation at any k.  The Magnus
-mesh starts from the potential's breakpoints, so no step crosses a kink,
-and accepts a step once its one-step and two-half-step maps differ by at
-most its share of tol; one kernel call per round gives both half steps
-and the whole step.  The defect is O(h^7) and the share O(h), so a
-rejected step is split at once into 2^ceil(log64(defect / share)) equal
-pieces.  An accepted step keeps its two-half-step map with the
+mesh starts from 192 uniform panels and the potential's breakpoints, so
+no step crosses a kink, and accepts a step once its one-step and
+two-half-step maps differ by at most its share of tol; one kernel call
+per round gives both half steps and the whole step, and a round costs
+about the same for 4 steps as for 300.  The defect is O(h^7) and the
+share O(h), so a rejected step is split at once into
+2^ceil(log64(4 defect / share)) equal pieces, aimed two bits below the
+share.  The seed panels are fine enough that a seed step's defect falls
+like h^7 when split, and the margin covers one that falls a little
+slower, so a build at moderate k takes one or two rounds, not three or four.
+An accepted step keeps its two-half-step map with the
 Richardson correction M_2 + (M_2 - M_1)/63: the Gauss-point step is
 time-symmetric, so its local error is odd in h.  The anchor sits at the
 support edge when the support is compact, otherwise where the weighted
@@ -298,11 +303,12 @@ class JostEvaluator:
         return m00 * f0 + m01 * fp0, m10 * f0 + m11 * fp0
 
 
-_MIN_PANELS = 16  # uniform panels laid over the breakpoints
-_MAX_ROUNDS = 40  # halvings of a uniform panel that set the narrowest Magnus step
+_MIN_PANELS = 192  # uniform panels laid over the breakpoints (see the module docstring)
+_MAX_ROUNDS = 36  # halvings of a uniform panel that set the narrowest Magnus step, span / 2^43.6
 _MAX_JUMP = 8  # most halvings one rejected step jumps in one round
 _MAX_STEPS = 1 << 20
 _FLOOR = 1e-14  # relative step defect that rounding alone can produce
+_MARGIN = 2.0  # bits below its share that a rejected step's pieces aim
 
 
 def _x_maps(p: Potential, k, tol, layers, second):
@@ -320,7 +326,7 @@ def _x_maps(p: Potential, k, tol, layers, second):
     call per round, differ by at most tol * |h| / span relative to its
     size (or by the rounding floor), keeping the two-half-step map,
     Richardson-corrected by /63.  A rejected step is split into 2^l equal
-    pieces, l = ceil(log64(defect / allowed)) in [1, _MAX_JUMP], none
+    pieces, l = ceil(log64(4 defect / allowed)) in [1, _MAX_JUMP], none
     below narrowest.
     """
     if layers is not None:
@@ -359,9 +365,9 @@ def _x_maps(p: Potential, k, tol, layers, second):
             allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
             ok = defect <= allowed
             halves -= gap / 63.0  # in place: a round can hold most of the mesh
-            # defect ~ h^7 against allowed ~ h, so 2^ceil(log64 ratio) pieces bring
-            # the ratio to 1; fmax makes a nan ratio (an overflowed step) one halving
-            levels = np.fmax(np.ceil(np.log2(defect / allowed) / 6.0), 1.0)
+            # defect ~ h^7 against allowed ~ h, so 2^ceil(log64(4 ratio)) pieces bring
+            # the ratio to 1/4; fmax makes a nan ratio (an overflowed step) one halving
+            levels = np.fmax(np.ceil((np.log2(defect / allowed) + _MARGIN) / 6.0), 1.0)
         done_left.append(left[ok])
         done_maps.append(halves[:, ok])
         del maps, gap, halves
@@ -395,7 +401,7 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     infinite support k = 0 anchors at the same tail point as k != 0:
     |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
     """
-    if side not in ("+", "-"):
+    if not isinstance(side, str) or side not in ("+", "-"):
         raise SpecError(f"side must be '+' or '-', got {side!r}")
     return JostEvaluator(_jost_maps(p, k, tol))._side("+-".index(side))
 

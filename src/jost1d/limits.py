@@ -93,7 +93,12 @@ class Kernel:
 
     def __call__(self, x, y):
         """G(x, y), vectorized over broadcast finite x and y."""
-        x, y = np.broadcast_arrays(_points(x), _points(y))
+        x, y = _points(x), _points(y)
+        try:
+            x, y = np.broadcast_arrays(x, y)
+        except ValueError:
+            raise SpecError(f"kernel points x and y must broadcast together, got shapes "
+                            f"{x.shape} and {y.shape}") from None
         hi, lo = np.maximum(x, y), np.minimum(x, y)
         g = self.u(hi) * self.v(lo) / self.w
         return (np.where((hi > 0) & (lo < 0), 0.0, g) if self.split else g)[()]
@@ -354,7 +359,8 @@ def convergence_table(
     """
     k = _wavenumber(k)
     xs = _abscissae(box, n)
-    items = list(eps_list) if np.ndim(eps_list) else [eps_list]
+    # a lone eps, text included, is a list of one; np.ndim fails on a ragged list
+    items = list(eps_list) if np.iterable(eps_list) and not isinstance(eps_list, str) else [eps_list]
     if not items:
         raise SpecError("no eps value given")
     # read as splitting_scale reads eps

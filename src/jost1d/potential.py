@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SpecError, _real
+from .errors import SpecError, _points, _real
 
 __all__ = [
     "Potential",
@@ -316,8 +316,11 @@ class Potential:
     shape: object
     coupling: float = 1.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "coupling", _real(self.coupling, "coupling must be a finite real number"))
+
     def __call__(self, x):
-        out = self.coupling * self.shape.value(x)
+        out = self.coupling * self.shape.value(_points(x))
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -333,7 +336,7 @@ class Potential:
         return self.shape.breakpoints()
 
     def with_coupling(self, coupling):
-        return replace(self, coupling=_real(coupling, "coupling must be a finite real number"))
+        return replace(self, coupling=coupling)
 
 
 def _numbers(kind, values, count=None):
@@ -472,9 +475,14 @@ class SplittingScale:
     x_eps: float
 
 
-def _rho(p: Potential, x: float) -> float:
+def _tau(p: Potential, x: float) -> float:
+    """The two-sided weighted tail mass int_{|t| > |x|} (1 + |t|) |V|."""
     x = abs(x)
-    tau = p.shape.integrals(x, math.inf, p.coupling)[3] + p.shape.integrals(-math.inf, -x, p.coupling)[3]
+    return p.shape.integrals(x, math.inf, p.coupling)[3] + p.shape.integrals(-math.inf, -x, p.coupling)[3]
+
+
+def _rho(p: Potential, x: float) -> float:
+    tau = _tau(p, x)
     if tau <= 0.0:
         return math.inf
     return (1.0 + abs(x)) / tau**0.5
@@ -487,7 +495,9 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
     Otherwise rho(x) = (1+|x|) / tau(x)^(1/2) with tau the two-sided
     weighted tail mass; any fixed exponent in (0, 1) keeps rho divergent
     and monotone for integrable tails, and this one is 1/2.  Its root is
-    found by bracket doubling plus bisection to 1e-12 relative width.
+    bracketed by doubling, then found by Newton's method on log rho, whose
+    slope 1/(1+x) + (1+x)(|V(x)| + |V(-x)|)/(2 tau) is closed form, until a
+    step is below 1e-12 relative; a step that leaves the bracket bisects it.
     """
     # eps = inf is too large, as is any eps >= 1 / rho(0), and says so below
     eps = _real(eps, "eps must be positive", 0.0, closed=True)
@@ -510,14 +520,22 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
         hi *= 2.0
     else:
         raise SpecError("splitting scale bracket search ran away; tail mass may not decay")
-    lo = 0.0
+    lo, x = 0.0, hi  # rho(lo) <= 1/eps < rho(hi)
     while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _rho(p, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    xi = 0.5 * (lo + hi)
+        tau = _tau(p, x)
+        if tau <= 0.0:  # rho(x) = inf
+            hi, x = x, 0.5 * (lo + x)
+            continue
+        gap = math.log1p(x) - 0.5 * math.log(tau) + math.log(eps)  # log(rho(x) eps)
+        lo, hi = (lo, x) if gap > 0.0 else (x, hi)
+        v = float(np.abs(p(np.array([x, -x]))).sum())
+        step = gap / (1.0 / (1.0 + x) + (1.0 + x) * v / (2.0 * tau))
+        if abs(step) <= 1e-12 * max(1.0, x):
+            xi = x - step
+            break
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    else:
+        xi = 0.5 * (lo + hi)
     return SplittingScale(eps, xi, eps * xi)
 
 

@@ -412,6 +412,29 @@ def quad_integrals(v, cuts, lo=-np.inf, hi=np.inf):
     )
 
 
+def bisection_splitting_scale(p, eps):
+    """xi with rho(xi) = 1/eps on infinite support, by bracket doubling and bisection.
+
+    rho(x) = (1 + |x|) / tau(x)^(1/2), tau the two-sided weighted tail mass
+    from the shape's closed-form integrals; the bracket is bisected to a
+    width of 1e-12 relative, and no derivative is used.  It checks the
+    library's root finder, not the integrals, which quad_integrals checks.
+    """
+
+    def rho(x):
+        tau = (p.shape.integrals(x, math.inf, p.coupling)[3]
+               + p.shape.integrals(-math.inf, -x, p.coupling)[3])
+        return math.inf if tau <= 0.0 else (1.0 + x) / math.sqrt(tau)
+
+    lo, hi = 0.0, 1.0
+    while rho(hi) <= 1.0 / eps:
+        hi *= 2.0
+    while hi - lo > 1e-12 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if rho(mid) > 1.0 / eps else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # zero-energy quantities one build at a time
 

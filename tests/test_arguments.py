@@ -25,6 +25,7 @@ _ARGUMENTS = {
     "exp rate": lambda a: j.exp_decay(a),
     "exp amplitude": lambda a: j.exp_decay(1.0, a),
     "exp coupling": lambda a: j.exp_decay(1.0, 1.0, a),
+    "Potential coupling": lambda a: j.Potential(_BARRIER.shape, a),
     "with_coupling": lambda a: _BARRIER.with_coupling(a),
     "scale": lambda a: j.scale(_BARRIER, a),
     "truncate": lambda a: j.truncate(_BARRIER, a),
@@ -78,3 +79,16 @@ def test_every_numeric_argument_rejects_what_is_no_number_of_its_kind(name, valu
     # a bare TypeError or ValueError would fail this: SpecError is the only one expected
     with pytest.raises(SpecError):
         _ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _BARRIER("a"),
+    lambda: _GREEN(np.zeros(2), np.zeros(3)),
+    lambda: j.convergence_table(_BARRIER, 1.0, [[0.1], [0.2, 0.3]]),
+    lambda: j.jost_evaluator(_BARRIER, 1.0, np.array([1, 2])),
+], ids=["potential points", "kernel points", "ragged eps list", "array side"])
+def test_points_eps_lists_and_sides_raise_spec_error(call):
+    # each raised numpy's ValueError: float() of text, a broadcast of shapes
+    # (2,) and (3,), the ndim of a ragged list, the truth value of an array
+    with pytest.raises(SpecError):
+        call()

@@ -346,11 +346,15 @@ def test_every_magnus_step_passes_the_defect_test(bump_table, which, k):
     assert np.all(np.abs(steps.T - richardson).max(axis=1) <= 1e-13 * size)
 
 
-@pytest.mark.parametrize("which, k, most", [("exp_well", 1.0, 12), ("bump", 2.0, 6)])
-def test_magnus_mesh_jumps_to_its_level(bump_table, monkeypatch, which, k, most):
-    # a rejected step is split into 2^ceil(log64(defect / allowed)) pieces
-    # at once, and a round is one kernel call (3 and 2 calls here); halving
-    # one level per round took 25 and 11 calls
+@pytest.mark.parametrize("which, rounds", [("exp_well", 2), ("bump", 1), ("window", 1),
+                                           ("exp_report", 2)])
+def test_magnus_mesh_jumps_to_its_level(bump_table, monkeypatch, which, rounds):
+    # a round is one kernel call; the seed panels are fine enough that a
+    # rejected step, split at once into 2^ceil(log64(4 defect / allowed))
+    # pieces, passes in the next round: the README exp well at k = 1, the
+    # bump at k = 2, the exp_decay(1.5, 1) window at eps = 0.05 and the
+    # README exp report at k = 0 (from 16 seed panels they took 3, 2, 3
+    # and 3 calls; halving one level per round took 25 and 11 for the first two)
     from jost1d import jost
 
     calls = []
@@ -360,8 +364,15 @@ def test_magnus_mesh_jumps_to_its_level(bump_table, monkeypatch, which, k, most)
         return magnus_entries(*args)
 
     monkeypatch.setattr(jost, "magnus_entries", counting)
-    _jost_maps(_README_WELL if which == "exp_well" else bump_table, k)
-    assert len(calls) <= most
+    if which == "exp_well":
+        _jost_maps(_README_WELL, 1.0)
+    elif which == "bump":
+        _jost_maps(bump_table, 2.0)
+    elif which == "window":
+        j.truncated_operator(j.exp_decay(1.5, 1.0), 0.05, 1.0)
+    else:
+        j.resonance_report(j.exp_decay(1.0, 1.0, -1.4458))
+    assert len(calls) == rounds
 
 
 def test_overflowed_magnus_steps_are_halved():

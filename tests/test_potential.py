@@ -499,6 +499,27 @@ def test_splitting_scale_exponential_solves_weight_equation(exp_tail):
         assert rho == pytest.approx(1.0 / eps, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [j.exp_decay(1.5, 1.0), j.exp_decay(1.0, -1.0, 1.4458),
+                               j.exp_decay(0.3, 5.0), j.exp_decay(4.0, -0.2)])
+def test_splitting_scale_newton_matches_bisection(p):
+    # Newton's method on log rho finds the root that doubling and bisection
+    # bracket, and rho(xi) eps = 1 there
+    for eps in (0.2, 0.1, 0.05, 0.01, 1e-3, 1e-5):
+        xi = j.splitting_scale(p, eps).xi_eps
+        assert xi == pytest.approx(oracles.bisection_splitting_scale(p, eps), rel=1e-11)
+        tau = j.tails(p, xi).tau_plus + j.tails(p, -xi).tau_minus
+        assert (1.0 + xi) / math.sqrt(tau) * eps == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_splitting_scale_bisects_where_the_tail_mass_underflows():
+    # the tail mass of e^{-800|x|} beyond |x| = 1, the first Newton point, is 0
+    p = j.exp_decay(800.0, 1.0)
+    xi = j.splitting_scale(p, 1e-3).xi_eps
+    assert j.tails(p, 1.0).tau_plus == 0.0
+    tau = j.tails(p, xi).tau_plus + j.tails(p, -xi).tau_minus
+    assert (1.0 + xi) / math.sqrt(tau) * 1e-3 == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
 def test_splitting_scale_window_shrinks_while_growing_unscaled(exp_tail):
     eps_values = [0.1, 0.03, 0.01, 0.003]
     scales = [j.splitting_scale(exp_tail, e) for e in eps_values]
