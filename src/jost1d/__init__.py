@@ -7,100 +7,14 @@ family built from V: convergence either to decoupled half-line Dirichlet
 operators or, at a resonance, to a one-parameter interface coupling.
 """
 
-from .errors import (
-    AnchorError,
-    ExceptionalPointError,
-    IntegrationError,
-    NumericsError,
-    RatioInconsistencyError,
-    SpecError,
-)
-from .jost import (
-    ScatteringData,
-    jost_evaluator,
-    jost_wronskian,
-    scattering,
-)
-from .limits import (
-    ConvergenceRecord,
-    LimitOperator,
-    TruncatedScaledOperator,
-    classify_limit,
-    convergence_table,
-    kernel_distance,
-    truncated_operator,
-)
-from .potential import (
-    Potential,
-    SplittingScale,
-    TailData,
-    exp_decay,
-    fm_norm,
-    load_potential,
-    moments,
-    piecewise_constant,
-    potential_from_dict,
-    scale,
-    splitting_scale,
-    square,
-    tabulated,
-    tail_weight_norm,
-    tails,
-    truncate,
-    zero,
-)
-from .resonance import (
-    CouplingRoot,
-    CouplingSweep,
-    DZeroDerivative,
-    ResonanceReport,
-    d_dot_zero,
-    resonance_report,
-    resonant_couplings,
-)
+from . import errors, jost, limits, potential, resonance
+from .errors import *
+from .jost import *
+from .limits import *
+from .potential import *
+from .resonance import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorError",
-    "ConvergenceRecord",
-    "CouplingRoot",
-    "CouplingSweep",
-    "DZeroDerivative",
-    "ExceptionalPointError",
-    "IntegrationError",
-    "LimitOperator",
-    "NumericsError",
-    "Potential",
-    "RatioInconsistencyError",
-    "ResonanceReport",
-    "ScatteringData",
-    "SpecError",
-    "SplittingScale",
-    "TailData",
-    "TruncatedScaledOperator",
-    "classify_limit",
-    "convergence_table",
-    "d_dot_zero",
-    "exp_decay",
-    "fm_norm",
-    "jost_evaluator",
-    "jost_wronskian",
-    "kernel_distance",
-    "load_potential",
-    "moments",
-    "piecewise_constant",
-    "potential_from_dict",
-    "resonance_report",
-    "resonant_couplings",
-    "scale",
-    "scattering",
-    "splitting_scale",
-    "square",
-    "tabulated",
-    "tail_weight_norm",
-    "tails",
-    "truncate",
-    "truncated_operator",
-    "zero",
-]
+# each public name is declared once, in its module's __all__
+__all__ = [*errors.__all__, *jost.__all__, *limits.__all__, *potential.__all__, *resonance.__all__]

@@ -21,6 +21,15 @@ import operator
 
 import numpy as np
 
+__all__ = [
+    "SpecError",
+    "NumericsError",
+    "AnchorError",
+    "IntegrationError",
+    "ExceptionalPointError",
+    "RatioInconsistencyError",
+]
+
 
 class SpecError(ValueError):
     """A potential description or an argument violates a documented precondition."""

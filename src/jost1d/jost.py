@@ -46,12 +46,13 @@ the last round, P = L R, f_+ is R applied to its start and f_- the
 mirrored L (see JostEvaluator) applied to its own (_Build.halves); their
 W is P's in exact arithmetic for any maps, so the wronskian_gap and
 ray_gap read there measure rounding.  A JostEvaluator scans the maps
-into node states for f(x).  It is always the f_+/f_- pair of one build,
-started from the build's own anchor states (_Build.starts), so the scan
-and the product start from the same numbers.  It stacks the two sides'
-maps on the row axis, so one scan and one evaluation, one kernel call
-per branch, serve both: the window kernels of the limits module read
-both sides, and jost_evaluator returns one side of the pair.
+into node states for f(x).  It holds the f_+/f_- pair of one build, or
+one side of it, started from the build's own anchor states
+(_Build.starts), so the scan and the product start from the same
+numbers.  The pair stacks the two sides' maps on the row axis, so one
+scan and one evaluation, one kernel call per branch, serve both, as the
+convergence table reads them; a window's plus and minus, and
+jost_evaluator, stack and scan only the rows of their own side.
 The layer route also builds a leading row axis: a couplings batch, which
 only the product reads, or a k batch, the eps rows of a convergence
 table, which the scattering data and the evaluator read row by row; the
@@ -159,12 +160,15 @@ def _entries(m):
 
 # the entry order that mirrors a map for f_-: m00 and m11 swapped (see JostEvaluator)
 _MIRROR = [3, 1, 2, 0]
+# the sides a JostEvaluator builds, by its side argument, as a slice of (f_+, f_-)
+_SIDES = {None: slice(0, 2), "+": slice(0, 1), "-": slice(1, 2)}
 
 
 class JostEvaluator:
-    """f_+ and f_- of V at k together, the pair of one build, stored as states at nodes.
+    """f_+ and f_- of V at k, the pair of one build or one side of it, stored as states at nodes.
 
-    built is the _Build of _jost_maps.
+    built is the _Build of _jost_maps; side is None for the pair, or "+"
+    for f_+ or "-" for f_- alone.
     Each side is a "+" solution in t = s x, s = +1 for f_+ and -1 for
     f_-: g solves -g'' + V(s t) g = k^2 g with g = e^{ikt} from the
     anchor, the right end of its nodes, and f(x) = g(s x), f'(x) =
@@ -179,11 +183,13 @@ class JostEvaluator:
     The swap M -> J M^T J reverses products, so it carries the composed
     halves and the Richardson-corrected maps over exactly.
 
-    The sides' maps are stacked on the row axis, so one Hillis-Steele
-    scan serves both, and eval reads both from one set of masks and
-    gathers, with one kernel call per branch.  s, nodes, error_bound,
-    anchor, far_edge, plane_pair and eval lead with the side axis, f_+
-    first, and _side(i) reads side i on the pair's arrays, with no scan.
+    Only the rows of the sides built for are stacked and scanned.  The
+    pair's maps are stacked on the row axis, so one Hillis-Steele scan
+    serves both, and eval reads both from one set of masks and gathers,
+    with one kernel call per branch; its s, nodes, error_bound, anchor,
+    far_edge, plane_pair and eval lead with the side axis, f_+ first.  One
+    side has no side axis: nodes is 1-d, and s and error_bound are floats.
+    The scan is elementwise, so a side's numbers are the pair's bit for bit.
 
     The build's eps is the dilation: its p, k and maps are the unsqueezed
     base's at eps k, and eval gives f'(x) = s g'(s x / eps) / eps.
@@ -191,55 +197,49 @@ class JostEvaluator:
     The build may be a k batch, one row each on shared nodes: eval,
     plane_pair, anchor and far_edge then carry that axis after the
     sides' when it has more than one row, and the attributes k and eps
-    repeat the rows once per side.  A lone k, or a one-row batch, has
+    repeat the rows once per side built.  A lone k, or a one-row batch, has
     outputs without a row axis.
     """
 
-    def __init__(self, built):
+    def __init__(self, built, side=None):
         k, eps, mu2 = np.array(built.k, ndmin=1), np.array(built.eps, ndmin=1), built.mu2
+        sides = _SIDES[side]  # a slice of (f_+, f_-)
         rows = len(k)  # one row per k, per side
         steps = built.steps.reshape(4, rows, built.steps.shape[-1])
-        # both sides' maps in t, anchor first, f_+'s rows then f_-'s: f_+ reads
+        # each side's maps in t, anchor first, f_+'s rows before f_-'s: f_+ reads
         # them right to left, f_- left to right mirrored; the scan writes into them
-        steps = np.concatenate([steps[:, :, ::-1], steps[_MIRROR]], axis=1)
+        steps = np.concatenate([steps[_MIRROR] if i else steps[:, :, ::-1]
+                                for i in range(2)[sides]], axis=1)
         # Hillis-Steele scan: after it, steps[:, :, j] maps the anchor to node j+1 away
         shift = 1
         while shift < steps.shape[-1]:
             steps[..., shift:] = _compose(steps[..., shift:], steps[..., :-shift])
             shift *= 2
-        self.nodes = nodes = np.array([built.nodes, -built.nodes[::-1]])
-        self.k, self.eps = k, eps = np.concatenate([k, k]), np.concatenate([eps, eps])
-        states = np.empty((2, 2 * rows, nodes.shape[1]), dtype=complex)
-        # the starts are (f, f') of f_+, then of f_-, each a scalar or one per row
-        states[:, :, -1] = start = np.hstack(np.reshape(built.starts, (2, 2, rows)))
+        self.nodes = nodes = np.array([built.nodes, -built.nodes[::-1]][sides])
+        self.k, self.eps = k, eps = (np.concatenate([k] * len(nodes)),
+                                     np.concatenate([eps] * len(nodes)))
+        states = np.empty((2, len(nodes) * rows, nodes.shape[1]), dtype=complex)
+        # the starts are (f, f') of each side, each a scalar or one per row
+        states[:, :, -1] = start = np.hstack(np.reshape(built.starts, (2, 2, rows))[sides])
         states[:, :, -2::-1] = (steps[0::2] * start[0][:, None]
                                 + steps[1::2] * start[1][:, None])
         if mu2 is not None:
-            mu2 = np.concatenate([mu2.reshape(rows, -1), mu2.reshape(rows, -1)[:, ::-1]])
-        self._shape = (2, rows) if rows > 1 else (2,)
+            mu2 = np.concatenate([mu2.reshape(rows, -1), mu2.reshape(rows, -1)[:, ::-1]][sides])
+        self._shape = (len(nodes),) * (side is None) + (rows,) * (rows > 1)
         self._p, self._nodes, self._rows = built.p, nodes, rows
         self.states, self.mu2, self._zero = states, mu2, not k.any()
         # f_+ cuts the right tail, f_- the left
-        self.s, self.error_bound = np.array([1.0, -1.0]), np.array(built.tails[::-1])
+        self.s, self.error_bound = np.array([1.0, -1.0][sides]), np.array(built.tails[::-1][sides])
         self._sign = self.s.repeat(rows)
         self._ends = nodes[:, [0, -1]].repeat(rows, axis=0)  # each row's far and anchor t
-        ends = ((self._sign * eps)[:, None] * self._ends).reshape(self._shape + (2,))
-        self.far_edge, self.anchor = ends[..., 0], ends[..., 1]
+        ends = (self._sign * eps)[:, None] * self._ends
+        self.far_edge, self.anchor = ends.T.reshape((2,) + self._shape)
         # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
         # k = 0, which is never batched with k != 0
         (f0, fp0), far = states[..., 0], self._ends[:, 0]
         self._pair = (f0 - fp0 * far, fp0) if self._zero else plane_pair(f0, fp0, k, far)
-
-    def _side(self, i):
-        """Side i of a pair (0 for f_+) as a one-side evaluator: views of the pair's rows."""
-        one, rows = JostEvaluator.__new__(JostEvaluator), slice(i * self._rows, (i + 1) * self._rows)
-        one.__dict__.update(vars(self), _shape=self._shape[1:], _nodes=self._nodes[i:i + 1],
-                            nodes=self._nodes[i], s=float(self.s[i]), far_edge=self.far_edge[i],
-                            anchor=self.anchor[i], error_bound=float(self.error_bound[i]),
-                            states=self.states[:, rows], _pair=tuple(c[rows] for c in self._pair),
-                            mu2=None if self.mu2 is None else self.mu2[rows],
-                            **{n: vars(self)[n][rows] for n in ("k", "eps", "_sign", "_ends")})
-        return one
+        if side is not None:  # one side has no side axis
+            self.nodes, self.s, self.error_bound = nodes[0], self.s.item(), self.error_bound.item()
 
     def plane_pair(self):
         """(c_plus, c_minus) with f = c_plus e^{ikx} + c_minus e^{-ikx} beyond the far edge.
@@ -395,7 +395,7 @@ def _peak(a):
 
 
 def jost_evaluator(p: Potential, k, side, tol=1e-10):
-    """The Jost solution f_+ (side "+") or f_- (side "-") of p at k: one side of the pair.
+    """The Jost solution f_+ (side "+") or f_- (side "-") of p at k, scanned alone.
 
     The route is the layer one when p's shape has layers, else Magnus.  On
     infinite support k = 0 anchors at the same tail point as k != 0:
@@ -403,7 +403,7 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     """
     if not isinstance(side, str) or side not in ("+", "-"):
         raise SpecError(f"side must be '+' or '-', got {side!r}")
-    return JostEvaluator(_jost_maps(p, k, tol))._side("+-".index(side))
+    return JostEvaluator(_jost_maps(p, k, tol), side)
 
 
 def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):

@@ -67,7 +67,6 @@ from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import resonance_report
 
 __all__ = [
-    "Kernel",
     "TruncatedScaledOperator",
     "truncated_operator",
     "LimitOperator",
@@ -131,9 +130,9 @@ class TruncatedScaledOperator:
 
     The window potential scale(truncate(p, xi_eps), eps) is the one-row
     run of a convergence table's windows; its build's product gives the
-    scattering data and w = -2ik a.  The Jost pair of both sides scans
-    once, on first use; plus and minus are its sides and green reads them,
-    so evaluating any of them afterwards is vectorized and cheap.
+    scattering data and w = -2ik a.  plus and minus each scan their own
+    side of that build once, on first use, and green reads them, so
+    evaluating any of them afterwards is vectorized and cheap.
     """
 
     def __init__(self, p: Potential, eps, k, tol=1e-10):
@@ -149,16 +148,12 @@ class TruncatedScaledOperator:
         return self._data
 
     @cached_property
-    def _pair(self):
-        return JostEvaluator(self._built)
-
-    @cached_property
     def plus(self):
-        return self._pair._side(0)
+        return JostEvaluator(self._built, "+")
 
     @cached_property
     def minus(self):
-        return self._pair._side(1)
+        return JostEvaluator(self._built, "-")
 
     @cached_property
     def green(self) -> Kernel:

@@ -344,7 +344,7 @@ def _numbers(kind, values, count=None):
 
     json reads NaN and Infinity, so a description can carry them.
     """
-    what = f"{kind} potential parameters and coupling must be numbers, real and finite"
+    what = f"{kind} potential parameters must be numbers, real and finite"
     row = tuple(values) if np.iterable(values) else None
     if row is None or count not in (None, len(row)):
         length = "" if count is None else f" of length {count}"
@@ -354,7 +354,7 @@ def _numbers(kind, values, count=None):
 
 def square(left, right, height, coupling=1.0):
     """Square well (height < 0) or barrier (height > 0) on [left, right]."""
-    left, right, height, coupling = _numbers("square", (left, right, height, coupling))
+    left, right, height = _numbers("square", (left, right, height))
     if not left < right:
         raise SpecError(f"square potential needs left < right, got [{left}, {right}]")
     return Potential(PiecewiseShape(((left, right, height),)), coupling)
@@ -370,7 +370,7 @@ def piecewise_constant(segments, coupling=1.0):
     for (_, hi, _), (lo2, _, _) in zip(segs, segs[1:]):
         if lo2 < hi:
             raise SpecError(f"piecewise segments overlap near x = {lo2}")
-    return Potential(PiecewiseShape(tuple(segs)), *_numbers("piecewise", (coupling,)))
+    return Potential(PiecewiseShape(tuple(segs)), coupling)
 
 
 def tabulated(x, v, coupling=1.0):
@@ -381,11 +381,11 @@ def tabulated(x, v, coupling=1.0):
         raise SpecError("tabulated potential needs at least two samples")
     if any(b <= a for a, b in zip(x, x[1:])):
         raise SpecError("tabulated grid must be strictly increasing")
-    return Potential(TableShape(x, v), *_numbers("tabulated", (coupling,)))
+    return Potential(TableShape(x, v), coupling)
 
 
 def exp_decay(rate=1.0, amplitude=1.0, coupling=1.0):
-    rate, amplitude, coupling = _numbers("exp_decay", (rate, amplitude, coupling))
+    rate, amplitude = _numbers("exp_decay", (rate, amplitude))
     if rate <= 0:
         raise SpecError(f"exp_decay rate must be positive, got {rate}")
     return Potential(ExpDecayShape(rate, amplitude), coupling)

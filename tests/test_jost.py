@@ -161,7 +161,7 @@ def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
     # maps built without layers take the Magnus route
     maps = _x_maps(two_step, complex(k), 1e-10, None, False)
-    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps))._side(0).plane_pair()
+    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps), "+").plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
 
@@ -587,11 +587,12 @@ def _hex(a):
 @pytest.mark.parametrize("k", [0.0, 1.3, 1.0 + 0.5j])
 def test_pair_shares_one_mesh_with_lone_builds(request, name, k):
     p = _SHARED_MESH[name] if name in _SHARED_MESH else request.getfixturevalue(name)
-    # each side's view and jost_evaluator hold the pair's nodes and states
-    # bit for bit, and f_-'s nodes are f_+'s mirrored
-    pair = JostEvaluator(_jost_maps(p, k))
+    # each side built alone, on the pair's build or by jost_evaluator, holds
+    # the pair's nodes and states bit for bit, and f_-'s nodes are f_+'s mirrored
+    built = _jost_maps(p, k)
+    pair = JostEvaluator(built)
     for i, side in enumerate("+-"):
-        for ev in (pair._side(i), jost_evaluator(p, k, side)):
+        for ev in (JostEvaluator(built, side), jost_evaluator(p, k, side)):
             assert _hex(ev.nodes) == _hex(pair.nodes[i])
             assert _hex(ev.states) == _hex(pair.states[:, i:i + 1])
             assert ev.error_bound == pair.error_bound[i]
@@ -628,9 +629,9 @@ def _pair_points(built):
     for k in (0.0, 1.0, 1.0 + 0.5j)
 ] + [("square_well", "batch"), ("layers_22", "batch")])
 def test_pair_equals_two_one_side_builds(request, name, k):
-    # each side read on the pair's arrays, and for a lone k jost_evaluator's
-    # own build, gives that side's numbers of the pair's one scan and one
-    # evaluation bit for bit
+    # each side scanned alone on the pair's build, and for a lone k on
+    # jost_evaluator's own build, gives that side's numbers of the pair's one
+    # scan and one evaluation bit for bit
     built = _pair_build(request, name, k)
     pair = JostEvaluator(built)
     xs = _pair_points(built)
@@ -638,13 +639,34 @@ def test_pair_equals_two_one_side_builds(request, name, k):
     f, fp = pair.eval(xs)
     for i, side in enumerate("+-"):
         lone = [] if k == "batch" else [jost_evaluator(built.p, k, side)]
-        for ev in [pair._side(i), *lone]:
+        for ev in [JostEvaluator(built, side), *lone]:
             g, gp = ev.eval(xs)
             assert np.array_equal(f[i], g) and np.array_equal(fp[i], gp)
             assert all(np.array_equal(c[i], d) for c, d in zip(pair.plane_pair(), ev.plane_pair()))
             assert np.array_equal(pair.anchor[i], ev.anchor)
             assert np.array_equal(pair.far_edge[i], ev.far_edge)
             assert pair.s[i] == ev.s and pair.error_bound[i] == ev.error_bound
+
+
+def test_one_side_scans_only_its_own_rows(monkeypatch, two_step):
+    # a one-side evaluator stacks and scans that side's rows alone: a lone k
+    # is one row, and a window's plus and minus each scan their own row
+    import jost1d.jost as jost
+
+    rows, compose = [], jost._compose
+
+    def counted(m, n):
+        rows.append(m.shape[1])
+        return compose(m, n)
+
+    op = j.truncated_operator(two_step, 0.05, 1.0)  # its scattering data read the product
+    monkeypatch.setattr(jost, "_compose", counted)
+    jost_evaluator(two_step, 1.0, "+")
+    assert rows and set(rows) == {1}
+    for side in ("plus", "minus"):
+        rows.clear()
+        ev = getattr(op, side)
+        assert rows and set(rows) == {1} and ev.states.shape[1] == 1
 
 
 def test_anchor_states_are_the_builds_starts(rng):
@@ -672,7 +694,8 @@ def test_eval_rejects_non_finite_points(x, first):
     # searchsorted puts nan past the last node, and e^{ikx} is nan at inf
     built = _jost_maps(j.square(-1.0, 1.0, 1.0), 1.0)
     pair = JostEvaluator(built)
-    for ev in (pair, pair._side(0), pair._side(1), jost_evaluator(built.p, 1.0, "-")):
+    for ev in (pair, JostEvaluator(built, "+"), JostEvaluator(built, "-"),
+               jost_evaluator(built.p, 1.0, "-")):
         with pytest.raises(SpecError, match=f"must be finite, got {re.escape(first)}$"):
             ev.eval(x)
 
@@ -849,8 +872,7 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 def _route_evaluator(p, k, side, route):
     layers = _layers(p.shape, p.coupling) if route == "transfer" else None
     k = complex(k)
-    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False)))._side(
-        "+-".index(side))
+    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False)), side)
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)
