@@ -557,32 +557,52 @@ def tail_weight_norm(p: Potential, eps: float) -> float:
 
 
 def potential_from_dict(spec: dict) -> Potential:
-    """Build a Potential from {"kind": ..., "params": ..., "coupling": ...}."""
+    """Build a Potential from {"kind": ..., "params": ..., "coupling": ...}.
+
+    A key the description does not read, at the top or in params (per
+    segment for piecewise), raises SpecError rather than leaving its
+    parameter at the default.
+    """
     if not isinstance(spec, dict):
         raise SpecError("potential description must be a JSON object")
+    _known(spec, "the potential description", "kind", "params", "coupling")
     try:
         kind = spec["kind"]
     except KeyError:
         raise SpecError('potential description is missing "kind"') from None
     params = spec.get("params", {})
     coupling = spec.get("coupling", 1.0)  # read, as every parameter, by the constructor
+    edges = ("left", "right", "height")
     try:
         if kind == "square":
+            _known(params, "square params", *edges)
             return square(params["left"], params["right"], params["height"], coupling)
         if kind == "piecewise":
             if not isinstance(params, list):
                 raise SpecError('"piecewise" params must be an array of segments')
-            segs = [(s["left"], s["right"], s["height"]) for s in params]
-            return piecewise_constant(segs, coupling)
+            segs = [_known(s, "a piecewise segment", *edges) for s in params]
+            return piecewise_constant([(s["left"], s["right"], s["height"]) for s in segs],
+                                      coupling)
         if kind == "table":
+            _known(params, "table params", "x", "v")
             return tabulated(params["x"], params["v"], coupling)
         if kind == "exp_decay":
             if not isinstance(params, dict):
                 raise SpecError('"exp_decay" params must be an object')
+            _known(params, "exp_decay params", "rate", "amplitude")
             return exp_decay(params.get("rate", 1.0), params.get("amplitude", 1.0), coupling)
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed parameters for kind {kind!r}: {exc}") from None
     raise SpecError(f"unknown potential kind {kind!r}")
+
+
+def _known(d, where, *allowed):
+    """d, unless it is an object holding a key outside allowed: then SpecError names that key."""
+    unknown = [key for key in d if key not in allowed] if isinstance(d, dict) else []
+    if unknown:
+        raise SpecError(f"unknown key {unknown[0]!r} in {where}; allowed keys: "
+                        f"{', '.join(allowed)}")
+    return d
 
 
 def load_potential(path) -> Potential:

@@ -26,15 +26,14 @@ A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
 coupling form one batch, so the grid is one map set and one product;
 as its size costs little, each bisection round evaluates in one batch,
-for every bracket, the 15 midpoints its next four steps can take and
-the midpoints of the path bisection takes if d0 is the secant through
-the bracket's ends, and walks until bisection leaves them: a 24-step
-sweep takes 2 or 3 rounds.  Other bases, one map set per coupling, take
-one step per round.  The steps are walked on Python floats, which round
-as float64 does, so each value, and so each root, is bit for bit the
-one-coupling result.  A d0 that is not finite, or whose product
-overflowed, stops the sweep with SpecError, as does a root whose
-residual stays above root_tol.
+for every bracket, the midpoints bisection takes if d0 is the secant
+through the bracket's ends, and walks until bisection leaves them: a
+24-step sweep takes 2 or 3 rounds.  Other bases, one map set per
+coupling, take one step per round.  Prediction and walk follow one
+bisection step rule on Python floats, which round as float64 does, so
+each value, and so each root, is bit for bit the one-coupling result.
+A d0 that is not finite, or whose product overflowed, stops the sweep
+with SpecError, as does a root whose residual stays above root_tol.
 """
 
 from __future__ import annotations
@@ -222,13 +221,13 @@ def resonant_couplings(
     each bracket by bisection until both the bracket width and the
     residual |d0| fall below root_tol (positive and finite).  The grid is
     one batched d0 call.  On a layered base each further call holds, for
-    every bracket, the midpoints of its next four steps and of the path
-    the secant through its ends predicts; otherwise each call is one
-    step.  Each value equals the one-coupling d0 bit for bit, as do the
-    roots.  A grid too coarse to separate a pair of nearby roots is
-    flagged with a warning based on the local parabolic model of the
-    sweep.  A d0 that overflows, on the grid or in a bisection, raises
-    SpecError, as does a root whose residual never falls below root_tol.
+    every bracket, the midpoints of the path bisection takes if d0 is the
+    secant through its ends; otherwise each call is one step.  Each value
+    equals the one-coupling d0 bit for bit, as do the roots.  A grid too
+    coarse to separate a pair of nearby roots is flagged with a warning
+    based on the local parabolic model of the sweep.  A d0 that
+    overflows, on the grid or in a bisection, raises SpecError, as does
+    a root whose residual never falls below root_tol.
     """
     lo, hi = (_real(a, "sweep range must be finite") for a in (alpha_min, alpha_max))
     if not 0.0 < hi - lo < math.inf:  # an overflowing span too
@@ -247,7 +246,7 @@ def resonant_couplings(
     trivial = 0.0 if lo <= 0.0 <= hi else None
 
     roots, brackets = _grid_roots(alphas, values)
-    found = _bisect_roots(g, brackets, root_tol, 4 if layered else 1)
+    found = _bisect_roots(g, brackets, root_tol, layered)
     roots = sorted(roots + found, key=lambda r: r.bracket[0])
     for root in roots:
         if not root.residual < root_tol:
@@ -282,53 +281,32 @@ def _grid_roots(alphas, values):
     return roots, list(zip(*(x[change].tolist() for x in (lo, hi, g_lo, g_hi))))
 
 
-def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:
+def _bisect_roots(g, brackets, root_tol, layered) -> list[CouplingRoot]:
     """Bisect every bracket (lo, hi, g_lo, g_hi) as plain bisection does, in rounds of one g call.
 
-    A round evaluates, for each live [lo, hi], the 2^depth - 1 midpoints
-    its next depth steps can take, the one with lowest set bit s at p
-    being 0.5 * (a + b) of those at p -+ s, and, for depth > 1, the
-    further midpoints of the path bisection takes if d0 is the secant
-    through its ends (see _secant_path).  Each bracket then walks, on
-    Python floats, which round as float64 arrays do, reading its midpoint
-    0.5 * (lo + hi) from the round's values until one is missing or the
-    bracket stops: once its width and smaller end value are below
-    root_tol, its width reaches rounding, or at 200 steps.  So it reads
-    the values plain bisection reads, and the roots are bit for bit the
-    same.  The first non-finite value in bisection's lockstep order, by
-    step and then by bracket, raises once no bracket can read an earlier one.
+    A round predicts a row of midpoints for each live bracket: when
+    layered, where a batch of any size is one map set, those _walk takes
+    if d0 is the secant through the bracket's ends; otherwise, where each
+    point is a map set of its own, only the next one.  All rows are one g
+    call.  Each bracket then walks the same rule on the round's values
+    until a midpoint is missing or it stops, so it reads the values plain
+    bisection reads, and the roots are bit for bit the same.  The first
+    non-finite value in bisection's lockstep order, by step and then by
+    bracket, raises once no bracket can read an earlier one.
     """
     state = [[float(v) for v in b] + [0] for b in brackets]  # [lo, hi, g_lo, g_hi, steps]
     live, bad = list(range(len(state))), (math.inf, 0, 0.0)  # bad: the first (step, bracket, mid)
-    halves = [2 ** d for d in reversed(range(depth))]  # a step's half width, in points
     while live:
-        pts = np.empty((len(live), 2 ** depth + 1))
-        pts[:, [0, -1]] = [state[i][:2] for i in live]
-        for s in halves:
-            pts[:, s::2 * s] = 0.5 * (pts[:, :-s:2 * s] + pts[:, 2 * s::2 * s])
-        paths = [_secant_path(*state[i][:4], root_tol, 200 - state[i][4])[depth:]
-                 if depth > 1 else [] for i in live]
-        rows = [tree + path for tree, path in zip(pts[:, 1:-1].tolist(), paths)]
+        rows = [_predicted(state[i], root_tol, layered) for i in live]
         values = g(np.array([x for row in rows for x in row])).tolist()
         kept, at = [], 0
         for i, row in zip(live, rows):
             table = dict(zip(row, values[at:at + len(row)]))  # g at each midpoint of the round
             at += len(row)
-            b = state[i]
-            while (g_mid := table.get(mid := 0.5 * (b[0] + b[1]))) is not None:
-                b[4] += 1
-                if not math.isfinite(g_mid):
-                    bad = min(bad, (b[4], i, mid))
-                    break
-                if b[2] * g_mid <= 0.0:
-                    b[1], b[3] = mid, g_mid
-                else:
-                    b[0], b[2] = mid, g_mid
-                lo, hi, g_lo, g_hi, steps = b
-                if ((hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol)
-                        or hi - lo < 1e-15 * max(1.0, abs(hi)) or steps == 200):
-                    break
-            else:  # the round holds no value for the next midpoint
+            mid, g_mid = _walk(state[i], table.get, root_tol)
+            if g_mid is not None:  # not finite
+                bad = min(bad, (state[i][4] + 1, i, mid))
+            elif mid is not None:  # the round holds no value for mid
                 kept.append(i)
         live = kept
         if bad[0] < math.inf and all((state[i][4] + 1, i) > bad[:2] for i in live):
@@ -337,28 +315,41 @@ def _bisect_roots(g, brackets, root_tol, depth) -> list[CouplingRoot]:
             for (a, b, ga, gb, _), start in zip(state, brackets)]
 
 
-def _secant_path(lo, hi, g_lo, g_hi, root_tol, n):
-    """At most n midpoints that bisection takes from [lo, hi] if d0 is the secant through its ends.
+def _predicted(b, root_tol, layered):
+    """The midpoints _walk reads from b = [lo, hi, g_lo, g_hi, steps] if d0 is its ends' secant.
 
-    The path ends where bisection would stop on the secant: once the width
-    and the secant's rise over it are below root_tol, or the width reaches
-    rounding.  It is empty when the secant's root is not inside (lo, hi).
+    Unless layered, only the first: each point is then a map set of its own.
     """
-    r = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    slope = abs((g_hi - g_lo) / (hi - lo))
-    path = []
-    if lo < r < hi:  # nan fails this too
-        while len(path) < n:
-            mid = 0.5 * (lo + hi)
-            path.append(mid)
-            if mid < r:
-                lo = mid
-            else:
-                hi = mid
-            if (hi - lo < root_tol and (hi - lo) * slope < root_tol
-                    or hi - lo < 1e-15 * max(1.0, abs(hi))):
-                break
-    return path
+    lo, hi, g_lo, g_hi, _ = b
+    slope, row = (g_hi - g_lo) / (hi - lo), []
+    _walk(list(b), lambda mid: row.append(mid) or
+          (g_lo + (mid - lo) * slope if layered else None), root_tol)
+    return row
+
+
+def _walk(b, read, root_tol):
+    """Bisect b = [lo, hi, g_lo, g_hi, steps] in place, reading g at each midpoint from read.
+
+    The midpoint 0.5 * (lo + hi) is taken on Python floats, which round
+    as float64 arrays do.  Returns (None, None) once b stops: its width
+    and smaller end value are below root_tol, its width reaches rounding,
+    or at 200 steps.  Returns (mid, read(mid)) where read gives None or a
+    value that is not finite, and leaves b as it was before mid.
+    """
+    while True:
+        mid = 0.5 * (b[0] + b[1])
+        g_mid = read(mid)
+        if g_mid is None or not math.isfinite(g_mid):
+            return mid, g_mid
+        b[4] += 1
+        if b[2] * g_mid <= 0.0:
+            b[1], b[3] = mid, g_mid
+        else:
+            b[0], b[2] = mid, g_mid
+        lo, hi, g_lo, g_hi, steps = b
+        if ((hi - lo < root_tol and min(abs(g_lo), abs(g_hi)) < root_tol)
+                or hi - lo < 1e-15 * max(1.0, abs(hi)) or steps == 200):
+            return None, None
 
 
 def _warn_double_crossings(alphas, values):

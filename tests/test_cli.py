@@ -498,6 +498,18 @@ def test_string_parameter_in_potential_file_exits_2(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_misspelled_key_in_potential_file_exits_2(runner, tmp_path):
+    # "amplitdue" must not load the default amplitude 1.0
+    path = tmp_path / "potential.json"
+    path.write_text('{"kind": "exp_decay", "params": {"rate": 2, "amplitdue": -3}}')
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "'amplitdue'" in result.stderr and "rate, amplitude" in result.stderr
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("params", ["[1, 2]", "null", '{"rate": true}', '{"rate": "2"}'])
 def test_malformed_parameters_in_potential_file_exit_2(runner, tmp_path, params):
     # parameters that are no JSON object, or a bool or string for a number

@@ -639,6 +639,13 @@ def test_load_coupling_applies(tmp_path):
     [{"kind": "exp_decay"}],
     {"kind": "exp_decay", "coupling": "2"},
     {"kind": "piecewise", "params": {"left": -1.0, "right": 1.0, "height": 1.0}},
+    # a misspelled key would leave its parameter at the default
+    {"kind": "exp_decay", "params": {"rate": 2, "amplitdue": -3}},
+    {"kind": "square", "params": {"left": -1, "right": 1, "height": -1}, "couplng": 5},
+    {"kind": "square", "params": {"left": -1, "right": 1, "height": -1, "width": 2}},
+    {"kind": "piecewise", "params": [{"left": -1, "right": 0, "height": -1},
+                                     {"left": 0, "right": 1, "hieght": -2}]},
+    {"kind": "table", "params": {"x": [0.0, 1.0], "v": [0.0, 0.0], "y": [1.0, 1.0]}},
 ])
 def test_malformed_descriptions_rejected(tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -467,11 +467,10 @@ def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch
     # one map set for the 201-point grid and one per round, each multiplied
     # out with no evaluator.  Halving the grid step 0.125 below root_tol =
     # 1e-8 takes 24 steps.  A round's one batch holds, for every bracket, the
-    # 15 midpoints its next four steps can take and the midpoints of the path
-    # the secant through its ends predicts; the secant of the first round's
-    # bracket mispredicts a few steps in, the second's takes the rest, so the
-    # 24 steps take 2 rounds, not 6.  A point-by-point sweep builds 201 map
-    # sets for the grid alone.
+    # midpoints of the path bisection takes if d0 is the secant through its
+    # ends; the secant of the first round's bracket mispredicts a few steps
+    # in, the second's takes the rest, so the 24 steps take 2 rounds, not 24.
+    # A point-by-point sweep builds 201 map sets for the grid alone.
     map_sets = _counting_map_sets(monkeypatch)
     for base in (j.square(-1.0, 1.0, -1.0), _random_well(1, 6), _random_well(2, 22, gaps=True)):
         map_sets.clear()
@@ -481,18 +480,36 @@ def test_layered_sweep_builds_no_evaluator_and_one_map_set_per_round(monkeypatch
     assert len(evaluator_builds) == 0
 
 
-def test_bisection_raises_only_on_values_it_reads():
-    # d0 = alpha - 0.3 up to 0.9 and nan beyond.  Toward the root at 0.3 a
-    # four-step round also evaluates 0.9375, 0.96875 and 0.984375, which
+def test_square_well_sweep_rounds_evaluate_only_predicted_paths(monkeypatch):
+    # a round's batch is each bracket's secant-predicted path and nothing
+    # more: after the 201-point grid, the 3 brackets' 24-step paths (72),
+    # then 41 midpoints for the brackets whose secant left bisection's path
+    batches = []
+    wronskians = resonance._zero_energy_wronskians
+
+    def counting(base, tol):
+        d0, layered = wronskians(base, tol)
+        return (lambda cs: batches.append(len(cs)) or d0(cs)), layered
+
+    monkeypatch.setattr(resonance, "_zero_energy_wronskians", counting)
+    j.resonant_couplings(j.square(-1.0, 1.0, -1.0), 0.001, 25.0)
+    assert batches == [201, 72, 41]
+
+
+@pytest.mark.parametrize("layered", [False, True])
+def test_bisection_raises_only_on_values_it_reads(layered):
+    # d0 = alpha - 0.3 up to 0.9 and nan beyond.  Toward the root at 0.3 from
+    # [0, 1] with g_hi = 0.01, the secant puts the root near 0.968, so the
+    # layered first round also evaluates 0.9375, 0.96875 and 0.953125, which
     # bisection never reads; from [0.8, 1] it reads 0.9, then the nan at 0.95
     def g(alphas):
         return np.where(alphas > 0.9, np.nan, alphas - 0.3)
 
-    bracket = (0.0, 1.0, -0.3, 0.7)
-    assert resonance._bisect_roots(g, [bracket], 1e-8, 4) == \
-        resonance._bisect_roots(g, [bracket], 1e-8, 1)
+    bracket = (0.0, 1.0, -0.3, 0.01)
+    assert resonance._predicted([*bracket, 0], 1e-8, True)[3:6] == [0.9375, 0.96875, 0.953125]
+    assert _walked(g, [bracket], 1e-8, layered) == [_plain_bisection(g, *bracket, 1e-8)]
     with pytest.raises(SpecError, match="d0 is not finite at alpha = 0.95:"):
-        resonance._bisect_roots(g, [(0.8, 1.0, 0.5, -0.1)], 1e-8, 4)
+        resonance._bisect_roots(g, [(0.8, 1.0, 0.5, -0.1)], 1e-8, layered)
 
 
 def _plain_bisection(g, lo, hi, g_lo, g_hi, root_tol):
@@ -513,17 +530,17 @@ def _plain_bisection(g, lo, hi, g_lo, g_hi, root_tol):
     return float(alpha), bracket, float(min(abs(g_lo), abs(g_hi)))
 
 
-def _walked(g, brackets, root_tol, depth):
+def _walked(g, brackets, root_tol, layered):
     return [(r.alpha, r.bracket, r.residual)
-            for r in resonance._bisect_roots(g, brackets, root_tol, depth)]
+            for r in resonance._bisect_roots(g, brackets, root_tol, layered)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(roots=st.lists(st.floats(0.5, 9.5), min_size=2, max_size=5, unique=True),
        scale=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
-       grid_n=st.integers(25, 60), depth=st.integers(1, 5),
+       grid_n=st.integers(25, 60), layered=st.booleans(),
        log_tol=st.floats(-12.0, -4.0))
-def test_bisection_walk_equals_plain_bisection(roots, scale, grid_n, depth, log_tol):
+def test_bisection_walk_equals_plain_bisection(roots, scale, grid_n, layered, log_tol):
     # a polynomial with simple roots, bracketed on a grid as resonant_couplings does:
     # every bracket's root, bracket and residual equal plain bisection's
     roots = sorted(roots)
@@ -542,12 +559,12 @@ def test_bisection_walk_equals_plain_bisection(roots, scale, grid_n, depth, log_
                 if g_lo * g_hi < 0.0]
     assume(len(brackets) >= 2)
     root_tol = 10.0 ** log_tol
-    assert _walked(g, brackets, root_tol, depth) == \
+    assert _walked(g, brackets, root_tol, layered) == \
         [_plain_bisection(g, *bracket, root_tol) for bracket in brackets]
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
-def test_bisection_walk_stops_at_the_cap_and_at_rounding(depth):
+@pytest.mark.parametrize("layered", [False, True])
+def test_bisection_walk_stops_at_the_cap_and_at_rounding(layered):
     # g jumps at 0.3 and |g| >= 1 elsewhere, so no residual falls below root_tol:
     # [0, 1] stops once its width reaches rounding, after 50 steps; the width of
     # [-1e46, 3e46] would need 205 steps to get there, so it stops at the cap.
@@ -556,22 +573,22 @@ def test_bisection_walk_stops_at_the_cap_and_at_rounding(depth):
         return np.where(x < 0.3, -2.0, 1.0)
 
     brackets = [(0.0, 1.0, -2.0, 1.0), (-1e46, 3e46, -2.0, 1.0)]
-    walked = _walked(g, brackets, 1e-8, depth)
+    walked = _walked(g, brackets, 1e-8, layered)
     assert walked == [_plain_bisection(g, *bracket, 1e-8) for bracket in brackets]
     (short, _, _), (capped, _, _) = walked
     assert abs(short - 0.3) < 1e-15
     assert 1e-15 < abs(capped - 0.3) < 4e46 / 2.0 ** 200  # 200 halvings, about 2.5e-14
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
-def test_bisection_names_the_first_nan_in_step_order(depth):
+@pytest.mark.parametrize("layered", [False, True])
+def test_bisection_names_the_first_nan_in_step_order(layered):
     # [0, 1] reads 0.5, then a nan at 0.25; [2, 3] reads a nan at 2.5 first.  Plain
     # bisection's steps run in lockstep over the brackets, so 2.5 is read first
     def g(x):
         return np.where((x == 0.25) | (x == 2.5), np.nan, np.where(x < 1.5, x - 0.3, x - 2.7))
 
     with pytest.raises(SpecError, match="d0 is not finite at alpha = 2.5:"):
-        resonance._bisect_roots(g, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.7, 0.3)], 1e-8, depth)
+        resonance._bisect_roots(g, [(0.0, 1.0, -0.3, 0.7), (2.0, 3.0, -0.7, 0.3)], 1e-8, layered)
 
 
 def _bisection_path(g, *bracket):
@@ -588,9 +605,9 @@ def _bisection_path(g, *bracket):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(triple=st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3, unique=True),
-       near=st.floats(1e-12, 1e-6), curve=st.floats(2.0, 40.0), depth=st.integers(2, 5),
+       near=st.floats(1e-12, 1e-6), curve=st.floats(2.0, 40.0), layered=st.booleans(),
        log_tol=st.floats(-12.0, -4.0))
-def test_bisection_walk_with_poor_secants_equals_plain_bisection(triple, near, curve, depth,
+def test_bisection_walk_with_poor_secants_equals_plain_bisection(triple, near, curve, layered,
                                                                   log_tol):
     # the secant through a bracket's ends predicts bisection's path badly where
     # g is strongly curved, where one bracket holds three roots, and where a
@@ -609,13 +626,14 @@ def test_bisection_walk_with_poor_secants_equals_plain_bisection(triple, near, c
                 for a, b in ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))]
     root_tol = 10.0 ** log_tol
     plain = [_plain_bisection(g, *bracket, root_tol) for bracket in brackets]
-    assert _walked(g, brackets, root_tol, depth) == plain
+    assert _walked(g, brackets, root_tol, layered) == plain
     # the secant leaves bisection's path before the root is found
-    assert any(resonance._secant_path(*bracket, root_tol, 200)[:len(path)] != path
+    assert any(resonance._predicted([*bracket, 0], root_tol, True)[:len(path)] != path
                for bracket in brackets for path in [_bisection_path(g, *bracket, root_tol)])
 
 
-def test_bisection_raises_the_first_nan_of_both_predicted_paths():
+@pytest.mark.parametrize("layered", [False, True])
+def test_bisection_raises_the_first_nan_of_both_predicted_paths(layered):
     # d0 on [2, 3] is a line, so the first round predicts its whole path; the
     # curved d0 on [0, 1] leaves its predicted path in the first round, so that
     # bracket reads its later steps in a second round.  With a nan on both paths,
@@ -627,7 +645,7 @@ def test_bisection_raises_the_first_nan_of_both_predicted_paths():
     brackets = [(lo, hi, float(clean(np.array([lo]))[0]), float(clean(np.array([hi]))[0]))
                 for lo, hi in ((0.0, 1.0), (2.0, 3.0))]
     curved, line = (_bisection_path(clean, *bracket, 1e-8) for bracket in brackets)
-    predicted = [resonance._secant_path(*bracket, 1e-8, 200) for bracket in brackets]
+    predicted = [resonance._predicted([*bracket, 0], 1e-8, True) for bracket in brackets]
     assert predicted[0][:8] != curved[:8] and predicted[1][:12] == line[:12]
     for step_curved, step_line, first in [(8, 9, curved[7]), (10, 9, line[8]),
                                           (9, 9, curved[8])]:
@@ -636,9 +654,8 @@ def test_bisection_raises_the_first_nan_of_both_predicted_paths():
         def g(x):
             return np.where(np.isin(x, nans), np.nan, clean(x))
 
-        for depth in (1, 4):
-            with pytest.raises(SpecError, match=re.escape(f"d0 is not finite at alpha = {first}:")):
-                resonance._bisect_roots(g, brackets, 1e-8, depth)
+        with pytest.raises(SpecError, match=re.escape(f"d0 is not finite at alpha = {first}:")):
+            resonance._bisect_roots(g, brackets, 1e-8, layered)
 
 
 def test_magnus_sweep_builds_one_map_set_per_coupling(monkeypatch):
