@@ -311,6 +311,26 @@ _FLOOR = 1e-14  # relative step defect that rounding alone can produce
 _MARGIN = 2.0  # bits below its share that a rejected step's pieces aim
 
 
+def _seed_edges(lo, hi, breakpoints):
+    """The seed mesh on [lo, hi]: _MIN_PANELS + 1 uniform points and the breakpoints inside.
+
+    An inner uniform point within 1e-12 span of a breakpoint is dropped, as
+    it would leave a sliver panel; both ends stay.  breakpoints may come
+    unsorted, repeated or with nans (a duck-typed shape).  The merge sorts
+    and drops repeats: the uniform points repeat where the span is a few
+    ulps or none, and lo == hi gives the one node lo.
+    """
+    cuts = np.fromiter(breakpoints, dtype=float)
+    cuts = np.sort(cuts[(lo < cuts) & (cuts < hi)])
+    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
+    # the cuts are sorted, so the nearest to each uniform point is one of the two around it
+    around = np.concatenate([[-np.inf], cuts, [np.inf]])
+    i = np.searchsorted(around, uniform)
+    keep = np.minimum(around[i] - uniform, uniform - around[i - 1]) > 1e-12 * (hi - lo)
+    keep[0] = keep[-1] = True
+    return np.unique(np.concatenate([uniform[keep], cuts]))
+
+
 def _x_maps(p: Potential, k, tol, layers, second):
     """(nodes, steps, mu2, tails) in x, oriented as f_+ reads them.
 
@@ -327,7 +347,10 @@ def _x_maps(p: Potential, k, tol, layers, second):
     size (or by the rounding floor), keeping the two-half-step map,
     Richardson-corrected by /63.  A rejected step is split into 2^l equal
     pieces, l = ceil(log64(4 defect / allowed)) in [1, _MAX_JUMP], none
-    below narrowest.
+    below narrowest.  The seed is _seed_edges'.  A build whose first
+    round accepts every step returns that round's arrays as they are;
+    otherwise each round keeps its accepted steps and one argsort of their
+    left ends orders the mesh.
     """
     if layers is not None:
         edges, heights = layers
@@ -343,19 +366,17 @@ def _x_maps(p: Potential, k, tol, layers, second):
         lo, tails = -lo, (mass_l, mass_r)
 
     span = hi - lo
-    cuts = np.array([b for b in p.breakpoints() if lo < b < hi])
-    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
-    # an inner uniform point next to a breakpoint would leave a sliver panel
-    near = np.abs(np.subtract.outer(uniform, cuts)).min(axis=1, initial=np.inf) <= 1e-12 * span
-    near[[0, -1]] = False
-    edges = np.unique(np.concatenate([uniform[~near], cuts]))
+    edges = _seed_edges(lo, hi, p.breakpoints())
     left, right = edges[:-1], edges[1:]
     narrowest = span / (_MIN_PANELS << _MAX_ROUNDS)  # nodes stay dyadic points of edges
+    coupling, value = p.coupling, p.shape.value
     done_left, done_maps = [], []
     while True:
         mid = 0.5 * (left + right)
-        # the two half steps and the whole step in one call, V sampled once for all
-        maps = np.array(magnus_entries(p, k, np.concatenate([mid, right, right]),
+        # the two half steps and the whole step in one call, V sampled once for all, as p
+        # samples it but without its check of the points, which are finite here
+        maps = np.array(magnus_entries(lambda x: coupling * value(x), k,
+                                       np.concatenate([mid, right, right]),
                                        np.concatenate([left, mid, left])))
         n = len(left)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, nan or 0 defects
@@ -365,15 +386,21 @@ def _x_maps(p: Potential, k, tol, layers, second):
             allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
             ok = defect <= allowed
             halves -= gap / 63.0  # in place: a round can hold most of the mesh
-            # defect ~ h^7 against allowed ~ h, so 2^ceil(log64(4 ratio)) pieces bring
-            # the ratio to 1/4; fmax makes a nan ratio (an overflowed step) one halving
-            levels = np.fmax(np.ceil((np.log2(defect / allowed) + _MARGIN) / 6.0), 1.0)
+            redo = ~ok
+            again = redo.any()
+            if again:
+                # defect ~ h^7 against allowed ~ h, so 2^ceil(log64(4 ratio)) pieces bring
+                # the ratio to 1/4; fmax makes a nan ratio (an overflowed step) one halving
+                ratio = defect[redo] / allowed[redo]
+                levels = np.fmax(np.ceil((np.log2(ratio) + _MARGIN) / 6.0), 1.0)
+            elif not done_left:  # one round: its steps are the mesh, in order
+                return np.append(left, hi), halves, None, tails
         done_left.append(left[ok])
         done_maps.append(halves[:, ok])
         del maps, gap, halves
-        if ok.all():
+        if not again:
             break
-        left, right, levels = (v[~ok] for v in (left, right, levels))
+        left, right = left[redo], right[redo]
         room = np.floor(np.log2((right - left) / narrowest))
         count = np.exp2(np.minimum(levels, np.minimum(room, _MAX_JUMP))).astype(int)
         if (room < 1).any() or count.sum() + sum(len(d) for d in done_left) > _MAX_STEPS:

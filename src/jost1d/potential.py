@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -141,21 +142,27 @@ class TableShape(_Shape):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return np.interp(x, self.x, self.v, left=0.0, right=0.0)
+        return np.interp(x, *self._samples, left=0.0, right=0.0)
 
     def support(self):
         return (self.x[0], self.x[-1])
 
     def breakpoints(self):
+        return self._breakpoints
+
+    # read once per shape: cached in the instance, outside the fields, so ==, hash
+    # and repr see only x and v, and replace() builds a shape with no caches
+    @cached_property
+    def _samples(self):
+        return np.asarray(self.x, dtype=float), np.asarray(self.v, dtype=float)
+
+    @cached_property
+    def _breakpoints(self):
         # kinks sit at the nodes and, for |V|, at interior sign changes
-        pts = list(self.x)
-        xv = np.asarray(self.x)
-        vv = np.asarray(self.v)
-        sign_flip = vv[:-1] * vv[1:] < 0.0
-        for i in np.nonzero(sign_flip)[0]:
-            t = vv[i] / (vv[i] - vv[i + 1])
-            pts.append(float(xv[i] + t * (xv[i + 1] - xv[i])))
-        return tuple(sorted(set(pts)))
+        xv, vv = self._samples
+        i = np.nonzero(vv[:-1] * vv[1:] < 0.0)[0]
+        t = vv[i] / (vv[i] - vv[i + 1])
+        return tuple(sorted({*self.x, *(xv[i] + t * (xv[i + 1] - xv[i])).tolist()}))
 
     def integrals(self, lo, hi, coupling):
         """2-point Gauss-Legendre on the panels between breakpoints and 0.
@@ -528,7 +535,8 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
             continue
         gap = math.log1p(x) - 0.5 * math.log(tau) + math.log(eps)  # log(rho(x) eps)
         lo, hi = (lo, x) if gap > 0.0 else (x, hi)
-        v = float(np.abs(p(np.array([x, -x]))).sum())
+        # |V(x)| + |V(-x)|, as p(x) gives it but without its check of the points
+        v = float(np.abs(p.coupling * p.shape.value(np.array([x, -x]))).sum())
         step = gap / (1.0 / (1.0 + x) + (1.0 + x) * v / (2.0 * tau))
         if abs(step) <= 1e-12 * max(1.0, x):
             xi = x - step

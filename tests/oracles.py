@@ -13,7 +13,9 @@ and one quantity at a time (jost_wronskian multiplies one map set,
 jost_evaluator builds one evaluator), and check how the library
 batches, bisects and reuses its maps, not the propagation underneath;
 layer_matching_d0 checks that propagation in mpmath.  double_crossings
-is the sweep's parabolic check written as a loop over grid points.
+is the sweep's parabolic check written as a loop over grid points, and
+table_breakpoints and seed_edges are a table's kinks and the Magnus seed
+mesh by their plain rules, loops and all-pairs distances.
 """
 
 from __future__ import annotations
@@ -433,6 +435,34 @@ def bisection_splitting_scale(p, eps):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if rho(mid) > 1.0 / eps else (mid, hi)
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# a table's breakpoints and the Magnus seed mesh, by the plain rules
+
+
+def table_breakpoints(x, v):
+    """The nodes of a table and its interior sign changes, one crossing at a time."""
+    pts = list(x)
+    for i in range(len(v) - 1):
+        if v[i] * v[i + 1] < 0.0:
+            t = v[i] / (v[i] - v[i + 1])
+            pts.append(float(x[i] + t * (x[i + 1] - x[i])))
+    return tuple(sorted(set(pts)))
+
+
+def seed_edges(lo, hi, breakpoints, panels):
+    """panels + 1 uniform points on [lo, hi] merged with the breakpoints strictly inside.
+
+    Every uniform point is measured against every breakpoint (an O(panels
+    * m) table), an inner one within 1e-12 (hi - lo) of any is dropped,
+    both ends stay, and np.unique merges and drops repeats.
+    """
+    cuts = np.array([b for b in breakpoints if lo < b < hi])
+    uniform = np.linspace(lo, hi, panels + 1)
+    near = np.abs(np.subtract.outer(uniform, cuts)).min(axis=1, initial=np.inf) <= 1e-12 * (hi - lo)
+    near[[0, -1]] = False
+    return np.unique(np.concatenate([uniform[~near], cuts]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0
@@ -16,11 +17,13 @@ from scipy.special import j0
 import jost1d as j
 from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError, _wavenumber
 from jost1d.jost import (
+    _MIN_PANELS,
     JostEvaluator,
     _Build,
     _jost_maps,
     _layers,
     _peak,
+    _seed_edges,
     _x_maps,
     jost_evaluator,
 )
@@ -314,6 +317,74 @@ def test_magnus_halving_gives_up():
     # steps next to the singularity never pass the defect test
     with pytest.raises(IntegrationError):
         jost_evaluator(Potential(_UnlistedSpike()), 1.0, "+")
+
+
+@st.composite
+def _seed_case(draw):
+    """(lo, hi, cuts): spans of zero, a few ulps and order one, and the breakpoints a
+    duck-typed shape might give: near the uniform points and the ends, anywhere, nan,
+    repeated and unsorted."""
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = draw(st.one_of(st.just(lo), st.integers(1, 300).map(lambda n: lo + n * math.ulp(lo)),
+                        st.floats(1e-3, 60.0).map(lambda w: lo + w)))
+    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
+    rule = 1e-12 * (hi - lo)
+    near_uniform = st.builds(lambda i, f: uniform[i] + f * rule,
+                             st.integers(0, _MIN_PANELS), st.floats(-2.0, 2.0))
+    near_ends = st.builds(lambda end, f: end + f * rule, st.sampled_from([lo, hi]),
+                          st.floats(-3.0, 3.0))
+    anywhere = st.floats(lo - 1.0, hi + 1.0)
+    cuts = draw(st.lists(st.one_of(near_uniform, near_ends, anywhere, st.just(math.nan)),
+                         max_size=40))
+    cuts += draw(st.lists(st.sampled_from(cuts), max_size=5)) if cuts else []  # repeats
+    return lo, hi, draw(st.permutations(cuts))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_seed_case())
+# the middle uniform point of [-1, 1] is 0.0, so these cuts sit exactly at the
+# 1e-12 span rule, which drops it, and one ulp beyond, which keeps it
+@example(case=(-1.0, 1.0, [1e-12 * 2.0]))
+@example(case=(-1.0, 1.0, [-1e-12 * 2.0]))
+@example(case=(-1.0, 1.0, [math.nextafter(1e-12 * 2.0, 1.0)]))
+def test_seed_edges_are_the_all_pairs_rule(case):
+    # the nearest cut by searchsorted is bit for bit the oracle's 193 x m table
+    lo, hi, cuts = case
+    got = _seed_edges(lo, hi, cuts)
+    assert got.tobytes() == oracles.seed_edges(lo, hi, cuts, _MIN_PANELS).tobytes()
+
+
+class _MessyBreakpoints:
+    """The bump table, its breakpoints given reversed, repeated, with nans and points outside."""
+
+    def __init__(self, table):
+        self.value, self.support, clean = table.value, table.support, table.breakpoints()
+        self.messy = [math.nan, *clean[::-1], *clean[5:9], -7.0, math.nan, 9.0]
+
+    def breakpoints(self):
+        return self.messy
+
+
+@pytest.mark.parametrize("k", [0.0, 2.0, 1.0 + 0.5j])
+def test_messy_breakpoints_give_the_clean_build(bump_table, k):
+    messy = _jost_maps(Potential(_MessyBreakpoints(bump_table.shape)), k)
+    clean = _jost_maps(bump_table, k)
+    assert messy.nodes.tobytes() == clean.nodes.tobytes()
+    assert messy.steps.tobytes() == clean.steps.tobytes()
+
+
+def test_dense_table_build_stays_small():
+    # the seed finds each uniform point's nearest node by searchsorted: the
+    # all-pairs distances of 193 uniform points to 20k nodes took 62 MB
+    x = np.linspace(-3.0, 3.0, 20_000)
+    p = j.tabulated(x, np.sin(3.0 * x) * np.exp(-x**2))
+    tracemalloc.start()
+    try:
+        _jost_maps(p, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 _README_WELL = j.exp_decay(1.0, -1.0, 1.4458)

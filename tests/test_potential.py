@@ -1,8 +1,10 @@
 """Potential construction, integrals, tails, and the splitting scale."""
 
+import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +120,35 @@ def test_tabulated_rejects_unsorted():
         j.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(SpecError):
         j.tabulated([1.0, 0.0], [1.0, 2.0])
+
+
+def test_table_caches_leave_the_shape_alone():
+    # samples and breakpoints are read once per shape and cached beside its fields
+    x, v = (-2.0, -0.5, 0.3, 1.0, 2.0), (0.5, -1.0, 2.0, 0.0, 1.0)
+    shape = j.tabulated(x, v).shape
+    before = (hash(shape), repr(shape))
+    grid = np.linspace(-3.0, 3.0, 41)
+    values, bps = shape.value(grid), shape.breakpoints()
+    assert (hash(shape), repr(shape)) == before
+    fresh = type(shape)(x, v)
+    assert shape == fresh and hash(shape) == hash(fresh) and bps == fresh.breakpoints()
+    assert bps == oracles.table_breakpoints(x, v)
+    flipped = dataclasses.replace(shape, v=(0.5, 1.0, 2.0, -1.0, 1.0))
+    assert flipped.breakpoints() == oracles.table_breakpoints(x, flipped.v) != bps
+    back = pickle.loads(pickle.dumps(shape))
+    assert back == shape and back.breakpoints() == bps
+    assert back.value(grid).tobytes() == values.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_table_breakpoints_are_the_loop_rule(seed):
+    # nodes and sign changes, zeros (no crossing) among them
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    v = rng.normal(size=n) * (rng.random(n) > 0.2)
+    p = j.tabulated(np.cumsum(rng.uniform(0.01, 1.0, n)) - 5.0, v)
+    assert p.breakpoints() == oracles.table_breakpoints(p.shape.x, p.shape.v)
 
 
 def test_exp_decay_evaluation(exp_tail):
