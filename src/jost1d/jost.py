@@ -369,14 +369,11 @@ def _x_maps(p: Potential, k, tol, layers, second):
     edges = _seed_edges(lo, hi, p.breakpoints())
     left, right = edges[:-1], edges[1:]
     narrowest = span / (_MIN_PANELS << _MAX_ROUNDS)  # nodes stay dyadic points of edges
-    coupling, value = p.coupling, p.shape.value
     done_left, done_maps = [], []
     while True:
         mid = 0.5 * (left + right)
-        # the two half steps and the whole step in one call, V sampled once for all, as p
-        # samples it but without its check of the points, which are finite here
-        maps = np.array(magnus_entries(lambda x: coupling * value(x), k,
-                                       np.concatenate([mid, right, right]),
+        # the two half steps and the whole step in one call, V sampled once for all
+        maps = np.array(magnus_entries(p, k, np.concatenate([mid, right, right]),
                                        np.concatenate([left, mid, left])))
         n = len(left)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, nan or 0 defects

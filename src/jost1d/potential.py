@@ -535,8 +535,7 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
             continue
         gap = math.log1p(x) - 0.5 * math.log(tau) + math.log(eps)  # log(rho(x) eps)
         lo, hi = (lo, x) if gap > 0.0 else (x, hi)
-        # |V(x)| + |V(-x)|, as p(x) gives it but without its check of the points
-        v = float(np.abs(p.coupling * p.shape.value(np.array([x, -x]))).sum())
+        v = float(np.abs(p(np.array([x, -x]))).sum())
         step = gap / (1.0 / (1.0 + x) + (1.0 + x) * v / (2.0 * tau))
         if abs(step) <= 1e-12 * max(1.0, x):
             xi = x - step
