@@ -50,9 +50,14 @@ into node states for f(x).  It holds the f_+/f_- pair of one build, or
 one side of it, started from the build's own anchor states
 (_Build.starts), so the scan and the product start from the same
 numbers.  The pair stacks the two sides' maps on the row axis, so one
-scan and one evaluation, one kernel call per branch, serve both, as the
-convergence table reads them; a window's plus and minus, and
-jost_evaluator, stack and scan only the rows of their own side.
+scan and one evaluation serve both, as the convergence table reads them;
+a window's plus and minus, and jost_evaluator, stack and scan only the
+rows of their own side.  Outside its nodes, past the anchor and beyond
+the far edge, a solution is plane waves: eval forms one pair e^{ikx},
+e^{-ikx} per point, in x at the undilated k the build was asked for,
+which every row and both sides share (f_- reads it swapped), and each
+row combines it with its own coefficients by broadcasting; only the
+points inside the nodes gather node states and step maps.
 The layer route also builds a leading row axis: a couplings batch, which
 only the product reads, or a k batch, the eps rows of a convergence
 table, which the scattering data and the evaluator read row by row; the
@@ -65,11 +70,12 @@ the side stacked beside it.
 Dilation.  The Jost solutions of a squeezed potential eps^-2 V(x/eps)
 at (x, k) are those of V at (x/eps, eps k), and its plane-wave
 coefficients are V's at eps k.  _jost_maps therefore builds V at
-eps k on V's own nodes, by whichever route V picks, and only eval and
-the Wronskian (divided by eps) map back; D'(0) is unchanged.  The mesh
-never resolves the squeezed scale, and error_bound is V's.  A window cut
-from a squeezed potential is the squeezed window of V, so the windowed
-operator of the limits module is solved this way.
+eps k on V's own nodes, by whichever route V picks, and records k.
+Only eval, at x / eps inside the nodes and with plane waves at k in x
+outside them, and the Wronskian, divided by eps, map back; D'(0) is
+unchanged.  The mesh never resolves the squeezed scale, and error_bound
+is V's.  A window cut from a squeezed potential is the squeezed window
+of V, so the windowed operator of the limits module is solved this way.
 """
 
 from __future__ import annotations
@@ -175,24 +181,31 @@ class JostEvaluator:
     s g'(s x).  The anchor states are the build's starts, so the scan
     carries the very states the product carries.  nodes and states, (f,
     f') per row and node, are in t; anchor and far_edge are in x.
-    Beyond the far edge the solution is the plane-wave pair of the far
-    state.  The build's nodes, steps, mu2 and tails are in x, and f_-
-    reads them mirrored: t = -x reverses the nodes and the maps' last axis,
-    and f_-'s Gauss-Magnus step over a panel is f_+'s with the outer Gauss
-    points traded, which swaps m00 and m11 (a layer step has m00 = m11).
-    The swap M -> J M^T J reverses products, so it carries the composed
+    Outside the nodes the solution is plane waves: e^{ikt} past the anchor
+    and the plane-wave pair of the far state beyond the far edge.  eval
+    forms them from one pair e^{ikx}, e^{-ikx} per point, in x at the
+    undilated k (the build's k_x), which all rows share, side - reading
+    it swapped; k = 0 keeps the line c_plus + c_minus t.  The build's
+    nodes, steps, mu2 and tails are in x, and f_- reads them mirrored:
+    t = -x reverses the nodes and the maps' last axis, and f_-'s
+    Gauss-Magnus step over a panel is f_+'s with the outer Gauss points
+    traded, which swaps m00 and m11 (a layer step has m00 = m11).  The
+    swap M -> J M^T J reverses products, so it carries the composed
     halves and the Richardson-corrected maps over exactly.
 
     Only the rows of the sides built for are stacked and scanned.  The
     pair's maps are stacked on the row axis, so one Hillis-Steele scan
-    serves both, and eval reads both from one set of masks and gathers,
-    with one kernel call per branch; its s, nodes, error_bound, anchor,
+    serves both, and eval reads both from one set of masks, broadcasting
+    the plane waves over (rows, points) and gathering node states only
+    for the points inside the nodes; its s, nodes, error_bound, anchor,
     far_edge, plane_pair and eval lead with the side axis, f_+ first.  One
     side has no side axis: nodes is 1-d, and s and error_bound are floats.
     The scan is elementwise, so a side's numbers are the pair's bit for bit.
 
     The build's eps is the dilation: its p, k and maps are the unsqueezed
-    base's at eps k, and eval gives f'(x) = s g'(s x / eps) / eps.
+    base's at eps k, and eval gives f'(x) = s g'(s x / eps) / eps; f' is
+    formed only when asked for (eval asks, the kernels of the limits
+    module read f alone).
 
     The build may be a k batch, one row each on shared nodes: eval,
     plane_pair, anchor and far_edge then carry that axis after the
@@ -226,7 +239,8 @@ class JostEvaluator:
         if mu2 is not None:
             mu2 = np.concatenate([mu2.reshape(rows, -1), mu2.reshape(rows, -1)[:, ::-1]][sides])
         self._shape = (len(nodes),) * (side is None) + (rows,) * (rows > 1)
-        self._p, self._nodes, self._rows = built.p, nodes, rows
+        self._p, self._nodes, self._rows, self._sides = built.p, nodes, rows, sides
+        self._k_x = built.k if built.k_x is None else built.k_x  # the undilated k, one scalar
         self.states, self.mu2, self._zero = states, mu2, not k.any()
         # f_+ cuts the right tail, f_- the left
         self.s, self.error_bound = np.array([1.0, -1.0][sides]), np.array(built.tails[::-1][sides])
@@ -237,7 +251,8 @@ class JostEvaluator:
         # beyond the far edge f = c_plus e^{ikt} + c_minus e^{-ikt}, or c_plus + c_minus t at
         # k = 0, which is never batched with k != 0
         (f0, fp0), far = states[..., 0], self._ends[:, 0]
-        self._pair = (f0 - fp0 * far, fp0) if self._zero else plane_pair(f0, fp0, k, far)
+        pair = (f0 - fp0 * far, fp0) if self._zero else plane_pair(f0, fp0, k, far)
+        self._pair = tuple(c.reshape(len(nodes), rows, 1) for c in pair)  # (sides, rows, 1)
         if side is not None:  # one side has no side axis
             self.nodes, self.s, self.error_bound = nodes[0], self.s.item(), self.error_bound.item()
 
@@ -248,41 +263,67 @@ class JostEvaluator:
         meaningful for k != 0.
         """
         plus = self._sign > 0
-        c_plus, c_minus = self._pair
+        c_plus, c_minus = (c.ravel() for c in self._pair)
         return tuple(np.where(plus, a, b).reshape(self._shape)[()]
                      for a, b in ((c_plus, c_minus), (c_minus, c_plus)))
 
     def eval(self, x):
         """Vectorized (f, f') at finite points, shaped like x after the side and k axes."""
+        return self._eval(x, True)
+
+    def _eval(self, x, deriv=False):
+        """(f, f') as eval gives them, with f' formed only given deriv (else None)."""
         x = _points(x)
-        t = self._sign[:, None] * x.ravel() / self.eps[:, None]
-        # each point's row, to gather its k, pair, states and mu2 by; a lone row
-        # reads them at row 0, which puts the same numbers through the same ufuncs
-        row = np.arange(len(self.k)).repeat(x.size).reshape(t.shape) if len(self.k) > 1 else None
-        f, fp = np.empty((2,) + t.shape, dtype=complex)
-        anchored = t >= self._ends[:, 1:]
-        beyond = t < self._ends[:, :1]
+        xs, grid = x.ravel(), (len(self._nodes), self._rows, x.size)  # (sides, rows, points)
+        t = self._sign[:, None] * xs / self.eps[:, None]
+        anchored = (t >= self._ends[:, 1:]).reshape(grid)
+        beyond = (t < self._ends[:, :1]).reshape(grid)
         inside = ~(anchored | beyond)
-        for part, branch in ((anchored, self._wave), (beyond, self._vacuum),
-                             (inside, self._inside)):
-            f[part], fp[part] = branch(0 if row is None else row[part], t[part])
-        fp *= self._sign[:, None] / self.eps[:, None]
+        f, fp = (np.empty((2,) + grid, dtype=complex) if inside.all()
+                 else self._outside(xs, t.reshape(grid), anchored, beyond, inside, deriv))
+        f, inside = f.reshape(t.shape), inside.reshape(t.shape)
+        if inside.any():  # the step maps from the node states, at each point's row
+            # a lone row reads at row 0, which puts the same numbers through the same ufuncs
+            f_in, fp_in = self._inside(np.nonzero(inside)[0] if len(t) > 1 else 0, t[inside])
+            f[inside] = f_in
+            if deriv:
+                fp.reshape(t.shape)[inside] = fp_in
         shape = self._shape + x.shape
-        return f.reshape(shape)[()], fp.reshape(shape)[()]
+        if deriv:
+            fp = (fp.reshape(t.shape) * (self._sign / self.eps)[:, None]).reshape(shape)[()]
+        return f.reshape(shape)[()], fp
 
-    def _wave(self, row, t):
-        # e^{ikt} alone past the anchor: e^{-ikt} can overflow there for Im k > 0
-        ik = 1j * self.k[row]
-        wave = np.exp(ik * t)
-        return wave, ik * wave
+    def _outside(self, xs, t, anchored, beyond, inside, deriv):
+        """(f, g' or None) on the (sides, rows, points) grid, valid at the points outside the nodes.
 
-    def _vacuum(self, row, t):
-        c_plus, c_minus = (c[row] for c in self._pair)
-        if self._zero:
-            return c_plus + c_minus * t, c_minus
-        ik = 1j * self.k[row]
-        up, dn = np.exp(ik * t), np.exp(-ik * t)
-        return c_plus * up + c_minus * dn, ik * (c_plus * up - c_minus * dn)
+        Every row reads one plane-wave pair per point, at the undilated k in
+        x: (e^{ikx}, e^{-ikx}) = (e^{i(eps k)t}, e^{-i(eps k)t}) for f_+,
+        swapped for f_-.  A side reads its first wave outside its nodes and
+        its second beyond them, and each wave is formed only at the points
+        some row reads it at.  g' is in t, at each row's eps k.
+        """
+        need = np.zeros((2, xs.size), dtype=bool)
+        need[self._sides] = ~inside.all(axis=1)
+        need[::-1][self._sides] |= beyond.any(axis=1)
+        ik, waves = 1j * self._k_x, np.empty(need.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # in lanes no branch reads, or in f
+            np.multiply(ik, xs, out=waves[0])
+            np.multiply(ik, -xs, out=waves[1])
+            np.exp(waves, out=waves, where=need)  # a lane not needed keeps its argument
+            out, back = waves[self._sides][:, None], waves[::-1][self._sides][:, None]
+            c_plus, c_minus = self._pair
+            # beyond the far edge, f = incoming + outgoing: c_plus + c_minus t at k = 0
+            incoming, outgoing = ((c_plus, c_minus * t) if self._zero
+                                  else (c_plus * out, c_minus * back))
+            fp = None
+            if deriv:
+                ikt = (1j * self.k).reshape(t.shape[:2] + (1,))
+                fp = (np.where(anchored, ikt * out, c_minus) if self._zero
+                      else ikt * np.where(anchored, out, incoming - outgoing))
+            # in place: on many points, allocation is most of the cost
+            f = np.add(incoming, outgoing, out=outgoing)
+            np.copyto(f, out, where=anchored)
+        return f, fp
 
     def _inside(self, row, t):
         # the anchor-side node of the panel holding each t (nodes[0] <= t < nodes[-1]):
@@ -444,9 +485,9 @@ def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
     k, tol = _wavenumber(k, allow_zero=True), _real(tol, "tol must lie in (0, 1)", 0.0, 1.0)
     if eps is None:
         p, eps = _unsqueezed(p)
-    k = eps * k
+    k_x, k = k, eps * k
     layers = _layers(p.shape, p.coupling) if layers is None else layers
-    return _Build(p, k, eps, *_x_maps(p, k, tol, layers, second))
+    return _Build(p, k, eps, *_x_maps(p, k, tol, layers, second), k_x)
 
 
 def _unsqueezed(p: Potential):
@@ -519,6 +560,9 @@ class _Build:
 
     p is the unsqueezed base, k its wavenumber eps k (a scalar, or a k
     batch's rows) and eps the dilation; the rest is _x_maps' output in x.
+    k_x is the undilated k the build was asked for, one scalar that every
+    row shares: the wavenumber of the plane waves in x.  None reads k, as
+    it is at eps = 1.
     """
 
     p: Potential
@@ -528,6 +572,7 @@ class _Build:
     steps: np.ndarray
     mu2: np.ndarray | None
     tails: tuple[float, float]
+    k_x: complex | None = None
 
     @cached_property
     def product(self):

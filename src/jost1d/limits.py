@@ -47,9 +47,13 @@ The window at eps is its base truncate(V, xi_eps) at eps k, so once
 xi_eps clears every layer of V the windows differ only in k.  The table
 solves the run of such eps as one k batch, a row per eps, on one window
 base and one tiling: one set of step maps, one scan and one evaluation
-for both sides (u and v at the n abscissae) and one _hs_sum.  A
+of f alone for both sides (u and v at the n abscissae) and one _hs_sum.
+Most abscissae lie outside the window, where every row reads the same
+plane waves e^{ikx}, e^{-ikx}, formed once per point at the table's k,
+with its own coefficients; only the few inside gather node states.  A
 TruncatedScaledOperator, the one window type, is the one-row run of the
-same code, so a row equals its lone window bit for bit.
+same code, and its green reads f alone too, so a row's u and v equal its
+lone window's bit for bit.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ class TruncatedScaledOperator:
         # u and v close over the evaluators, not self: a cycle through self
         # would keep their arrays alive until the cyclic collector runs
         plus, minus = self.plus, self.minus
-        return Kernel(lambda x: plus.eval(x)[0], lambda x: minus.eval(x)[0], self._w)
+        return Kernel(lambda x: plus._eval(x)[0], lambda x: minus._eval(x)[0], self._w)
 
 
 def truncated_operator(p, eps, k, tol=1e-10):
@@ -223,8 +227,8 @@ class LimitOperator:
         a_co, b_co = 0.5 * (theta + 1.0 / theta), 0.5 * (1.0 / theta - theta)
 
         def wave(x, b):  # e^{ikx} on x >= 0, with e^{-ikx} coefficient b across the origin
-            return np.where(x >= 0, np.exp(1j * k * x),
-                            a_co * np.exp(1j * k * x) + b * np.exp(-1j * k * x))
+            up = np.exp(1j * k * x)
+            return np.where(x >= 0, up, a_co * up + b * np.exp(-1j * k * x))
         return Kernel(lambda x: wave(x, b_co), lambda x: wave(-x, -b_co),
                       -1j * k * (theta + 1.0 / theta))
 
@@ -369,7 +373,7 @@ def convergence_table(
     for scales, built in _windows(p, eps_sorted, k, tol):
         rows = built.scattering(k)
         w = -2j * k * np.array([sd.a for sd in rows])  # each row's green.w
-        u, v = JostEvaluator(built).eval(xs)[0]  # each row's green u and v, in one call
+        u, v = JostEvaluator(built)._eval(xs)[0]  # each row's green u and v, in one call
         dist = _hs_distance(_hs_sum(_lattice_factors(u, v, w, xs), limit, xs), box, n)
         records += [ConvergenceRecord(eps=ss.eps, r_eps=sd.r, t_eps=sd.t, kernel_distance=float(d),
                                       limit_r=ls.r, limit_t=ls.t)

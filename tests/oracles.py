@@ -14,8 +14,9 @@ jost_evaluator builds one evaluator), and check how the library
 batches, bisects and reuses its maps, not the propagation underneath;
 layer_matching_d0 checks that propagation in mpmath.  double_crossings
 is the sweep's parabolic check written as a loop over grid points, and
-table_breakpoints and seed_edges are a table's kinks and the Magnus seed
-mesh by their plain rules, loops and all-pairs distances.
+table_breakpoints, scaled_breakpoints and seed_edges are a table's and a
+squeezed window's kinks and the Magnus seed mesh by their plain rules,
+loops, sets and all-pairs distances.
 """
 
 from __future__ import annotations
@@ -438,7 +439,7 @@ def bisection_splitting_scale(p, eps):
 
 
 # ---------------------------------------------------------------------------
-# a table's breakpoints and the Magnus seed mesh, by the plain rules
+# a table's and a squeezed window's breakpoints and the Magnus seed mesh, by the plain rules
 
 
 def table_breakpoints(x, v):
@@ -449,6 +450,15 @@ def table_breakpoints(x, v):
             t = v[i] / (v[i] - v[i + 1])
             pts.append(float(x[i] + t * (x[i + 1] - x[i])))
     return tuple(sorted(set(pts)))
+
+
+def scaled_breakpoints(base, eps, half_width):
+    """A squeezed window's kinks: base's breakpoints in |s| <= half_width and the window
+    edges, as a set, sorted, then multiplied by eps."""
+    pts = {b for b in base if -half_width <= b <= half_width}
+    if half_width < math.inf:
+        pts |= {-half_width, half_width}
+    return tuple(eps * b for b in sorted(pts))
 
 
 def seed_edges(lo, hi, breakpoints, panels):

@@ -1064,17 +1064,35 @@ def test_scaled_jost_value_identity(barrier):
 
 def test_plane_wave_beyond_anchor(barrier):
     # past x = 1419 (mirrored for f_-) e^{-ikx} overflows at Im k = 0.5; the
-    # anchored region never forms it, so its values stay finite
+    # anchored region never reads it, so its values stay finite: on one side,
+    # in the pair (which forms both waves for both sides) and in a squeezed window
     k = 1.0 + 0.5j
-    for side, s in (("+", 1.0), ("-", -1.0)):
+    pair = JostEvaluator(_jost_maps(barrier, k))
+    window = j.truncated_operator(barrier, 0.1, k)
+    for i, (side, s) in enumerate((("+", 1.0), ("-", -1.0))):
         xs = s * np.array([1.0, 2.0, 10.0, 50.0, 1000.0, 1450.0, 2000.0])
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.exp(-1j * s * k * xs[-2:])).any()
         wave = np.exp(1j * s * k * xs)
-        vals, ders = jost_evaluator(barrier, k, side).eval(xs)
-        assert np.isfinite(vals).all() and np.isfinite(ders).all()
-        assert np.allclose(vals, wave, rtol=1e-13)
-        assert np.allclose(ders, 1j * s * k * wave, rtol=1e-13)
+        for vals, ders in (jost_evaluator(barrier, k, side).eval(xs),
+                           [both[i] for both in pair.eval(xs)],
+                           (window.plus, window.minus)[i].eval(xs)):
+            assert np.isfinite(vals).all() and np.isfinite(ders).all()
+            assert np.allclose(vals, wave, rtol=1e-13)
+            assert np.allclose(ders, 1j * s * k * wave, rtol=1e-13)
+
+
+def test_overflowing_solution_beyond_far_edge_is_quietly_not_finite(barrier):
+    # far to the left at Im k = 0.5, f_+ grows like e^{ikx} and overflows past
+    # x = -1419 (f_- mirrored); eval returns it as inf or nan, with no
+    # RuntimeWarning (an error here), on each side and in the pair
+    k = 1.0 + 0.5j
+    far = np.array([-1450.0, -2000.0])
+    pair = JostEvaluator(_jost_maps(barrier, k))
+    for i, (side, s) in enumerate((("+", 1.0), ("-", -1.0))):
+        for vals, ders in (jost_evaluator(barrier, k, side).eval(s * far),
+                           [both[i] for both in pair.eval(s * far)]):
+            assert not np.isfinite(vals).any() and not np.isfinite(ders).any()
 
 
 def test_error_bound_reporting(barrier, exp_tail):

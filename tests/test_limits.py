@@ -292,11 +292,38 @@ def test_table_distance_equals_kernel_distance(request, name, box, n):
         assert np.count_nonzero(np.abs(np.linspace(-box, box, n)) < tso.x_eps) >= 2
 
 
+@pytest.mark.parametrize("name", ["barrier", "well_theta_minus", "exp_tail", "bump_table"])
+def test_table_rows_read_their_windows_u_and_v(request, monkeypatch, name):
+    # what the table's distances rest on: each row's u and v at the abscissae
+    # are its one-row window's green.u and green.v, bit for bit, on one row
+    # batch (the squares) and on Magnus runs of one row each
+    import jost1d.jost as jost
+
+    p, k, eps, box, n = request.getfixturevalue(name), 1.0 + 1.0j, [0.2, 0.1, 0.05], 3.0, 31
+    evaluate, read = jost.JostEvaluator._eval, []
+
+    def recorded(self, x, deriv=False):
+        f, fp = evaluate(self, x, deriv)
+        # the table's pairs: not the report's k = 0 solutions, nor a window's lone sides
+        if self.k.any() and np.ndim(self.s):
+            read.append(f.reshape(2, -1, np.size(x)))
+        return f, fp
+
+    monkeypatch.setattr(jost.JostEvaluator, "_eval", recorded)
+    j.convergence_table(p, k, eps, box=box, n=n)
+    u, v = np.concatenate(read, axis=1)
+    xs = np.linspace(-box, box, n)
+    assert len(u) == len(v) == len(eps)
+    for e, u_row, v_row in zip(eps, u, v):
+        green = j.truncated_operator(p, e, k).green
+        assert np.array_equal(u_row, green.u(xs)) and np.array_equal(v_row, green.v(xs))
+
+
 @pytest.mark.parametrize("name", ["barrier", "well_theta_minus"])
 def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
     # the support lies inside every window, so all eps are one row batch:
-    # one window map set, one evaluation of u and v together for all rows
-    # at the n abscissae, and one O(n) lattice sum
+    # one window map set, one f-only evaluation of u and v together for all
+    # rows at the n abscissae, and one O(n) lattice sum
     import dataclasses
 
     import jost1d.jost as jost
@@ -304,17 +331,17 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
 
     map_k, points, sums = [], [], []
     limit_kernels, limit_points = [], {"u": [], "v": []}
-    x_maps, evaluate = jost._x_maps, jost.JostEvaluator.eval
+    x_maps, evaluate = jost._x_maps, jost.JostEvaluator._eval
     limit_kernel, hs_sum = limits.LimitOperator.green, limits._hs_sum
 
     def counted_maps(p, k, *args):
         map_k.append(np.atleast_1d(k))
         return x_maps(p, k, *args)
 
-    def counted_eval(self, x):
-        f, fp = evaluate(self, x)
+    def counted_eval(self, x, deriv=False):
+        f, fp = evaluate(self, x, deriv)
         if self.k.any():  # the report's k = 0 solutions are not the window's
-            points.append((tuple(np.atleast_1d(self.s)), np.size(f[0])))
+            points.append((tuple(np.atleast_1d(self.s)), np.size(f[0]), deriv))
         return f, fp
 
     def counted(solution, log):
@@ -335,15 +362,15 @@ def test_table_evaluates_each_solution_at_n_points(request, monkeypatch, name):
         return hs_sum(*args)
 
     monkeypatch.setattr(jost, "_x_maps", counted_maps)
-    monkeypatch.setattr(jost.JostEvaluator, "eval", counted_eval)
+    monkeypatch.setattr(jost.JostEvaluator, "_eval", counted_eval)
     monkeypatch.setattr(limits.LimitOperator, "green", counted_limit)
     monkeypatch.setattr(limits, "_hs_sum", counted_sum)
     eps, n = [0.2, 0.1, 0.05], 40
     j.convergence_table(request.getfixturevalue(name), 1.0 + 1.0j, eps, box=4.0, n=n)
     windows = [k for k in map_k if k.any()]
     assert len(windows) == 1 and len(windows[0]) == len(eps)
-    (sides, size), = points  # both sides, each at no more than n points per row
-    assert sides == (1.0, -1.0) and size <= n * len(eps)
+    (sides, size, deriv), = points  # both sides, f alone, at no more than n points per row
+    assert sides == (1.0, -1.0) and size <= n * len(eps) and not deriv
     assert len(limit_kernels) == 1
     assert limit_points == {"u": [n], "v": [n]}
     assert len(sums) == 1

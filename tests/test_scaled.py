@@ -229,6 +229,18 @@ def test_plane_waves_outside_window(barrier):
     assert np.allclose(op.plus.eval(left)[0], expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("name, eps, k", [("exp", 0.05, 1.0 + 0.5j), ("barrier", 0.1, 1.0 + 1.0j)])
+def test_plane_wave_past_the_anchor_is_formed_at_the_user_k(request, name, eps, k):
+    # past its anchor a window's f_+ is e^{ikx} formed in x at the k asked for,
+    # bit for bit, not e^{i(eps k)(x/eps)} on the unsqueezed axis; f_- mirrored
+    p = j.exp_decay(1.5, 1.0) if name == "exp" else request.getfixturevalue(name)
+    op = j.truncated_operator(p, eps, k)
+    reach = max(op.plus.anchor, -op.minus.anchor)
+    xs = reach + np.linspace(1e-3, 4.0, 41)
+    assert np.array_equal(op.plus.eval(xs)[0], np.exp(1j * k * xs))
+    assert np.array_equal(op.minus.eval(-xs)[0], np.exp(1j * k * xs))
+
+
 # ---------------------------------------------------------------------------
 # the resolvent kernel
 
