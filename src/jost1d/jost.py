@@ -43,13 +43,13 @@ transfer.plane_pair reads a and b, r is read from the same state, and W
 is read off (see _Build.wronskian): scattering, jost_wronskian, d0,
 D'(0) and the resonant theta build no evaluator.  At the split node of
 the last round, P = L R, f_+ is R applied to its start and f_- the
-mirrored L (see JostEvaluator) applied to its own (_Build.halves); their
-W is P's in exact arithmetic for any maps, so the wronskian_gap and
-ray_gap read there measure rounding.  A JostEvaluator scans the maps
-into node states for f(x).  It holds the f_+/f_- pair of one build, or
-one side of it, started from the build's own anchor states
-(_Build.starts), so the scan and the product start from the same
-numbers.  The pair stacks the two sides' maps on the row axis, so one
+mirrored L (see JostEvaluator) applied to its own; _Build.halves hands
+both back in x, and their plain W is P's in exact arithmetic for any
+maps, so the wronskian_gap and ray_gap read there measure rounding.  A
+JostEvaluator scans the maps into node states for f(x).  It holds the
+f_+/f_- pair of one build, or one side of it, started from the build's
+own anchor states (_Build.starts), so the scan and the product start
+from the same numbers.  The pair stacks the two sides' maps on the row axis, so one
 scan and one evaluation serve both, as the convergence table reads them;
 a window's plus and minus, and jost_evaluator, stack and scan only the
 rows of their own side.  Outside its nodes, past the anchor and beyond
@@ -240,7 +240,7 @@ class JostEvaluator:
             mu2 = np.concatenate([mu2.reshape(rows, -1), mu2.reshape(rows, -1)[:, ::-1]][sides])
         self._shape = (len(nodes),) * (side is None) + (rows,) * (rows > 1)
         self._p, self._nodes, self._rows, self._sides = built.p, nodes, rows, sides
-        self._k_x = built.k if built.k_x is None else built.k_x  # the undilated k, one scalar
+        self._k_x = built.k_x  # the undilated k, one scalar
         self.states, self.mu2, self._zero = states, mu2, not k.any()
         # f_+ cuts the right tail, f_- the left
         self.s, self.error_bound = np.array([1.0, -1.0][sides]), np.array(built.tails[::-1][sides])
@@ -276,12 +276,11 @@ class JostEvaluator:
         x = _points(x)
         xs, grid = x.ravel(), (len(self._nodes), self._rows, x.size)  # (sides, rows, points)
         t = self._sign[:, None] * xs / self.eps[:, None]
-        anchored = (t >= self._ends[:, 1:]).reshape(grid)
-        beyond = (t < self._ends[:, :1]).reshape(grid)
-        inside = ~(anchored | beyond)
+        anchored = t >= self._ends[:, 1:]
+        inside = ~anchored & (t >= self._ends[:, :1])
         f, fp = (np.empty((2,) + grid, dtype=complex) if inside.all()
-                 else self._outside(xs, t.reshape(grid), anchored, beyond, inside, deriv))
-        f, inside = f.reshape(t.shape), inside.reshape(t.shape)
+                 else self._outside(xs, t.reshape(grid), anchored.reshape(grid), deriv))
+        f = f.reshape(t.shape)
         if inside.any():  # the step maps from the node states, at each point's row
             # a lone row reads at row 0, which puts the same numbers through the same ufuncs
             f_in, fp_in = self._inside(np.nonzero(inside)[0] if len(t) > 1 else 0, t[inside])
@@ -293,23 +292,16 @@ class JostEvaluator:
             fp = (fp.reshape(t.shape) * (self._sign / self.eps)[:, None]).reshape(shape)[()]
         return f.reshape(shape)[()], fp
 
-    def _outside(self, xs, t, anchored, beyond, inside, deriv):
+    def _outside(self, xs, t, anchored, deriv):
         """(f, g' or None) on the (sides, rows, points) grid, valid at the points outside the nodes.
 
         Every row reads one plane-wave pair per point, at the undilated k in
         x: (e^{ikx}, e^{-ikx}) = (e^{i(eps k)t}, e^{-i(eps k)t}) for f_+,
         swapped for f_-.  A side reads its first wave outside its nodes and
-        its second beyond them, and each wave is formed only at the points
-        some row reads it at.  g' is in t, at each row's eps k.
+        its second beyond them.  g' is in t, at each row's eps k.
         """
-        need = np.zeros((2, xs.size), dtype=bool)
-        need[self._sides] = ~inside.all(axis=1)
-        need[::-1][self._sides] |= beyond.any(axis=1)
-        ik, waves = 1j * self._k_x, np.empty(need.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # in lanes no branch reads, or in f
-            np.multiply(ik, xs, out=waves[0])
-            np.multiply(ik, -xs, out=waves[1])
-            np.exp(waves, out=waves, where=need)  # a lane not needed keeps its argument
+            waves = np.exp(1j * self._k_x * np.array([xs, -xs]))
             out, back = waves[self._sides][:, None], waves[::-1][self._sides][:, None]
             c_plus, c_minus = self._pair
             # beyond the far edge, f = incoming + outgoing: c_plus + c_minus t at k = 0
@@ -521,7 +513,7 @@ def scattering(p: Potential, k, tol=1e-10) -> ScatteringData:
     reported; an overflowed product raises SpecError.
     """
     k = _wavenumber(k)
-    return _jost_maps(p, k, tol).scattering(k)[0]
+    return _jost_maps(p, k, tol).scattering()[0]
 
 
 def jost_wronskian(p: Potential, k, tol=1e-10) -> complex:
@@ -561,8 +553,8 @@ class _Build:
     p is the unsqueezed base, k its wavenumber eps k (a scalar, or a k
     batch's rows) and eps the dilation; the rest is _x_maps' output in x.
     k_x is the undilated k the build was asked for, one scalar that every
-    row shares: the wavenumber of the plane waves in x.  None reads k, as
-    it is at eps = 1.
+    row shares: the wavenumber of the plane waves in x and of the
+    scattering data.
     """
 
     p: Potential
@@ -572,7 +564,7 @@ class _Build:
     steps: np.ndarray
     mu2: np.ndarray | None
     tails: tuple[float, float]
-    k_x: complex | None = None
+    k_x: complex
 
     @cached_property
     def product(self):
@@ -603,14 +595,20 @@ class _Build:
         return tuple((w, ik * w) for w in (np.exp(ik * self.nodes[-1]), np.exp(ik * -self.nodes[0])))
 
     def halves(self, starts=None):
-        """(f, f', g, g') at the split node, from starts (by default the anchor states).
+        """(f_+, f_+', f_-, f_-') in x at the split node, from starts or the anchor states.
 
-        f_+ is R applied to its start at hi, and f_- = g(-x), f_-' = -g', with
-        g the mirrored L (m00 and m11 swapped) applied to its start at t = -lo.
+        starts are f_+'s state at hi and f_-'s at lo, in x.  f_+ is R applied
+        to its start, and f_-(x) = g(-x), f_-' = -g'(-x), with g the mirrored
+        L (m00 and m11 swapped) applied to g's start (f_-, -f_-') at t = -lo.
         """
         left, right, _ = self.product
-        up, dn = self.starts if starts is None else starts
-        return (*_apply(right, up), *_apply(left[_MIRROR], dn))
+        if starts is None:  # the anchor states, f_-'s given as g's
+            up, dn = self.starts
+        else:
+            up, (f, fp) = starts
+            dn = f, -fp
+        g, gp = _apply(left[_MIRROR], dn)
+        return (*_apply(right, up), g, -gp)
 
     def wronskian(self):
         """W{f_+, f_-}, one value per batch row, nan where the product overflowed.
@@ -624,13 +622,13 @@ class _Build:
         w = -m10 if k == 0 else -np.exp(ik * (hi - lo)) * (ik * (m00 + m11) - k * k * m01 + m10)
         return np.where(np.isfinite(product).all(axis=0), w / self.eps, np.nan)
 
-    def scattering(self, k) -> list[ScatteringData]:
-        """Scattering data at k per row, the build's k being eps k (a scalar is one row).
+    def scattering(self) -> list[ScatteringData]:
+        """Scattering data at k_x per row, the build's k being eps k_x (a scalar is one row).
 
         The first row whose product is not finite, or whose a vanishes,
         raises what scattering would raise at its eps.
         """
-        kb, ikb, lo = self.k, 1j * self.k, self.nodes[0]
+        k, kb, ikb, lo = self.k_x, self.k, 1j * self.k, self.nodes[0]
         with np.errstate(over="ignore", invalid="ignore"):
             far = _apply(self.product[2], self.starts[0])
             a, b = plane_pair(*far, kb, lo)
@@ -645,6 +643,6 @@ class _Build:
             raise ExceptionalPointError(
                 f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined")
         f, fp, g, gp = self.halves()
-        gap = abs(a - (f * gp + fp * g) / (2.0 * ikb)) / (1.0 + abs(a))
+        gap = abs(a - (f * gp - fp * g) / (-2.0 * ikb)) / (1.0 + abs(a))
         columns = (np.array(v, ndmin=1).tolist() for v in (a, b, r, 1.0 / a, gap))
         return [ScatteringData(k, *row) for row in zip(*columns)]

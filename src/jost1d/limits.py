@@ -143,7 +143,7 @@ class TruncatedScaledOperator:
         k = _wavenumber(k)
         ((ss,), built), = _windows(p, [eps], k, tol)
         self.eps, self.xi_eps, self.x_eps = ss.eps, ss.xi_eps, ss.x_eps
-        (self._data,) = built.scattering(k)
+        (self._data,) = built.scattering()
         self._built = built
         # an array product, as the table's rows take it: a complex scalar one rounds otherwise
         self._w = (-2j * k * np.array([self._data.a]))[0]
@@ -371,7 +371,7 @@ def convergence_table(
     limit = _lattice_factors(kern.u(xs), kern.v(xs), kern.w, xs, kern.split)
     records = []
     for scales, built in _windows(p, eps_sorted, k, tol):
-        rows = built.scattering(k)
+        rows = built.scattering()
         w = -2j * k * np.array([sd.a for sd in rows])  # each row's green.w
         u, v = JostEvaluator(built)._eval(xs)[0]  # each row's green u and v, in one call
         dist = _hs_distance(_hs_sum(_lattice_factors(u, v, w, xs), limit, xs), box, n)

@@ -269,11 +269,6 @@ class ScaledShape(_Shape):
         return None if hi == math.inf else (self.eps * lo, self.eps * max(lo, hi))
 
     def breakpoints(self):
-        return self._breakpoints
-
-    # cached as TableShape's are: outside the fields, so ==, hash, repr and replace ignore it
-    @cached_property
-    def _breakpoints(self):
         w = self.half_width
         pts = {b for b in self.base.breakpoints() if -w <= b <= w}
         if w < math.inf:

@@ -14,10 +14,11 @@ and so is theta.  Outside the support, or beyond the cut tails, the
 solutions are straight lines, so P carries f_+ to the line A + B x below
 the support and the mirrored P carries f_- to C + D x above it; at a
 resonance B = -d0 and D = d0 vanish, and theta = 1/A = C.  A resonant
-report reads theta from these far fields and the two states at the
-product's split node (see jost._Build.halves).  Infinite tails are cut
-where their weighted mass falls below tol, as at any k; the results are
-then flagged as extrapolated.  A d0 that is not finite raises SpecError.
+report reads theta from these far fields and the states of f_+ and f_-,
+both in x, at the product's split node (see jost._Build.halves).
+Infinite tails are cut where their weighted mass falls below tol, as at
+any k; the results are then flagged as extrapolated.  A d0 that is not
+finite raises SpecError.
 D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
 on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
 jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
@@ -108,12 +109,12 @@ def resonance_report(
     # P carries f_+ = (1, 0) from hi to (P00, P10) at lo, below which it is the
     # line A + B x, and the mirrored P carries f_- = (1, 0) from lo to (P11,
     # -P10) at hi, above which it is C + D x; f_- = theta f_+ pairs (f_+, f_-) =
-    # (A, 1) at -inf, (1, C) at +inf, and (f, g), (f', -g') at the split node
+    # (A, 1) at -inf, (1, C) at +inf, and (f, g), (f', g') at the split node
     m00, _, m10, m11 = built.product[2]
     lo, hi = built.nodes[0], built.nodes[-1]
     f, fp, g, gp = built.halves()
     plus = np.array([m00 - m10 * lo, 1.0, f, fp])
-    minus = np.array([1.0, m11 + m10 * hi, g, -gp])
+    minus = np.array([1.0, m11 + m10 * hi, g, gp])
     theta_c = np.vdot(plus, minus) / np.vdot(plus, plus)
     spread = np.max(np.abs(minus - theta_c * plus)) / np.max(np.abs(minus))
     if not spread <= 1e-6:  # nan too
@@ -156,8 +157,9 @@ def d_dot_zero(
     D'(0) = -i [(hi - lo) P10 + P00 + P11] from the product P = L R of
     the k = 0 step maps on [lo, hi], whose infinite tails are cut by the
     second-moment mass int |x| (1 + |x|) |V| as well.  At the split node
-    it is W{h_+, f_-} + W{f_+, h_-} with h = df/dk, h_+ = R (i hi, i) and
-    h_- the mirrored L applied to (-i lo, i) in t = -x.  Requires a
+    it is W{h_+, f_-} + W{f_+, h_-} with h = df/dk, started in x from the
+    k-derivatives of e^{ikx} at hi, (i hi, i), and of e^{-ikx} at lo,
+    (-i lo, -i), and carried there by _Build.halves.  Requires a
     resonant potential, whose report gives theta, and on compact support
     its k = 0 maps, if it is p's at this tol.
     """
@@ -175,8 +177,8 @@ def d_dot_zero(
     m00, _, m10, m11 = built.product[2]
     value = complex(-1j * ((hi - lo) * m10 + m00 + m11))
     f, fp, g, gp = built.halves()
-    f_k, fp_k, g_k, gp_k = built.halves(((1j * hi, 1j), (-1j * lo, 1j)))
-    split = -(f_k * gp + fp_k * g) - (f * gp_k + fp * g_k)
+    f_k, fp_k, g_k, gp_k = built.halves(((1j * hi, 1j), (-1j * lo, -1j)))
+    split = (f_k * gp - fp_k * g) + (f * gp_k - fp * g_k)
     expected = -1j * (report.theta + 1.0 / report.theta)
     return DZeroDerivative(value, float(abs(value - split)), float(abs(value - expected)))
 

@@ -164,7 +164,7 @@ def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
     # maps built without layers take the Magnus route
     maps = _x_maps(two_step, complex(k), 1e-10, None, False)
-    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps), "+").plane_pair()
+    a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps, complex(k)), "+").plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
 
@@ -626,6 +626,17 @@ def test_wronskian_product_matches_evaluator_pair(request, name, k):
     assert abs(j.jost_wronskian(p, k) - want) <= 1e-12 * max(abs(want), 1.0)
 
 
+@pytest.mark.parametrize("k", [1.3, 0.7 + 0.4j, 0.0])
+def test_split_node_states_are_both_solutions_in_x(k):
+    # two layers put the product's split node at x = 0: halves hands back
+    # (f_+, f_+', f_-, f_-') there in x, the "+" and "-" evaluators' (f, f')
+    p = j.piecewise_constant([(-1.0, 0.0, -2.0), (0.0, 1.0, 3.0)])
+    built = _jost_maps(p, k)
+    assert built.nodes[1] == 0.0 and built.steps.shape[-1] == 2
+    want = [v for side in "+-" for v in jost_evaluator(p, k, side).eval(0.0)]
+    np.testing.assert_allclose(built.halves(), want, rtol=1e-13)
+
+
 @pytest.mark.parametrize("name", ["two_step", "bump_table", "exp_tail"])
 @pytest.mark.parametrize("eps", [0.1, 1e-3])
 @pytest.mark.parametrize("k", [0.0, 1.0, 1.0 + 1.0j])
@@ -943,7 +954,7 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 def _route_evaluator(p, k, side, route):
     layers = _layers(p.shape, p.coupling) if route == "transfer" else None
     k = complex(k)
-    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False)), side)
+    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False), k), side)
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)

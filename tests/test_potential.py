@@ -151,8 +151,8 @@ def test_table_breakpoints_are_the_loop_rule(seed):
     assert p.breakpoints() == oracles.table_breakpoints(p.shape.x, p.shape.v)
 
 
-def test_scaled_breakpoints_are_the_set_rule_read_once(bump_table, exp_tail):
-    # a squeezed or truncated shape's breakpoints are cached beside its fields
+def test_scaled_breakpoints_are_the_set_rule(bump_table, exp_tail):
+    # a squeezed or truncated shape's breakpoints leave its ==, hash and repr alone
     for base in (bump_table, exp_tail):
         for p in (j.truncate(base, 1.3), j.scale(base, 0.1), j.scale(j.truncate(base, 0.7), 0.05),
                   j.truncate(j.scale(base, 0.1), 0.2)):
@@ -161,7 +161,6 @@ def test_scaled_breakpoints_are_the_set_rule_read_once(bump_table, exp_tail):
             bps = shape.breakpoints()
             assert bps == oracles.scaled_breakpoints(base.breakpoints(), shape.eps,
                                                      shape.half_width)
-            assert shape.breakpoints() is bps
             assert (hash(shape), repr(shape)) == before
             assert shape == dataclasses.replace(shape) and "_breakpoints" not in repr(shape)
 
