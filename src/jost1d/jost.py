@@ -380,10 +380,13 @@ def _x_maps(p: Potential, k, tol, layers, second):
     size (or by the rounding floor), keeping the two-half-step map,
     Richardson-corrected by /63.  A rejected step is split into 2^l equal
     pieces, l = ceil(log64(4 defect / allowed)) in [1, _MAX_JUMP], none
-    below narrowest.  The seed is _seed_edges'.  A build whose first
-    round accepts every step returns that round's arrays as they are;
-    otherwise each round keeps its accepted steps and one argsort of their
-    left ends orders the mesh.
+    below narrowest.  The seed is _seed_edges'.  The mesh is refined in
+    place, one array of steps in node order from the seed to the return:
+    each round computes only the steps it adds, writes their maps into
+    their slots, and returns once it rejects none.  A rejected step is
+    replaced where it stands by its pieces; a kept step is one piece whose
+    ends and map are copied, as the piece formula would turn a -0.0 end
+    into +0.0.
     """
     if layers is not None:
         edges, heights = layers
@@ -400,50 +403,48 @@ def _x_maps(p: Potential, k, tol, layers, second):
 
     span = hi - lo
     edges = _seed_edges(lo, hi, p.breakpoints())
-    left, right = edges[:-1], edges[1:]
+    left, right = edges[:-1], edges[1:]  # every step's ends, in node order
     narrowest = span / (_MIN_PANELS << _MAX_ROUNDS)  # nodes stay dyadic points of edges
-    done_left, done_maps = [], []
+    new, steps = slice(None), None  # the steps a round computes: all at first, a mask after
     while True:
-        mid = 0.5 * (left + right)
+        a, b = left[new], right[new]
+        mid = 0.5 * (a + b)
         # the two half steps and the whole step in one call, V sampled once for all
-        maps = np.array(magnus_entries(p, k, np.concatenate([mid, right, right]),
-                                       np.concatenate([left, mid, left])))
-        n = len(left)
+        maps = np.array(magnus_entries(p, k, np.concatenate([mid, b, b]),
+                                       np.concatenate([a, mid, a])))
+        n = len(a)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, nan or 0 defects
             halves = _compose(maps[:, :n], maps[:, n:2 * n])
             gap = maps[:, 2 * n:] - halves  # M_1 - M_2
             defect = _peak(np.abs(gap))
-            allowed = np.maximum(tol * (right - left) / span, _FLOOR) * _peak(np.abs(halves))
-            ok = defect <= allowed
+            allowed = np.maximum(tol * (b - a) / span, _FLOOR) * _peak(np.abs(halves))
+            redo = ~(defect <= allowed)
             halves -= gap / 63.0  # in place: a round can hold most of the mesh
-            redo = ~ok
-            again = redo.any()
-            if again:
-                # defect ~ h^7 against allowed ~ h, so 2^ceil(log64(4 ratio)) pieces bring
-                # the ratio to 1/4; fmax makes a nan ratio (an overflowed step) one halving
-                ratio = defect[redo] / allowed[redo]
-                levels = np.fmax(np.ceil((np.log2(ratio) + _MARGIN) / 6.0), 1.0)
-            elif not done_left:  # one round: its steps are the mesh, in order
-                return np.append(left, hi), halves, None, tails
-        done_left.append(left[ok])
-        done_maps.append(halves[:, ok])
+            steps = halves if steps is None else steps  # the first round's steps are the mesh
+            steps[:, new] = halves
+            if not redo.any():
+                return np.append(left, hi), steps, None, tails
+            # defect ~ h^7 against allowed ~ h, so 2^ceil(log64(4 ratio)) pieces bring
+            # the ratio to 1/4; fmax makes a nan ratio (an overflowed step) one halving
+            levels = np.fmax(np.ceil((np.log2(defect[redo] / allowed[redo]) + _MARGIN) / 6.0), 1.0)
         del maps, gap, halves
-        if not again:
-            break
-        left, right = left[redo], right[redo]
-        room = np.floor(np.log2((right - left) / narrowest))
+        a, b = a[redo], b[redo]
+        room = np.floor(np.log2((b - a) / narrowest))
         count = np.exp2(np.minimum(levels, np.minimum(room, _MAX_JUMP))).astype(int)
-        if (room < 1).any() or count.sum() + sum(len(d) for d in done_left) > _MAX_STEPS:
+        counts = np.ones(len(left), dtype=int)  # a kept step is one piece, its ends and map copied
+        counts[np.arange(len(left))[new][redo]] = count  # at the rejected steps' slots
+        if (room < 1).any() or counts.sum() > _MAX_STEPS:
             raise IntegrationError(f"Magnus mesh on [{lo:g}, {hi:g}] (tol {tol:g}) needs steps "
                                    f"narrower than {narrowest:.3g} or more than {_MAX_STEPS}")
-        # piece i of m covers [i / m, (i + 1) / m] of its step, whose ends stay exact
+        # each rejected step is replaced where it stands by its pieces (2 or more, as room >= 1),
+        # so the mesh stays in node order; piece i of m covers [i / m, (i + 1) / m] of it,
+        # whose ends stay exact
+        new = np.repeat(counts > 1, counts)
+        steps, left, right = (np.repeat(s, counts, axis=-1) for s in (steps, left, right))
         m = np.repeat(count, count)
         t = (np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)) / m
-        a, b = np.repeat(left, count), np.repeat(right, count)
-        left, right = (1.0 - t) * a + t * b, (1.0 - t - 1.0 / m) * a + (t + 1.0 / m) * b
-    left = np.concatenate(done_left)
-    order = np.argsort(left)
-    return np.append(left[order], hi), np.concatenate(done_maps, axis=1)[:, order], None, tails
+        a, b = left[new], right[new]
+        left[new], right[new] = (1.0 - t) * a + t * b, (1.0 - t - 1.0 / m) * a + (t + 1.0 / m) * b
 
 
 def _peak(a):

@@ -346,7 +346,8 @@ def convergence_table(
     """Scattering and kernel-distance trend of the windowed family.
 
     eps values, each a positive real number as for splitting_scale (text
-    and bools raise SpecError), are processed in decreasing order; each
+    and bools raise SpecError), are processed in decreasing order, and
+    repeated values give one row ([0.1, 0.1, 0.05] gives two); each
     row carries the windowed operator's (r, t), its sampled
     Hilbert-Schmidt distance to the classified limit kernel, and the
     limit's (r, t) for reference.

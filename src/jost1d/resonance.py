@@ -229,7 +229,8 @@ def resonant_couplings(
     coarse to separate a pair of nearby roots is flagged with a warning
     based on the local parabolic model of the sweep.  A d0 that
     overflows, on the grid or in a bisection, raises SpecError, as does
-    a root whose residual never falls below root_tol.
+    a root whose residual never falls below root_tol, and a d0 that is 0
+    at every grid coupling (a zero base, whose every coupling is resonant).
     """
     lo, hi = (_real(a, "sweep range must be finite") for a in (alpha_min, alpha_max))
     if not 0.0 < hi - lo < math.inf:  # an overflowing span too
@@ -244,6 +245,8 @@ def resonant_couplings(
 
     alphas = np.linspace(lo, hi, grid_n)
     values = _finite(alphas, g(alphas))
+    if not values.any():  # every coupling resonant, and no root an isolated one
+        raise SpecError("d0 vanishes at every grid coupling: the base potential is zero")
 
     trivial = 0.0 if lo <= 0.0 <= hi else None
 

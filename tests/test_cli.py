@@ -309,6 +309,21 @@ def test_resonance_sweep_overflowing_range_exits_2(runner, tmp_path):
     assert result.stdout == ""
 
 
+def test_resonance_sweep_of_a_zero_potential_exits_2(runner, tmp_path):
+    # every coupling of V = 0 is resonant: no grid point is an isolated root
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(
+        {"kind": "square", "params": {"left": -1.0, "right": 1.0, "height": 0.0}}
+    ))
+    result = runner.invoke(main, [
+        "resonance", "sweep", "--potential", str(path),
+        "--alpha-min", "0.5", "--alpha-max", "3", "--grid", "4",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "d0 vanishes" in result.stderr
+    assert result.stdout == ""
+
+
 def test_resonance_sweep_root_without_digits_exits_2(runner, tmp_path):
     # d0 is finite over the range, but has no correct digits at the root
     path = tmp_path / "well.json"

@@ -20,6 +20,7 @@ from jost1d.jost import (
     _MIN_PANELS,
     JostEvaluator,
     _Build,
+    _compose,
     _jost_maps,
     _layers,
     _peak,
@@ -933,6 +934,50 @@ def test_table_wronskian_constant_at_complex_k(p, k_re, k_im):
     w = f * gp - fp * g
     mid = w[len(w) // 2]
     assert np.max(np.abs(w - mid)) / abs(mid) < 1e-10
+
+
+_MAGNUS_POTENTIALS = st.one_of(
+    _tables(), _EXP_WELLS,
+    # a window, built on its truncated base at eps k
+    st.builds(lambda p, width, eps: j.scale(j.truncate(p, width), eps),
+              st.one_of(_tables(), _EXP_WELLS), st.floats(0.3, 4.0), st.floats(0.01, 0.3)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=_MAGNUS_POTENTIALS, k_re=st.floats(0.0, 100.0), k_im=st.floats(0.0, 1.0))
+def test_magnus_maps_are_the_richardson_maps_of_their_own_panels(p, k_re, k_im):
+    # the mesh is refined in place, so each step's map must sit in its own
+    # panel's slot: one kernel call on the final nodes, composed and
+    # corrected as the build does, gives the build's steps byte for byte
+    built = _jost_maps(p, complex(k_re, k_im) if k_im else k_re)
+    nodes, n = built.nodes, len(built.nodes) - 1
+    assert np.all(np.diff(nodes) > 0.0)
+    left, right = nodes[:-1], nodes[1:]
+    mid = 0.5 * (left + right)
+    maps = np.array(magnus_entries(built.p, built.k, np.concatenate([mid, right, right]),
+                                   np.concatenate([left, mid, left])))
+    halves = _compose(maps[:, :n], maps[:, n:2 * n])
+    halves -= (maps[:, 2 * n:] - halves) / 63.0
+    assert halves.tobytes() == built.steps.tobytes()
+
+
+def test_kept_magnus_steps_keep_a_negative_zero_node(monkeypatch):
+    # the table's breakpoint -0.0 is a node; its steps pass in the first
+    # round and others are split, so the second round must copy their ends:
+    # the piece formula (1 - 0) * -0.0 + 0 * b would make the node +0.0
+    from jost1d import jost
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return magnus_entries(*args)
+
+    monkeypatch.setattr(jost, "magnus_entries", counting)
+    built = _jost_maps(j.tabulated([-2.0, -1.0, -0.0, 1.0, 2.0], [0.0, -6.0, 0.0, 6.0, 0.0]), 2.0)
+    assert (len(calls), len(built.nodes)) == (2, 195)
+    zero = built.nodes[built.nodes == 0.0]
+    assert len(zero) == 1 and np.signbit(zero[0])
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,17 @@ def test_sweep_validation():
             j.resonant_couplings(base, lo, hi, grid_n=5)
 
 
+@pytest.mark.parametrize("base", [j.zero(), j.square(-1.0, 1.0, 0.0),
+                                  j.square(-1.0, 1.0, -1.0, coupling=0.0),
+                                  j.tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])],
+                         ids=["zero", "square_0", "coupling_0", "table_0"])
+@pytest.mark.parametrize("alpha_min", [-1.0, 0.5])
+def test_sweep_rejects_a_vanishing_base(base, alpha_min):
+    # d0 is 0 at every coupling of V = 0, so every grid point read as a root
+    with pytest.raises(SpecError, match="d0 vanishes at every grid coupling"):
+        j.resonant_couplings(base, alpha_min, 3.0, grid_n=5)
+
+
 @pytest.mark.parametrize("grid_n", [10.0, 10.5])
 def test_sweep_rejects_non_integer_grid_n(grid_n):
     # np.linspace raised a bare TypeError on a float count
