@@ -33,8 +33,9 @@ tail has dropped below tol, and the cut tail mass is error_bound; this
 holds at k = 0 as well.  Step maps are float64 wherever k^2 is real (real k,
 k = 0, k = i kappa), else complex128; _peak reads their size.  Every array
 of step maps is entry-major, of shape (4, *batch, N): the entries (m00, m01,
-m10, m11) lead and the map index is last, so composing two arrays
-multiplies four whole entry planes.
+m10, m11) lead and the map index is last, so composing two arrays is two
+broadcast multiply-adds of whole entry planes, one's column planes times
+the other's row planes (see _compose).
 
 A build's product P of its step maps, taken once in pairwise rounds
 (O(N) products, against O(N log N) for a scan), carries its start state
@@ -152,16 +153,18 @@ def _tail_point(p: Potential, s: float, tol: float, second=False):
 
 
 def _compose(m, n):
-    """The 2x2 products m @ n of entry-major maps, as one new array of the four sums."""
-    a, b, c, d, e, f, g, h = _entries(m) + _entries(n)
-    return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+    """The 2x2 products m @ n of entry-major maps, as one new array.
 
-
-def _entries(m):
-    """The four entry planes of the maps m, 0-d arrays (not scalars) for one map."""
-    # numpy rounds complex scalar products otherwise than array products, so
-    # one map multiplies as a batch row does
-    return m[0, ...], m[1, ...], m[2, ...], m[3, ...]
+    Entry (i, l) is m_i0 n_0l + m_i1 n_1l: the planes of m's column j,
+    shaped (2, 1, ...), times those of n's row j, (1, 2, ...), broadcast
+    to (2, 2, ...), summed over j and read back as (4, ...).  These are
+    the products and sums, in the same order, of the four sums written
+    out, so the result is theirs bit for bit.
+    """
+    m, n = m.reshape((2, 2, 1) + m.shape[1:]), n.reshape((1, 2, 2) + n.shape[1:])
+    out = m[:, 0] * n[:, 0]
+    out += m[:, 1] * n[:, 1]
+    return out.reshape((4,) + out.shape[2:])
 
 
 # the entry order that mirrors a map for f_-: m00 and m11 swapped (see JostEvaluator)
@@ -351,17 +354,24 @@ def _seed_edges(lo, hi, breakpoints):
     it would leave a sliver panel; both ends stay.  breakpoints may come
     unsorted, repeated or with nans (a duck-typed shape).  The merge sorts
     and drops repeats: the uniform points repeat where the span is a few
-    ulps or none, and lo == hi gives the one node lo.
+    ulps or none, and lo == hi gives the one node lo.  The uniform points
+    are np.linspace's and the merge is np.unique's sort and mask, bit for
+    bit, written out: both numpy functions run many Python-level steps,
+    which every build would pay.
     """
     cuts = np.fromiter(breakpoints, dtype=float)
     cuts = np.sort(cuts[(lo < cuts) & (cuts < hi)])
-    uniform = np.linspace(lo, hi, _MIN_PANELS + 1)
+    unit, step = np.arange(_MIN_PANELS + 1.0), (hi - lo) / _MIN_PANELS
+    # a step that underflows to 0 scales by the span after the division, as np.linspace does
+    uniform = (unit * step if step else unit / _MIN_PANELS * (hi - lo)) + lo
+    uniform[-1] = hi
     # the cuts are sorted, so the nearest to each uniform point is one of the two around it
     around = np.concatenate([[-np.inf], cuts, [np.inf]])
     i = np.searchsorted(around, uniform)
     keep = np.minimum(around[i] - uniform, uniform - around[i - 1]) > 1e-12 * (hi - lo)
     keep[0] = keep[-1] = True
-    return np.unique(np.concatenate([uniform[keep], cuts]))
+    edges = np.sort(np.concatenate([uniform[keep], cuts]))
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
 def _x_maps(p: Potential, k, tol, layers, second):
@@ -420,8 +430,10 @@ def _x_maps(p: Potential, k, tol, layers, second):
             allowed = np.maximum(tol * (b - a) / span, _FLOOR) * _peak(np.abs(halves))
             redo = ~(defect <= allowed)
             halves -= gap / 63.0  # in place: a round can hold most of the mesh
-            steps = halves if steps is None else steps  # the first round's steps are the mesh
-            steps[:, new] = halves
+            if steps is None:  # the first round's steps are the mesh
+                steps = halves
+            else:
+                steps[:, new] = halves
             if not redo.any():
                 return np.append(left, hi), steps, None, tails
             # defect ~ h^7 against allowed ~ h, so 2^ceil(log64(4 ratio)) pieces bring
@@ -543,7 +555,9 @@ def _zero_energy_wronskians(p: Potential, tol=1e-10):
 
 def _apply(m, v):
     """The 2x2 maps m, entries first, applied to the vector v."""
-    m00, m01, m10, m11 = _entries(m)
+    # numpy rounds complex scalar products otherwise than array products, so a
+    # lone map's entries are 0-d arrays, not scalars: it multiplies as a batch row does
+    m00, m01, m10, m11 = (m[i, ...] for i in range(4))
     return m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1]
 
 

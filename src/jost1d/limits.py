@@ -65,7 +65,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import SpecError, _count, _points, _real, _wavenumber
+from .errors import NumericsError, SpecError, _count, _points, _real, _wavenumber
 from .jost import JostEvaluator, ScatteringData, _jost_maps, _layers, _unsqueezed
 from .potential import Potential, scale, splitting_scale, truncate
 from .resonance import resonance_report
@@ -240,6 +240,7 @@ def classify_limit(
     return LimitOperator(resonance_report(p, threshold=threshold, tol=tol).theta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows raises NumericsError
 def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> float:
     """Sampled Hilbert-Schmidt distance between two kernels at the same k.
 
@@ -249,7 +250,8 @@ def kernel_distance(kernel_a, kernel_b, box: float = 10.0, n: int = 200) -> floa
     trend comparison, not certified error bounds.  Plain callables are
     evaluated at all n^2 lattice points.  Two Kernels are evaluated at
     the n abscissae only and summed in O(n) by _hs_sum, the sum
-    convergence_table reports, so its distances equal this one's.
+    convergence_table reports, so its distances equal this one's.  A sum
+    that is not finite raises NumericsError (see _hs_distance).
     """
     xs = _abscissae(box, n)
     if isinstance(kernel_a, Kernel) and isinstance(kernel_b, Kernel):
@@ -269,8 +271,17 @@ def _abscissae(box, n):
     return np.linspace(-box, box, _count(n, f"{what}: n must be an integer of at least 2", 2))
 
 
-def _hs_distance(total, box, n):
-    """The normalized Hilbert-Schmidt distances from lattice sums of |G_A - G_B|^2."""
+def _hs_distance(total, box, n, k=None):
+    """The normalized Hilbert-Schmidt distances from lattice sums of |G_A - G_B|^2.
+
+    A sum that is not finite raises NumericsError, naming Im k when k is
+    given: at Im k > 0 the kernels grow like e^{Im k |x|}, so the squares
+    of the lattice factors overflow once 2 Im k box passes about 709.
+    """
+    if not np.isfinite(total).all():
+        at = "" if k is None else f" and Im k = {k.imag:g}"
+        raise NumericsError(f"the kernel lattice sum is not finite at box = {box:g}{at}; the "
+                            f"kernels grow like e^(Im k |x|), so a smaller box may serve")
     return np.sqrt(box * box / (n * n) * total)
 
 
@@ -334,6 +345,7 @@ class ConvergenceRecord:
     limit_t: complex
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows raises NumericsError
 def convergence_table(
     p: Potential,
     k,
@@ -355,7 +367,8 @@ def convergence_table(
     whose windows tile alike is one row batch (see the module docstring),
     whose _hs_sum adds each row's lattice in O(n).  Each row equals its
     eps's one-row table, and its distance kernel_distance(tso.green,
-    op.green(k), box, n), bit for bit.
+    op.green(k), box, n), bit for bit.  A lattice sum that is not finite
+    raises NumericsError, naming box and Im k.
     """
     k = _wavenumber(k)
     xs = _abscissae(box, n)
@@ -375,7 +388,7 @@ def convergence_table(
         rows = built.scattering()
         w = -2j * k * np.array([sd.a for sd in rows])  # each row's green.w
         u, v = JostEvaluator(built)._eval(xs)[0]  # each row's green u and v, in one call
-        dist = _hs_distance(_hs_sum(_lattice_factors(u, v, w, xs), limit, xs), box, n)
+        dist = _hs_distance(_hs_sum(_lattice_factors(u, v, w, xs), limit, xs), box, n, k)
         records += [ConvergenceRecord(eps=ss.eps, r_eps=sd.r, t_eps=sd.t, kernel_distance=float(d),
                                       limit_r=ls.r, limit_t=ls.t)
                     for ss, sd, d in zip(scales, rows, np.ravel(dist))]

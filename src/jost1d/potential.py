@@ -488,11 +488,10 @@ def _tau(p: Potential, x: float) -> float:
     return p.shape.integrals(x, math.inf, p.coupling)[3] + p.shape.integrals(-math.inf, -x, p.coupling)[3]
 
 
-def _rho(p: Potential, x: float) -> float:
+def _gap(p: Potential, x: float, log_eps: float) -> float:
+    """log(rho(x) eps), read from the tail mass alone; +inf where the mass underflows to 0."""
     tau = _tau(p, x)
-    if tau <= 0.0:
-        return math.inf
-    return (1.0 + abs(x)) / tau**0.5
+    return math.inf if tau <= 0.0 else math.log1p(x) - 0.5 * math.log(tau) + log_eps
 
 
 def splitting_scale(p: Potential, eps: float) -> SplittingScale:
@@ -501,49 +500,45 @@ def splitting_scale(p: Potential, eps: float) -> SplittingScale:
     For compact support rho(x) = 1 + x^2, so xi_eps = sqrt(1/eps - 1).
     Otherwise rho(x) = (1+|x|) / tau(x)^(1/2) with tau the two-sided
     weighted tail mass; any fixed exponent in (0, 1) keeps rho divergent
-    and monotone for integrable tails, and this one is 1/2.  Its root is
-    bracketed by doubling, then found by Newton's method on log rho, whose
-    slope 1/(1+x) + (1+x)(|V(x)| + |V(-x)|)/(2 tau) is closed form, until a
-    step is below 1e-12 relative; a step that leaves the bracket bisects it.
+    and monotone for integrable tails, and this one is 1/2.  The root of
+    g = log(rho eps) = log1p(x) - log(tau)/2 + log(eps) is bracketed by
+    doubling from [0, 1], g(0) >= 0 meaning eps is too large, and the last
+    two points of the doubling are the bracket of an Illinois secant
+    (regula falsi that halves the g of an end kept twice running; Dowell
+    and Jarratt, BIT 11, 1971).  It reads tau's closed form alone, never
+    V, and a point whose tau underflows to 0 (g = +inf) bisects.  It stops
+    once |g| <= 1e-14, or once the bracket is below 1e-12 relative, at
+    that bracket's secant point.
     """
     # eps = inf is too large, as is any eps >= 1 / rho(0), and says so below
     eps = _real(eps, "eps must be positive", 0.0, closed=True)
-    target = 1.0 / eps
-    compact = p.is_compact()
-    rho0 = 1.0 if compact else _rho(p, 0.0)
-    if rho0 >= target:
-        eps0 = 1.0 / rho0
-        raise SpecError(
-            f"eps = {eps:g} is too large for this potential; the splitting scale "
-            f"exists only for eps < {eps0:g}"
-        )
+    log_eps, compact = math.log(eps), p.is_compact()
+    lo, g_lo = 0.0, (log_eps if compact else _gap(p, 0.0, log_eps))  # rho(0) = 1 when compact
+    if g_lo >= 0.0:
+        eps0 = 1.0 if compact else math.sqrt(_tau(p, 0.0))  # 1 / rho(0)
+        raise SpecError(f"eps = {eps:g} is too large for this potential; the splitting scale "
+                        f"exists only for eps < {eps0:g}")
     if compact:
-        xi = math.sqrt(target - 1.0)
+        xi = math.sqrt(1.0 / eps - 1.0)
         return SplittingScale(eps, xi, eps * xi)
-    hi = 1.0
+    hi, kept = 1.0, 0  # kept: 1 after a secant step that moved hi, -1 after one that moved lo
     for _ in range(80):
-        if _rho(p, hi) > target:
+        g_hi = _gap(p, hi, log_eps)
+        if g_hi > 0.0:
             break
-        hi *= 2.0
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
     else:
         raise SpecError("splitting scale bracket search ran away; tail mass may not decay")
-    lo, x = 0.0, hi  # rho(lo) <= 1/eps < rho(hi)
-    while hi - lo > 1e-12 * max(1.0, hi):
-        tau = _tau(p, x)
-        if tau <= 0.0:  # rho(x) = inf
-            hi, x = x, 0.5 * (lo + x)
-            continue
-        gap = math.log1p(x) - 0.5 * math.log(tau) + math.log(eps)  # log(rho(x) eps)
-        lo, hi = (lo, x) if gap > 0.0 else (x, hi)
-        v = float(np.abs(p(np.array([x, -x]))).sum())
-        step = gap / (1.0 / (1.0 + x) + (1.0 + x) * v / (2.0 * tau))
-        if abs(step) <= 1e-12 * max(1.0, x):
-            xi = x - step
+    for _ in range(200):  # g(lo) <= 0 < g(hi)
+        x = 0.5 * (lo + hi) if g_hi == math.inf else hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        # a bracket this narrow returns its secant point x without reading g there
+        if hi - lo <= 1e-12 * hi or abs(g := _gap(p, x, log_eps)) <= 1e-14:
             break
-        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-    else:
-        xi = 0.5 * (lo + hi)
-    return SplittingScale(eps, xi, eps * xi)
+        if g > 0.0:
+            hi, g_hi, g_lo, kept = x, g, g_lo * (0.5 if kept > 0 else 1.0), 1
+        else:
+            lo, g_lo, g_hi, kept = x, g, g_hi * (0.5 if kept < 0 else 1.0), -1
+    return SplittingScale(eps, x, eps * x)
 
 
 def tail_weight_norm(p: Potential, eps: float) -> float:

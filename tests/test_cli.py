@@ -546,3 +546,14 @@ def test_converge_bad_lattice(runner, barrier_file, flag, value):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.output
+
+
+def test_converge_lattice_overflow_exits_3(runner, barrier_file):
+    # at box 800 and Im k = 1 the lattice sum overflows: a numerical failure, not a nan row
+    result = runner.invoke(main, [
+        "converge", "--potential", barrier_file, "--k", "1,1", "--eps", "0.1", "--box", "800",
+    ])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("numerical failure: the kernel lattice sum is not finite")
+    assert "box = 800 and Im k = 1" in result.stderr
+    assert "nan" not in result.stdout and "Traceback" not in result.output

@@ -510,6 +510,29 @@ def test_peak_is_numpys_max_over_the_entries(rng):
         assert np.array_equal(_peak(np.abs(m)), np.max(np.abs(m), axis=0), equal_nan=True)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("batch", [(), (9,), (3, 9)], ids=["one_map", "maps", "rows_of_maps"])
+def test_compose_is_the_four_sums_written_out(rng, dtype, batch):
+    # the broadcast product rounds as a*e + b*g, a*f + b*h, c*e + d*g and c*f + d*h
+    # do, byte for byte, on whole arrays and on the strided halves of a product round
+    def maps():
+        m = rng.normal(size=(4,) + batch) * 10.0 ** rng.uniform(-3, 3, (4,) + batch)
+        return m + 1j * rng.normal(size=m.shape) if dtype is complex else m
+
+    def written_out(m, n):
+        (a, b, c, d), (e, f, g, h) = ([x[i, ...] for i in range(4)] for x in (m, n))
+        return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+
+    m, n = maps(), maps()
+    pairs = [(m, n), (n, m)]
+    if batch:  # the pairs of neighbours a product round composes
+        pairs += [(m[..., 0:batch[-1] - 1:2], m[..., 1::2]), (n[..., 1::2], n[..., 0:batch[-1] - 1:2])]
+    for a, b in pairs:
+        got, want = _compose(a, b), written_out(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("p", [
     j.exp_decay(1.0, -1.0, 1.4458),
     j.square(-1.0, 1.0, 2.0),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jost1d as j
-from jost1d.errors import SpecError
+from jost1d.errors import NumericsError, SpecError
 from jost1d.limits import Kernel
 
 import oracles
@@ -182,6 +182,21 @@ def test_kernel_distance_scales_linearly():
     # the sampled estimate is (box^2/n^2 sum |diff|^2)^(1/2), so a
     # constant offset c comes out as exactly box * c
     assert base == pytest.approx(5.0 * 0.01, rel=1e-10)
+
+
+def test_lattice_sums_that_overflow_raise(barrier, well_theta_minus):
+    # the factors grow like e^{Im k box}: their squares overflow once 2 Im k box
+    # passes about 709, so box 355 at Im k = 1 is a number and box 360 raises,
+    # naming box and Im k, with no numpy warning (an error under pytest's settings)
+    (record,) = j.convergence_table(barrier, 1.0 + 1.0j, [0.1], box=355.0)
+    assert record.kernel_distance == pytest.approx(0.0019515, rel=1e-4)
+    with pytest.raises(NumericsError, match=r"box = 360 and Im k = 1\b"):
+        j.convergence_table(barrier, 1.0 + 1.0j, [0.1], box=360.0)
+    limits = [j.classify_limit(p).green(1.0 + 1.0j) for p in (barrier, well_theta_minus)]
+    assert np.isfinite(j.kernel_distance(*limits, box=355.0))
+    for box in (360.0, 800.0):
+        with pytest.raises(NumericsError, match=f"box = {box:g}"):
+            j.kernel_distance(*limits, box=box)
 
 
 def test_kernel_distance_validation():

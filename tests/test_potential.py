@@ -547,7 +547,7 @@ def test_splitting_scale_exponential_solves_weight_equation(exp_tail):
 @pytest.mark.parametrize("p", [j.exp_decay(1.5, 1.0), j.exp_decay(1.0, -1.0, 1.4458),
                                j.exp_decay(0.3, 5.0), j.exp_decay(4.0, -0.2)])
 def test_splitting_scale_newton_matches_bisection(p):
-    # Newton's method on log rho finds the root that doubling and bisection
+    # the secant on log(rho eps) finds the root that doubling and bisection
     # bracket, and rho(xi) eps = 1 there
     for eps in (0.2, 0.1, 0.05, 0.01, 1e-3, 1e-5):
         xi = j.splitting_scale(p, eps).xi_eps
@@ -557,12 +557,40 @@ def test_splitting_scale_newton_matches_bisection(p):
 
 
 def test_splitting_scale_bisects_where_the_tail_mass_underflows():
-    # the tail mass of e^{-800|x|} beyond |x| = 1, the first Newton point, is 0
+    # the tail mass of e^{-800|x|} beyond |x| = 1, the first doubling point, is 0,
+    # so the first steps of the secant bisect
     p = j.exp_decay(800.0, 1.0)
     xi = j.splitting_scale(p, 1e-3).xi_eps
     assert j.tails(p, 1.0).tau_plus == 0.0
     tau = j.tails(p, xi).tau_plus + j.tails(p, -xi).tau_minus
     assert (1.0 + xi) / math.sqrt(tau) * 1e-3 == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_splitting_scale_reads_the_tail_mass_alone(monkeypatch):
+    # the secant reads tau's closed form and never samples V: each eps of the
+    # ladder takes at most 12 tail masses and no Potential call
+    from jost1d import potential
+
+    calls = {"tau": 0, "V": 0}
+    tau, sample = potential._tau, j.Potential.__call__
+
+    def counted_tau(p, x):
+        calls["tau"] += 1
+        return tau(p, x)
+
+    def counted_sample(p, x):
+        calls["V"] += 1
+        return sample(p, x)
+
+    monkeypatch.setattr(potential, "_tau", counted_tau)
+    monkeypatch.setattr(j.Potential, "__call__", counted_sample)
+    p = j.exp_decay(1.5, 1.0)
+    for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
+        calls["tau"] = 0
+        xi = j.splitting_scale(p, eps).xi_eps
+        assert xi == pytest.approx(oracles.bisection_splitting_scale(p, eps), rel=1e-11)
+        assert 1 <= calls["tau"] <= 12
+    assert calls["V"] == 0
 
 
 def test_splitting_scale_window_shrinks_while_growing_unscaled(exp_tail):
