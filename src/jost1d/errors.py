@@ -52,10 +52,12 @@ class IntegrationError(NumericsError):
 
 
 class ExceptionalPointError(NumericsError):
-    """The plane-wave coefficient a(k) vanished at a k with Im k > 0.
+    """The plane-wave coefficient a(k) vanished at k = i kappa, kappa > 0.
 
     k^2 is then an eigenvalue and reflection and transmission are
-    undefined there.  At real k it cannot vanish: |a|^2 = 1 + |b|^2.
+    undefined there.  At real k it cannot vanish: |a|^2 = 1 + |b|^2; nor,
+    for real V, where k^2 is not real, so a failed a-test there raises
+    plain NumericsError.
     """
 
 

@@ -29,8 +29,10 @@ An accepted step keeps its two-half-step map with the
 Richardson correction M_2 + (M_2 - M_1)/63: the Gauss-point step is
 time-symmetric, so its local error is odd in h.  The anchor sits at the
 support edge when the support is compact, otherwise where the weighted
-tail has dropped below tol, and the cut tail mass is error_bound; this
-holds at k = 0 as well.  Step maps are float64 wherever k^2 is real (real k,
+tail has dropped below tol, and the cut tail mass is error_bound.  At
+k = 0 the solutions grow like |x| beyond the support, so the mass there
+adds the second-moment tail, and the one k = 0 build gives d0, theta and
+D'(0) alike.  Step maps are float64 wherever k^2 is real (real k,
 k = 0, k = i kappa), else complex128; _peak reads their size.  Every array
 of step maps is entry-major, of shape (4, *batch, N): the entries (m00, m01,
 m10, m11) lead and the map index is last, so composing two arrays is two
@@ -90,6 +92,7 @@ from .errors import (
     AnchorError,
     ExceptionalPointError,
     IntegrationError,
+    NumericsError,
     SpecError,
     _points,
     _real,
@@ -133,16 +136,18 @@ class ScatteringData:
 # the evaluator
 
 
-def _tail_point(p: Potential, s: float, tol: float, second=False):
-    """(t, mass): the smallest dyadic t where the weighted tail beyond x = s*t is below tol.
+def _tail_point(p: Potential, s: float, tol: float, zero):
+    """(t, mass): the smallest dyadic t where the tail mass beyond x = s*t is below tol.
 
-    With second, mass adds the second-moment tail int |t| (1 + |t|) |V|,
-    which bounds the cut for a solution growing like t.
+    The mass is the weighted tail int (1 + |t|) |V|.  At zero energy
+    (zero), where each Jost solution grows like |x| beyond the support, it
+    adds the second-moment tail int |t| (1 + |t|) |V|, which bounds the
+    cut for a solution growing like t.
     """
     for t in (2.0 ** n for n in range(60)):
         lo, hi = (s * t, np.inf) if s > 0 else (-np.inf, s * t)
         mass = p.shape.integrals(lo, hi, p.coupling)[3]
-        if second:
+        if zero:
             mass += p.shape.second_tail(s * t, p.coupling)
         if mass < tol:
             return t, mass
@@ -374,12 +379,12 @@ def _seed_edges(lo, hi, breakpoints):
     return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
-def _x_maps(p: Potential, k, tol, layers, second):
+def _x_maps(p: Potential, k, tol, layers):
     """(nodes, steps, mu2, tails) in x, oriented as f_+ reads them.
 
     steps[:, j] maps (f, f') at node j+1 to node j; tails are the masses
-    cut left and right of the end nodes (with second, plus the
-    second-moment tails).  layers give exact steps and mu2 = h - k^2 for
+    cut left and right of the end nodes, with the second-moment tails at
+    k = 0 (see _tail_point).  layers give exact steps and mu2 = h - k^2 for
     the scalar k.  A couplings batch, heights of shape (n, L), or a k
     batch, k of shape (n,), gives mu2 a leading axis of length n and
     steps one after their entries (steps[:, i, j] in row i), real only
@@ -408,7 +413,7 @@ def _x_maps(p: Potential, k, tol, layers, second):
     if sup is not None:
         (lo, hi), tails = sup, (0.0, 0.0)
     else:
-        (hi, mass_r), (lo, mass_l) = (_tail_point(p, s, tol, second) for s in (1.0, -1.0))
+        (hi, mass_r), (lo, mass_l) = (_tail_point(p, s, tol, k == 0) for s in (1.0, -1.0))
         lo, tails = -lo, (mass_l, mass_r)
 
     span = hi - lo
@@ -468,22 +473,25 @@ def jost_evaluator(p: Potential, k, side, tol=1e-10):
     """The Jost solution f_+ (side "+") or f_- (side "-") of p at k, scanned alone.
 
     The route is the layer one when p's shape has layers, else Magnus.  On
-    infinite support k = 0 anchors at the same tail point as k != 0:
-    |sin(k s)/k| <= s makes f_+(x, 0) exist when int (1 + |x|) |V| < inf.
+    infinite support |sin(k s)/k| <= s makes f_+(x, 0) exist when
+    int (1 + |x|) |V| < inf, but f_+(x, 0) grows like x beyond the
+    support, so at k = 0 the cut mass adds the second-moment tail, and
+    error_bound is that sum (see _tail_point).
     """
     if not isinstance(side, str) or side not in ("+", "-"):
         raise SpecError(f"side must be '+' or '-', got {side!r}")
     return JostEvaluator(_jost_maps(p, k, tol), side)
 
 
-def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
+def _jost_maps(p: Potential, k, tol=1e-10, layers=None, eps=None):
     """The _Build of the unsqueezed base of p at eps k: its step maps in x and their readers.
 
-    Every build checks tol here: outside (0, 1) it raises SpecError.
-    second cuts infinite tails by their second-moment mass too (see
-    _tail_point).  layers, as _layers gives them for the unsqueezed base,
-    spare reading its tiling; heights of shape (n, L), n couplings, batch
-    the layer route for the sweep's product, not for a JostEvaluator.
+    Every build checks tol here: outside (0, 1) it raises SpecError.  A
+    k = 0 build cuts infinite tails by their second-moment mass too, so
+    one build serves d0, theta and D'(0) (see _tail_point).  layers, as
+    _layers gives them for the unsqueezed base, spare reading its tiling;
+    heights of shape (n, L), n couplings, batch the layer route for the
+    sweep's product, not for a JostEvaluator.
     Given eps, an array of dilations, p is already the base and the build
     is the k batch at eps k, of eps's shape (one row on the Magnus route).
     """
@@ -492,7 +500,7 @@ def _jost_maps(p: Potential, k, tol=1e-10, second=False, layers=None, eps=None):
         p, eps = _unsqueezed(p)
     k_x, k = k, eps * k
     layers = _layers(p.shape, p.coupling) if layers is None else layers
-    return _Build(p, k, eps, *_x_maps(p, k, tol, layers, second), k_x)
+    return _Build(p, k, eps, *_x_maps(p, k, tol, layers), k_x)
 
 
 def _unsqueezed(p: Potential):
@@ -641,7 +649,10 @@ class _Build:
         """Scattering data at k_x per row, the build's k being eps k_x (a scalar is one row).
 
         The first row whose product is not finite, or whose a vanishes,
-        raises what scattering would raise at its eps.
+        raises what scattering would raise at its eps.  For real V, a
+        vanishes only where k^2 is an eigenvalue, k = i kappa; where k^2 is
+        not real, the a-test fires only because b is blown up (its far-edge
+        wave grows like e^{2 Im k |lo|}), so it raises NumericsError.
         """
         k, kb, ikb, lo = self.k_x, self.k, 1j * self.k, self.nodes[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -652,9 +663,13 @@ class _Build:
             finite = np.isfinite(self.product[2]).all(axis=0)
             failed = ~finite | (abs(a) < 1e-12 * (1.0 + abs(b)))
         if failed.any():
-            if not np.ravel(finite)[np.argmax(failed)]:
+            i = np.argmax(failed)
+            if not np.ravel(finite)[i]:
                 raise SpecError(f"the step-map product is not finite at k = {k}")
-            # never at real k, where |a|^2 = 1 + |b|^2 for real V
+            if k.real and k.imag:  # k^2 not real (real k never gets here: |a|^2 = 1 + |b|^2)
+                raise NumericsError(f"a(k) cannot vanish where k^2 is not real, yet |a| = "
+                                    f"{abs(np.ravel(a)[i]):.3g} fails the test against |b| = "
+                                    f"{abs(np.ravel(b)[i]):.3g} at k = {k}: b is not resolved")
             raise ExceptionalPointError(
                 f"a(k) vanishes at k = {k}: k^2 is an eigenvalue, scattering data undefined")
         f, fp, g, gp = self.halves()

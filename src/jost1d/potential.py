@@ -317,7 +317,8 @@ class Potential:
 
     A shape needs value, support and breakpoints to be solved; moments,
     fm_norm and tails also need its integrals, which every built-in shape
-    has, and d_dot_zero on infinite support its second_tail.
+    has, and on infinite support every k = 0 build (resonance_report,
+    d_dot_zero, a sweep, jost_evaluator at k = 0) its second_tail too.
     """
 
     shape: object

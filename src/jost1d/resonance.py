@@ -16,12 +16,14 @@ the support and the mirrored P carries f_- to C + D x above it; at a
 resonance B = -d0 and D = d0 vanish, and theta = 1/A = C.  A resonant
 report reads theta from these far fields and the states of f_+ and f_-,
 both in x, at the product's split node (see jost._Build.halves).
-Infinite tails are cut where their weighted mass falls below tol, as at
-any k; the results are then flagged as extrapolated.  A d0 that is not
-finite raises SpecError.
+Infinite tails are cut where their weighted mass plus their second-moment
+mass falls below tol, as at every k = 0 build, since the zero-energy
+solutions grow like |x| beyond the support; the results are then flagged
+as extrapolated.  A d0 that is not finite raises SpecError.
 D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
 on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
-jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].
+jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].  It
+reads the same k = 0 build as the report, on any support.
 
 A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
@@ -67,8 +69,8 @@ class ResonanceReport:
     resonant); theta_far_field is the same number read from one point
     only, 1/A for the line A + B x that f_+ follows on the far left, as a
     consistency handle.  extrapolated means the solutions were anchored
-    at a cut tail (infinite support).  On compact support _zero_maps keeps
-    (p, tol, k = 0 build).
+    at a cut tail (infinite support).  A resonant report keeps (p, tol,
+    k = 0 build) in _zero_maps, on any support, for d_dot_zero.
     """
 
     d0: float
@@ -128,7 +130,7 @@ def resonance_report(
         )
     theta_far = float((1.0 / plus[0]).real) if plus[0] != 0 else math.inf
     return ResonanceReport(d0, threshold, True, float(theta_c.real), theta_far,
-                           extrapolated, None if extrapolated else (p, tol, built))
+                           extrapolated, (p, tol, built))
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,14 @@ def d_dot_zero(
     """Exact derivative D'(0) of the Wronskian at zero energy.
 
     D'(0) = -i [(hi - lo) P10 + P00 + P11] from the product P = L R of
-    the k = 0 step maps on [lo, hi], whose infinite tails are cut by the
-    second-moment mass int |x| (1 + |x|) |V| as well.  At the split node
-    it is W{h_+, f_-} + W{f_+, h_-} with h = df/dk, started in x from the
-    k-derivatives of e^{ikx} at hi, (i hi, i), and of e^{-ikx} at lo,
-    (-i lo, -i), and carried there by _Build.halves.  Requires a
-    resonant potential, whose report gives theta, and on compact support
-    its k = 0 maps, if it is p's at this tol.
+    the k = 0 step maps on [lo, hi], whose infinite tails, as at every
+    k = 0 build, are cut by the second-moment mass int |x| (1 + |x|) |V|
+    as well.  At the split node it is W{h_+, f_-} + W{f_+, h_-} with
+    h = df/dk, started in x from the k-derivatives of e^{ikx} at hi,
+    (i hi, i), and of e^{-ikx} at lo, (-i lo, -i), and carried there by
+    _Build.halves.  Requires a resonant potential, whose report gives
+    theta, and its k = 0 maps if the report is p's own at this tol;
+    otherwise it builds them.
     """
     if report is None:
         report = resonance_report(p, tol=tol)
@@ -172,7 +175,7 @@ def d_dot_zero(
         )
     zero = report._zero_maps
     built = (zero[2] if zero is not None and zero[0] is p and zero[1] == tol
-             else _jost_maps(p, 0.0, tol, second=True))
+             else _jost_maps(p, 0.0, tol))
     lo, hi = built.nodes[0], built.nodes[-1]
     m00, _, m10, m11 = built.product[2]
     value = complex(-1j * ((hi - lo) * m10 + m00 + m11))

@@ -184,6 +184,40 @@ def test_resonance_theta_resonant(runner, resonant_well_file):
     assert float(record["ddot0_im"]) == pytest.approx(2.0, abs=1e-5)
 
 
+def test_resonance_theta_on_infinite_support(runner, tmp_path):
+    # the exp well at its first resonant coupling: the row is the library's report and
+    # D'(0), which read one k = 0 build cut by the second-moment tail
+    spec = {"kind": "exp_decay", "params": {"rate": 1.0, "amplitude": -1.0},
+            "coupling": 1.4457964926958082}
+    path = tmp_path / "exp_well.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["resonance", "theta", "--potential", str(path)])
+    assert result.exit_code == 0, result.output
+    header, row = _parse_csv(result.output)
+    record = dict(zip(header, row))
+    p = j.load_potential(str(path))
+    rep = j.resonance_report(p)
+    dd = j.d_dot_zero(p, report=rep)
+    want = [rep.d0, rep.threshold, rep.theta, rep.theta_far_field, dd.value.real, dd.value.imag,
+            dd.ray_gap, dd.theta_formula_gap]
+    numbers = [h for h in header if h not in ("is_resonant", "extrapolated")]
+    assert [float(record[h]) for h in numbers] == want
+    assert (record["is_resonant"], record["extrapolated"]) == ("true", "true")
+    assert abs(float(record["theta"]) + 1.0) < 1e-8
+    assert abs(complex(float(record["ddot0_re"]), float(record["ddot0_im"])) - 2j) < 1e-8
+
+
+def test_scatter_at_non_real_k2_exits_3(runner, tmp_path):
+    # |b| is blown up at 1+i, so |a| fails its test, yet no k^2 = (1+i)^2 is an eigenvalue
+    path = tmp_path / "exp_well.json"
+    path.write_text(json.dumps({"kind": "exp_decay", "params": {"rate": 1.0, "amplitude": -1.0},
+                                "coupling": 1.4458}))
+    result = runner.invoke(main, ["scatter", "--potential", str(path), "--k", "1,1"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith(
+        "numerical failure: a(k) cannot vanish where k^2 is not real, yet |a| = 0.522")
+
+
 def test_resonance_theta_nonresonant(runner, barrier_file):
     result = runner.invoke(main, ["resonance", "theta", "--potential", barrier_file])
     assert result.exit_code == 0

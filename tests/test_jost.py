@@ -15,7 +15,13 @@ from scipy.optimize import brentq
 from scipy.special import j0
 
 import jost1d as j
-from jost1d.errors import ExceptionalPointError, IntegrationError, SpecError, _wavenumber
+from jost1d.errors import (
+    ExceptionalPointError,
+    IntegrationError,
+    NumericsError,
+    SpecError,
+    _wavenumber,
+)
 from jost1d.jost import (
     _MIN_PANELS,
     JostEvaluator,
@@ -164,7 +170,7 @@ def test_random_layer_potentials_vs_matching_oracle(rng):
 def test_ode_agrees_with_transfer_on_layers(two_step, k):
     sd_transfer = j.scattering(two_step, k)
     # maps built without layers take the Magnus route
-    maps = _x_maps(two_step, complex(k), 1e-10, None, False)
+    maps = _x_maps(two_step, complex(k), 1e-10, None)
     a, b = JostEvaluator(_Build(two_step, complex(k), 1.0, *maps, complex(k)), "+").plane_pair()
     assert abs(sd_transfer.r - b / a) < 1e-8
     assert abs(sd_transfer.t - 1.0 / a) < 1e-8
@@ -1022,7 +1028,7 @@ _ROUTES = [("two_step", "transfer"), ("two_step", "ode"), ("table", "ode")]
 def _route_evaluator(p, k, side, route):
     layers = _layers(p.shape, p.coupling) if route == "transfer" else None
     k = complex(k)
-    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers, False), k), side)
+    return JostEvaluator(_Build(p, k, 1.0, *_x_maps(p, k, 1e-10, layers), k), side)
 
 
 @pytest.mark.parametrize("name, route", _ROUTES)
@@ -1069,6 +1075,18 @@ def test_bound_state_raises_exceptional_point():
     # ... so the plane-wave expansion has no leading coefficient
     with pytest.raises(ExceptionalPointError, match="k\\^2 is an eigenvalue"):
         j.scattering(p, 1j * kappa)
+
+
+def test_a_test_at_non_real_k2_is_no_exceptional_point():
+    # for real V, a(k) != 0 where k^2 is not real; at 1+i the far-edge b is blown up
+    # (|b| ~ 1e13), so |a| fails its test against |b| although |a| ~ 0.5
+    p = j.exp_decay(1.0, -1.0, 1.4458)
+    with pytest.raises(NumericsError, match=r"cannot vanish where k\^2 is not real") as info:
+        j.scattering(p, 1.0 + 1.0j)
+    assert not isinstance(info.value, ExceptionalPointError)
+    assert re.search(r"\|a\| = 0\.52\d* .*\|b\| = 9\.\d+e\+12 .*k = \(1\+1j\)", str(info.value))
+    with pytest.raises(ExceptionalPointError, match="k\\^2 is an eigenvalue"):
+        j.scattering(p, 3j)  # k = i kappa: k^2 is real
 
 
 # ---------------------------------------------------------------------------
@@ -1178,6 +1196,26 @@ def test_error_bound_reporting(barrier, exp_tail):
     assert jost_evaluator(barrier, 1.0, "+").error_bound == 0.0
     eb = jost_evaluator(exp_tail, 1.0, "+", tol=1e-10).error_bound
     assert 0.0 < eb <= 1e-10
+
+
+def test_zero_energy_cut_adds_the_second_moment_tail():
+    # f_+(x, 0) grows like x beyond the support, so a k = 0 build cuts each tail
+    # where its first- plus second-moment mass is below tol; k != 0 keeps the first
+    q = j.exp_decay(1.5, 0.1)
+
+    def mass(x, second):
+        lo, hi = (x, np.inf) if x > 0 else (-np.inf, x)
+        return q.shape.integrals(lo, hi, q.coupling)[3] + (
+            q.shape.second_tail(x, q.coupling) if second else 0.0)
+
+    zero, one = _jost_maps(q, 0.0), _jost_maps(q, 1.0)
+    assert (zero.nodes[0], zero.nodes[-1]) == (-32.0, 32.0)
+    assert zero.tails == (mass(-32.0, True), mass(32.0, True))
+    assert 1e-19 < zero.tails[1] < 1.2e-19 and mass(16.0, True) >= 1e-10  # 16 is too near
+    assert (one.nodes[0], one.nodes[-1]) == (-16.0, 16.0)
+    assert one.tails == (mass(-16.0, False), mass(16.0, False))
+    assert 4e-11 < one.tails[1] < 5e-11
+    assert jost_evaluator(q, 0, "+").error_bound == zero.tails[1]
 
 
 def test_side_validation(barrier):

@@ -770,11 +770,11 @@ def table_root_well():
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("well_theta_minus", 1),  # compact: the second-moment build is the report's
+    ("well_theta_minus", 1),
     ("table_root_well", 1),
-    ("exp_bessel_well", 2),  # infinite tails: D'(0) cuts them by their second moment too
+    ("exp_bessel_well", 1),  # infinite tails: the report's k = 0 build cuts the second moment too
 ])
-def test_d_dot_zero_reuses_its_compact_report_maps(name, expected, request, monkeypatch):
+def test_d_dot_zero_reuses_its_report_maps(name, expected, request, monkeypatch):
     p = request.getfixturevalue(name)
     map_sets = _counting_map_sets(monkeypatch)
     rep = j.resonance_report(p)
