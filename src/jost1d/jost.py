@@ -48,7 +48,11 @@ D'(0) and the resonant theta build no evaluator.  At the split node of
 the last round, P = L R, f_+ is R applied to its start and f_- the
 mirrored L (see JostEvaluator) applied to its own; _Build.halves hands
 both back in x, and their plain W is P's in exact arithmetic for any
-maps, so the wronskian_gap and ray_gap read there measure rounding.  A
+maps, so the wronskian_gap and ray_gap read there measure rounding.
+Every reader of P's entries, L, R and the node ends is a _Build method:
+besides W and the scattering data, the zero-energy ones, the four
+(f_+, f_-) pairs that give theta (_Build.zero_pairs) and D'(0) with its
+split-node twin (_Build.d_dot), so the resonance module reads no map.  A
 JostEvaluator scans the maps into node states for f(x).  It holds the
 f_+/f_- pair of one build, or one side of it, started from the build's
 own anchor states (_Build.starts), so the scan and the product start
@@ -577,7 +581,8 @@ class _Build:
     batch's rows) and eps the dilation; the rest is _x_maps' output in x.
     k_x is the undilated k the build was asked for, one scalar that every
     row shares: the wavenumber of the plane waves in x and of the
-    scattering data.
+    scattering data.  The product's readers all live here: W, the
+    scattering data, and at k = 0 the pairs that give theta and D'(0).
     """
 
     p: Potential
@@ -617,21 +622,48 @@ class _Build:
         ik = 1j * self.k
         return tuple((w, ik * w) for w in (np.exp(ik * self.nodes[-1]), np.exp(ik * -self.nodes[0])))
 
-    def halves(self, starts=None):
-        """(f_+, f_+', f_-, f_-') in x at the split node, from starts or the anchor states.
+    def halves(self):
+        """(f_+, f_+', f_-, f_-') in x at the split node, from the anchor states.
 
-        starts are f_+'s state at hi and f_-'s at lo, in x.  f_+ is R applied
-        to its start, and f_-(x) = g(-x), f_-' = -g'(-x), with g the mirrored
-        L (m00 and m11 swapped) applied to g's start (f_-, -f_-') at t = -lo.
+        f_+ is R applied to its start at hi, and f_-(x) = g(-x), f_-' =
+        -g'(-x), with g the mirrored L (m00 and m11 swapped) applied to g's
+        start at t = -lo.
         """
-        left, right, _ = self.product
-        if starts is None:  # the anchor states, f_-'s given as g's
-            up, dn = self.starts
-        else:
-            up, (f, fp) = starts
-            dn = f, -fp
+        (left, right, _), (up, dn) = self.product, self.starts
         g, gp = _apply(left[_MIRROR], dn)
         return (*_apply(right, up), g, -gp)
+
+    def zero_pairs(self):
+        """The four (f_+, f_-) pairs of a k = 0 build, as the arrays (plus, minus).
+
+        P carries f_+ = (1, 0) from hi to (P00, P10) at lo, below which it
+        is the line A + B x, and the mirrored P carries f_- = (1, 0) from lo
+        to (P11, -P10) at hi, above which it is C + D x.  The pairs are
+        (A, 1) at -inf, (1, C) at +inf, and the values and the slopes at
+        the split node; at a resonance f_- = theta f_+ in all four.
+        """
+        m00, _, m10, m11 = self.product[2]
+        lo, hi = self.nodes[0], self.nodes[-1]
+        f, fp, g, gp = self.halves()
+        return np.array([m00 - m10 * lo, 1.0, f, fp]), np.array([1.0, m11 + m10 * hi, g, gp])
+
+    def d_dot(self):
+        """(D'(0), its split-node twin) of a k = 0 build.
+
+        Every step map depends on k through k^2 only, so dP/dk = 0 at k =
+        0, and differentiating W gives D'(0) = -i [(hi - lo) P10 + P00 +
+        P11].  At the split node it is W{h_+, f_-} + W{f_+, h_-} with h =
+        df/dk, whose starts in x are the k-derivatives of e^{ikx} at hi,
+        (i hi, i), and of e^{-ikx} at lo, (-i lo, -i), carried as halves
+        carries f_+ and f_-.
+        """
+        left, right, (m00, _, m10, m11) = self.product
+        lo, hi = self.nodes[0], self.nodes[-1]
+        value = complex(-1j * ((hi - lo) * m10 + m00 + m11))
+        f, fp, g, gp = self.halves()
+        f_k, fp_k = _apply(right, (1j * hi, 1j))
+        g_k, gp_k = _apply(left[_MIRROR], (-1j * lo, 1j))  # g's start is (h_-, -h_-')
+        return value, (f_k * gp - fp_k * g) + (f * -gp_k - fp * g_k)
 
     def wronskian(self):
         """W{f_+, f_-}, one value per batch row, nan where the product overflowed.

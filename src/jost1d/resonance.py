@@ -15,15 +15,17 @@ solutions are straight lines, so P carries f_+ to the line A + B x below
 the support and the mirrored P carries f_- to C + D x above it; at a
 resonance B = -d0 and D = d0 vanish, and theta = 1/A = C.  A resonant
 report reads theta from these far fields and the states of f_+ and f_-,
-both in x, at the product's split node (see jost._Build.halves).
-Infinite tails are cut where their weighted mass plus their second-moment
-mass falls below tol, as at every k = 0 build, since the zero-energy
-solutions grow like |x| beyond the support; the results are then flagged
-as extrapolated.  A d0 that is not finite raises SpecError.
-D'(0) = dW/dk at k = 0 needs no evaluator either: every step map depends
-on k through k^2 only, so dP/dk = 0 at k = 0, and differentiating W (see
-jost._Build.wronskian) gives D'(0) = -i [(hi - lo) P10 + P00 + P11].  It
-reads the same k = 0 build as the report, on any support.
+both in x, at the product's split node: the four pairs of
+jost._Build.zero_pairs.  This module reads no entry of P itself; its
+readers live on the build.  Infinite tails are cut where their weighted
+mass plus their second-moment mass falls below tol, as at every k = 0
+build, since the zero-energy solutions grow like |x| beyond the support;
+the results are then flagged as extrapolated.  A d0 that is not finite
+raises SpecError.  D'(0) = dW/dk at k = 0 needs no evaluator either:
+every step map depends on k through k^2 only, so dP/dk = 0 at k = 0,
+and differentiating W gives D'(0) = -i [(hi - lo) P10 + P00 + P11]
+(see jost._Build.d_dot).  It reads the same k = 0 build as the report,
+on any support.
 
 A coupling sweep evaluates d0 on its whole grid at once and builds no
 evaluator.  For a piecewise-constant base the layer heights of every
@@ -93,10 +95,13 @@ def resonance_report(
     |d0| < 1e-8 * (1 + fm_norm).  When resonant, theta is the least-squares
     ratio f_-/f_+ of four pairs of the k = 0 product: the far-field values
     (A, 1) at -inf and (1, C) at +inf, and the values and the slopes at
-    the split node.  For a genuine resonance f_- = theta f_+ in all four,
-    and a largest gap |f_- - theta f_+| beyond 1e-6 of the largest |f_-|
-    raises RatioInconsistencyError.  A non-finite d0, or a threshold that
-    is not a positive, finite real number, raises SpecError.
+    the split node.  For a genuine resonance f_- = theta f_+ in all four;
+    the one consistency test is their spread, and a largest gap
+    |f_- - theta f_+| beyond 1e-6 of the largest |f_-| raises
+    RatioInconsistencyError.  theta may be arbitrarily small or large (a
+    well behind a tall barrier), but not 0: the spread is then 1.  A
+    non-finite d0, or a threshold that is not a positive, finite real
+    number, raises SpecError.
     """
     threshold = (1e-8 * (1.0 + fm_norm(p)) if threshold is None
                  else _real(threshold, "threshold must be positive and finite", 0.0))
@@ -108,25 +113,13 @@ def resonance_report(
     extrapolated = not p.is_compact()
     if abs(d0) >= threshold:
         return ResonanceReport(d0, threshold, False, None, None, extrapolated)
-    # P carries f_+ = (1, 0) from hi to (P00, P10) at lo, below which it is the
-    # line A + B x, and the mirrored P carries f_- = (1, 0) from lo to (P11,
-    # -P10) at hi, above which it is C + D x; f_- = theta f_+ pairs (f_+, f_-) =
-    # (A, 1) at -inf, (1, C) at +inf, and (f, g), (f', g') at the split node
-    m00, _, m10, m11 = built.product[2]
-    lo, hi = built.nodes[0], built.nodes[-1]
-    f, fp, g, gp = built.halves()
-    plus = np.array([m00 - m10 * lo, 1.0, f, fp])
-    minus = np.array([1.0, m11 + m10 * hi, g, gp])
+    plus, minus = built.zero_pairs()  # real at k = 0, so theta is too
     theta_c = np.vdot(plus, minus) / np.vdot(plus, plus)
     spread = np.max(np.abs(minus - theta_c * plus)) / np.max(np.abs(minus))
     if not spread <= 1e-6:  # nan too
         raise RatioInconsistencyError(
             f"flagged resonant (|d0| = {abs(d0):.3g} < {threshold:.3g}) but "
             f"f_-/f_+ drifts by {spread:.3g}; the threshold may be too loose"
-        )
-    if abs(theta_c.imag) > 1e-8 * (1.0 + abs(theta_c)) or abs(theta_c) < 1e-8:
-        raise RatioInconsistencyError(
-            f"half-bound-state ratio should be real and nonzero, got {theta_c}"
         )
     theta_far = float((1.0 / plus[0]).real) if plus[0] != 0 else math.inf
     return ResonanceReport(d0, threshold, True, float(theta_c.real), theta_far,
@@ -159,12 +152,10 @@ def d_dot_zero(
     D'(0) = -i [(hi - lo) P10 + P00 + P11] from the product P = L R of
     the k = 0 step maps on [lo, hi], whose infinite tails, as at every
     k = 0 build, are cut by the second-moment mass int |x| (1 + |x|) |V|
-    as well.  At the split node it is W{h_+, f_-} + W{f_+, h_-} with
-    h = df/dk, started in x from the k-derivatives of e^{ikx} at hi,
-    (i hi, i), and of e^{-ikx} at lo, (-i lo, -i), and carried there by
-    _Build.halves.  Requires a resonant potential, whose report gives
-    theta, and its k = 0 maps if the report is p's own at this tol;
-    otherwise it builds them.
+    as well; ray_gap compares it with the same derivative at the split
+    node (see jost._Build.d_dot).  Requires a resonant potential, whose
+    report gives theta, and its k = 0 maps if the report is p's own at
+    this tol; otherwise it builds them.
     """
     if report is None:
         report = resonance_report(p, tol=tol)
@@ -176,12 +167,7 @@ def d_dot_zero(
     zero = report._zero_maps
     built = (zero[2] if zero is not None and zero[0] is p and zero[1] == tol
              else _jost_maps(p, 0.0, tol))
-    lo, hi = built.nodes[0], built.nodes[-1]
-    m00, _, m10, m11 = built.product[2]
-    value = complex(-1j * ((hi - lo) * m10 + m00 + m11))
-    f, fp, g, gp = built.halves()
-    f_k, fp_k, g_k, gp_k = built.halves(((1j * hi, 1j), (-1j * lo, -1j)))
-    split = (f_k * gp - fp_k * g) + (f * gp_k - fp * g_k)
+    value, split = built.d_dot()
     expected = -1j * (report.theta + 1.0 / report.theta)
     return DZeroDerivative(value, float(abs(value - split)), float(abs(value - expected)))
 

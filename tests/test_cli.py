@@ -207,6 +207,20 @@ def test_resonance_theta_on_infinite_support(runner, tmp_path):
     assert abs(complex(float(record["ddot0_re"]), float(record["ddot0_im"])) - 2j) < 1e-8
 
 
+def test_resonance_theta_tiny_theta_behind_a_barrier(runner, tmp_path):
+    # a well behind a height-400 barrier: theta is about 3e-10 and must not be rejected
+    layers = [{"left": -1.0, "right": 0.0, "height": -2.2384018399230112},
+              {"left": 0.0, "right": 1.0, "height": 400.0}]
+    path = tmp_path / "barrier_backed.json"
+    path.write_text(json.dumps({"kind": "piecewise", "params": layers}))
+    result = runner.invoke(main, ["resonance", "theta", "--potential", str(path)])
+    assert result.exit_code == 0, result.output
+    header, row = _parse_csv(result.output)
+    record = dict(zip(header, row))
+    assert record["is_resonant"] == "true"
+    assert float(record["theta"]) == j.resonance_report(j.load_potential(str(path))).theta
+
+
 def test_scatter_at_non_real_k2_exits_3(runner, tmp_path):
     # |b| is blown up at 1+i, so |a| fails its test, yet no k^2 = (1+i)^2 is an eigenvalue
     path = tmp_path / "exp_well.json"

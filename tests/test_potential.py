@@ -566,6 +566,22 @@ def test_splitting_scale_bisects_where_the_tail_mass_underflows():
     assert (1.0 + xi) / math.sqrt(tau) * 1e-3 == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
+class _UndecayingTail:
+    """A shape of infinite support whose every tail mass is 1e300: it never decays."""
+
+    def support(self):
+        return None
+
+    def integrals(self, lo, hi, coupling):
+        return (1e300,) * 4
+
+
+def test_splitting_scale_bracket_search_runs_away_on_an_undecaying_tail():
+    # rho(x) = (1 + x) / sqrt(2e300) stays below 1/eps up to x = 2^80
+    with pytest.raises(SpecError, match="bracket search ran away"):
+        j.splitting_scale(j.Potential(_UndecayingTail()), 0.1)
+
+
 def test_splitting_scale_reads_the_tail_mass_alone(monkeypatch):
     # the secant reads tau's closed form and never samples V: each eps of the
     # ladder takes at most 12 tail masses and no Potential call

@@ -82,6 +82,29 @@ def test_resonant_exponential_well_theta():
         assert rep.theta == pytest.approx(theta, abs=1e-6)
 
 
+BARRIER_BACKED_DEPTH = 2.2384018399230112  # a zero-energy resonance behind a height-400 barrier
+
+
+def _barrier_backed_well():
+    return j.piecewise_constant([(-1.0, 0.0, -BARRIER_BACKED_DEPTH), (0.0, 1.0, 400.0)])
+
+
+def test_tiny_theta_behind_a_barrier_is_resonant():
+    # f_+ = cosh(20 (x - 1)) through the barrier, then a cosine in the well, and the
+    # constant A = cosh 20 cos s + 20 sinh 20 sin(s) / s beyond it, s^2 the depth:
+    # theta = 1/A is about 3e-10, far below any absolute floor
+    p = _barrier_backed_well()
+    rep = j.resonance_report(p)
+    assert rep.is_resonant and abs(rep.d0) < rep.threshold
+    s = math.sqrt(BARRIER_BACKED_DEPTH)
+    far = math.cosh(20.0) * math.cos(s) + 20.0 * math.sinh(20.0) * math.sin(s) / s
+    assert rep.theta == pytest.approx(1.0 / far, rel=1e-12)
+    assert rep.theta == pytest.approx(rep.theta_far_field, rel=1e-12)
+    dd = j.d_dot_zero(p, report=rep)
+    assert dd.value == pytest.approx(-1j * (rep.theta + 1.0 / rep.theta), rel=1e-12)
+    assert j.classify_limit(p).theta == rep.theta
+
+
 def test_halfbound_profile_is_bounded(well_theta_minus):
     # f_+(., 0) on the oracle's grid [-5, 5]: at a resonance it is the bounded solution
     rep = j.resonance_report(well_theta_minus)
